@@ -5,7 +5,6 @@ from .channel import (
     DivergentMgfError,
     MomentsOnly,
     NakagamiReal,
-    NoisePlan,
     NotSamplableError,
     Rician,
     alpha1,

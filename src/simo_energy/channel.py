@@ -8,8 +8,13 @@ per-antenna energy fluctuation
 
     U = |h*sqrt(p) + v|^2 - (p + sigma2),
 
-so this module provides its moments and its log moment generating function
-for the supported fading families.
+so this module provides its moments, its log moment generating function
+Lambda(theta) = log E[exp(theta*U)] and the saddle point theta*(v) solving
+Lambda'(theta) = v.  Both fading families have closed forms: under Rician
+fading |h*sqrt(p) + v|^2 is a scaled noncentral chi-square, and a Nakagami
+amplitude makes |h|^2 Gamma distributed.  In either case Lambda'(theta) = v
+reduces to a quadratic, so everything that depends on the fading family
+lives here and the rate layer built on top is family-agnostic.
 """
 
 from __future__ import annotations
@@ -42,33 +47,11 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 def sigma_from_snr(gamma_db: float) -> float:
     """Noise power for a given per-antenna SNR in dB (unit channel second moment)."""
     if not math.isfinite(gamma_db):
         raise ValueError(f"SNR must be finite, got {gamma_db!r} dB")
     return 10.0 ** (-gamma_db / 10.0)
-
-
-@dataclass(frozen=True)
-class NoisePlan:
-    """Receiver noise power together with the SNR it was derived from."""
-
-    gamma_db: float
-    sigma2: float
-
-    @classmethod
-    def from_snr_db(cls, gamma_db: float) -> "NoisePlan":
-        return cls(gamma_db=gamma_db, sigma2=sigma_from_snr(gamma_db))
-
-    @classmethod
-    def from_sigma2(cls, sigma2: float) -> "NoisePlan":
-        if not (sigma2 > 0):
-            raise ValueError("noise power must be positive")
-        return cls(gamma_db=-linear_to_db(sigma2), sigma2=sigma2)
 
 
 @dataclass(frozen=True)
@@ -181,12 +164,17 @@ def _require_normalized(channel: ChannelSpec) -> None:
         )
 
 
+def energy_variance(alpha1_value: float, sigma2: float, p: float) -> float:
+    """E[U^2] = alpha1*p^2 + 2*sigma2*p + sigma2^2 from the fourth-moment coefficient."""
+    return alpha1_value * p * p + 2.0 * sigma2 * p + sigma2 * sigma2
+
+
 def u_second_moment(channel: ChannelSpec, sigma2: float, p: float) -> float:
     """Variance E[U^2] of the per-antenna energy fluctuation at power level p."""
     if p < 0:
         raise ValueError("power level must be nonnegative")
     _require_normalized(channel)
-    return alpha1(channel) * p * p + 2.0 * sigma2 * p + sigma2 * sigma2
+    return energy_variance(alpha1(channel), sigma2, p)
 
 
 def sample_channel(
@@ -218,13 +206,6 @@ def theta_max_energy(channel: ChannelSpec, sigma2: float, p: float) -> float:
     raise NotSamplableError("moments-only channels have no MGF")
 
 
-# Fixed-order Gauss-Legendre rule used for the generic amplitude-law MGF.
-_GL_ORDER = 64
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
-_GL_Z = 0.5 * (_GL_X + 1.0)  # nodes mapped to (0, 1)
-_GL_LOGW = np.log(0.5 * _GL_W)
-
-
 def _log_mgf_rician(channel: Rician, sigma2: float, p: float, theta: float) -> float:
     s2 = channel.sigma_h2 * p + sigma2
     q = 1.0 - theta * s2
@@ -234,50 +215,22 @@ def _log_mgf_rician(channel: Rician, sigma2: float, p: float, theta: float) -> f
     return -theta * (p + sigma2) + theta * lam / q - math.log(q)
 
 
-def _log_tilted_amplitude_integral(m: float, beta: float) -> float:
-    """log of int_0^inf 2 a^(2m-1) exp(-beta a^2) da by the mapped quadrature rule.
-
-    The amplitude axis is mapped through a = scale*z/(1-z) with
-    scale = sqrt(m/beta), which makes the transformed integrand depend on m
-    only; the rule's relative error is therefore identical for every beta and
-    cancels in ratios of these integrals.
-    """
-    scale = math.sqrt(m / beta)
-    a = scale * _GL_Z / (1.0 - _GL_Z)
-    log_jac = math.log(scale) - 2.0 * np.log1p(-_GL_Z)
-    terms = (
-        _GL_LOGW
-        + math.log(2.0)
-        + (2.0 * m - 1.0) * np.log(a)
-        - beta * a * a
-        + log_jac
-    )
-    peak = terms.max()
-    return float(peak + math.log(np.exp(terms - peak).sum()))
-
-
 def _log_mgf_nakagami(
     channel: NakagamiReal, sigma2: float, p: float, theta: float
 ) -> float:
-    # Conditional on the amplitude a, |y|^2 is noncentral exponential, so
-    # E[e^{theta|y|^2}] = E_G[e^{cG}] / (1 - theta*sigma2) with G = a^2 and
-    # c = theta*p/(1 - theta*sigma2).  The outer expectation is the ratio of
-    # two tilted amplitude integrals (tilt rates m/omega - c and m/omega),
-    # each evaluated by the fixed-order mapped quadrature; the ratio keeps
-    # log M(0) = 0 exact and cancels the rule's m-dependent error.
-    qn = 1.0 - theta * sigma2
-    t_max = theta_max_energy(channel, sigma2, p)
-    if qn <= 0.0 or theta >= t_max:
-        raise DivergentMgfError(theta, t_max)
-    m, omega = channel.m, channel.omega
-    c = theta * p / qn
-    beta = m / omega - c
-    if beta <= 0.0:
-        raise DivergentMgfError(theta, t_max)
-    log_e = _log_tilted_amplitude_integral(m, beta) - _log_tilted_amplitude_integral(
-        m, m / omega
+    # Conditional on G = |h|^2, |y|^2 is noncentral exponential, so
+    # E[e^{theta|y|^2}] = E[e^{cG}] / (1 - theta*sigma2) with
+    # c = theta*p/(1 - theta*sigma2), and G ~ Gamma(m, omega/m) gives
+    # E[e^{cG}] = (1 - c*omega/m)^(-m) = ((1 - theta*A)/(1 - theta*sigma2))^(-m).
+    m = channel.m
+    a = sigma2 + channel.omega * p / m
+    if theta * a >= 1.0:
+        raise DivergentMgfError(theta, 1.0 / a)
+    return (
+        -m * math.log1p(-theta * a)
+        + (m - 1.0) * math.log1p(-theta * sigma2)
+        - theta * (channel.omega * p + sigma2)
     )
-    return log_e - math.log(qn) - theta * (omega * p + sigma2)
 
 
 def log_mgf_energy(
@@ -285,9 +238,11 @@ def log_mgf_energy(
 ) -> float:
     """log E[exp(theta*U)] for U = |h*sqrt(p) + v|^2 - (p + sigma2).
 
-    Rician channels use the closed form of the scaled noncentral chi-square
-    MGF; Nakagami channels go through the generic amplitude-law quadrature.
-    Raises DivergentMgfError at or beyond the domain boundary.
+    Rician channels use the scaled noncentral chi-square MGF; Nakagami
+    channels use the Gamma MGF of |h|^2,
+    -m*log(1 - theta*A) + (m - 1)*log(1 - theta*sigma2) - theta*r with
+    A = sigma2 + omega*p/m and r = omega*p + sigma2.  Raises
+    DivergentMgfError at or beyond the domain boundary.
     """
     if p < 0:
         raise ValueError("power level must be nonnegative")
@@ -297,6 +252,43 @@ def log_mgf_energy(
         return _log_mgf_rician(channel, sigma2, p, theta)
     if isinstance(channel, NakagamiReal):
         return _log_mgf_nakagami(channel, sigma2, p, theta)
+    raise NotSamplableError("moments-only channels have no MGF")
+
+
+def saddle_point_energy(
+    channel: ChannelSpec, sigma2: float, p: float, v: float
+) -> float:
+    """The theta with d/dtheta log_mgf_energy(theta) = v, for v > -r(p).
+
+    The derivative increases from -r(p) to +inf over the MGF domain, so the
+    root is unique; v > 0 gives theta in (0, theta_max) and v < 0 a negative
+    theta.  Both families reduce the equation to a quadratic, solved in the
+    cancellation-free form.
+    """
+    if p < 0:
+        raise ValueError("power level must be nonnegative")
+    if isinstance(channel, Rician):
+        # With q = 1 - theta*s and x = 1/q the equation is
+        # lam*x^2 + s*x - (r + v) = 0.  q is the reciprocal of its positive
+        # root, written so that lam = 0 needs no special case.
+        s2 = channel.sigma_h2 * p + sigma2
+        lam = channel.mu**2 * p
+        total = p + sigma2 + v
+        q = (s2 + math.sqrt(s2 * s2 + 4.0 * lam * total)) / (2.0 * total)
+        return (1.0 - q) / s2
+    if isinstance(channel, NakagamiReal):
+        # Clearing denominators gives R*A*sigma2*theta^2 - b*theta + v = 0
+        # with R = r + v and b = R*(A + sigma2) - A*sigma2.  The quadratic
+        # is -omega*p <= 0 at theta = 1/A, so its smaller root is the one
+        # inside the domain theta < 1/A.
+        a = sigma2 + channel.omega * p / channel.m
+        total = channel.omega * p + sigma2 + v
+        lead = total * a * sigma2
+        b = total * (a + sigma2) - a * sigma2
+        root_disc = math.sqrt(max(b * b - 4.0 * lead * v, 0.0))
+        if b > 0.0:
+            return 2.0 * v / (b + root_disc)
+        return (b - root_disc) / (2.0 * lead)
     raise NotSamplableError("moments-only channels have no MGF")
 
 

@@ -17,6 +17,8 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from typing import Optional
 
 from .channel import NakagamiReal, Rician, alpha1, sigma_from_snr
@@ -32,7 +34,7 @@ from .design import (
 )
 from .decode import EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM
 from .montecarlo import SimScenario, histogram, min_antennas, simulate
-from .rates import Constellation, RateOracle, chernoff_ser_bound, error_exponent
+from .rates import Constellation, chernoff_ser_bound, error_exponent, tail_exponents
 
 _CHANNEL_DEFAULTS = {"kind": "rayleigh", "K_dB": None, "m": None, "omega": 1.0, "gamma_dB": 10.0}
 _DESIGN_DEFAULTS = {
@@ -65,6 +67,17 @@ _OUTPUT_DEFAULTS = {"path": None, "format": "csv"}
 
 class ConfigError(ValueError):
     """Configuration problem; the message names the offending field."""
+
+
+@contextmanager
+def _field(name: str):
+    """Report a ValueError raised by the library inside the block as a config error on `name`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _parse_scalar(text: str):
@@ -143,7 +156,8 @@ def _channel_from(block: dict):
         m = block.get("m")
         if m is None:
             raise ConfigError("channel.m is required for kind 'nakagami'")
-        return NakagamiReal(float(m), float(block.get("omega", 1.0))), sigma2
+        with _field("channel"):
+            return NakagamiReal(float(m), float(block.get("omega", 1.0))), sigma2
     raise ConfigError(f"unknown channel.kind {kind!r}")
 
 
@@ -164,8 +178,8 @@ def _box_from(cfg: dict) -> UncertaintyBox:
     ch = cfg["channel"]
     d = cfg["design"]
     a = d.get("a_dB")
-    a_k = d.get("a_K_dB", a)
-    a_g = d.get("a_gamma_dB", a)
+    a_k = a if d.get("a_K_dB") is None else d["a_K_dB"]
+    a_g = a if d.get("a_gamma_dB") is None else d["a_gamma_dB"]
     if a_k is None or a_g is None:
         raise ConfigError("design.a_dB (or a_K_dB / a_gamma_dB) is required for robust")
     nominal, _ = _channel_from(ch)
@@ -187,7 +201,12 @@ def _design_from(cfg: dict):
     d = cfg["design"]
     channel, sigma2 = _channel_from(cfg["channel"])
     method = d["method"]
-    dcfg = DesignConfig(L=int(d["L"]), power_budget=float(d["budget"]), eps=float(d["eps"]))
+    with _field("design.L"):
+        dcfg = DesignConfig(L=int(d["L"]))
+    with _field("design.budget"):
+        dcfg = replace(dcfg, power_budget=float(d["budget"]))
+    with _field("design.eps"):
+        dcfg = replace(dcfg, eps=float(d["eps"]))
     if method == "exact":
         out = design_exact(channel, sigma2, dcfg)
         return out, out.constellation
@@ -198,9 +217,9 @@ def _design_from(cfg: dict):
         out = design_robust(_box_from(cfg), dcfg)
         return out, out.constellation
     if method == "mindist":
-        return None, min_distance_constellation(int(d["L"]), sigma2)
+        return None, min_distance_constellation(dcfg.L, sigma2)
     if method == "ask":
-        return None, ask_constellation(int(d["L"]), sigma2)
+        return None, ask_constellation(dcfg.L, sigma2)
     raise ConfigError(f"unknown design.method {d['method']!r}")
 
 
@@ -299,9 +318,29 @@ def load_constellation_artifact(path: str) -> Constellation:
     )
 
 
+def _artifact_constellation(cfg: dict) -> Constellation:
+    path = cfg["artifact"]
+    with _field("artifact"):
+        try:
+            return load_constellation_artifact(path)
+        except OSError as exc:
+            raise ConfigError(f"artifact: cannot read {path}: {exc.strerror}") from None
+        except (AttributeError, KeyError, TypeError):
+            raise ConfigError(f"artifact: {path} is not a design artifact") from None
+
+
+def _antenna_counts(cfg: dict) -> list:
+    """sim.n as a nonempty list of antenna counts, each at least 1."""
+    with _field("sim.n"):
+        counts = [int(n) for n in cfg["sim"]["n"]]
+        if not counts or min(counts) < 1:
+            raise ValueError(f"antenna counts must be at least 1, got {cfg['sim']['n']!r}")
+    return counts
+
+
 def _constellation_for_run(cfg: dict) -> Constellation:
     if cfg.get("artifact"):
-        return load_constellation_artifact(cfg["artifact"])
+        return _artifact_constellation(cfg)
     outcome, constellation = _design_from(cfg)
     if outcome is not None and not outcome.feasible:
         raise ConfigError("configured design is infeasible")
@@ -310,27 +349,21 @@ def _constellation_for_run(cfg: dict) -> Constellation:
 
 def cmd_evaluate(cfg: dict, out_path: Optional[str]) -> int:
     if not cfg.get("artifact"):
-        raise ConfigError("evaluate requires an 'artifact' path")
-    try:
-        constellation = load_constellation_artifact(cfg["artifact"])
-    except FileNotFoundError:
-        raise ConfigError(f"artifact not found: {cfg['artifact']}")
+        raise ConfigError("artifact: evaluate requires a constellation artifact")
+    constellation = _artifact_constellation(cfg)
     channel, sigma2 = _channel_from(cfg["channel"])
     i_e = error_exponent(constellation, channel, sigma2)
     columns = ["n", "chernoff_bound", "error_exponent"]
     for k in range(1, constellation.L):
         columns += [f"exp_right_{k}", f"exp_left_{k + 1}"]
-    rows = []
+    exponents = tail_exponents(constellation, channel, sigma2)
     pair_values = []
     for k in range(constellation.L - 1):
-        o_k = RateOracle(channel, sigma2, constellation.levels[k])
-        o_next = RateOracle(channel, sigma2, constellation.levels[k + 1])
-        d_r = constellation.boundaries[k] - (constellation.levels[k] + sigma2)
-        d_l = (constellation.levels[k + 1] + sigma2) - constellation.boundaries[k]
-        pair_values += [o_k.rate_right(max(d_r, 0.0)), o_next.rate_left(max(d_l, 0.0))]
-    for n in cfg["sim"]["n"]:
-        bound = chernoff_ser_bound(constellation, channel, sigma2, int(n))
-        rows.append([int(n), bound, i_e] + pair_values)
+        pair_values += [exponents[k][1], exponents[k + 1][0]]
+    rows = []
+    for n in _antenna_counts(cfg):
+        bound = chernoff_ser_bound(constellation, channel, sigma2, n)
+        rows.append([n, bound, i_e] + pair_values)
     _write_rows(cfg, columns, rows, out_path)
     return 0
 
@@ -360,27 +393,35 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
             n=n,
         )
     elif scheme == "pilot_pam":
-        pam = pam_constellation(int(cfg["design"]["L"]))
-        decoder = PilotPAM(
-            amplitudes=pam.amplitudes,
-            mu=assumed_channel.mu,
-            sigma_h2=assumed_channel.sigma_h2,
-            sigma2=assumed_sigma2,
-            coherence_slots=int(sim["T"]),
-            pilot_slots=int(sim["T_l"]),
-            pilot_power=float(sim["pilot_power"]),
-        )
+        with _field("design.L"):
+            pam = pam_constellation(int(cfg["design"]["L"]))
+        with _field("sim.T_l"):
+            decoder = PilotPAM(
+                amplitudes=pam.amplitudes,
+                mu=assumed_channel.mu,
+                sigma_h2=assumed_channel.sigma_h2,
+                sigma2=assumed_sigma2,
+                coherence_slots=int(sim["T"]),
+                pilot_slots=int(sim["T_l"]),
+                pilot_power=float(sim["pilot_power"]),
+            )
     else:
         raise ConfigError(f"unknown sim.scheme {scheme!r}")
-    return SimScenario(
-        true_channel=true_channel,
-        true_sigma2=true_sigma2,
-        decoder=decoder,
-        n=n,
-        symbols=int(sim["symbols"]),
-        seed=int(sim["seed"]),
-        shards=int(sim["shards"]),
-    )
+    # n is checked by the callers, so only the symbol budget can fail here.
+    with _field("sim.symbols"):
+        scenario = SimScenario(
+            true_channel=true_channel,
+            true_sigma2=true_sigma2,
+            decoder=decoder,
+            n=n,
+            symbols=int(sim["symbols"]),
+            seed=0,
+        )
+    with _field("sim.seed"):
+        scenario = replace(scenario, seed=int(sim["seed"]))
+    with _field("sim.shards"):
+        scenario = replace(scenario, shards=int(sim["shards"]))
+    return scenario
 
 
 _SWEEP_COLUMNS = ["n", "ser", "ber", "ser_lo", "ser_hi", "ber_lo", "ber_hi", "symbols", "seed"]
@@ -402,7 +443,7 @@ def _report_row(n: int, report) -> list:
 
 def cmd_simulate(cfg: dict, out_path: Optional[str]) -> int:
     constellation = _constellation_for_run(cfg)
-    n = int(cfg["sim"]["n"][0])
+    n = _antenna_counts(cfg)[0]
     report = simulate(_scenario_from(cfg, constellation, n))
     _write_rows(cfg, _SWEEP_COLUMNS, [_report_row(n, report)], out_path)
     return 0
@@ -411,9 +452,9 @@ def cmd_simulate(cfg: dict, out_path: Optional[str]) -> int:
 def cmd_sweep_n(cfg: dict, out_path: Optional[str]) -> int:
     constellation = _constellation_for_run(cfg)
     rows = []
-    for n in cfg["sim"]["n"]:
-        report = simulate(_scenario_from(cfg, constellation, int(n)))
-        rows.append(_report_row(int(n), report))
+    for n in _antenna_counts(cfg):
+        report = simulate(_scenario_from(cfg, constellation, n))
+        rows.append(_report_row(n, report))
     _write_rows(cfg, _SWEEP_COLUMNS, rows, out_path)
     return 0
 
@@ -448,7 +489,7 @@ def cmd_histogram(cfg: dict, out_path: Optional[str]) -> int:
         constellation,
         channel,
         sigma2,
-        n=int(sim["n"][0]),
+        n=_antenna_counts(cfg)[0],
         trials=int(sim["trials"]),
         bins=int(sim["bins"]),
         seed=int(sim["seed"]),

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from scipy.optimize import brentq
 
-from .channel import ChannelSpec
+from .channel import ChannelSpec, energy_variance
 from .rates import Constellation, QuadraticRateOracle, RateOracle, equalize_boundary
 
 
@@ -248,10 +248,6 @@ def design_exact(
     )
 
 
-def _energy_variance(alpha1_value: float, sigma2: float, p: float) -> float:
-    return alpha1_value * p * p + 2.0 * sigma2 * p + sigma2 * sigma2
-
-
 def _moments_levels_at(t: float, alpha1_value: float, sigma2: float, cfg: DesignConfig):
     """Inner construction under the quadratic tail model. None when infeasible."""
     if 2.0 * t * alpha1_value >= 1.0:
@@ -264,7 +260,7 @@ def _moments_levels_at(t: float, alpha1_value: float, sigma2: float, cfg: Design
     running = 0.0
     for k in range(cfg.L - 1):
         p = levels[-1]
-        root_s_p = math.sqrt(_energy_variance(alpha1_value, sigma2, p))
+        root_s_p = math.sqrt(energy_variance(alpha1_value, sigma2, p))
         anchor = p + b * root_s_p
         remaining = cfg.L - 1 - k
         cap = (total_cap - running) / remaining
@@ -275,7 +271,7 @@ def _moments_levels_at(t: float, alpha1_value: float, sigma2: float, cfg: Design
             return (
                 q
                 - _p
-                - b * (math.sqrt(_energy_variance(alpha1_value, sigma2, q)) + _rs)
+                - b * (math.sqrt(energy_variance(alpha1_value, sigma2, q)) + _rs)
             )
 
         q = _find_next_level(gap_eq, anchor, b * root_s_p, cap)
@@ -315,7 +311,7 @@ def design_moments(
     levels = _moments_levels_at(t_star, alpha1_value, sigma2, cfg)
     b = math.sqrt(2.0 * t_star)
     boundaries = tuple(
-        p + sigma2 + b * math.sqrt(_energy_variance(alpha1_value, sigma2, p))
+        p + sigma2 + b * math.sqrt(energy_variance(alpha1_value, sigma2, p))
         for p in levels[:-1]
     )
     constellation = Constellation(tuple(levels), sigma2, boundaries)
@@ -338,7 +334,7 @@ def design_moments(
 
 def _sup_boundary_offset(box: UncertaintyBox, t: float, p: float) -> float:
     """sup over the box of sigma2 + sqrt(2t*s_f(p)): attained at both maxima."""
-    s = _energy_variance(box.alpha1_max, box.sigma_max**2, p)
+    s = energy_variance(box.alpha1_max, box.sigma_max**2, p)
     return box.sigma_max**2 + math.sqrt(2.0 * t * s)
 
 
@@ -432,7 +428,7 @@ def design_robust(box: UncertaintyBox, cfg: DesignConfig) -> DesignOutcome:
         # of {x_lo, x_hi, interior stationary point} for the left side.
         p_k, p_next = levels[k], levels[k + 1]
         d_r = boundaries[k] - p_k - x_hi
-        right = d_r * d_r / (2.0 * _energy_variance(a_max, x_hi, p_k))
+        right = d_r * d_r / (2.0 * energy_variance(a_max, x_hi, p_k))
         candidates = [x_lo, x_hi]
         if 2.0 * t_star != 1.0 and p_next > 0.0:
             disc = (a_max - 1.0) / (2.0 * t_star - 1.0)
@@ -442,7 +438,7 @@ def design_robust(box: UncertaintyBox, cfg: DesignConfig) -> DesignOutcome:
                     candidates.append(x_star)
         worst_left = min(
             max(p_next + x - boundaries[k], 0.0) ** 2
-            / (2.0 * _energy_variance(a_max, x, p_next))
+            / (2.0 * energy_variance(a_max, x, p_next))
             for x in candidates
         )
         exponents.append((right, worst_left))

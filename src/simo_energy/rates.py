@@ -3,10 +3,13 @@
 For a power level p the receiver statistic ||y||^2/n concentrates at
 r(p) = p + sigma2; deviations of size d to the right or left decay like
 exp(-n*I(d)) where I is the Legendre transform of the log-MGF of the
-per-antenna fluctuation U.  This module computes those exponents, their
-inverses, the small-deviation quadratic approximation, and the resulting
-union bound / error exponent of a constellation with interval decoding
-regions.
+per-antenna fluctuation U.  The supremum in I(d) = sup theta*d - Lambda(theta)
+is attained at the closed-form saddle point theta*(d) that `channel`
+provides for every fading family, so each exponent is one saddle-point
+evaluation and one log-MGF evaluation.  This module computes those
+exponents, their inverses (by bisection), the small-deviation quadratic
+approximation, and the resulting union bound / error exponent of a
+constellation with interval decoding regions.
 """
 
 from __future__ import annotations
@@ -17,36 +20,14 @@ from typing import Optional
 
 from .channel import (
     ChannelSpec,
-    DivergentMgfError,
     MomentsOnly,
     NotSamplableError,
+    energy_variance,
     log_mgf_energy,
+    saddle_point_energy,
     theta_max_energy,
     u_second_moment,
 )
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor
-
-
-def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-9) -> float:
-    """Maximum value of a unimodal f on [lo, hi] by golden-section search."""
-    tol = rel_tol * max(hi - lo, 1.0)
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best = max(f1, f2)
-    while (b - a) > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-        best = max(best, f1, f2)
-    return best
 
 
 class RateOracle:
@@ -66,15 +47,13 @@ class RateOracle:
         self.channel = channel
         self.sigma2 = sigma2
         self.p = p
+        # Not used by the rate evaluations; bench/layers.py reads it.
         self.theta_max = theta_max_energy(channel, sigma2, p)
         self.r = channel.second_moment * p + sigma2
         self.u2 = u_second_moment(channel, sigma2, p)
-        # Anchor log_mgf(0) = 0 exactly; only the quadrature path has a
-        # nonzero raw offset.
-        self._offset = log_mgf_energy(channel, sigma2, p, 0.0)
 
     def log_mgf(self, theta: float) -> float:
-        return log_mgf_energy(self.channel, self.sigma2, self.p, theta) - self._offset
+        return log_mgf_energy(self.channel, self.sigma2, self.p, theta)
 
     def rate_right(self, d: float) -> float:
         """sup over theta >= 0 of theta*d - log_mgf(theta): exponent of P(mean U > d)."""
@@ -82,15 +61,8 @@ class RateOracle:
             raise ValueError("deviation must be nonnegative")
         if d == 0.0:
             return 0.0
-        hi = self.theta_max * (1.0 - 1e-12)
-
-        def objective(theta: float) -> float:
-            try:
-                return theta * d - self.log_mgf(theta)
-            except DivergentMgfError:
-                return -math.inf
-
-        return max(_golden_max(objective, 0.0, hi), 0.0)
+        theta = saddle_point_energy(self.channel, self.sigma2, self.p, d)
+        return max(theta * d - self.log_mgf(theta), 0.0)
 
     def rate_left(self, d: float) -> float:
         """Exponent of P(mean U < -d); infinite once d reaches the statistic floor r(p)."""
@@ -100,27 +72,8 @@ class RateOracle:
             return 0.0
         if d >= self.r:
             return math.inf
-
-        def objective(theta: float) -> float:
-            return theta * d - self.log_mgf(-theta)
-
-        # Bracket the concave objective by geometric expansion.
-        a, fa = 0.0, 0.0
-        b = d / self.u2 if self.u2 > 0 else 1.0
-        fb = objective(b)
-        if fb >= fa:
-            c = 2.0 * b
-            fc = objective(c)
-            while fc > fb:
-                a, b, fb = b, c, fc
-                c *= 2.0
-                if c > 1e18:
-                    return math.inf
-                fc = objective(c)
-            hi = c
-        else:
-            hi = b
-        return max(_golden_max(objective, a, hi), 0.0)
+        theta = saddle_point_energy(self.channel, self.sigma2, self.p, -d)
+        return max(-theta * d - self.log_mgf(theta), 0.0)
 
     def inverse_rate(self, side: str, t: float) -> float:
         """Smallest deviation d with rate(side)(d) = t, by bisection.
@@ -171,7 +124,7 @@ class QuadraticRateOracle:
         self.p = p
         self.sigma2 = sigma2
         self.r = p + sigma2
-        self.u2 = alpha1_value * p * p + 2.0 * sigma2 * p + sigma2 * sigma2
+        self.u2 = energy_variance(alpha1_value, sigma2, p)
 
     def rate_right(self, d: float) -> float:
         return approx_rate(self.u2, d)
@@ -183,18 +136,6 @@ class QuadraticRateOracle:
         if not (t > 0):
             raise ValueError("target exponent must be positive")
         return math.sqrt(2.0 * t * self.u2)
-
-
-def rate_right(oracle, d: float) -> float:
-    return oracle.rate_right(d)
-
-
-def rate_left(oracle, d: float) -> float:
-    return oracle.rate_left(d)
-
-
-def inverse_rate(oracle, side: str, t: float) -> float:
-    return oracle.inverse_rate(side, t)
 
 
 def approx_rate(s_p: float, d: float) -> float:
@@ -305,6 +246,24 @@ class Constellation:
         return out
 
 
+def tail_exponents(
+    constellation: Constellation, channel: ChannelSpec, sigma2: float
+) -> list:
+    """Per-level (I_left, I_right) at the region edges under noise power sigma2.
+
+    The unbounded outer sides get an infinite exponent.  A deviation that
+    comes out negative (the mean statistic falls outside its region,
+    possible only under mismatch) gets exponent 0.
+    """
+    out = []
+    for (d_l, d_r), p in zip(constellation.deviations(sigma2), constellation.levels):
+        oracle = RateOracle(channel, sigma2, p)
+        i_l = oracle.rate_left(max(d_l, 0.0)) if math.isfinite(d_l) else math.inf
+        i_r = oracle.rate_right(max(d_r, 0.0)) if math.isfinite(d_r) else math.inf
+        out.append((i_l, i_r))
+    return out
+
+
 def chernoff_ser_bound(
     constellation: Constellation,
     channel: ChannelSpec,
@@ -314,21 +273,17 @@ def chernoff_ser_bound(
     """Union-of-tails upper bound on the symbol error rate with n antennas.
 
     Averages exp(-n*I_right) + exp(-n*I_left) over the levels; the unbounded
-    outer sides contribute zero.  A deviation that comes out negative (the
-    mean statistic falls outside its region, possible only under mismatch)
-    contributes the trivial factor 1.
+    outer sides contribute zero and a mean statistic outside its region the
+    trivial factor 1.
     """
     if n < 1:
         raise ValueError("antenna count must be at least 1")
     if constellation.L == 1:
         return 0.0
     total = 0.0
-    for (d_l, d_r), p in zip(constellation.deviations(sigma2), constellation.levels):
-        oracle = RateOracle(channel, sigma2, p)
-        if math.isfinite(d_l):
-            total += math.exp(-n * oracle.rate_left(max(d_l, 0.0)))
-        if math.isfinite(d_r):
-            total += math.exp(-n * oracle.rate_right(max(d_r, 0.0)))
+    for i_l, i_r in tail_exponents(constellation, channel, sigma2):
+        total += math.exp(-n * i_l)
+        total += math.exp(-n * i_r)
     return total / constellation.L
 
 
@@ -336,11 +291,4 @@ def error_exponent(
     constellation: Constellation, channel: ChannelSpec, sigma2: float
 ) -> float:
     """Worst finite tail exponent over all levels; the SER decays like exp(-n*I_e)."""
-    worst = math.inf
-    for (d_l, d_r), p in zip(constellation.deviations(sigma2), constellation.levels):
-        oracle = RateOracle(channel, sigma2, p)
-        if math.isfinite(d_l):
-            worst = min(worst, oracle.rate_left(max(d_l, 0.0)))
-        if math.isfinite(d_r):
-            worst = min(worst, oracle.rate_right(max(d_r, 0.0)))
-    return worst
+    return min(min(pair) for pair in tail_exponents(constellation, channel, sigma2))

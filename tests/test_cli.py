@@ -118,6 +118,61 @@ class TestConfigHandling:
         assert run(["design", "--channel.kind", "rician"]) == 1
         assert "K_dB" in capsys.readouterr().err
 
+    def test_robust_a_dB_shorthand(self, tmp_path):
+        out = tmp_path / "robust.json"
+        code = run(
+            [
+                "design",
+                "--out", str(out),
+                "--channel.gamma_dB", "10",
+                "--design.method", "robust",
+                "--design.L", "4",
+                "--design.a_dB", "1",
+            ]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["feasible"] is True
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (["design", "--design.L", "1"], "design.L"),
+            (["design", "--design.method", "mindist", "--design.L", "1"], "design.L"),
+            (["simulate", "--design.method", "mindist", "--sim.n", "[0]"], "sim.n"),
+            (["sweep-n", "--design.method", "mindist", "--sim.n", "[]"], "sim.n"),
+            (["simulate", "--design.method", "mindist", "--sim.symbols", "10"], "sim.symbols"),
+            (["simulate", "--design.method", "mindist", "--shards", "0"], "sim.shards"),
+            (
+                ["simulate", "--design.method", "mindist", "--sim.scheme", "pilot_pam",
+                 "--sim.T", "4", "--sim.T_l", "4"],
+                "sim.T_l",
+            ),
+            (
+                ["simulate", "--design.method", "mindist", "--design.L", "3",
+                 "--sim.scheme", "pilot_pam", "--sim.T", "4", "--sim.T_l", "1"],
+                "design.L",
+            ),
+            (["design", "--channel.kind", "nakagami", "--channel.m", "0"], "channel"),
+        ],
+    )
+    def test_bad_value_names_its_field(self, args, field, capsys):
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-n", "evaluate"])
+    def test_missing_artifact_file_names_the_field(self, command, tmp_path, capsys):
+        assert run([command, "--artifact", str(tmp_path / "nope.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: artifact: ")
+        assert "nope.json" in err
+
+    @pytest.mark.parametrize("content", ["{not json", '{"foo": 1}', "[1, 2]", '{"levels": 3}'])
+    def test_malformed_artifact_names_the_field(self, content, tmp_path, capsys):
+        artifact = tmp_path / "bad.json"
+        artifact.write_text(content)
+        assert run(["evaluate", "--artifact", str(artifact)]) == 1
+        assert capsys.readouterr().err.startswith("config error: artifact: ")
+
 
 class TestEvaluateCommand:
     def test_two_level_bound_is_exponential(self, tmp_path):

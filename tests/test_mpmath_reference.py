@@ -1,0 +1,185 @@
+"""Closed-form log-MGF and tail exponents against 50-digit mpmath references.
+
+The log-MGF reference integrates exp(theta*|y|^2) against the densities
+the model is built from: the two Gaussian quadratures of y under Rician
+fading, and the Gamma law of |h|^2 (with the noise integrated out
+conditionally) under Nakagami fading.  The exponent reference finds the
+stationary point of theta*v - Lambda(theta) with mpmath.findroot on a
+numerically differentiated 50-digit Lambda, and takes the supremum there.
+"""
+
+import math
+
+import pytest
+
+from simo_energy.channel import (
+    NakagamiReal,
+    Rician,
+    log_mgf_energy,
+    rayleigh,
+    saddle_point_energy,
+    theta_max_energy,
+)
+from simo_energy.rates import RateOracle
+
+mpmath = pytest.importorskip("mpmath")
+mpf = mpmath.mpf
+
+DPS = 50
+REL_TOL = 1e-10
+
+CHANNELS = {
+    "rayleigh": rayleigh(),
+    "rician_0dB": Rician(0.0),
+    "rician_inf": Rician(math.inf),
+    "nakagami_m0.6": NakagamiReal(0.6),
+    "nakagami_m2.5": NakagamiReal(2.5),
+}
+POWERS = [0.0, 0.7, 3.0]
+SIGMA2S = [0.1, 1.0]
+
+
+@pytest.fixture(autouse=True)
+def fifty_digits():
+    with mpmath.workdps(DPS):
+        yield
+
+
+def _log_mgf_by_quadrature(channel, sigma2, p, theta):
+    """log E[exp(theta*U)] by integrating over the fading and noise densities."""
+    sigma2, p, theta = mpf(sigma2), mpf(p), mpf(theta)
+    if isinstance(channel, Rician):
+        # y ~ CN(mu*sqrt(p), s), so |y|^2 = (c + a)^2 + b^2 with a, b i.i.d.
+        # N(0, s/2); the expectation factors into two Gaussian integrals.
+        c = mpf(channel.mu) * mpmath.sqrt(p)
+        var = (mpf(channel.sigma_h2) * p + sigma2) / 2
+
+        def expect(shift):
+            # Integrate around the peak of the tilted Gaussian.
+            spread = 1 - 2 * theta * var
+            centre = 2 * theta * var * shift / spread
+            width = mpmath.sqrt(var / spread)
+            points = [-mpmath.inf, centre - 8 * width, centre, centre + 8 * width, mpmath.inf]
+            density_scale = mpmath.sqrt(2 * mpmath.pi * var)
+            return mpmath.quad(
+                lambda a: mpmath.exp(theta * (shift + a) ** 2 - a**2 / (2 * var)) / density_scale,
+                points,
+            )
+
+        log_e = mpmath.log(expect(c)) + mpmath.log(expect(0))
+        return log_e - theta * (p + sigma2)
+    # Given G = |h|^2 ~ Gamma(m, omega/m), |y|^2 is noncentral exponential:
+    # E[exp(theta|y|^2) | G] = exp(c*G) / (1 - theta*sigma2).
+    m, omega = mpf(channel.m), mpf(channel.omega)
+    qn = 1 - theta * sigma2
+    c = theta * p / qn
+    rate = m / omega
+
+    def integrand(g):
+        density = rate**m * g ** (m - 1) * mpmath.exp(-rate * g) / mpmath.gamma(m)
+        return density * mpmath.exp(c * g)
+
+    scale = m / (rate - c)
+    points = [0, scale, 16 * scale, mpmath.inf]
+    return mpmath.log(mpmath.quad(integrand, points) / qn) - theta * (omega * p + sigma2)
+
+
+def _theta_max_mp(channel, sigma2, p):
+    if isinstance(channel, Rician):
+        return 1 / (mpf(channel.sigma_h2) * p + sigma2)
+    return 1 / (mpf(sigma2) + mpf(channel.omega) * p / mpf(channel.m))
+
+
+def _log_mgf_mp(channel, sigma2, p, theta):
+    """The closed-form log-MGF written directly from the two fading laws."""
+    sigma2, p = mpf(sigma2), mpf(p)
+    if isinstance(channel, Rician):
+        lam = mpf(channel.mu) ** 2 * p
+        s = mpf(channel.sigma_h2) * p + sigma2
+        q = 1 - theta * s
+        return theta * lam / q - mpmath.log(q) - theta * (p + sigma2)
+    m, omega = mpf(channel.m), mpf(channel.omega)
+    qn = 1 - theta * sigma2
+    c = theta * p / qn
+    return -m * mpmath.log(1 - c * omega / m) - mpmath.log(qn) - theta * (omega * p + sigma2)
+
+
+def _saddle_mp(channel, sigma2, p, v):
+    """Root of Lambda'(theta) = v, with Lambda' by numerical differentiation."""
+    def slope(theta):
+        return mpmath.diff(lambda t: _log_mgf_mp(channel, sigma2, p, t), theta) - v
+
+    if v > 0:
+        t_max = _theta_max_mp(channel, sigma2, p)
+        lo, hi = mpf(0), t_max / 2
+        while slope(hi) < 0:
+            lo, hi = hi, (hi + t_max) / 2
+    else:
+        hi, lo = mpf(0), -1 / mpf(sigma2)
+        while slope(lo) > 0:
+            hi, lo = lo, 2 * lo
+    return mpmath.findroot(slope, (lo, hi), solver="anderson")
+
+
+def _rate_mp(channel, sigma2, p, v):
+    """sup over theta of theta*v - Lambda(theta), attained at the stationary point."""
+    theta = _saddle_mp(channel, sigma2, p, v)
+    best = theta * v - _log_mgf_mp(channel, sigma2, p, theta)
+    for nearby in (theta * (1 + mpf("1e-3")), theta * (1 - mpf("1e-3"))):
+        assert nearby * v - _log_mgf_mp(channel, sigma2, p, nearby) <= best
+    return theta, best
+
+
+def _rel_err(got, ref):
+    return abs(mpf(got) - ref) / abs(ref)
+
+
+# Each quadrature costs about half a second at 50 digits, so this grid
+# covers p = 0 for both families, K = +inf, m < 1 and m > 1 once each.
+QUADRATURE_CASES = [
+    ("rayleigh", 1.0, 0.0),
+    ("rayleigh", 0.1, 0.7),
+    ("rician_0dB", 0.1, 3.0),
+    ("rician_inf", 0.1, 0.7),
+    ("nakagami_m0.6", 0.1, 0.7),
+    ("nakagami_m2.5", 1.0, 3.0),
+    ("nakagami_m2.5", 0.1, 0.0),
+]
+
+
+@pytest.mark.parametrize("name,sigma2,p", QUADRATURE_CASES)
+def test_log_mgf_against_quadrature(name, sigma2, p):
+    channel = CHANNELS[name]
+    t_max = theta_max_energy(channel, sigma2, p)
+    # The last point approaches the domain boundary theta_max.
+    for f in (-20.0, -0.05, 0.5, 1 - 1e-5):
+        theta = f * t_max
+        ref = _log_mgf_by_quadrature(channel, sigma2, p, theta)
+        assert _rel_err(log_mgf_energy(channel, sigma2, p, theta), ref) <= REL_TOL, (f, ref)
+
+
+@pytest.mark.parametrize("name", sorted(CHANNELS))
+@pytest.mark.parametrize("sigma2", SIGMA2S)
+@pytest.mark.parametrize("p", POWERS)
+def test_rates_against_findroot_supremum(name, sigma2, p):
+    channel = CHANNELS[name]
+    oracle = RateOracle(channel, sigma2, p)
+    for side, fractions in (
+        ("right", (0.01, 0.3, 1.0, 5.0, 50.0)),
+        # d -> r(p), the floor of the statistic, for the left tail.
+        ("left", (0.01, 0.3, 0.9, 0.999, 1 - 1e-6)),
+    ):
+        for f in fractions:
+            d = f * oracle.r
+            v = d if side == "right" else -d
+            theta_ref, rate_ref = _rate_mp(channel, sigma2, p, v)
+            theta = saddle_point_energy(channel, sigma2, p, v)
+            assert _rel_err(theta, theta_ref) <= 1e-8, (side, f)
+            rate = oracle.rate_right(d) if side == "right" else oracle.rate_left(d)
+            assert _rel_err(rate, rate_ref) <= REL_TOL, (side, f, rate, rate_ref)
+
+
+def test_left_rate_infinite_at_the_floor():
+    oracle = RateOracle(NakagamiReal(0.6), 0.1, 0.7)
+    assert oracle.rate_left(oracle.r) == math.inf
+    assert math.isfinite(oracle.rate_left(oracle.r * (1 - 1e-12)))
