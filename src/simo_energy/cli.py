@@ -33,7 +33,15 @@ from .design import (
     pam_constellation,
 )
 from .decode import EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM
-from .montecarlo import SimScenario, histogram, min_antennas, simulate
+from .montecarlo import (
+    SimScenario,
+    check_bins,
+    check_seed,
+    check_trials,
+    histogram,
+    min_antennas,
+    simulate,
+)
 from .rates import Constellation, chernoff_ser_bound, error_exponent, tail_exponents
 
 _CHANNEL_DEFAULTS = {"kind": "rayleigh", "K_dB": None, "m": None, "omega": 1.0, "gamma_dB": 10.0}
@@ -478,21 +486,25 @@ def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
 
 
 def cmd_histogram(cfg: dict, out_path: Optional[str]) -> int:
+    sim = cfg["sim"]
+    with _field("sim.bins"):
+        bins = int(sim["bins"])
+        check_bins(bins)
+    with _field("sim.trials"):
+        trials = int(sim["trials"])
+        check_trials(trials)
+    with _field("sim.seed"):
+        seed = int(sim["seed"])
+        check_seed(seed)
     constellation = _constellation_for_run(cfg)
     if constellation.boundaries is None:
         raise ConfigError("histogram needs a region-decoded constellation")
     channel, sigma2 = _channel_from(
         _merged_channel(cfg["channel"], cfg["sim"].get("true"))
     )
-    sim = cfg["sim"]
     result = histogram(
-        constellation,
-        channel,
-        sigma2,
-        n=_antenna_counts(cfg)[0],
-        trials=int(sim["trials"]),
-        bins=int(sim["bins"]),
-        seed=int(sim["seed"]),
+        constellation, channel, sigma2, n=_antenna_counts(cfg)[0],
+        trials=trials, bins=bins, seed=seed,
     )
     columns = ["kind", "symbol", "left", "right", "count"]
     rows = []

@@ -235,10 +235,17 @@ def pilot_mmse_estimate(
     if pilot_slots < 1:
         raise ValueError("need at least one pilot slot")
     y_bar = block.samples[:, :pilot_slots].mean(axis=1)
-    gain = sigma_h2 * pilot_amplitude / (
+    gain = pilot_mmse_gain(pilot_amplitude, sigma_h2, sigma2, pilot_slots)
+    return mu + gain * (y_bar - mu * pilot_amplitude)
+
+
+def pilot_mmse_gain(
+    pilot_amplitude: float, sigma_h2: float, sigma2: float, pilot_slots: int
+) -> float:
+    """MMSE gain on the pilot average: sigma_h2*a / (sigma_h2*a^2 + sigma2/T_l)."""
+    return sigma_h2 * pilot_amplitude / (
         sigma_h2 * pilot_amplitude**2 + sigma2 / pilot_slots
     )
-    return mu + gain * (y_bar - mu * pilot_amplitude)
 
 
 def pam_project(h_hat: np.ndarray, y: np.ndarray) -> float:

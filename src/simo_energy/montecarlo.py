@@ -3,9 +3,17 @@
 Randomness is organized in fixed-size logical blocks: block b of a scenario
 draws from a counter-based Philox stream keyed by (seed, b), so the merged
 error counts do not depend on how blocks are distributed over shards, and any
-rerun with the same seed reproduces the counts bit for bit.  Noncoherent
-schemes draw a fresh channel every symbol; the pilot-based PAM scheme draws
-one channel per coherence block.
+rerun with the same seed reproduces the counts bit for bit.
+
+Noncoherent schemes see a fresh channel every symbol and decide from the
+sufficient statistics (||y||^2, Re sum_i y_i) alone, so two samplers produce
+them.  Under Rician fading (Rayleigh included) every antenna sample is
+CN(mu*sqrt(p), s) with s = sigma_h2*p + sigma2, and the statistics are drawn
+directly: ||y||^2 as one Gamma or scaled noncentral chi-square variate, or,
+for noncoherent ML, sum_i y_i as one complex Gaussian plus an independent
+(s/2)*chi^2_{2n-2} remainder.  Every other channel (Nakagami) draws all n
+antenna samples and sums them.  The pilot-based PAM scheme draws one channel
+per coherence block and keeps per-antenna samples throughout.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .channel import ChannelSpec, MomentsOnly, NotSamplableError, sample_channel
+from .channel import ChannelSpec, MomentsOnly, NotSamplableError, Rician, sample_channel
 from .decode import (
     EnergyMLAsk,
     EnergyRegions,
@@ -27,6 +35,7 @@ from .decode import (
     gray_code,
     nearest_amplitude_index,
     noncoherent_nll,
+    pilot_mmse_gain,
 )
 from .rates import Constellation
 
@@ -51,6 +60,11 @@ def wilson_interval(errors: int, trials: int, z: float = _WILSON_Z):
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == trials else min(1.0, center + half)
     return lo, hi
+
+
+def check_seed(seed: int) -> None:
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must fit in 64 bits")
 
 
 DecoderLike = Union[EnergyRegions, NoncoherentML, EnergyMLAsk, PilotPAM]
@@ -80,8 +94,7 @@ class SimScenario:
             raise ValueError("symbol budget must be at least 1000")
         if self.shards < 1:
             raise ValueError("shard count must be at least 1")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
+        check_seed(self.seed)
         if isinstance(self.decoder, EnergyMLAsk) and self.decoder.n != self.n:
             raise ValueError("decoder antenna count disagrees with scenario")
 
@@ -160,32 +173,73 @@ def _transmit_levels(scenario: SimScenario) -> np.ndarray:
     return np.asarray(scenario.decoder.levels, dtype=float)
 
 
-def _run_noncoherent_block(scenario: SimScenario, rng, count: int, levels, gray, pop):
-    n = scenario.n
-    idx = rng.integers(0, len(levels), size=count)
-    h = sample_channel(scenario.true_channel, count * n, rng).reshape(count, n)
-    noise_scale = math.sqrt(scenario.true_sigma2 / 2.0)
-    g = rng.standard_normal((count, n, 2))
-    v = noise_scale * (g[..., 0] + 1j * g[..., 1])
-    y = h * np.sqrt(levels[idx])[:, None] + v
+def _complex_normal(rng, shape, scale: float) -> np.ndarray:
+    """Circular complex Gaussian samples with per-component standard deviation `scale`."""
+    g = rng.standard_normal(shape + (2,))
+    return scale * (g[..., 0] + 1j * g[..., 1])
 
-    dec = scenario.decoder
+
+def _antenna_stats(channel, sigma2, p, n, rng, with_sum):
+    h = sample_channel(channel, len(p) * n, rng).reshape(len(p), n)
+    y = h * np.sqrt(p)[:, None] + _complex_normal(rng, (len(p), n), math.sqrt(sigma2 / 2.0))
+    norm2 = np.sum(np.abs(y) ** 2, axis=1)
+    return norm2, np.sum(y.real, axis=1) if with_sum else None
+
+
+def _rician_stats(channel: Rician, sigma2, p, n, rng, with_sum):
+    s = channel.sigma_h2 * p + sigma2
+    amp = channel.mu * np.sqrt(p)
+    # s = 0 (K = +inf or p = 0, noiseless) makes y = amp on every antenna;
+    # those symbols get the exact values below and must not divide by s.
+    live = s > 0.0
+    if with_sum:
+        scale = np.sqrt(n * s / 2.0)
+        g = rng.standard_normal((len(p), 2))
+        re_sum = n * amp + scale * g[:, 0]
+        norm2 = (re_sum**2 + (scale * g[:, 1]) ** 2) / n
+        if n > 1:
+            norm2 += rng.gamma(n - 1, s)
+        re_sum = np.where(live, re_sum, n * amp)
+    elif channel.mu == 0.0:
+        norm2 = rng.gamma(n, s)
+    else:
+        nonc = 2.0 * n * amp**2 / np.where(live, s, 1.0)
+        norm2 = 0.5 * s * rng.noncentral_chisquare(2 * n, nonc)
+    norm2 = np.where(live, norm2, n * channel.mu**2 * p)
+    return norm2, re_sum if with_sum else None
+
+
+def _sample_stats(channel, sigma2, p, n, rng, with_sum):
+    """Per-symbol (||y||^2, Re sum_i y_i) of y = h*sqrt(p) + noise over n antennas.
+
+    `p` is a float array holding one power level per symbol.  The sum is drawn only when
+    `with_sum` is set (otherwise None); Rician channels take the direct
+    sufficient-statistic sampler, every other channel the per-antenna one.
+    """
+    sampler = _rician_stats if isinstance(channel, Rician) else _antenna_stats
+    return sampler(channel, sigma2, p, n, rng, with_sum)
+
+
+def _decide(dec, n: int, norm2, re_sum) -> np.ndarray:
+    """Decoded level index per symbol from the sufficient statistics."""
     if isinstance(dec, EnergyRegions):
-        stat = np.mean(np.abs(y) ** 2, axis=1)
-        decoded = np.searchsorted(dec.constellation.boundaries, stat, side="left")
-    elif isinstance(dec, NoncoherentML):
-        norm2 = np.sum(np.abs(y) ** 2, axis=1)
-        re_sum = np.sum(y.real, axis=1)
-        nll = noncoherent_nll(
-            np.asarray(dec.levels), dec.mu, dec.sigma_h2, dec.sigma2, n, norm2, re_sum
-        )
-        decoded = np.argmin(nll, axis=1)
-    else:  # EnergyMLAsk
-        stat = np.mean(np.abs(y) ** 2, axis=1)
-        logpdf = energy_ml_logpdf(
-            stat, n, np.asarray(dec.levels), dec.mu, dec.sigma_h2, dec.sigma2
-        )
-        decoded = np.argmax(logpdf, axis=1)
+        return np.searchsorted(dec.constellation.boundaries, norm2 / n, side="left")
+    levels = np.asarray(dec.levels)
+    if isinstance(dec, NoncoherentML):
+        nll = noncoherent_nll(levels, dec.mu, dec.sigma_h2, dec.sigma2, n, norm2, re_sum)
+        return np.argmin(nll, axis=1)
+    logpdf = energy_ml_logpdf(norm2 / n, n, levels, dec.mu, dec.sigma_h2, dec.sigma2)
+    return np.argmax(logpdf, axis=1)
+
+
+def _run_noncoherent_block(scenario: SimScenario, rng, count: int, levels, gray, pop):
+    idx = rng.integers(0, len(levels), size=count)
+    dec = scenario.decoder
+    norm2, re_sum = _sample_stats(
+        scenario.true_channel, scenario.true_sigma2, levels[idx], scenario.n, rng,
+        with_sum=isinstance(dec, NoncoherentML),
+    )
+    decoded = _decide(dec, scenario.n, norm2, re_sum)
 
     errors = decoded != idx
     bit_err = int(pop[gray[idx] ^ gray[decoded]].sum())
@@ -203,18 +257,14 @@ def _run_pilot_pam_block(scenario: SimScenario, rng, count: int, gray, pop):
     L = len(amps)
 
     h = sample_channel(scenario.true_channel, nb * n, rng).reshape(nb, n)
-    noise_scale = math.sqrt(scenario.true_sigma2 / 2.0)
     if T_l >= 1:
         # The pilot average over T_l slots is Gaussian with variance
         # sigma2/T_l; draw it directly.
-        pilot_scale = math.sqrt(scenario.true_sigma2 / (2.0 * T_l))
-        g = rng.standard_normal((nb, n, 2))
-        v_bar = pilot_scale * (g[..., 0] + 1j * g[..., 1])
-        y_bar = math.sqrt(dec.pilot_power) * h + v_bar
-        gain = dec.sigma_h2 * math.sqrt(dec.pilot_power) / (
-            dec.sigma_h2 * dec.pilot_power + dec.sigma2 / T_l
-        )
-        h_hat = dec.mu + gain * (y_bar - dec.mu * math.sqrt(dec.pilot_power))
+        a = math.sqrt(dec.pilot_power)
+        v_bar = _complex_normal(rng, (nb, n), math.sqrt(scenario.true_sigma2 / (2.0 * T_l)))
+        y_bar = a * h + v_bar
+        gain = pilot_mmse_gain(a, dec.sigma_h2, dec.sigma2, T_l)
+        h_hat = dec.mu + gain * (y_bar - dec.mu * a)
     else:
         h_hat = np.full((nb, n), dec.mu, dtype=np.complex128)
 
@@ -223,8 +273,7 @@ def _run_pilot_pam_block(scenario: SimScenario, rng, count: int, gray, pop):
 
     nd = T - T_l
     idx = rng.integers(0, L, size=(nb, nd))
-    g = rng.standard_normal((nb, n, nd, 2))
-    v = noise_scale * (g[..., 0] + 1j * g[..., 1])
+    v = _complex_normal(rng, (nb, n, nd), math.sqrt(scenario.true_sigma2 / 2.0))
     y = h[:, :, None] * amps[idx][:, None, :] + v
 
     z = np.sum(np.conj(h_hat)[:, :, None] * y, axis=1).real
@@ -386,6 +435,16 @@ class StatHistogram:
     outside_fraction: tuple  # mass falling outside each symbol's own region
 
 
+def check_bins(bins: int) -> None:
+    if bins < 10:
+        raise ValueError("need at least 10 bins")
+
+
+def check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("need at least one trial per level")
+
+
 def histogram(
     constellation: Constellation,
     channel: ChannelSpec,
@@ -396,8 +455,9 @@ def histogram(
     seed: int = 0,
 ) -> StatHistogram:
     """Sampled statistic histograms for every level of a region-decoded constellation."""
-    if bins < 10:
-        raise ValueError("need at least 10 bins")
+    check_bins(bins)
+    check_trials(trials)
+    check_seed(seed)
     if constellation.boundaries is None:
         raise ValueError("constellation has no decoding regions")
     from .channel import u_second_moment
@@ -412,10 +472,8 @@ def histogram(
     counts, means, variances, outside = [], [], [], []
     for k, p in enumerate(levels):
         rng = _block_generator(seed, k)
-        h = sample_channel(channel, trials * n, rng).reshape(trials, n)
-        g = rng.standard_normal((trials, n, 2))
-        v = math.sqrt(sigma2 / 2.0) * (g[..., 0] + 1j * g[..., 1])
-        stat = np.mean(np.abs(h * math.sqrt(p) + v) ** 2, axis=1)
+        norm2, _ = _sample_stats(channel, sigma2, np.full(trials, p), n, rng, with_sum=False)
+        stat = norm2 / n
         c, _ = np.histogram(stat, bins=edges)
         counts.append(tuple(int(x) for x in c))
         means.append(float(stat.mean()))

@@ -153,6 +153,9 @@ class TestConfigHandling:
                 "design.L",
             ),
             (["design", "--channel.kind", "nakagami", "--channel.m", "0"], "channel"),
+            (["histogram", "--design.method", "mindist", "--sim.bins", "0"], "sim.bins"),
+            (["histogram", "--design.method", "mindist", "--sim.trials", "-5"], "sim.trials"),
+            (["histogram", "--design.method", "mindist", "--seed", "-1"], "sim.seed"),
         ],
     )
     def test_bad_value_names_its_field(self, args, field, capsys):

@@ -1,13 +1,29 @@
 """Simulation engine: determinism, scheme behavior, antenna search, histograms."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from simo_energy.channel import Rician, rayleigh, sigma_from_snr, u_second_moment
-from simo_energy.decode import EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM
+from scipy.stats import ks_2samp
+
+from simo_energy import montecarlo
+from simo_energy.channel import (
+    NakagamiReal,
+    Rician,
+    rayleigh,
+    sigma_from_snr,
+    u_second_moment,
+)
+from simo_energy.decode import (
+    EnergyMLAsk,
+    EnergyRegions,
+    NoncoherentML,
+    PilotPAM,
+    ml_threshold_boundaries,
+)
 from simo_energy.design import (
     DesignConfig,
     design_exact,
@@ -82,12 +98,26 @@ class TestDeterminism:
 
 
 class TestSimulate:
-    def test_noiseless_deterministic_channel(self):
+    @pytest.mark.parametrize("sigma2", [1e-9, 0.0])
+    @pytest.mark.parametrize(
+        "scheme,n",
+        [("energy", 4), ("noncoherent_ml", 4), ("ask_energy_ml", 4), ("noncoherent_ml", 1)],
+    )
+    def test_noiseless_deterministic_channel(self, scheme, n, sigma2):
+        # With K = +inf the per-antenna variance is sigma2 alone, so sigma2 = 0
+        # leaves the sampler nothing random to draw.  The ML receivers assume
+        # noise 1e-3: scipy's ncx2 density underflows at the noncentrality
+        # 2n*p/1e-9 that an assumed 1e-9 would give.
         con = min_distance_constellation(4, 1e-9)
-        scen = energy_scenario(
-            con, n=4, symbols=2000, channel=Rician(math.inf), sigma2=1e-9
-        )
-        assert simulate(scen).symbol_errors == 0
+        decoder = {
+            "energy": EnergyRegions(con),
+            "noncoherent_ml": NoncoherentML(con.levels, 1.0, 0.0, 1e-3),
+            "ask_energy_ml": EnergyMLAsk(con.levels, 1.0, 0.0, 1e-3, n=n),
+        }[scheme]
+        scen = SimScenario(Rician(math.inf), sigma2, decoder, n=n, symbols=2000, seed=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert simulate(scen).symbol_errors == 0
 
     def test_equiprobable_transmission(self, design_l4):
         rep = simulate(energy_scenario(design_l4.constellation, symbols=100_000))
@@ -247,3 +277,118 @@ class TestHistogram:
     def test_rejects_few_bins(self, design_l4):
         with pytest.raises(ValueError):
             histogram(design_l4.constellation, rayleigh(), 0.1, 10, 100, bins=5)
+
+    @pytest.mark.parametrize("trials,seed", [(0, 0), (-5, 0), (100, -1), (100, 2**64)])
+    def test_rejects_bad_trials_and_seed(self, design_l4, trials, seed):
+        with pytest.raises(ValueError):
+            histogram(design_l4.constellation, rayleigh(), 0.1, 10, trials, bins=20, seed=seed)
+
+
+SIGMA2_0DB = sigma_from_snr(0.0)
+RICIAN_CHANNELS = [rayleigh(), Rician(0.0)]
+
+
+def _decoder(scheme, channel, constellation, n):
+    levels = constellation.levels
+    if scheme == "energy":
+        return EnergyRegions(constellation)
+    if scheme == "noncoherent_ml":
+        return NoncoherentML(levels, channel.mu, channel.sigma_h2, SIGMA2_0DB)
+    return EnergyMLAsk(levels, channel.mu, channel.sigma_h2, SIGMA2_0DB, n=n)
+
+
+class TestSufficientStatisticSampler:
+    """The direct Rician sampler against the per-antenna reference path."""
+
+    @pytest.mark.parametrize("channel", RICIAN_CHANNELS, ids=["rayleigh", "rician0dB"])
+    @pytest.mark.parametrize("n", [1, 16, 100])
+    @pytest.mark.parametrize("with_sum", [False, True], ids=["norm2", "norm2+sum"])
+    def test_statistics_match_per_antenna_draws(self, channel, n, with_sum):
+        trials = 4000
+        p = np.full(trials, 1.5)
+        stats = montecarlo._sample_stats(
+            channel, SIGMA2_0DB, p, n, montecarlo._block_generator(5, 0), with_sum
+        )
+        reference = montecarlo._antenna_stats(
+            channel, SIGMA2_0DB, p, n, montecarlo._block_generator(6, 0), with_sum
+        )
+        names = ("norm2", "re_sum") if with_sum else ("norm2",)
+        for name, direct, antenna in zip(names, stats, reference):
+            assert ks_2samp(direct, antenna).pvalue > 1e-3, name
+        # E[||y||^2 / n] = p + sigma2 whatever the K-factor.
+        stat = stats[0] / n
+        se = math.sqrt(u_second_moment(channel, SIGMA2_0DB, 1.5) / (n * trials))
+        assert abs(stat.mean() - (1.5 + SIGMA2_0DB)) < 5 * se
+
+    @pytest.mark.parametrize("channel", RICIAN_CHANNELS, ids=["rayleigh", "rician0dB"])
+    @pytest.mark.parametrize("n", [1, 16, 100])
+    @pytest.mark.parametrize("scheme", ["energy", "noncoherent_ml", "ask_energy_ml"])
+    def test_ser_matches_per_antenna_draws(self, channel, n, scheme, monkeypatch):
+        con = design_exact(channel, SIGMA2_0DB, DesignConfig(L=4)).constellation
+        scen = SimScenario(
+            channel, SIGMA2_0DB, _decoder(scheme, channel, con, n),
+            n=n, symbols=20_000, seed=17,
+        )
+        direct = simulate(scen)
+        monkeypatch.setattr(montecarlo, "_sample_stats", montecarlo._antenna_stats)
+        reference = simulate(scen)
+        assert direct.symbol_errors > 0 and reference.symbol_errors > 0
+        lo_a, hi_a = direct.ser_ci
+        lo_b, hi_b = reference.ser_ci
+        assert lo_a <= hi_b and lo_b <= hi_a
+
+    def test_ml_decides_like_ml_thresholds_on_the_same_statistics(self):
+        # Rayleigh noncoherent ML depends on ||y||^2 alone, so on identical
+        # statistics it must reproduce interval decoding at the ML crossings
+        # symbol for symbol, in a regime with plenty of errors.
+        levels = design_exact(rayleigh(), SIGMA2_0DB, DesignConfig(L=4)).constellation.levels
+        regions = EnergyRegions(ml_threshold_boundaries(levels, 1.0, SIGMA2_0DB))
+        ml = NoncoherentML(levels, 0.0, 1.0, SIGMA2_0DB)
+        rng = montecarlo._block_generator(3, 0)
+        idx = rng.integers(0, 4, size=20_000)
+        norm2, re_sum = montecarlo._sample_stats(
+            rayleigh(), SIGMA2_0DB, np.asarray(levels)[idx], 16, rng, with_sum=True
+        )
+        by_regions = montecarlo._decide(regions, 16, norm2, re_sum)
+        by_ml = montecarlo._decide(ml, 16, norm2, re_sum)
+        assert np.count_nonzero(by_regions != idx) > 100
+        assert np.array_equal(by_regions, by_ml)
+
+
+class _PerAntennaCalled(RuntimeError):
+    pass
+
+
+class TestPerAntennaPathStaysOff:
+    """Rician simulation must not fall back to drawing every antenna."""
+
+    @pytest.fixture
+    def no_antenna_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise _PerAntennaCalled
+
+        monkeypatch.setattr(montecarlo, "sample_channel", refuse)
+
+    @pytest.mark.parametrize("channel", RICIAN_CHANNELS, ids=["rayleigh", "rician0dB"])
+    @pytest.mark.parametrize("scheme", ["energy", "noncoherent_ml", "ask_energy_ml"])
+    def test_rician_runs_without_antenna_draws(self, channel, scheme, no_antenna_draws):
+        con = min_distance_constellation(4, SIGMA2_0DB)
+        scen = SimScenario(
+            channel, SIGMA2_0DB, _decoder(scheme, channel, con, 8), n=8, symbols=2000, seed=1
+        )
+        assert simulate(scen).symbols == 2000
+        assert min_antennas(scen, 0.2, 64) is not None
+
+    @pytest.mark.parametrize("channel", RICIAN_CHANNELS, ids=["rayleigh", "rician0dB"])
+    def test_histogram_runs_without_antenna_draws(self, channel, no_antenna_draws):
+        con = min_distance_constellation(4, SIGMA2_0DB)
+        result = histogram(con, channel, SIGMA2_0DB, n=8, trials=500, bins=20, seed=1)
+        assert len(result.counts) == 4
+
+    def test_nakagami_still_draws_antennas(self, no_antenna_draws):
+        con = min_distance_constellation(4, SIGMA2_0DB)
+        scen = energy_scenario(con, n=8, symbols=2000, channel=NakagamiReal(2.0))
+        with pytest.raises(_PerAntennaCalled):
+            simulate(scen)
+        with pytest.raises(_PerAntennaCalled):
+            histogram(con, NakagamiReal(2.0), SIGMA2_0DB, n=8, trials=500, bins=20)
