@@ -270,6 +270,11 @@ def _write_rows(cfg: dict, columns, rows, out_path: Optional[str]) -> None:
         text = "\n".join(lines) + "\n"
     else:
         raise ConfigError(f"unknown output.format {fmt!r}")
+    _emit(text, out_path)
+
+
+def _emit(text: str, out_path: Optional[str]) -> None:
+    """Write text to stdout, or to out_path when one is given."""
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -286,12 +291,7 @@ def cmd_design(cfg: dict, out_path: Optional[str]) -> int:
     }
     if outcome is not None and not outcome.feasible:
         record["feasible"] = False
-        text = json.dumps(record, indent=2, default=str) + "\n"
-        if out_path is None:
-            sys.stdout.write(text)
-        else:
-            with open(out_path, "w") as fh:
-                fh.write(text)
+        _emit(json.dumps(record, indent=2, default=str) + "\n", out_path)
         return 2
     record["feasible"] = True
     record["levels"] = list(constellation.levels)
@@ -304,12 +304,7 @@ def cmd_design(cfg: dict, out_path: Optional[str]) -> int:
         record["mean_power"] = outcome.mean_power
         record["boundary_exponents"] = [list(pair) for pair in outcome.boundary_exponents]
         record["iterations"] = outcome.iterations
-    text = json.dumps(record, indent=2, default=str) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+    _emit(json.dumps(record, indent=2, default=str) + "\n", out_path)
     return 0
 
 

@@ -1,27 +1,51 @@
-"""Constellation construction: exponent-optimal, moment-based, robust, and baselines.
+"""Constellation construction: one level-packing rule under three tail models, plus baselines.
 
-All three optimizing designs share the same outer loop: for a trial exponent
-t the inner construction packs levels as tightly as the tail exponents allow
-(every interior region edge sits exactly at exponent t), which makes the mean
-transmit power a nondecreasing function of t.  An outer bisection then finds
-the largest t whose construction fits the power budget.
+The three optimizing designs differ only in what they know about the fading,
+and so in the tail-exponent model they hand to one construction:
+
+- `design_exact`: the exact fading law, through `RateOracle`;
+- `design_moments`: the first moments only, through the quadratic tail
+  d^2/(2 s(p)) of `QuadraticRateOracle`;
+- `design_robust`: moments inside an `UncertaintyBox`, through the worst
+  quadratic tail over the box (`_BoxRateOracle`).
+
+For a trial exponent t the construction (`_exact_levels_at`) packs levels
+as tightly as the tail model allows: every interior region edge sits
+exactly at exponent t, which makes the mean transmit power a nondecreasing
+function of t.  An outer search (`_maximize_exponent`) then finds the
+largest t whose construction fits the power budget, and the outcome reports
+the levels, the region edges and the exponents on both sides of each edge.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from scipy.optimize import brentq
 
-from .channel import ChannelSpec, energy_variance
-from .rates import Constellation, QuadraticRateOracle, RateOracle, equalize_boundary
+from .channel import ChannelSpec, MomentsOnly, energy_variance
+from .rates import (
+    Constellation,
+    QuadraticRateOracle,
+    RateOracle,
+    approx_rate,
+    equalize_boundary,
+)
+
+_log = logging.getLogger("simo_energy")
 
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Size, power budget and termination tolerances for the design bisection."""
+    """Size, power budget and termination tolerances for the design bisection.
+
+    `eps` is both the first exponent probed and the power tolerance relative
+    to the budget; `max_doublings` caps the bracketing steps and
+    `max_bisections` the total number of probes (see `_maximize_exponent`).
+    """
 
     L: int
     power_budget: float = 1.0
@@ -67,6 +91,49 @@ class UncertaintyBox:
         )
 
 
+class _BoxRateOracle:
+    """Worst-case quadratic tails over an UncertaintyBox for one power level.
+
+    Region edges are placed for the largest noise x_hi = sigma_max^2.  Both
+    tails d^2/(2 s(alpha1, x, p)) grow worse with alpha1, so alpha1_max is
+    least favourable.  On the right the receiver point p + x is farthest
+    from the next edge at x_hi as well; on the left a smaller noise x moves
+    it toward the edge, shrinking the deviation to d - (x_hi - x), and the
+    worst x is an endpoint of [sigma_min^2, x_hi] or the one interior
+    stationary point of that exponent.
+    """
+
+    def __init__(self, box: UncertaintyBox, p: float):
+        self.p = p
+        self.alpha1_max = box.alpha1_max
+        self.x_lo = box.sigma_min**2
+        self.x_hi = box.sigma_max**2
+        self.u2 = energy_variance(self.alpha1_max, self.x_hi, p)
+
+    def rate_right(self, d: float) -> float:
+        return approx_rate(self.u2, d)
+
+    def rate_left(self, d: float) -> float:
+        a, p, x_lo, x_hi = self.alpha1_max, self.p, self.x_lo, self.x_hi
+        candidates = [x_lo, x_hi]
+        # The one interior stationary point of the exponent as a function of x.
+        c0 = d - x_hi - p
+        if c0 != 0.0:
+            x_star = (a - 1.0) * p * p / c0 - p
+            if x_lo < x_star < x_hi:
+                candidates.append(x_star)
+        return min(
+            max(d - (x_hi - x), 0.0) ** 2 / (2.0 * energy_variance(a, x, p))
+            for x in candidates
+        )
+
+    def inverse_rate(self, side: str, t: float) -> float:
+        """Right-tail inverse sqrt(2t*s); the construction needs no other."""
+        if side != "right":
+            raise ValueError("the box oracle inverts only the right tail")
+        return math.sqrt(2.0 * t * self.u2)
+
+
 @dataclass(frozen=True)
 class DesignOutcome:
     """Result of a design run: the constellation, its exponent, and diagnostics."""
@@ -93,34 +160,60 @@ _INFEASIBLE = DesignOutcome(
 
 
 def _maximize_exponent(power_at: Callable[[float], float], cfg: DesignConfig):
-    """Largest t with power_at(t) <= budget, by doubling then bisection.
+    """Largest t with power_at(t) <= budget, by bracketing then bisection.
 
-    power_at returns +inf when the inner construction fails.  Returns
-    (t_star, iterations) or (None, iterations) when even the floor exponent
-    cfg.eps does not fit the budget.
+    power_at returns +inf when the inner construction fails.  The bracket
+    starts at t = cfg.eps and doubles upward while the budget holds, or
+    halves downward while it does not, at most cfg.max_doublings steps either
+    way.  Bisection stops once the bracket is narrower than 1e-9 of its upper
+    end and the power at its lower end is within cfg.eps of the budget,
+    relative to the budget.  Returns (t_star, iterations), or
+    (None, iterations) when no probed exponent fits the budget.  A t that
+    still fits after max_doublings doublings, and a bisection stopped by
+    max_bisections before both tolerances hold, are logged as warnings on
+    the `simo_energy` logger.
     """
     budget = cfg.power_budget
-    iters = 1
-    if power_at(cfg.eps) > budget:
-        return None, iters
-    t_l = cfg.eps
-    t_u = None
-    for _ in range(cfg.max_doublings):
+    t_l = t_u = None
+    t = cfg.eps
+    iters = 0
+    for _ in range(cfg.max_doublings + 1):
         iters += 1
-        probe = 2.0 * t_l
-        if power_at(probe) > budget:
-            t_u = probe
+        s = power_at(t)
+        if s <= budget:
+            t_l, s_l = t, s
+        else:
+            t_u = t
+        if t_l is not None and t_u is not None:
             break
-        t_l = probe
+        t = 0.5 * t if t_l is None else 2.0 * t
+    if t_l is None:
+        return None, iters
     if t_u is None:
         # Exponent grows without bound within the doubling cap (degenerate
         # channels); return the capped value.
+        _log.warning(
+            "design exponent still fits the budget after max_doublings=%d "
+            "doublings; returning the capped t=%r",
+            cfg.max_doublings,
+            t_l,
+        )
         return t_l, iters
-    s_l = power_at(t_l)
-    while iters < cfg.max_bisections:
-        width_ok = (t_u - t_l) <= min(cfg.eps, 1e-9 * max(t_u, 1.0))
-        power_ok = s_l >= budget - cfg.eps
+    while True:
+        width_ok = (t_u - t_l) <= 1e-9 * t_u
+        power_ok = budget - s_l <= cfg.eps * budget
         if width_ok and power_ok:
+            break
+        if iters >= cfg.max_bisections:
+            _log.warning(
+                "design bisection stopped at max_bisections=%d before converging: "
+                "t in [%r, %r], power %r against budget %r",
+                cfg.max_bisections,
+                t_l,
+                t_u,
+                s_l,
+                budget,
+            )
             break
         mid = 0.5 * (t_l + t_u)
         iters += 1
@@ -196,7 +289,11 @@ def exact_power_at(
     t: float,
     oracle_factory: Optional[Callable[[float], object]] = None,
 ) -> float:
-    """Mean power of the exponent-t construction; +inf when it is infeasible."""
+    """Mean power of the exponent-t construction; +inf when it is infeasible.
+
+    `channel` and `sigma2` only pick the default exact oracle; a given
+    `oracle_factory` replaces it.
+    """
     factory = oracle_factory or (lambda p: RateOracle(channel, sigma2, p))
     built = _exact_levels_at(t, cfg, factory)
     if built is None:
@@ -215,8 +312,9 @@ def design_exact(
 
     Every interior region edge of the result sits at the same tail exponent
     t_star, and the mean power meets the budget to within cfg.eps.  Passing a
-    custom `oracle_factory` swaps the tail-exponent model (for instance the
-    quadratic approximation) without touching the construction itself.
+    custom `oracle_factory` swaps the tail-exponent model (design_moments and
+    design_robust do exactly that) without touching the construction itself;
+    region boundaries sit at p + sigma2 + d_R for every model.
     """
     factory = oracle_factory or (lambda p: RateOracle(channel, sigma2, p))
 
@@ -248,207 +346,39 @@ def design_exact(
     )
 
 
-def _moments_levels_at(t: float, alpha1_value: float, sigma2: float, cfg: DesignConfig):
-    """Inner construction under the quadratic tail model. None when infeasible."""
-    if 2.0 * t * alpha1_value >= 1.0:
-        # The gap equation q - p = sqrt(2t)(sqrt(s(q)) + sqrt(s(p))) has
-        # asymptotic slope sqrt(2t*alpha1); at or above 1 no finite q exists.
-        return None
-    b = math.sqrt(2.0 * t)
-    total_cap = cfg.L * cfg.power_budget * (1.0 + 1e-12)
-    levels = [0.0]
-    running = 0.0
-    for k in range(cfg.L - 1):
-        p = levels[-1]
-        root_s_p = math.sqrt(energy_variance(alpha1_value, sigma2, p))
-        anchor = p + b * root_s_p
-        remaining = cfg.L - 1 - k
-        cap = (total_cap - running) / remaining
-        if anchor >= cap:
-            return None
-
-        def gap_eq(q: float, _p=p, _rs=root_s_p) -> float:
-            return (
-                q
-                - _p
-                - b * (math.sqrt(energy_variance(alpha1_value, sigma2, q)) + _rs)
-            )
-
-        q = _find_next_level(gap_eq, anchor, b * root_s_p, cap)
-        if q is None:
-            return None
-        levels.append(q)
-        running += q
-    return levels
-
-
-def moments_power_at(
-    alpha1_value: float, sigma2: float, cfg: DesignConfig, t: float
-) -> float:
-    built = _moments_levels_at(t, alpha1_value, sigma2, cfg)
-    return math.inf if built is None else sum(built) / cfg.L
-
-
 def design_moments(
     alpha1_value: float, sigma2: float, cfg: DesignConfig
 ) -> DesignOutcome:
     """Constellation design from the first four fading moments only.
 
-    Uses the quadratic tail model d^2/(2 s(p)) with s(p) = alpha1*p^2 +
-    2*sigma2*p + sigma2^2; consecutive levels satisfy
-    q - p = sqrt(2t)(sqrt(s(q)) + sqrt(s(p))) and the region boundary after
-    level p sits at p + sigma2 + sqrt(2t*s(p)).
+    Runs design_exact's construction under the quadratic tail model
+    d^2/(2 s(p)) with s(p) = alpha1*p^2 + 2*sigma2*p + sigma2^2, so
+    consecutive levels satisfy q - p = sqrt(2t)(sqrt(s(q)) + sqrt(s(p))) and
+    the region boundary after level p sits at p + sigma2 + sqrt(2t*s(p)).
     """
-    if alpha1_value < 0:
-        raise ValueError("alpha1 must be nonnegative")
-
-    def power_at(t: float) -> float:
-        return moments_power_at(alpha1_value, sigma2, cfg, t)
-
-    t_star, iters = _maximize_exponent(power_at, cfg)
-    if t_star is None:
-        return _INFEASIBLE
-    levels = _moments_levels_at(t_star, alpha1_value, sigma2, cfg)
-    b = math.sqrt(2.0 * t_star)
-    boundaries = tuple(
-        p + sigma2 + b * math.sqrt(energy_variance(alpha1_value, sigma2, p))
-        for p in levels[:-1]
+    return design_exact(
+        MomentsOnly(alpha1_value),
+        sigma2,
+        cfg,
+        oracle_factory=lambda p: QuadraticRateOracle(alpha1_value, sigma2, p),
     )
-    constellation = Constellation(tuple(levels), sigma2, boundaries)
-    exponents = []
-    for k in range(cfg.L - 1):
-        o_k = QuadraticRateOracle(alpha1_value, sigma2, levels[k])
-        o_next = QuadraticRateOracle(alpha1_value, sigma2, levels[k + 1])
-        d_r = boundaries[k] - (levels[k] + sigma2)
-        d_l = (levels[k + 1] + sigma2) - boundaries[k]
-        exponents.append((o_k.rate_right(d_r), o_next.rate_left(d_l)))
-    return DesignOutcome(
-        feasible=True,
-        constellation=constellation,
-        t_star=t_star,
-        mean_power=sum(levels) / cfg.L,
-        boundary_exponents=tuple(exponents),
-        iterations=iters,
-    )
-
-
-def _sup_boundary_offset(box: UncertaintyBox, t: float, p: float) -> float:
-    """sup over the box of sigma2 + sqrt(2t*s_f(p)): attained at both maxima."""
-    s = energy_variance(box.alpha1_max, box.sigma_max**2, p)
-    return box.sigma_max**2 + math.sqrt(2.0 * t * s)
-
-
-def _sup_gap_requirement(box: UncertaintyBox, t: float, p: float) -> float:
-    """sup over the box of sqrt(2t*s_f(p)) - sigma2.
-
-    Increasing in alpha1, but not monotone in sigma; the candidates are the
-    two sigma endpoints plus the interior stationary point of
-    e(x) = sqrt(2t*(a*p^2 + 2*x*p + x^2)) - x on x = sigma^2.
-    """
-    a = box.alpha1_max
-    x_lo, x_hi = box.sigma_min**2, box.sigma_max**2
-    two_t = 2.0 * t
-
-    def e(x: float) -> float:
-        return math.sqrt(two_t * (a * p * p + 2.0 * x * p + x * x)) - x
-
-    best = max(e(x_lo), e(x_hi))
-    # Stationary points solve 2t*(p+x)^2 = s(x), i.e.
-    # x^2*(2t-1) + 2*p*x*(2t-1) + p^2*(2t-a) = 0.
-    if two_t != 1.0 and p > 0.0:
-        disc = (a - 1.0) / (two_t - 1.0)
-        if disc > 0.0:
-            x_star = p * (math.sqrt(disc) - 1.0)
-            if x_lo < x_star < x_hi:
-                best = max(best, e(x_star))
-    return best
-
-
-def _robust_levels_at(t: float, box: UncertaintyBox, cfg: DesignConfig):
-    """Inner robust construction. Returns (levels, boundaries) or None."""
-    if 2.0 * t * box.alpha1_max >= 1.0:
-        return None
-    total_cap = cfg.L * cfg.power_budget * (1.0 + 1e-12)
-    levels = [0.0]
-    boundaries = []
-    running = 0.0
-    for k in range(cfg.L - 1):
-        p = levels[-1]
-        c_k = p + _sup_boundary_offset(box, t, p)
-        remaining = cfg.L - 1 - k
-        cap = (total_cap - running) / remaining
-
-        def slack(q: float, _c=c_k) -> float:
-            return q - _c - _sup_gap_requirement(box, t, q)
-
-        # slack(p) < 0 always: the boundary offset alone exceeds p - c_k.
-        if p >= cap:
-            return None
-        q = _find_next_level(slack, p, c_k - p, cap)
-        if q is None:
-            return None
-        levels.append(q)
-        boundaries.append(c_k)
-        running += q
-    return levels, boundaries
-
-
-def robust_power_at(box: UncertaintyBox, cfg: DesignConfig, t: float) -> float:
-    built = _robust_levels_at(t, box, cfg)
-    return math.inf if built is None else sum(built[0]) / cfg.L
 
 
 def design_robust(box: UncertaintyBox, cfg: DesignConfig) -> DesignOutcome:
     """Minimax constellation over a moment-uncertainty box.
 
-    Every region edge guarantees exponent t_star under the least favourable
-    (alpha1, sigma) in the box.  A zero-width box reproduces design_moments.
-    Infeasibility (no positive exponent fits the power budget, which a wide
-    enough noise range forces) is reported through the outcome flag, not an
-    exception.
+    Runs design_exact's construction under the worst quadratic tails over
+    the box (`_BoxRateOracle`), so every region edge guarantees exponent
+    t_star under the least favourable (alpha1, sigma).  A zero-width box
+    reproduces design_moments.  Infeasibility (no positive exponent fits the
+    power budget, which a wide enough noise range forces) is reported
+    through the outcome flag, not an exception.
     """
-
-    def power_at(t: float) -> float:
-        return robust_power_at(box, cfg, t)
-
-    t_star, iters = _maximize_exponent(power_at, cfg)
-    if t_star is None:
-        return _INFEASIBLE
-    levels, boundaries = _robust_levels_at(t_star, box, cfg)
-    constellation = Constellation(
-        tuple(levels), box.sigma_max**2, tuple(boundaries)
-    )
-    exponents = []
-    a_max = box.alpha1_max
-    x_lo, x_hi = box.sigma_min**2, box.sigma_max**2
-    for k in range(cfg.L - 1):
-        # Worst-case guaranteed exponents at the two sides of boundary k.
-        # Both minima over the box are attained where the corresponding sup
-        # in the construction is attained: x_hi for the right side, and one
-        # of {x_lo, x_hi, interior stationary point} for the left side.
-        p_k, p_next = levels[k], levels[k + 1]
-        d_r = boundaries[k] - p_k - x_hi
-        right = d_r * d_r / (2.0 * energy_variance(a_max, x_hi, p_k))
-        candidates = [x_lo, x_hi]
-        if 2.0 * t_star != 1.0 and p_next > 0.0:
-            disc = (a_max - 1.0) / (2.0 * t_star - 1.0)
-            if disc > 0.0:
-                x_star = p_next * (math.sqrt(disc) - 1.0)
-                if x_lo < x_star < x_hi:
-                    candidates.append(x_star)
-        worst_left = min(
-            max(p_next + x - boundaries[k], 0.0) ** 2
-            / (2.0 * energy_variance(a_max, x, p_next))
-            for x in candidates
-        )
-        exponents.append((right, worst_left))
-    return DesignOutcome(
-        feasible=True,
-        constellation=constellation,
-        t_star=t_star,
-        mean_power=sum(levels) / cfg.L,
-        boundary_exponents=tuple(exponents),
-        iterations=iters,
+    return design_exact(
+        MomentsOnly(box.alpha1_max),
+        box.sigma_max**2,
+        cfg,
+        oracle_factory=lambda p: _BoxRateOracle(box, p),
     )
 
 

@@ -70,6 +70,25 @@ class TestDesignCommand:
         record = json.loads(out.read_text())
         assert record["feasible"] is False
 
+    def test_low_snr_moments_design_is_feasible(self, capsys):
+        # t* ~ 2.2e-7 lies below the default design.eps; the command used to
+        # report this design infeasible and exit 2.
+        code = run(
+            [
+                "design",
+                "--channel.kind", "rayleigh",
+                "--channel.gamma_dB", "-20",
+                "--design.method", "moments",
+                "--design.L", "16",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        record = json.loads(captured.out)
+        assert record["feasible"] is True
+        assert record["t_star"] == pytest.approx(2.19197e-7, rel=1e-6)
+        assert captured.err == ""
+
     def test_artifact_round_trip(self, tmp_path):
         out = tmp_path / "artifact.json"
         run(

@@ -1,14 +1,23 @@
 """Constellation design: optimizing algorithms, reductions, and baselines."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from simo_energy.channel import NakagamiReal, Rician, alpha1, rayleigh, sigma_from_snr
+from simo_energy.channel import (
+    MomentsOnly,
+    NakagamiReal,
+    Rician,
+    alpha1,
+    rayleigh,
+    sigma_from_snr,
+)
 from simo_energy.design import (
     DesignConfig,
     UncertaintyBox,
+    _BoxRateOracle,
     ask_constellation,
     design_exact,
     design_moments,
@@ -16,14 +25,28 @@ from simo_energy.design import (
     equalized_regions,
     exact_power_at,
     min_distance_constellation,
-    moments_power_at,
     pam_constellation,
-    robust_power_at,
 )
 from simo_energy.rates import QuadraticRateOracle, error_exponent
 
 
 SIGMA2_10DB = sigma_from_snr(10.0)
+
+
+def moments_power_at(alpha1_value, sigma2, cfg, t):
+    """Mean power of the construction at t under the quadratic tail model."""
+    return exact_power_at(
+        MomentsOnly(alpha1_value), sigma2, cfg, t,
+        oracle_factory=lambda p: QuadraticRateOracle(alpha1_value, sigma2, p),
+    )
+
+
+def robust_power_at(box, cfg, t):
+    """Mean power of the construction at t under the box's worst-case tails."""
+    return exact_power_at(
+        MomentsOnly(box.alpha1_max), box.sigma_max**2, cfg, t,
+        oracle_factory=lambda p: _BoxRateOracle(box, p),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +215,70 @@ class TestDesignRobust:
         ts = np.linspace(0.3, 1.7, 5) * out.t_star
         powers = [robust_power_at(box, cfg, t) for t in ts]
         assert all(b >= a - 1e-9 for a, b in zip(powers, powers[1:]))
+
+
+class TestExponentSearch:
+    # At -20 dB and L = 16 the optimal exponent (about 2.19197e-7, from a run
+    # with eps = 1e-12) lies far below the starting probe cfg.eps = 1e-6; the
+    # search must bracket downward instead of reporting infeasible.
+    T_STAR_MINUS20_L16 = 2.19197e-7
+
+    @pytest.mark.parametrize("method", ["moments", "exact"])
+    def test_low_snr_design_is_feasible(self, method):
+        sigma2 = sigma_from_snr(-20.0)
+        cfg = DesignConfig(L=16)
+        if method == "moments":
+            out = design_moments(alpha1(rayleigh()), sigma2, cfg)
+        else:
+            out = design_exact(rayleigh(), sigma2, cfg)
+        assert out.feasible
+        assert out.t_star == pytest.approx(self.T_STAR_MINUS20_L16, rel=1e-6)
+        assert 1.0 - 1e-6 <= out.mean_power <= 1.0 + 1e-12
+        for right, left in out.boundary_exponents:
+            assert right == pytest.approx(out.t_star, rel=1e-6)
+            assert left == pytest.approx(out.t_star, rel=1e-6)
+
+    def test_width_tolerance_is_relative(self):
+        # An absolute 1e-9 width would leave t* ~ 4e-4 uncertain in its
+        # sixth digit; the bracket must shrink to 1e-9 of t* itself.
+        cfg = DesignConfig(L=64)
+        out = design_moments(1.0, SIGMA2_10DB, cfg)
+        assert moments_power_at(1.0, SIGMA2_10DB, cfg, out.t_star) <= 1.0
+        assert moments_power_at(1.0, SIGMA2_10DB, cfg, out.t_star * (1.0 + 2e-9)) > 1.0
+
+    @pytest.mark.parametrize("scale", [2.0**-10, 2.0**20])
+    def test_search_is_invariant_to_the_power_scale(self, scale):
+        # Scaling the budget and the noise power by the same power of two
+        # scales every level exactly and leaves the exponents alone, so a
+        # search whose tolerances are relative takes the same steps.
+        unit = design_moments(1.0, 0.1, DesignConfig(L=8))
+        scaled = design_moments(1.0, 0.1 * scale, DesignConfig(L=8, power_budget=scale))
+        assert scaled.t_star == pytest.approx(unit.t_star, rel=1e-12)
+        assert scaled.iterations == unit.iterations
+        assert scale * (1.0 - 1e-6) <= scaled.mean_power <= scale * (1.0 + 1e-12)
+
+    def test_normal_design_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="simo_energy"):
+            design_exact(rayleigh(), SIGMA2_10DB, DesignConfig(L=4))
+            design_moments(1.0, 0.1, DesignConfig(L=16))
+            design_robust(UncertaintyBox(0.9, 1.0, 0.3, 0.4), DesignConfig(L=4))
+        assert caplog.records == []
+
+    def test_doubling_cap_warns(self, caplog):
+        # Two doublings from 1e-6 stop far below t* ~ 0.16: the capped value
+        # is returned, and the logger says so.
+        with caplog.at_level(logging.WARNING, logger="simo_energy"):
+            out = design_moments(1.0, SIGMA2_10DB, DesignConfig(L=4, max_doublings=2))
+        assert out.t_star == pytest.approx(4e-6)
+        assert len(caplog.records) == 1
+        assert "max_doublings" in caplog.records[0].getMessage()
+
+    def test_bisection_cap_warns(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="simo_energy"):
+            out = design_moments(1.0, SIGMA2_10DB, DesignConfig(L=4, max_bisections=25))
+        assert out.iterations == 25
+        assert len(caplog.records) == 1
+        assert "max_bisections" in caplog.records[0].getMessage()
 
 
 class TestBaselines:
