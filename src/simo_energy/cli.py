@@ -291,6 +291,7 @@ def cmd_design(cfg: dict, out_path: Optional[str]) -> int:
     }
     if outcome is not None and not outcome.feasible:
         record["feasible"] = False
+        record["iterations"] = outcome.iterations
         _emit(json.dumps(record, indent=2, default=str) + "\n", out_path)
         return 2
     record["feasible"] = True

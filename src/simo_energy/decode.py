@@ -5,6 +5,11 @@ Every decoder is parameterized by the statistics it *assumes*; those may
 differ from the statistics the data was actually drawn from, which is how
 mismatch studies are run.  All tie-breaks go to the smaller index so that
 decoding is deterministic.
+
+Each decision rule is written once, vectorised over symbols (region_index,
+noncoherent_ml_index, energy_ml_index, mmse_estimate, pam_index).  The
+decoder objects apply them to the simulator's arrays, and the scalar
+functions (energy_decode, ml_noncoherent_rician, ...) apply them to one row.
 """
 
 from __future__ import annotations
@@ -46,32 +51,60 @@ class ReceivedBlock:
         return self.samples.shape[1]
 
 
+class _NoncoherentReceiver:
+    """Fresh channel every slot, no pilots, a decision among power levels from
+    (||y||^2, Re sum_i y_i) over n antennas; `needs_sum` says if it reads the sum."""
+
+    coherence_slots = 1
+    pilot_slots = 0
+    needs_sum = False
+
+    @property
+    def L(self) -> int:
+        return len(self.levels)
+
+
 @dataclass(frozen=True)
-class EnergyRegions:
+class EnergyRegions(_NoncoherentReceiver):
     """Interval decoder over the energy statistic."""
 
     constellation: Constellation
+    scheme = "energy"
 
     def __post_init__(self):
         if self.constellation.boundaries is None:
             raise ValueError("energy-region decoding needs boundaries")
 
+    @property
+    def levels(self) -> tuple:
+        return self.constellation.levels
+
+    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
+        return region_index(self.constellation.boundaries, norm2 / n)
+
 
 @dataclass(frozen=True)
-class NoncoherentML:
+class NoncoherentML(_NoncoherentReceiver):
     """Gaussian-likelihood decoder using assumed (mu, sigma_h2, sigma2)."""
 
     levels: tuple
     mu: float
     sigma_h2: float
     sigma2: float
+    scheme = "noncoherent_ml"
+    needs_sum = True
 
     def __post_init__(self):
         _check_levels_and_noise(self.levels, self.sigma2)
 
+    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
+        return noncoherent_ml_index(
+            self.levels, self.mu, self.sigma_h2, self.sigma2, n, norm2, re_sum
+        )
+
 
 @dataclass(frozen=True)
-class EnergyMLAsk:
+class EnergyMLAsk(_NoncoherentReceiver):
     """Exact likelihood of the energy statistic itself, for a fixed antenna count."""
 
     levels: tuple
@@ -79,11 +112,15 @@ class EnergyMLAsk:
     sigma_h2: float
     sigma2: float
     n: int
+    scheme = "ask_energy_ml"
 
     def __post_init__(self):
         _check_levels_and_noise(self.levels, self.sigma2)
         if self.n < 1:
             raise ValueError("antenna count must be at least 1")
+
+    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
+        return energy_ml_index(norm2 / n, n, self.levels, self.mu, self.sigma_h2, self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -101,6 +138,7 @@ class PilotPAM:
     coherence_slots: int
     pilot_slots: int
     pilot_power: float = 1.0
+    scheme = "pilot_pam"
 
     def __post_init__(self):
         if len(self.amplitudes) < 2:
@@ -111,6 +149,18 @@ class PilotPAM:
             raise ValueError("assumed noise power must be positive")
         if not (0 <= self.pilot_slots < self.coherence_slots):
             raise ValueError("pilot slots must leave at least one data slot")
+
+    @property
+    def L(self) -> int:
+        return len(self.amplitudes)
+
+    def estimate(self, y_bar: np.ndarray) -> np.ndarray:
+        """MMSE channel estimate from the pilot average y_bar (needs pilot slots)."""
+        a = math.sqrt(self.pilot_power)
+        return mmse_estimate(y_bar, a, self.mu, self.sigma_h2, self.sigma2, self.pilot_slots)
+
+    def decide(self, h_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return pam_index(self.amplitudes, h_hat, y)
 
 
 def _check_levels_and_noise(levels, sigma2):
@@ -128,13 +178,18 @@ def energy_statistic(block: ReceivedBlock, column: int) -> float:
     return float(np.mean(np.abs(y) ** 2))
 
 
+def region_index(boundaries, stat) -> np.ndarray:
+    """Index of the region containing each statistic; boundaries belong to the lower region."""
+    return np.searchsorted(boundaries, stat, side="left")
+
+
 def energy_decode(regions: Constellation, stat: float) -> int:
     """Index of the region containing the statistic; boundaries belong to the lower region."""
     if stat < 0:
         raise ValueError("energy statistic is nonnegative")
     if regions.boundaries is None:
         raise ValueError("constellation has no decoding regions")
-    return int(np.searchsorted(regions.boundaries, stat, side="left"))
+    return int(region_index(regions.boundaries, stat))
 
 
 def noncoherent_nll(
@@ -160,6 +215,11 @@ def noncoherent_nll(
     return dist2 / s2 + n * np.log(s2)
 
 
+def noncoherent_ml_index(levels, mu, sigma_h2, sigma2, n, norm2, re_sum) -> np.ndarray:
+    """Noncoherent ML level index per draw: the argmin of noncoherent_nll."""
+    return np.argmin(noncoherent_nll(levels, mu, sigma_h2, sigma2, n, norm2, re_sum), axis=1)
+
+
 def ml_noncoherent_rician(
     block: ReceivedBlock,
     column: int,
@@ -170,11 +230,9 @@ def ml_noncoherent_rician(
 ) -> int:
     """argmin over levels of ||y - mu*sqrt(p)*1||^2/(sigma2 + sigma_h2*p) + n*log(...)."""
     y = block.samples[:, column]
-    n = block.n
     norm2 = float(np.sum(np.abs(y) ** 2))
     re_sum = float(np.sum(y.real))
-    nll = noncoherent_nll(np.asarray(levels), mu, sigma_h2, sigma2, n, norm2, re_sum)
-    return int(np.argmin(nll[0]))
+    return int(noncoherent_ml_index(levels, mu, sigma_h2, sigma2, block.n, norm2, re_sum)[0])
 
 
 def energy_ml_logpdf(
@@ -206,6 +264,11 @@ def energy_ml_logpdf(
     return out
 
 
+def energy_ml_index(stat, n, levels, mu, sigma_h2, sigma2) -> np.ndarray:
+    """Energy-ML level index per draw: the argmax of energy_ml_logpdf."""
+    return np.argmax(energy_ml_logpdf(stat, n, levels, mu, sigma_h2, sigma2), axis=1)
+
+
 def ml_energy_ask(
     stat: float,
     n: int,
@@ -217,10 +280,7 @@ def ml_energy_ask(
     """Most likely level given only the energy statistic (exact finite-n density)."""
     if n < 1:
         raise ValueError("antenna count must be at least 1")
-    logpdf = energy_ml_logpdf(
-        np.asarray([stat]), n, np.asarray(levels), mu, sigma_h2, sigma2
-    )
-    return int(np.argmax(logpdf[0]))
+    return int(energy_ml_index(stat, n, levels, mu, sigma_h2, sigma2)[0])
 
 
 def pilot_mmse_estimate(
@@ -235,25 +295,30 @@ def pilot_mmse_estimate(
     if pilot_slots < 1:
         raise ValueError("need at least one pilot slot")
     y_bar = block.samples[:, :pilot_slots].mean(axis=1)
-    gain = pilot_mmse_gain(pilot_amplitude, sigma_h2, sigma2, pilot_slots)
+    return mmse_estimate(y_bar, pilot_amplitude, mu, sigma_h2, sigma2, pilot_slots)
+
+
+def mmse_estimate(y_bar, pilot_amplitude, mu, sigma_h2, sigma2, pilot_slots: int):
+    """MMSE channel estimate mu + g*(y_bar - mu*a) from the average y_bar of
+    pilot_slots pilots of amplitude a, with gain g = sigma_h2*a / (sigma_h2*a^2 + sigma2/T_l)."""
+    gain = sigma_h2 * pilot_amplitude / (sigma_h2 * pilot_amplitude**2 + sigma2 / pilot_slots)
     return mu + gain * (y_bar - mu * pilot_amplitude)
 
 
-def pilot_mmse_gain(
-    pilot_amplitude: float, sigma_h2: float, sigma2: float, pilot_slots: int
-) -> float:
-    """MMSE gain on the pilot average: sigma_h2*a / (sigma_h2*a^2 + sigma2/T_l)."""
-    return sigma_h2 * pilot_amplitude / (
-        sigma_h2 * pilot_amplitude**2 + sigma2 / pilot_slots
-    )
+def pam_projection(h_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Decision variables Re(h_hat^H y) / ||h_hat||^2, 0 where the estimate is null.
+
+    h_hat is (..., n) and y is (..., n, k); the result is (..., k).
+    """
+    g = np.sum(np.abs(h_hat) ** 2, axis=-1)
+    z = np.sum(np.conj(h_hat)[..., None] * y, axis=-2).real
+    safe = g > 0.0
+    return np.where(safe[..., None], z / np.where(safe, g, 1.0)[..., None], 0.0)
 
 
 def pam_project(h_hat: np.ndarray, y: np.ndarray) -> float:
     """Scalar decision variable Re(h_hat^H y) / ||h_hat||^2 (0 when the estimate is null)."""
-    g = float(np.sum(np.abs(h_hat) ** 2))
-    if g == 0.0:
-        return 0.0
-    return float(np.sum(np.conj(h_hat) * y).real) / g
+    return float(pam_projection(np.asarray(h_hat), np.asarray(y)[:, None])[0])
 
 
 def nearest_amplitude_index(amplitudes: np.ndarray, z) -> np.ndarray:
@@ -263,6 +328,11 @@ def nearest_amplitude_index(amplitudes: np.ndarray, z) -> np.ndarray:
     return np.searchsorted(midpoints, z, side="left")
 
 
+def pam_index(amplitudes, h_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coherent PAM amplitude index per column of y: the projection, then the nearest amplitude."""
+    return nearest_amplitude_index(amplitudes, pam_projection(h_hat, y))
+
+
 def coherent_pam_decode(
     block: ReceivedBlock,
     column: int,
@@ -270,8 +340,7 @@ def coherent_pam_decode(
     amplitudes: Sequence[float],
 ) -> int:
     """argmin over amplitudes a of ||y - h_hat*a||^2, via the scalar projection."""
-    z = pam_project(np.asarray(h_hat), block.samples[:, column])
-    return int(nearest_amplitude_index(np.asarray(amplitudes), z))
+    return int(pam_index(amplitudes, np.asarray(h_hat), block.samples[:, column:column + 1])[0])
 
 
 def gray_code(index: int) -> int:

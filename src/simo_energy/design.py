@@ -149,16 +149,6 @@ class DesignOutcome:
         return self.feasible
 
 
-_INFEASIBLE = DesignOutcome(
-    feasible=False,
-    constellation=None,
-    t_star=0.0,
-    mean_power=math.inf,
-    boundary_exponents=(),
-    iterations=0,
-)
-
-
 def _maximize_exponent(power_at: Callable[[float], float], cfg: DesignConfig):
     """Largest t with power_at(t) <= budget, by bracketing then bisection.
 
@@ -323,7 +313,9 @@ def design_exact(
 
     t_star, iters = _maximize_exponent(power_at, cfg)
     if t_star is None:
-        return _INFEASIBLE
+        return DesignOutcome(
+            False, None, t_star=0.0, mean_power=math.inf, boundary_exponents=(), iterations=iters
+        )
     levels, d_rights = _exact_levels_at(t_star, cfg, factory)
     boundaries = tuple(
         p + sigma2 + d_r for p, d_r in zip(levels[:-1], d_rights)

@@ -5,15 +5,23 @@ draws from a counter-based Philox stream keyed by (seed, b), so the merged
 error counts do not depend on how blocks are distributed over shards, and any
 rerun with the same seed reproduces the counts bit for bit.
 
-Noncoherent schemes see a fresh channel every symbol and decide from the
-sufficient statistics (||y||^2, Re sum_i y_i) alone, so two samplers produce
-them.  Under Rician fading (Rayleigh included) every antenna sample is
-CN(mu*sqrt(p), s) with s = sigma_h2*p + sigma2, and the statistics are drawn
-directly: ||y||^2 as one Gamma or scaled noncentral chi-square variate, or,
-for noncoherent ML, sum_i y_i as one complex Gaussian plus an independent
-(s/2)*chi^2_{2n-2} remainder.  Every other channel (Nakagami) draws all n
-antenna samples and sums them.  The pilot-based PAM scheme draws one channel
-per coherence block and keeps per-antenna samples throughout.
+Each block passes through three layers, each written once:
+
+- sampler: the transmitted symbol indices and what the receiver observes.
+  Noncoherent schemes see a fresh channel every symbol and decide from the
+  sufficient statistics (||y||^2, Re sum_i y_i) alone, so two samplers
+  produce them.  Under Rician fading (Rayleigh included) every antenna
+  sample is CN(mu*sqrt(p), s) with s = sigma_h2*p + sigma2, and the
+  statistics are drawn directly: ||y||^2 as one Gamma or scaled noncentral
+  chi-square variate, or, for noncoherent ML, sum_i y_i as one complex
+  Gaussian plus an independent (s/2)*chi^2_{2n-2} remainder.  Every other
+  channel (Nakagami) draws all n antenna samples and sums them.  The
+  pilot-based PAM scheme draws one channel per coherence block and keeps
+  per-antenna samples throughout.
+- decoder: the decoder object's own rule from `decode` (`decide`, plus
+  `estimate` for the pilot MMSE channel estimate).
+- counts: `_accumulate` turns (sent, decoded) index pairs into symbol
+  errors, Gray-coded bit errors and per-level counts.
 """
 
 from __future__ import annotations
@@ -26,17 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .channel import ChannelSpec, MomentsOnly, NotSamplableError, Rician, sample_channel
-from .decode import (
-    EnergyMLAsk,
-    EnergyRegions,
-    NoncoherentML,
-    PilotPAM,
-    energy_ml_logpdf,
-    gray_code,
-    nearest_amplitude_index,
-    noncoherent_nll,
-    pilot_mmse_gain,
-)
+from .decode import EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM, gray_code
 from .rates import Constellation
 
 _BLOCK_DRAWS = 1 << 18  # target number of antenna draws per logical rng block
@@ -100,20 +98,11 @@ class SimScenario:
 
     @property
     def scheme(self) -> str:
-        return {
-            EnergyRegions: "energy",
-            NoncoherentML: "noncoherent_ml",
-            EnergyMLAsk: "ask_energy_ml",
-            PilotPAM: "pilot_pam",
-        }[type(self.decoder)]
+        return self.decoder.scheme
 
     @property
     def L(self) -> int:
-        if isinstance(self.decoder, EnergyRegions):
-            return self.decoder.constellation.L
-        if isinstance(self.decoder, PilotPAM):
-            return len(self.decoder.amplitudes)
-        return len(self.decoder.levels)
+        return self.decoder.L
 
     @property
     def bits_per_symbol(self) -> int:
@@ -122,11 +111,8 @@ class SimScenario:
     @property
     def effective_rate(self) -> float:
         """Information bits per channel use after pilot overhead."""
-        bits = math.log2(self.L)
-        if isinstance(self.decoder, PilotPAM):
-            T, T_l = self.decoder.coherence_slots, self.decoder.pilot_slots
-            return (T - T_l) / T * bits
-        return bits
+        T, T_l = self.decoder.coherence_slots, self.decoder.pilot_slots
+        return (T - T_l) / T * math.log2(self.L)
 
 
 @dataclass(frozen=True)
@@ -153,24 +139,15 @@ def _block_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
-def _symbols_per_block(n: int, coherence: int = 1) -> int:
+def _symbols_per_block(n: int, coherence: int) -> int:
+    """Symbols per logical block: about _BLOCK_DRAWS antenna draws, in whole coherence blocks."""
     per = max(1, _BLOCK_DRAWS // max(n, 1))
-    if coherence > 1:
-        per = max(coherence, (per // coherence) * coherence)
-    return per
+    return max(coherence, (per // coherence) * coherence)
 
 
 def _popcount_table(bits: int) -> np.ndarray:
     size = 1 << bits
     return np.array([bin(v).count("1") for v in range(size)], dtype=np.int64)
-
-
-def _transmit_levels(scenario: SimScenario) -> np.ndarray:
-    if isinstance(scenario.decoder, EnergyRegions):
-        return np.asarray(scenario.decoder.constellation.levels, dtype=float)
-    if isinstance(scenario.decoder, PilotPAM):
-        raise TypeError("pilot scheme transmits amplitudes, not power levels")
-    return np.asarray(scenario.decoder.levels, dtype=float)
 
 
 def _complex_normal(rng, shape, scale: float) -> np.ndarray:
@@ -220,71 +197,40 @@ def _sample_stats(channel, sigma2, p, n, rng, with_sum):
     return sampler(channel, sigma2, p, n, rng, with_sum)
 
 
-def _decide(dec, n: int, norm2, re_sum) -> np.ndarray:
-    """Decoded level index per symbol from the sufficient statistics."""
-    if isinstance(dec, EnergyRegions):
-        return np.searchsorted(dec.constellation.boundaries, norm2 / n, side="left")
-    levels = np.asarray(dec.levels)
-    if isinstance(dec, NoncoherentML):
-        nll = noncoherent_nll(levels, dec.mu, dec.sigma_h2, dec.sigma2, n, norm2, re_sum)
-        return np.argmin(nll, axis=1)
-    logpdf = energy_ml_logpdf(norm2 / n, n, levels, dec.mu, dec.sigma_h2, dec.sigma2)
-    return np.argmax(logpdf, axis=1)
-
-
-def _run_noncoherent_block(scenario: SimScenario, rng, count: int, levels, gray, pop):
-    idx = rng.integers(0, len(levels), size=count)
+def _run_noncoherent_block(scenario: SimScenario, rng, count: int):
+    """(sent, decoded) level indices of `count` symbols."""
     dec = scenario.decoder
+    levels = np.asarray(dec.levels, dtype=float)
+    idx = rng.integers(0, len(levels), size=count)
     norm2, re_sum = _sample_stats(
         scenario.true_channel, scenario.true_sigma2, levels[idx], scenario.n, rng,
-        with_sum=isinstance(dec, NoncoherentML),
+        with_sum=dec.needs_sum,
     )
-    decoded = _decide(dec, scenario.n, norm2, re_sum)
-
-    errors = decoded != idx
-    bit_err = int(pop[gray[idx] ^ gray[decoded]].sum())
-    tx = np.bincount(idx, minlength=len(levels))
-    err = np.bincount(idx[errors], minlength=len(levels))
-    return count, int(errors.sum()), bit_err, tx, err
+    return idx, dec.decide(scenario.n, norm2, re_sum)
 
 
-def _run_pilot_pam_block(scenario: SimScenario, rng, count: int, gray, pop):
+def _run_pilot_pam_block(scenario: SimScenario, rng, count: int):
+    """(sent, decoded) amplitude indices of the data slots of count // T coherence blocks."""
     dec: PilotPAM = scenario.decoder
     n = scenario.n
     T, T_l = dec.coherence_slots, dec.pilot_slots
     nb = count // T
     amps = np.asarray(dec.amplitudes, dtype=float)
-    L = len(amps)
 
     h = sample_channel(scenario.true_channel, nb * n, rng).reshape(nb, n)
     if T_l >= 1:
         # The pilot average over T_l slots is Gaussian with variance
         # sigma2/T_l; draw it directly.
-        a = math.sqrt(dec.pilot_power)
         v_bar = _complex_normal(rng, (nb, n), math.sqrt(scenario.true_sigma2 / (2.0 * T_l)))
-        y_bar = a * h + v_bar
-        gain = pilot_mmse_gain(a, dec.sigma_h2, dec.sigma2, T_l)
-        h_hat = dec.mu + gain * (y_bar - dec.mu * a)
+        h_hat = dec.estimate(math.sqrt(dec.pilot_power) * h + v_bar)
     else:
+        # Without pilots the MMSE estimate is the prior mean.
         h_hat = np.full((nb, n), dec.mu, dtype=np.complex128)
 
-    g_norm = np.sum(np.abs(h_hat) ** 2, axis=1)
-    safe = g_norm > 0.0
-
-    nd = T - T_l
-    idx = rng.integers(0, L, size=(nb, nd))
-    v = _complex_normal(rng, (nb, n, nd), math.sqrt(scenario.true_sigma2 / 2.0))
+    idx = rng.integers(0, len(amps), size=(nb, T - T_l))
+    v = _complex_normal(rng, (nb, n, T - T_l), math.sqrt(scenario.true_sigma2 / 2.0))
     y = h[:, :, None] * amps[idx][:, None, :] + v
-
-    z = np.sum(np.conj(h_hat)[:, :, None] * y, axis=1).real
-    z = np.where(safe[:, None], z / np.where(safe, g_norm, 1.0)[:, None], 0.0)
-    decoded = nearest_amplitude_index(amps, z)
-
-    errors = decoded != idx
-    bit_err = int(pop[gray[idx.ravel()] ^ gray[decoded.ravel()]].sum())
-    tx = np.bincount(idx.ravel(), minlength=L)
-    err = np.bincount(idx.ravel()[errors.ravel()], minlength=L)
-    return nb * nd, int(errors.sum()), bit_err, tx, err
+    return idx.ravel(), dec.decide(h_hat, y).ravel()
 
 
 def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
@@ -293,23 +239,19 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     The early stop is evaluated at block granularity in block-index order, so
     it is as deterministic as the full run.
     """
-    levels = None
-    coherence = 1
-    if isinstance(scenario.decoder, PilotPAM):
-        coherence = scenario.decoder.coherence_slots
-    else:
-        levels = _transmit_levels(scenario)
+    run_block = (
+        _run_pilot_pam_block if isinstance(scenario.decoder, PilotPAM) else _run_noncoherent_block
+    )
+    coherence = scenario.decoder.coherence_slots
     L = scenario.L
-    bits = scenario.bits_per_symbol
     gray = np.array([gray_code(i) for i in range(L)], dtype=np.int64)
-    pop = _popcount_table(bits)
+    pop = _popcount_table(scenario.bits_per_symbol)
 
+    # Blocks and the budget are whole coherence blocks, so every count is too.
     per_block = _symbols_per_block(scenario.n, coherence)
-    total = scenario.symbols
-    if coherence > 1:
-        total = (total // coherence) * coherence
-        if total == 0:
-            raise ValueError("symbol budget is below one coherence block")
+    total = (scenario.symbols // coherence) * coherence
+    if total == 0:
+        raise ValueError("symbol budget is below one coherence block")
 
     symbols = sym_err = bit_err = 0
     tx = np.zeros(L, dtype=np.int64)
@@ -318,22 +260,13 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     block_index = 0
     while consumed < total:
         count = min(per_block, total - consumed)
-        if coherence > 1:
-            count = (count // coherence) * coherence
-            if count == 0:
-                break
-        rng = _block_generator(scenario.seed, block_index)
-        if isinstance(scenario.decoder, PilotPAM):
-            s, e, b, t_c, e_c = _run_pilot_pam_block(scenario, rng, count, gray, pop)
-        else:
-            s, e, b, t_c, e_c = _run_noncoherent_block(
-                scenario, rng, count, levels, gray, pop
-            )
-        symbols += s
-        sym_err += e
-        bit_err += b
-        tx += t_c
-        err += e_c
+        idx, decoded = run_block(scenario, _block_generator(scenario.seed, block_index), count)
+        errors = decoded != idx
+        symbols += idx.size
+        sym_err += int(errors.sum())
+        bit_err += int(pop[gray[idx] ^ gray[decoded]].sum())
+        tx += np.bincount(idx, minlength=L)
+        err += np.bincount(idx[errors], minlength=L)
         consumed += count
         block_index += 1
         if stop_bit_errors is not None and bit_err >= stop_bit_errors:

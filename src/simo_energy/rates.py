@@ -152,7 +152,8 @@ def equalize_boundary(oracle_k, oracle_next, gap: float) -> float:
 
     Returns d_R in (0, gap) with oracle_k.rate_right(d_R) equal to
     oracle_next.rate_left(gap - d_R); the difference is monotone in d_R, so
-    bisection converges to residual below 1e-10.
+    bisection drives it below 1e-12 of the larger exponent, or stops when the
+    bracket is narrower than 1e-16 of the gap.
     """
     if not (gap > 0):
         raise ValueError("gap must be positive")
@@ -160,12 +161,13 @@ def equalize_boundary(oracle_k, oracle_next, gap: float) -> float:
     d = 0.5 * gap
     for _ in range(200):
         d = 0.5 * (lo + hi)
-        diff = oracle_k.rate_right(d) - oracle_next.rate_left(gap - d)
+        right, left = oracle_k.rate_right(d), oracle_next.rate_left(gap - d)
+        diff = right - left
         if diff >= 0:
             hi = d
         else:
             lo = d
-        if math.isfinite(diff) and abs(diff) < 1e-10:
+        if math.isfinite(diff) and abs(diff) <= 1e-12 * max(right, left):
             break
         if (hi - lo) < 1e-16 * gap:
             break

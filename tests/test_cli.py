@@ -69,6 +69,7 @@ class TestDesignCommand:
         assert code == 2
         record = json.loads(out.read_text())
         assert record["feasible"] is False
+        assert record["iterations"] == 71
 
     def test_low_snr_moments_design_is_feasible(self, capsys):
         # t* ~ 2.2e-7 lies below the default design.eps; the command used to

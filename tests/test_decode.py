@@ -11,6 +11,10 @@ from scipy.integrate import quad
 
 from simo_energy.channel import Rician, rayleigh, sample_channel
 from simo_energy.decode import (
+    EnergyMLAsk,
+    EnergyRegions,
+    NoncoherentML,
+    PilotPAM,
     ReceivedBlock,
     coherent_pam_decode,
     energy_decode,
@@ -202,8 +206,12 @@ class TestPilotMmse:
             rng.standard_normal((n, 2)) @ np.array([1.0, 1j])
         )
         y_bar = math.sqrt(p_p) * h + v_bar
-        gain = ch.sigma_h2 * math.sqrt(p_p) / (ch.sigma_h2 * p_p + sigma2 / t_l)
-        h_hat = ch.mu + gain * (y_bar - ch.mu * math.sqrt(p_p))
+        # The estimator the simulator applies to the pilot average.
+        decoder = PilotPAM(
+            pam_constellation(2).amplitudes, ch.mu, ch.sigma_h2, sigma2,
+            coherence_slots=t_l + 1, pilot_slots=t_l, pilot_power=p_p,
+        )
+        h_hat = decoder.estimate(y_bar)
         err = h_hat - h
         var_expected = ch.sigma_h2 * (sigma2 / t_l) / (ch.sigma_h2 * p_p + sigma2 / t_l)
         se = np.abs(err) ** 2
@@ -252,6 +260,51 @@ class TestCoherentPamDecode:
         got = coherent_pam_decode(block, 0, np.zeros(1, dtype=complex), self.AMPS)
         assert got == 1
         assert self.AMPS[got] < 0
+
+
+class TestScalarDecodersAreRowsOfTheDecoders:
+    """The scalar functions and the decoder objects apply the same rules."""
+
+    LEVELS = (0.0, 0.6, 1.6, 3.0)
+    SIGMA2 = 1.0
+
+    @pytest.fixture
+    def blocks(self):
+        rng = np.random.default_rng(9)
+        n, m = 8, 400
+        p = np.asarray(self.LEVELS)[rng.integers(0, 4, size=m)]
+        h = sample_channel(Rician(0.0), n * m, rng).reshape(n, m)
+        noise = rng.standard_normal((n, m, 2)) @ np.array([1.0, 1j])
+        y = h * np.sqrt(p) + math.sqrt(self.SIGMA2 / 2) * noise
+        return ReceivedBlock(y), np.sum(np.abs(y) ** 2, axis=0), np.sum(y.real, axis=0)
+
+    def test_noncoherent_receivers(self, blocks):
+        block, norm2, re_sum = blocks
+        ch, n, s2 = Rician(0.0), block.n, self.SIGMA2
+        regions = Constellation(self.LEVELS, s2, (1.25, 2.0, 3.2))
+        by_regions = EnergyRegions(regions).decide(n, norm2, re_sum)
+        by_ml = NoncoherentML(self.LEVELS, ch.mu, ch.sigma_h2, s2).decide(n, norm2, re_sum)
+        by_ask = EnergyMLAsk(self.LEVELS, ch.mu, ch.sigma_h2, s2, n).decide(n, norm2, re_sum)
+        for j in range(block.T):
+            stat = energy_statistic(block, j)
+            assert by_regions[j] == energy_decode(regions, stat)
+            assert by_ml[j] == ml_noncoherent_rician(
+                block, j, self.LEVELS, ch.mu, ch.sigma_h2, s2
+            )
+            assert by_ask[j] == ml_energy_ask(stat, n, self.LEVELS, ch.mu, ch.sigma_h2, s2)
+        assert len(set(by_ml)) == 4
+
+    def test_pilot_pam(self, blocks):
+        block, _, _ = blocks
+        amps = pam_constellation(4).amplitudes
+        decoder = PilotPAM(amps, 0.0, 1.0, self.SIGMA2, coherence_slots=3, pilot_slots=2)
+        samples = block.samples[:, :30].reshape(block.n, 10, 3).transpose(1, 0, 2)
+        for rows in samples:
+            pilots = ReceivedBlock(rows, pilot_slots=2)
+            h_hat = pilot_mmse_estimate(pilots, 2, 1.0, 0.0, 1.0, self.SIGMA2)
+            np.testing.assert_array_equal(h_hat, decoder.estimate(rows[:, :2].mean(axis=1)))
+            got = decoder.decide(h_hat[None, :], rows[None, :, 2:])
+            assert got[0, 0] == coherent_pam_decode(pilots, 2, h_hat, amps)
 
 
 class TestGrayCode:

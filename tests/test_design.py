@@ -185,9 +185,13 @@ class TestDesignRobust:
         # sigma^2 spanning (0.1, 10) forces p_2 >= 1/0.1 - 0.1 = 9.9 for any
         # positive exponent, beyond the two-level budget 2P = 2.
         box = UncertaintyBox(1.0, 1.0, math.sqrt(0.1), math.sqrt(10.0))
-        out = design_robust(box, DesignConfig(L=2))
+        cfg = DesignConfig(L=2)
+        out = design_robust(box, cfg)
         assert not out.feasible
         assert out.constellation is None
+        # The search probes t = eps and halves it max_doublings times before
+        # giving up; the outcome counts those probes.
+        assert out.iterations == cfg.max_doublings + 1
 
     def test_widening_the_box_never_helps(self):
         cfg = DesignConfig(L=4)

@@ -11,12 +11,19 @@ import numpy as np
 import pytest
 
 from simo_energy.channel import (
+    NakagamiReal,
     Rician,
     rayleigh,
     sigma_from_snr,
     u_second_moment,
 )
-from simo_energy.design import DesignConfig, design_exact, min_distance_constellation
+from simo_energy.design import (
+    DesignConfig,
+    ask_constellation,
+    design_exact,
+    equalized_regions,
+    min_distance_constellation,
+)
 from simo_energy.rates import (
     Constellation,
     QuadraticRateOracle,
@@ -219,6 +226,22 @@ class TestEqualizeBoundary:
         oracle = RateOracle(rayleigh(), 1.0, 0.0)
         with pytest.raises(ValueError):
             equalize_boundary(oracle, oracle, 0.0)
+
+    @pytest.mark.parametrize(
+        "channel", [rayleigh(), Rician(10.0), NakagamiReal(2.0)],
+        ids=["rayleigh", "rician10dB", "nakagami2"],
+    )
+    @pytest.mark.parametrize("snr_db", [-20.0, -10.0, 10.0, 50.0])
+    def test_exponents_equal_relative_to_their_size(self, channel, snr_db):
+        # At low SNR the exponents are ~1e-6, so an absolute stop on the
+        # difference left them unequal by up to 8.6e-4 relative.
+        sigma2 = sigma_from_snr(snr_db)
+        con = equalized_regions(ask_constellation(16).levels, channel, sigma2)
+        for k, c in enumerate(con.boundaries):
+            p, q = con.levels[k], con.levels[k + 1]
+            right = RateOracle(channel, sigma2, p).rate_right(c - p - sigma2)
+            left = RateOracle(channel, sigma2, q).rate_left(q + sigma2 - c)
+            assert right == pytest.approx(left, rel=1e-9)
 
 
 class TestConstellationType:
