@@ -43,10 +43,6 @@ class DivergentMgfError(ValueError):
         self.theta_max = theta_max
 
 
-def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
-
-
 def sigma_from_snr(gamma_db: float) -> float:
     """Noise power for a given per-antenna SNR in dB (unit channel second moment)."""
     if not math.isfinite(gamma_db):

@@ -7,9 +7,12 @@ mismatch studies are run.  All tie-breaks go to the smaller index so that
 decoding is deterministic.
 
 Each decision rule is written once, vectorised over symbols (region_index,
-noncoherent_ml_index, energy_ml_index, mmse_estimate, pam_index).  The
-decoder objects apply them to the simulator's arrays, and the scalar
-functions (energy_decode, ml_noncoherent_rician, ...) apply them to one row.
+noncoherent_ml_index, energy_ml_index, mmse_estimate, and pam_projection
+followed by nearest_amplitude_index).  The decoder objects apply them to the
+simulator's arrays, and the scalar functions (energy_decode,
+ml_noncoherent_rician, ...) apply them to one row.  PilotPAM decides from
+the projection alone (decide_projection), so a simulator that draws the
+projection directly needs no channel estimate.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2, ncx2
+from scipy.special import ive
+from scipy.stats import chi2
 
 from .rates import Constellation
 
@@ -159,8 +163,12 @@ class PilotPAM:
         a = math.sqrt(self.pilot_power)
         return mmse_estimate(y_bar, a, self.mu, self.sigma_h2, self.sigma2, self.pilot_slots)
 
+    def decide_projection(self, z) -> np.ndarray:
+        """Amplitude index of each projection z = Re(h_hat^H y) / ||h_hat||^2."""
+        return nearest_amplitude_index(self.amplitudes, z)
+
     def decide(self, h_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return pam_index(self.amplitudes, h_hat, y)
+        return self.decide_projection(pam_projection(h_hat, y))
 
 
 def _check_levels_and_noise(levels, sigma2):
@@ -235,6 +243,69 @@ def ml_noncoherent_rician(
     return int(noncoherent_ml_index(levels, mu, sigma_h2, sigma2, block.n, norm2, re_sum)[0])
 
 
+_LOG_TINY = math.log(np.finfo(float).tiny)  # below this ive is subnormal or zero
+
+# Debye's polynomials u_k(p) = p^k * P_k(p^2) for k = 1..4, as coefficients
+# of P_k in increasing powers of p^2 over a common denominator.
+_DEBYE_TERMS = (
+    ((3, -5), 24),
+    ((81, -462, 385), 1152),
+    ((30375, -369603, 765765, -425425), 414720),
+    ((4465125, -94121676, 349922430, -446185740, 185910725), 39813120),
+)
+
+
+def _log_ive(nu: float, z: np.ndarray) -> np.ndarray:
+    """log(I_nu(z) * exp(-z)) for nu >= 0 and z >= 0.
+
+    scipy's ive covers most of the plane, but it returns NaN once z passes
+    about 2**30 and underflows where nu is large and z small.  There the
+    Debye uniform expansion takes over: with r = sqrt(nu^2 + z^2) and
+    q = (nu/r)^2,
+
+        I_nu(z) ~ exp(r) (z/(nu + r))^nu / sqrt(2 pi r) * (1 + sum_k P_k(q) / r^k).
+
+    The leading term alone is off by about 1/(8r) relative, which is 7e-4
+    where ive first underflows (nu near 120); with the four correction
+    terms the error there is at rounding level, under 1e-12 absolute
+    against 50-digit mpmath.  r - z is written as nu^2/(r + z), free of
+    cancellation.
+    """
+    with np.errstate(divide="ignore", under="ignore"):
+        out = np.log(ive(nu, z))
+    debye = ~(out > _LOG_TINY)
+    zd = z[debye]
+    r = np.hypot(nu, zd)
+    q = (nu / r) ** 2
+    series = np.ones_like(r)
+    for k, (coefs, denom) in enumerate(_DEBYE_TERMS, start=1):
+        series += np.polynomial.polynomial.polyval(q, coefs) / denom / r**k
+    with np.errstate(divide="ignore"):
+        out[debye] = (
+            nu * nu / (r + zd) + nu * np.log(zd / (nu + r))
+            - 0.5 * np.log(2.0 * np.pi * r) + np.log(series)
+        )
+    return out
+
+
+def _ncx2_logpdf(x: np.ndarray, df: int, nc: float) -> np.ndarray:
+    """Noncentral chi-square log-density, finite at any noncentrality.
+
+    With nu = df/2 - 1 the density is
+    exp(-(x + nc)/2) * (x/nc)^(nu/2) * I_nu(sqrt(nc*x)) / 2, and
+    I_nu(z) = exp(z) * ive(nu, z) turns the exponent into -d^2/2 with
+    d = sqrt(x) - sqrt(nc), computed as (x - nc)/(sqrt(x) + sqrt(nc)).
+    """
+    nu = 0.5 * df - 1.0
+    d = (x - nc) / (np.sqrt(x) + math.sqrt(nc))
+    out = -0.5 * d * d - math.log(2.0)
+    out += _log_ive(nu, np.sqrt(nc * x))
+    if nu > 0.0:
+        with np.errstate(divide="ignore"):
+            out += 0.5 * nu * np.log(x / nc)
+    return out
+
+
 def energy_ml_logpdf(
     stat: np.ndarray,
     n: int,
@@ -247,7 +318,9 @@ def energy_ml_logpdf(
 
     Conditioned on level p the scaled statistic 2n*stat/s^2 with
     s^2 = sigma_h2*p + sigma2 is noncentral chi-square with 2n degrees of
-    freedom and noncentrality 2n*mu^2*p/s^2 (central when mu^2*p = 0).
+    freedom and noncentrality 2n*mu^2*p/s^2 (central when mu^2*p = 0).  The
+    noncentral density is evaluated in log space, so it stays finite when a
+    receiver assumes tiny noise and the noncentrality is huge.
     """
     levels = np.asarray(levels, dtype=float)
     stat = np.atleast_1d(np.asarray(stat, dtype=float))
@@ -257,7 +330,7 @@ def energy_ml_logpdf(
     for j, p in enumerate(levels):
         nc = 2.0 * n * mu * mu * p / s2[j]
         if nc > 0.0:
-            out[:, j] = ncx2.logpdf(w[:, j], 2 * n, nc)
+            out[:, j] = _ncx2_logpdf(w[:, j], 2 * n, nc)
         else:
             out[:, j] = chi2.logpdf(w[:, j], 2 * n)
         out[:, j] += math.log(2.0 * n / s2[j])
@@ -328,11 +401,6 @@ def nearest_amplitude_index(amplitudes: np.ndarray, z) -> np.ndarray:
     return np.searchsorted(midpoints, z, side="left")
 
 
-def pam_index(amplitudes, h_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coherent PAM amplitude index per column of y: the projection, then the nearest amplitude."""
-    return nearest_amplitude_index(amplitudes, pam_projection(h_hat, y))
-
-
 def coherent_pam_decode(
     block: ReceivedBlock,
     column: int,
@@ -340,7 +408,8 @@ def coherent_pam_decode(
     amplitudes: Sequence[float],
 ) -> int:
     """argmin over amplitudes a of ||y - h_hat*a||^2, via the scalar projection."""
-    return int(pam_index(amplitudes, np.asarray(h_hat), block.samples[:, column:column + 1])[0])
+    z = pam_projection(np.asarray(h_hat), block.samples[:, column:column + 1])
+    return int(nearest_amplitude_index(amplitudes, z)[0])
 
 
 def gray_code(index: int) -> int:

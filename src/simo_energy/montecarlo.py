@@ -7,19 +7,31 @@ rerun with the same seed reproduces the counts bit for bit.
 
 Each block passes through three layers, each written once:
 
-- sampler: the transmitted symbol indices and what the receiver observes.
-  Noncoherent schemes see a fresh channel every symbol and decide from the
-  sufficient statistics (||y||^2, Re sum_i y_i) alone, so two samplers
-  produce them.  Under Rician fading (Rayleigh included) every antenna
-  sample is CN(mu*sqrt(p), s) with s = sigma_h2*p + sigma2, and the
-  statistics are drawn directly: ||y||^2 as one Gamma or scaled noncentral
-  chi-square variate, or, for noncoherent ML, sum_i y_i as one complex
-  Gaussian plus an independent (s/2)*chi^2_{2n-2} remainder.  Every other
-  channel (Nakagami) draws all n antenna samples and sums them.  The
-  pilot-based PAM scheme draws one channel per coherence block and keeps
-  per-antenna samples throughout.
-- decoder: the decoder object's own rule from `decode` (`decide`, plus
-  `estimate` for the pilot MMSE channel estimate).
+- sampler: the transmitted symbol indices and the receiver's decision
+  statistics.  Which sampler runs depends on the (true channel, scheme)
+  pair:
+
+  ====================  ==========================  ============================
+  true channel          energy regions, ASK-ML,     noncoherent ML
+                        histogram: ||y||^2          (||y||^2, Re sum_i y_i)
+  ====================  ==========================  ============================
+  Rician (Rayleigh,     one Gamma or scaled         sum_i y_i as one complex
+  K = +inf included)    noncentral chi^2 draw       Gaussian, plus a Gamma
+                                                    remainder for ||y||^2
+  Nakagami              G = sum_i |h_i|^2 as one    every antenna sample
+                        Gamma draw, then one
+                        scaled noncentral chi^2
+  ====================  ==========================  ============================
+
+  Pilot-based PAM decides from the per-slot projection
+  z = Re(h_hat^H y) / ||h_hat||^2.  Under Rician fading (h_i, h_hat_i) is
+  jointly Gaussian, so each coherence block draws sum_i h_hat_i and
+  ||h_hat||^2 (fixed when the estimate is deterministic), then
+  Re(h_hat^H h) given them, and each data slot draws one Gaussian.  Under Nakagami fading the pilot block draws
+  every antenna sample of the channel, the pilot average and the data.
+  The per-antenna paths also serve the tests as the reference.
+- decoder: the decoder object's own rule from `decode` (`decide`, or
+  `decide_projection` for pilot PAM).
 - counts: `_accumulate` turns (sent, decoded) index pairs into symbol
   errors, Gray-coded bit errors and per-level counts.
 """
@@ -33,8 +45,22 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .channel import ChannelSpec, MomentsOnly, NotSamplableError, Rician, sample_channel
-from .decode import EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM, gray_code
+from .channel import (
+    ChannelSpec,
+    MomentsOnly,
+    NakagamiReal,
+    NotSamplableError,
+    Rician,
+    sample_channel,
+)
+from .decode import (
+    EnergyMLAsk,
+    EnergyRegions,
+    NoncoherentML,
+    PilotPAM,
+    gray_code,
+    pam_projection,
+)
 from .rates import Constellation
 
 _BLOCK_DRAWS = 1 << 18  # target number of antenna draws per logical rng block
@@ -163,6 +189,21 @@ def _antenna_stats(channel, sigma2, p, n, rng, with_sum):
     return norm2, np.sum(y.real, axis=1) if with_sum else None
 
 
+def _gaussian_sums(mean, var, n, rng, count):
+    """(||x||^2, Re sum_i x_i) of `count` vectors of n i.i.d. CN(mean, var) entries.
+
+    The sum is one complex Gaussian draw and ||x||^2 is |sum|^2/n plus an
+    independent var*Gamma(n - 1) remainder.
+    """
+    scale = np.sqrt(n * var / 2.0)
+    g = rng.standard_normal((count, 2))
+    re_sum = n * mean + scale * g[:, 0]
+    norm2 = (re_sum**2 + (scale * g[:, 1]) ** 2) / n
+    if n > 1:
+        norm2 += rng.gamma(n - 1, var, size=count)
+    return norm2, re_sum
+
+
 def _rician_stats(channel: Rician, sigma2, p, n, rng, with_sum):
     s = channel.sigma_h2 * p + sigma2
     amp = channel.mu * np.sqrt(p)
@@ -170,12 +211,7 @@ def _rician_stats(channel: Rician, sigma2, p, n, rng, with_sum):
     # those symbols get the exact values below and must not divide by s.
     live = s > 0.0
     if with_sum:
-        scale = np.sqrt(n * s / 2.0)
-        g = rng.standard_normal((len(p), 2))
-        re_sum = n * amp + scale * g[:, 0]
-        norm2 = (re_sum**2 + (scale * g[:, 1]) ** 2) / n
-        if n > 1:
-            norm2 += rng.gamma(n - 1, s)
+        norm2, re_sum = _gaussian_sums(amp, s, n, rng, len(p))
         re_sum = np.where(live, re_sum, n * amp)
     elif channel.mu == 0.0:
         norm2 = rng.gamma(n, s)
@@ -186,15 +222,106 @@ def _rician_stats(channel: Rician, sigma2, p, n, rng, with_sum):
     return norm2, re_sum if with_sum else None
 
 
+def _nakagami_stats(channel: NakagamiReal, sigma2, p, n, rng, with_sum):
+    # Given the channel energy G = sum_i |h_i|^2 ~ Gamma(n*m, omega/m),
+    # ||y||^2 is (sigma2/2) * chi'^2(2n, 2pG/sigma2), and exactly pG without noise.
+    gain = rng.gamma(n * channel.m, channel.omega / channel.m, size=len(p))
+    if sigma2 == 0.0:
+        return p * gain, None
+    return 0.5 * sigma2 * rng.noncentral_chisquare(2 * n, 2.0 * p * gain / sigma2), None
+
+
 def _sample_stats(channel, sigma2, p, n, rng, with_sum):
     """Per-symbol (||y||^2, Re sum_i y_i) of y = h*sqrt(p) + noise over n antennas.
 
     `p` is a float array holding one power level per symbol.  The sum is drawn only when
-    `with_sum` is set (otherwise None); Rician channels take the direct
-    sufficient-statistic sampler, every other channel the per-antenna one.
+    `with_sum` is set (otherwise None).  Rician channels draw both statistics
+    directly, Nakagami channels draw ||y||^2 directly, and only the Nakagami
+    sum falls back to per-antenna draws.
     """
-    sampler = _rician_stats if isinstance(channel, Rician) else _antenna_stats
+    if isinstance(channel, Rician):
+        sampler = _rician_stats
+    elif with_sum:
+        sampler = _antenna_stats
+    else:
+        sampler = _nakagami_stats
     return sampler(channel, sigma2, p, n, rng, with_sum)
+
+
+def _antenna_pilot(channel, sigma2, dec: PilotPAM, n, nb, rng):
+    """Amplitude indices and projections of the data slots of nb coherence blocks, from
+    per-antenna draws of the channel, the pilot average and the data samples."""
+    T, T_l = dec.coherence_slots, dec.pilot_slots
+    amps = np.asarray(dec.amplitudes, dtype=float)
+    h = sample_channel(channel, nb * n, rng).reshape(nb, n)
+    if T_l >= 1:
+        # The pilot average over T_l slots is Gaussian with variance
+        # sigma2/T_l; draw it directly.
+        v_bar = _complex_normal(rng, (nb, n), math.sqrt(sigma2 / (2.0 * T_l)))
+        h_hat = dec.estimate(math.sqrt(dec.pilot_power) * h + v_bar)
+    else:
+        # Without pilots the MMSE estimate is the prior mean.
+        h_hat = np.full((nb, n), dec.mu, dtype=np.complex128)
+
+    idx = rng.integers(0, len(amps), size=(nb, T - T_l))
+    v = _complex_normal(rng, (nb, n, T - T_l), math.sqrt(sigma2 / 2.0))
+    y = h[:, :, None] * amps[idx][:, None, :] + v
+    return idx, pam_projection(h_hat, y)
+
+
+def _rician_pilot(channel: Rician, sigma2, dec: PilotPAM, n, nb, rng):
+    """What _antenna_pilot returns, drawn from a few sufficient statistics per block.
+
+    The estimate is affine in the pilot average, h_hat = c + g*(a*h + v_bar),
+    so per antenna (h, h_hat) is jointly complex Gaussian and
+    h = alpha*h_hat + beta + e with e ~ CN(0, e_var) independent of h_hat.
+    Then Re(h_hat^H h) = alpha*||h_hat||^2 + beta*Re(sum h_hat) + Re(h_hat^H e),
+    the last term being N(0, ||h_hat||^2 * e_var / 2) given h_hat, and the
+    data noise adds N(0, sigma2 / (2*||h_hat||^2)) to each slot's projection.
+    """
+    T, T_l = dec.coherence_slots, dec.pilot_slots
+    amps = np.asarray(dec.amplitudes, dtype=float)
+    a = math.sqrt(dec.pilot_power)
+    if T_l >= 1:
+        c = dec.estimate(0.0)
+        g = dec.estimate(1.0) - c
+        pilot_noise = sigma2 / T_l
+    else:
+        # Without pilots the MMSE estimate is the prior mean.
+        c, g, pilot_noise = dec.mu, 0.0, 0.0
+    hat_mean = c + g * a * channel.mu
+    hat_var = g * g * (a * a * channel.sigma_h2 + pilot_noise)
+    cov = g * a * channel.sigma_h2  # Cov(h_i, h_hat_i), real
+    alpha = cov / hat_var if hat_var > 0.0 else 0.0
+    beta = channel.mu - alpha * hat_mean
+    e_var = max(channel.sigma_h2 - alpha * cov, 0.0)
+
+    if hat_var > 0.0:
+        hat_norm2, hat_re_sum = _gaussian_sums(hat_mean, hat_var, n, rng, nb)
+    else:
+        # A deterministic estimate: every antenna holds hat_mean.
+        hat_norm2 = np.full(nb, n * hat_mean * hat_mean)
+        hat_re_sum = np.full(nb, n * hat_mean)
+    cross = alpha * hat_norm2 + beta * hat_re_sum
+    cross += np.sqrt(hat_norm2 * e_var / 2.0) * rng.standard_normal(nb)
+
+    idx = rng.integers(0, len(amps), size=(nb, T - T_l))
+    # A null estimate (||h_hat|| = 0) projects every slot to 0.
+    live = hat_norm2 > 0.0
+    safe = np.where(live, hat_norm2, 1.0)
+    z = amps[idx] * (cross / safe)[:, None]
+    z += np.sqrt(sigma2 / (2.0 * safe))[:, None] * rng.standard_normal((nb, T - T_l))
+    return idx, np.where(live[:, None], z, 0.0)
+
+
+def _pilot_projections(channel, sigma2, dec: PilotPAM, n, nb, rng):
+    """(sent amplitude indices, projections Re(h_hat^H y)/||h_hat||^2), each nb x (T - T_l).
+
+    Rician channels draw the projections from per-block sufficient
+    statistics; other channels draw every antenna.
+    """
+    sampler = _rician_pilot if isinstance(channel, Rician) else _antenna_pilot
+    return sampler(channel, sigma2, dec, n, nb, rng)
 
 
 def _run_noncoherent_block(scenario: SimScenario, rng, count: int):
@@ -212,25 +339,11 @@ def _run_noncoherent_block(scenario: SimScenario, rng, count: int):
 def _run_pilot_pam_block(scenario: SimScenario, rng, count: int):
     """(sent, decoded) amplitude indices of the data slots of count // T coherence blocks."""
     dec: PilotPAM = scenario.decoder
-    n = scenario.n
-    T, T_l = dec.coherence_slots, dec.pilot_slots
-    nb = count // T
-    amps = np.asarray(dec.amplitudes, dtype=float)
-
-    h = sample_channel(scenario.true_channel, nb * n, rng).reshape(nb, n)
-    if T_l >= 1:
-        # The pilot average over T_l slots is Gaussian with variance
-        # sigma2/T_l; draw it directly.
-        v_bar = _complex_normal(rng, (nb, n), math.sqrt(scenario.true_sigma2 / (2.0 * T_l)))
-        h_hat = dec.estimate(math.sqrt(dec.pilot_power) * h + v_bar)
-    else:
-        # Without pilots the MMSE estimate is the prior mean.
-        h_hat = np.full((nb, n), dec.mu, dtype=np.complex128)
-
-    idx = rng.integers(0, len(amps), size=(nb, T - T_l))
-    v = _complex_normal(rng, (nb, n, T - T_l), math.sqrt(scenario.true_sigma2 / 2.0))
-    y = h[:, :, None] * amps[idx][:, None, :] + v
-    return idx.ravel(), dec.decide(h_hat, y).ravel()
+    idx, z = _pilot_projections(
+        scenario.true_channel, scenario.true_sigma2, dec, scenario.n,
+        count // dec.coherence_slots, rng,
+    )
+    return idx.ravel(), dec.decide_projection(z).ravel()
 
 
 def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):

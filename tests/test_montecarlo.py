@@ -100,20 +100,27 @@ class TestDeterminism:
 class TestSimulate:
     @pytest.mark.parametrize("sigma2", [1e-9, 0.0])
     @pytest.mark.parametrize(
-        "scheme,n",
-        [("energy", 4), ("noncoherent_ml", 4), ("ask_energy_ml", 4), ("noncoherent_ml", 1)],
+        "scheme,n,assumed",
+        [
+            pytest.param("energy", 4, None, id="energy-4"),
+            pytest.param("noncoherent_ml", 4, 1e-3, id="noncoherent_ml-4"),
+            pytest.param("ask_energy_ml", 4, 1e-3, id="ask_energy_ml-4"),
+            pytest.param("noncoherent_ml", 1, 1e-3, id="noncoherent_ml-1"),
+            pytest.param("ask_energy_ml", 1, 1e-9, id="ask_energy_ml-1-assumed1e-09"),
+            pytest.param("ask_energy_ml", 8, 1e-9, id="ask_energy_ml-8-assumed1e-09"),
+        ],
     )
-    def test_noiseless_deterministic_channel(self, scheme, n, sigma2):
+    def test_noiseless_deterministic_channel(self, scheme, n, assumed, sigma2):
         # With K = +inf the per-antenna variance is sigma2 alone, so sigma2 = 0
-        # leaves the sampler nothing random to draw.  The ML receivers assume
-        # noise 1e-3: scipy's ncx2 density underflows at the noncentrality
-        # 2n*p/1e-9 that an assumed 1e-9 would give.
+        # leaves the sampler nothing random to draw.  An ASK-ML receiver that
+        # assumes noise 1e-9 sees a noncentrality near 2n*p/1e-9, where the
+        # noncentral chi-square density must stay finite.
         con = min_distance_constellation(4, 1e-9)
         decoder = {
-            "energy": EnergyRegions(con),
-            "noncoherent_ml": NoncoherentML(con.levels, 1.0, 0.0, 1e-3),
-            "ask_energy_ml": EnergyMLAsk(con.levels, 1.0, 0.0, 1e-3, n=n),
-        }[scheme]
+            "energy": lambda: EnergyRegions(con),
+            "noncoherent_ml": lambda: NoncoherentML(con.levels, 1.0, 0.0, assumed),
+            "ask_energy_ml": lambda: EnergyMLAsk(con.levels, 1.0, 0.0, assumed, n=n),
+        }[scheme]()
         scen = SimScenario(Rician(math.inf), sigma2, decoder, n=n, symbols=2000, seed=11)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -355,12 +362,111 @@ class TestSufficientStatisticSampler:
         assert np.array_equal(by_regions, by_ml)
 
 
+NAKAGAMI_MS = [0.6, 1.8, 5.0]
+
+
+class TestNakagamiEnergySampler:
+    """The direct Nakagami ||y||^2 sampler against the per-antenna reference path."""
+
+    @pytest.mark.parametrize("m", NAKAGAMI_MS)
+    @pytest.mark.parametrize("n", [1, 16, 400])
+    def test_energy_matches_per_antenna_draws(self, m, n):
+        channel = NakagamiReal(m)
+        p = np.full(3000, 1.5)
+        for seed in range(3):
+            direct, _ = montecarlo._sample_stats(
+                channel, SIGMA2_0DB, p, n, montecarlo._block_generator(seed, 0), False
+            )
+            reference, _ = montecarlo._antenna_stats(
+                channel, SIGMA2_0DB, p, n, montecarlo._block_generator(seed, 1), False
+            )
+            assert ks_2samp(direct, reference).pvalue > 1e-3, seed
+
+    @pytest.mark.parametrize("m", NAKAGAMI_MS)
+    @pytest.mark.parametrize("n", [1, 16, 400])
+    def test_moments_match_theory(self, m, n):
+        channel, trials, p = NakagamiReal(m), 40_000, 1.5
+        norm2, _ = montecarlo._sample_stats(
+            channel, SIGMA2_0DB, np.full(trials, p), n, montecarlo._block_generator(7, 0), False
+        )
+        stat = norm2 / n
+        u2 = u_second_moment(channel, SIGMA2_0DB, p)
+        assert abs(stat.mean() - (p + SIGMA2_0DB)) < 5 * math.sqrt(u2 / (n * trials))
+        assert stat.var(ddof=1) == pytest.approx(u2 / n, rel=0.1)
+
+    @pytest.mark.parametrize("n", [1, 16, 400])
+    def test_noiseless_energy_is_exactly_p_times_channel_energy(self, n):
+        channel = NakagamiReal(1.8)
+        p = np.array([0.0, 0.6, 1.6, 3.0] * 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norm2, _ = montecarlo._sample_stats(
+                channel, 0.0, p, n, montecarlo._block_generator(3, 0), False
+            )
+        gain = montecarlo._block_generator(3, 0).gamma(n * 1.8, 1.0 / 1.8, size=len(p))
+        assert np.array_equal(norm2, p * gain)
+
+
+AMPS = (-0.9, -0.3, 0.3, 0.9)
+PILOT_CELLS = {
+    # name: (true channel, true sigma2, decoder, n)
+    "rayleigh-T2-Tl1": (rayleigh(), 1.0, PilotPAM(AMPS, 0.0, 1.0, 1.0, 2, 1), 4),
+    "rician0dB-T4-Tl0": (
+        Rician(0.0), 1.0,
+        PilotPAM(AMPS, Rician(0.0).mu, Rician(0.0).sigma_h2, 1.0, 4, 0), 4,
+    ),
+    "rician3dB-assumed-rayleigh-pilot2": (
+        Rician(3.0), 0.3, PilotPAM(AMPS, 0.0, 1.0, 0.3, 3, 1, pilot_power=2.0), 8,
+    ),
+    "K-inf": (Rician(math.inf), 1.0, PilotPAM(AMPS, 0.0, 1.0, 1.0, 2, 1), 4),
+    "rayleigh-n64": (rayleigh(), 4.0, PilotPAM(AMPS, 0.0, 1.0, 4.0, 3, 1), 64),
+}
+
+
+class TestPilotProjectionSampler:
+    """The direct Rician pilot-PAM sampler against the per-antenna reference block."""
+
+    @pytest.mark.parametrize("name", list(PILOT_CELLS))
+    def test_ser_matches_per_antenna_draws(self, name, monkeypatch):
+        channel, sigma2, decoder, n = PILOT_CELLS[name]
+        scen = SimScenario(channel, sigma2, decoder, n=n, symbols=30_000, seed=23)
+        direct = simulate(scen)
+        monkeypatch.setattr(montecarlo, "_pilot_projections", montecarlo._antenna_pilot)
+        reference = simulate(scen)
+        assert direct.symbol_errors > 100 and reference.symbol_errors > 100
+        # Slots of one coherence block share the channel and its estimate, so
+        # their errors are correlated; T - T_l bounds the variance inflation.
+        pooled = (direct.symbol_errors + reference.symbol_errors) / (
+            direct.symbols + reference.symbols
+        )
+        slots = decoder.coherence_slots - decoder.pilot_slots
+        se = math.sqrt(
+            pooled * (1 - pooled) * slots * (1 / direct.symbols + 1 / reference.symbols)
+        )
+        assert abs(direct.ser - reference.ser) < 4 * se
+
+    @pytest.mark.parametrize("sampler", ["direct", "per_antenna"])
+    def test_null_estimate_decodes_every_slot_as_z_zero(self, sampler, monkeypatch):
+        # mu = 0 without pilots makes the estimate the zero vector, so every
+        # projection is 0 and every slot decodes to the amplitude nearest 0.
+        if sampler == "per_antenna":
+            monkeypatch.setattr(montecarlo, "_pilot_projections", montecarlo._antenna_pilot)
+        decoder = PilotPAM(AMPS, 0.0, 1.0, 1.0, coherence_slots=2, pilot_slots=0)
+        scen = SimScenario(rayleigh(), 1.0, decoder, n=8, symbols=2000, seed=4)
+        k0 = int(decoder.decide_projection(0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = simulate(scen)
+        expected = tuple(0 if k == k0 else c for k, c in enumerate(rep.tx_counts))
+        assert rep.err_counts == expected
+
+
 class _PerAntennaCalled(RuntimeError):
     pass
 
 
 class TestPerAntennaPathStaysOff:
-    """Rician simulation must not fall back to drawing every antenna."""
+    """Only Nakagami noncoherent ML and Nakagami pilot PAM draw every antenna."""
 
     @pytest.fixture
     def no_antenna_draws(self, monkeypatch):
@@ -385,13 +491,42 @@ class TestPerAntennaPathStaysOff:
         result = histogram(con, channel, SIGMA2_0DB, n=8, trials=500, bins=20, seed=1)
         assert len(result.counts) == 4
 
-    def test_nakagami_still_draws_antennas(self, no_antenna_draws):
+    @pytest.mark.parametrize("scheme", ["energy", "ask_energy_ml"])
+    def test_nakagami_energy_runs_without_antenna_draws(self, scheme, no_antenna_draws):
+        channel = NakagamiReal(2.0)
         con = min_distance_constellation(4, SIGMA2_0DB)
-        scen = energy_scenario(con, n=8, symbols=2000, channel=NakagamiReal(2.0))
-        with pytest.raises(_PerAntennaCalled):
-            simulate(scen)
-        with pytest.raises(_PerAntennaCalled):
-            histogram(con, NakagamiReal(2.0), SIGMA2_0DB, n=8, trials=500, bins=20)
+        scen = SimScenario(
+            channel, SIGMA2_0DB, _decoder(scheme, channel, con, 8), n=8, symbols=2000, seed=1
+        )
+        assert simulate(scen).symbols == 2000
+        assert min_antennas(scen, 0.2, 64) is not None
+        result = histogram(con, channel, SIGMA2_0DB, n=8, trials=500, bins=20, seed=1)
+        assert len(result.counts) == 4
+
+    @pytest.mark.parametrize("channel", RICIAN_CHANNELS, ids=["rayleigh", "rician0dB"])
+    @pytest.mark.parametrize("pilot_slots", [0, 1])
+    def test_rician_pilot_pam_runs_without_antenna_draws(
+        self, channel, pilot_slots, no_antenna_draws
+    ):
+        decoder = PilotPAM(AMPS, channel.mu, channel.sigma_h2, SIGMA2_0DB, 4, pilot_slots)
+        scen = SimScenario(channel, SIGMA2_0DB, decoder, n=8, symbols=2000, seed=1)
+        assert simulate(scen).symbols == 2000 // 4 * (4 - pilot_slots)
+        min_antennas(scen, 0.2, 64)
+
+    def test_nakagami_still_draws_antennas(self, no_antenna_draws):
+        channel = NakagamiReal(2.0)
+        con = min_distance_constellation(4, SIGMA2_0DB)
+        ml = SimScenario(
+            channel, SIGMA2_0DB, _decoder("noncoherent_ml", channel, con, 8),
+            n=8, symbols=2000, seed=1,
+        )
+        pilot = SimScenario(
+            channel, SIGMA2_0DB, PilotPAM(AMPS, channel.mu, channel.sigma_h2, SIGMA2_0DB, 2, 1),
+            n=8, symbols=2000, seed=1,
+        )
+        for scen in (ml, pilot):
+            with pytest.raises(_PerAntennaCalled):
+                simulate(scen)
 
 
 class TestStreamIsPinned:
@@ -406,29 +541,36 @@ class TestStreamIsPinned:
     REGIONS = Constellation(LEVELS, 1.0, (1.25, 2.0, 3.2))
     AMPS = (-0.9, -0.3, 0.3, 0.9)
     RICIAN = Rician(0.0)
+    NAKAGAMI = NakagamiReal(2.0)
     # (symbol_errors, bit_errors, tx_counts, err_counts)
     PINNED = {
         "rayleigh-energy": (1170, 1265, (773, 748, 756, 723), (170, 377, 390, 233)),
         "rician0dB-noncoherent-ml": (949, 994, (773, 748, 756, 723), (81, 262, 391, 215)),
         "rayleigh-ask-energy-ml": (1164, 1261, (773, 748, 756, 723), (169, 368, 394, 233)),
-        "nakagami-energy": (1117, 1177, (773, 748, 756, 723), (187, 373, 358, 199)),
-        "pilot-pam-T2-Tl1": (913, 1033, (530, 497, 497, 476), (166, 295, 290, 162)),
-        "pilot-pam-T4-Tl0": (1737, 1930, (990, 1027, 1009, 974), (313, 547, 582, 295)),
+        "nakagami-energy": (1066, 1123, (773, 748, 756, 723), (153, 366, 340, 207)),
+        "nakagami-noncoherent-ml": (782, 803, (773, 748, 756, 723), (67, 191, 336, 188)),
+        "pilot-pam-T2-Tl1": (884, 1021, (525, 508, 482, 485), (164, 286, 266, 168)),
+        "pilot-pam-T4-Tl0": (1630, 1826, (1008, 952, 980, 1060), (283, 515, 532, 300)),
+        "nakagami-pilot-pam": (637, 656, (534, 500, 492, 474), (108, 235, 202, 92)),
     }
 
     def scenario(self, name):
-        ric = self.RICIAN
-        if name.startswith("pilot"):
-            if name.endswith("Tl1"):
-                decoder = PilotPAM(self.AMPS, 0.0, 1.0, 1.0, coherence_slots=2, pilot_slots=1)
-                return SimScenario(rayleigh(), 1.0, decoder, 4, 4000, 5)
+        ric, nak = self.RICIAN, self.NAKAGAMI
+        if name.endswith("Tl1"):
+            decoder = PilotPAM(self.AMPS, 0.0, 1.0, 1.0, coherence_slots=2, pilot_slots=1)
+            return SimScenario(rayleigh(), 1.0, decoder, 4, 4000, 5)
+        if name.endswith("Tl0"):
             decoder = PilotPAM(self.AMPS, ric.mu, ric.sigma_h2, 1.0, coherence_slots=4, pilot_slots=0)
             return SimScenario(ric, 1.0, decoder, 4, 4000, 5)
+        if name == "nakagami-pilot-pam":
+            decoder = PilotPAM(self.AMPS, nak.mu, nak.sigma_h2, 1.0, coherence_slots=2, pilot_slots=1)
+            return SimScenario(nak, 1.0, decoder, 4, 4000, 5)
         channel, decoder = {
             "rayleigh-energy": (rayleigh(), EnergyRegions(self.REGIONS)),
             "rician0dB-noncoherent-ml": (ric, NoncoherentML(self.LEVELS, ric.mu, ric.sigma_h2, 1.0)),
             "rayleigh-ask-energy-ml": (rayleigh(), EnergyMLAsk(self.LEVELS, 0.0, 1.0, 1.0, 8)),
-            "nakagami-energy": (NakagamiReal(2.0), EnergyRegions(self.REGIONS)),
+            "nakagami-energy": (nak, EnergyRegions(self.REGIONS)),
+            "nakagami-noncoherent-ml": (nak, NoncoherentML(self.LEVELS, nak.mu, nak.sigma_h2, 1.0)),
         }[name]
         return SimScenario(channel, 1.0, decoder, 8, 3000, 5)
 

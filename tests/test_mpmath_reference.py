@@ -6,6 +6,8 @@ fading, and the Gamma law of |h|^2 (with the noise integrated out
 conditionally) under Nakagami fading.  The exponent reference finds the
 stationary point of theta*v - Lambda(theta) with mpmath.findroot on a
 numerically differentiated 50-digit Lambda, and takes the supremum there.
+The energy-ML density is checked against the Bessel form of the noncentral
+chi-square density, with mpmath.besseli.
 """
 
 import math
@@ -20,6 +22,7 @@ from simo_energy.channel import (
     saddle_point_energy,
     theta_max_energy,
 )
+from simo_energy.decode import energy_ml_logpdf
 from simo_energy.rates import RateOracle
 
 mpmath = pytest.importorskip("mpmath")
@@ -183,3 +186,37 @@ def test_left_rate_infinite_at_the_floor():
     oracle = RateOracle(NakagamiReal(0.6), 0.1, 0.7)
     assert oracle.rate_left(oracle.r) == math.inf
     assert math.isfinite(oracle.rate_left(oracle.r * (1 - 1e-12)))
+
+
+def _ncx2_logpdf_mp(w, df, nc):
+    """Noncentral chi-square log-density from its Bessel-function form."""
+    nu = mpf(df) / 2 - 1
+    return (
+        -mpmath.log(2) - (w + nc) / 2 + nu / 2 * mpmath.log(w / nc)
+        + mpmath.log(mpmath.besseli(nu, mpmath.sqrt(nc * w)))
+    )
+
+
+# (n, noncentrality): scipy's ive range; the Debye range where ive returns
+# NaN (sqrt(nc*w) past 2**30, i.e. a receiver assuming tiny noise); and the
+# Debye range where ive underflows (large order, small noncentrality).
+NCX2_CASES = [
+    (1, 0.5), (4, 300.0), (100, 40.0), (8, 2e9), (1, 1e11), (400, 1e11), (400, 0.5), (2048, 400.0),
+]
+
+
+@pytest.mark.parametrize("n,nc", NCX2_CASES)
+def test_energy_ml_logpdf_against_besseli(n, nc):
+    # sigma_h2 = 0 and mu = p = 1 make the scaled statistic 2n*stat/sigma2
+    # noncentral chi-square with noncentrality 2n/sigma2.
+    sigma2 = 2 * n / nc
+    df = 2 * n
+    sd = math.sqrt(2 * df + 4 * nc)
+    stats = [max(df + nc + k * sd, 1.0) * sigma2 / (2 * n) for k in (-5, -1, 0, 2, 6)]
+    got = energy_ml_logpdf(stats, n, [1.0], 1.0, 0.0, sigma2)[:, 0]
+    s2 = mpf(sigma2)
+    for stat, value in zip(stats, got):
+        w = 2 * n * mpf(stat) / s2
+        ref = _ncx2_logpdf_mp(w, df, 2 * n / s2) + mpmath.log(2 * n / s2)
+        assert math.isfinite(value)
+        assert _rel_err(value, ref) <= REL_TOL, (stat, value, ref)
