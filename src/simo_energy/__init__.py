@@ -41,16 +41,8 @@ from .decode import (
     EnergyRegions,
     NoncoherentML,
     PilotPAM,
-    ReceivedBlock,
-    coherent_pam_decode,
-    energy_decode,
-    energy_statistic,
     gray_map,
-    gray_unmap,
-    ml_energy_ask,
-    ml_noncoherent_rician,
     ml_threshold_boundaries,
-    pilot_mmse_estimate,
 )
 from .montecarlo import (
     SimReport,

@@ -6,13 +6,15 @@ differ from the statistics the data was actually drawn from, which is how
 mismatch studies are run.  All tie-breaks go to the smaller index so that
 decoding is deterministic.
 
-Each decision rule is written once, vectorised over symbols (region_index,
-noncoherent_ml_index, energy_ml_index, mmse_estimate, and pam_projection
-followed by nearest_amplitude_index).  The decoder objects apply them to the
-simulator's arrays, and the scalar functions (energy_decode,
-ml_noncoherent_rician, ...) apply them to one row.  PilotPAM decides from
-the projection alone (decide_projection), so a simulator that draws the
-projection directly needs no channel estimate.
+Each decision rule is written once, vectorised over symbols: region_index,
+noncoherent_ml_index, energy_ml_index, pam_projection followed by
+nearest_amplitude_index, and ml_threshold_boundaries for the zero-mean ML
+regions.  The decoder objects are the one way a receiver is applied:
+EnergyRegions, NoncoherentML and EnergyMLAsk decide a level from
+(||y||^2, Re sum_i y_i) with `decide`; PilotPAM estimates the channel from
+the pilot average (`estimate`) and decides an amplitude from the data
+(`decide`) or from the projection alone (`decide_projection`), so a
+simulator that draws the projection directly needs no channel estimate.
 """
 
 from __future__ import annotations
@@ -26,33 +28,6 @@ from scipy.special import ive
 from scipy.stats import chi2
 
 from .rates import Constellation
-
-
-@dataclass(frozen=True)
-class ReceivedBlock:
-    """Complex samples of one coherence block: n antennas by T symbol slots.
-
-    The first `pilot_slots` columns are pilots (coherent schemes only).
-    """
-
-    samples: np.ndarray
-    pilot_slots: int = 0
-
-    def __post_init__(self):
-        samples = np.atleast_2d(np.asarray(self.samples, dtype=np.complex128))
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] < 1:
-            raise ValueError("samples must be an n-by-T complex matrix")
-        if not (0 <= self.pilot_slots < samples.shape[1]):
-            raise ValueError("pilot slots must leave at least one data slot")
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.samples.shape[1]
 
 
 class _NoncoherentReceiver:
@@ -158,10 +133,15 @@ class PilotPAM:
     def L(self) -> int:
         return len(self.amplitudes)
 
-    def estimate(self, y_bar: np.ndarray) -> np.ndarray:
-        """MMSE channel estimate from the pilot average y_bar (needs pilot slots)."""
+    def estimate(self, y_bar) -> np.ndarray:
+        """MMSE channel estimate mu + g*(y_bar - mu*a) from the average y_bar of the
+        pilots, sent with amplitude a = sqrt(pilot_power), with gain
+        g = sigma_h2*a / (sigma_h2*a^2 + sigma2/T_l); without pilots, mu."""
+        if self.pilot_slots == 0:
+            return np.full(np.shape(y_bar), self.mu, dtype=np.result_type(y_bar, float))
         a = math.sqrt(self.pilot_power)
-        return mmse_estimate(y_bar, a, self.mu, self.sigma_h2, self.sigma2, self.pilot_slots)
+        gain = self.sigma_h2 * a / (self.sigma_h2 * a**2 + self.sigma2 / self.pilot_slots)
+        return self.mu + gain * (y_bar - self.mu * a)
 
     def decide_projection(self, z) -> np.ndarray:
         """Amplitude index of each projection z = Re(h_hat^H y) / ||h_hat||^2."""
@@ -180,24 +160,9 @@ def _check_levels_and_noise(levels, sigma2):
         raise ValueError("assumed noise power must be positive")
 
 
-def energy_statistic(block: ReceivedBlock, column: int) -> float:
-    """Average received power ||y||^2 / n of one symbol slot."""
-    y = block.samples[:, column]
-    return float(np.mean(np.abs(y) ** 2))
-
-
 def region_index(boundaries, stat) -> np.ndarray:
     """Index of the region containing each statistic; boundaries belong to the lower region."""
     return np.searchsorted(boundaries, stat, side="left")
-
-
-def energy_decode(regions: Constellation, stat: float) -> int:
-    """Index of the region containing the statistic; boundaries belong to the lower region."""
-    if stat < 0:
-        raise ValueError("energy statistic is nonnegative")
-    if regions.boundaries is None:
-        raise ValueError("constellation has no decoding regions")
-    return int(region_index(regions.boundaries, stat))
 
 
 def noncoherent_nll(
@@ -226,21 +191,6 @@ def noncoherent_nll(
 def noncoherent_ml_index(levels, mu, sigma_h2, sigma2, n, norm2, re_sum) -> np.ndarray:
     """Noncoherent ML level index per draw: the argmin of noncoherent_nll."""
     return np.argmin(noncoherent_nll(levels, mu, sigma_h2, sigma2, n, norm2, re_sum), axis=1)
-
-
-def ml_noncoherent_rician(
-    block: ReceivedBlock,
-    column: int,
-    levels: Sequence[float],
-    mu: float,
-    sigma_h2: float,
-    sigma2: float,
-) -> int:
-    """argmin over levels of ||y - mu*sqrt(p)*1||^2/(sigma2 + sigma_h2*p) + n*log(...)."""
-    y = block.samples[:, column]
-    norm2 = float(np.sum(np.abs(y) ** 2))
-    re_sum = float(np.sum(y.real))
-    return int(noncoherent_ml_index(levels, mu, sigma_h2, sigma2, block.n, norm2, re_sum)[0])
 
 
 _LOG_TINY = math.log(np.finfo(float).tiny)  # below this ive is subnormal or zero
@@ -342,42 +292,6 @@ def energy_ml_index(stat, n, levels, mu, sigma_h2, sigma2) -> np.ndarray:
     return np.argmax(energy_ml_logpdf(stat, n, levels, mu, sigma_h2, sigma2), axis=1)
 
 
-def ml_energy_ask(
-    stat: float,
-    n: int,
-    levels: Sequence[float],
-    mu: float,
-    sigma_h2: float,
-    sigma2: float,
-) -> int:
-    """Most likely level given only the energy statistic (exact finite-n density)."""
-    if n < 1:
-        raise ValueError("antenna count must be at least 1")
-    return int(energy_ml_index(stat, n, levels, mu, sigma_h2, sigma2)[0])
-
-
-def pilot_mmse_estimate(
-    block: ReceivedBlock,
-    pilot_slots: int,
-    pilot_amplitude: float,
-    mu: float,
-    sigma_h2: float,
-    sigma2: float,
-) -> np.ndarray:
-    """Per-antenna MMSE channel estimate from the first pilot_slots columns."""
-    if pilot_slots < 1:
-        raise ValueError("need at least one pilot slot")
-    y_bar = block.samples[:, :pilot_slots].mean(axis=1)
-    return mmse_estimate(y_bar, pilot_amplitude, mu, sigma_h2, sigma2, pilot_slots)
-
-
-def mmse_estimate(y_bar, pilot_amplitude, mu, sigma_h2, sigma2, pilot_slots: int):
-    """MMSE channel estimate mu + g*(y_bar - mu*a) from the average y_bar of
-    pilot_slots pilots of amplitude a, with gain g = sigma_h2*a / (sigma_h2*a^2 + sigma2/T_l)."""
-    gain = sigma_h2 * pilot_amplitude / (sigma_h2 * pilot_amplitude**2 + sigma2 / pilot_slots)
-    return mu + gain * (y_bar - mu * pilot_amplitude)
-
-
 def pam_projection(h_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Decision variables Re(h_hat^H y) / ||h_hat||^2, 0 where the estimate is null.
 
@@ -389,27 +303,11 @@ def pam_projection(h_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(safe[..., None], z / np.where(safe, g, 1.0)[..., None], 0.0)
 
 
-def pam_project(h_hat: np.ndarray, y: np.ndarray) -> float:
-    """Scalar decision variable Re(h_hat^H y) / ||h_hat||^2 (0 when the estimate is null)."""
-    return float(pam_projection(np.asarray(h_hat), np.asarray(y)[:, None])[0])
-
-
 def nearest_amplitude_index(amplitudes: np.ndarray, z) -> np.ndarray:
     """Index of the closest amplitude; midpoints resolve to the smaller amplitude."""
     amplitudes = np.asarray(amplitudes, dtype=float)
     midpoints = 0.5 * (amplitudes[:-1] + amplitudes[1:])
     return np.searchsorted(midpoints, z, side="left")
-
-
-def coherent_pam_decode(
-    block: ReceivedBlock,
-    column: int,
-    h_hat: np.ndarray,
-    amplitudes: Sequence[float],
-) -> int:
-    """argmin over amplitudes a of ||y - h_hat*a||^2, via the scalar projection."""
-    z = pam_projection(np.asarray(h_hat), block.samples[:, column:column + 1])
-    return int(nearest_amplitude_index(amplitudes, z)[0])
 
 
 def gray_code(index: int) -> int:
@@ -421,16 +319,6 @@ def gray_map(index: int, bits: int) -> str:
     if not (0 <= index < (1 << bits)):
         raise ValueError(f"index {index} out of range for {bits} bits")
     return format(gray_code(index), f"0{bits}b")
-
-
-def gray_unmap(code: str) -> int:
-    """Inverse of gray_map: bit string of a Gray code back to its index."""
-    g = int(code, 2)
-    mask = g >> 1
-    while mask:
-        g ^= mask
-        mask >>= 1
-    return g
 
 
 def ml_threshold_boundaries(

@@ -27,6 +27,7 @@ from typing import Callable, Optional, Sequence
 from scipy.optimize import brentq
 
 from .channel import ChannelSpec, MomentsOnly, energy_variance
+from .decode import gray_map
 from .rates import (
     Constellation,
     QuadraticRateOracle,
@@ -81,14 +82,6 @@ class UncertaintyBox:
     def degenerate(cls, alpha1_value: float, sigma2: float) -> "UncertaintyBox":
         s = math.sqrt(sigma2)
         return cls(alpha1_value, alpha1_value, s, s)
-
-    def contains(self, other: "UncertaintyBox") -> bool:
-        return (
-            self.alpha1_min <= other.alpha1_min
-            and other.alpha1_max <= self.alpha1_max
-            and self.sigma_min <= other.sigma_min
-            and other.sigma_max <= self.sigma_max
-        )
 
 
 class _BoxRateOracle:
@@ -416,8 +409,6 @@ def pam_constellation(L: int) -> PamConstellation:
     """Amplitudes (2k-1-L)*Delta with Delta^2 = 3/(L^2-1); L must be a power of 2."""
     if L < 2 or L & (L - 1):
         raise ValueError("PAM size must be a power of two")
-    from .decode import gray_map  # local import to avoid a module cycle
-
     delta = math.sqrt(3.0 / (L * L - 1.0))
     amplitudes = tuple((2.0 * k - 1.0 - L) * delta for k in range(1, L + 1))
     bits = (L - 1).bit_length()

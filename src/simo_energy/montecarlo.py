@@ -33,7 +33,10 @@ Each block passes through three layers, each written once:
 - decoder: the decoder object's own rule from `decode` (`decide`, or
   `decide_projection` for pilot PAM).
 - counts: `_accumulate` turns (sent, decoded) index pairs into symbol
-  errors, Gray-coded bit errors and per-level counts.
+  errors, Gray-coded bit errors, per-level counts and Wilson intervals.
+  Pilot-PAM slots of one coherence block share the channel, so with more
+  than one data slot per block the intervals are widened by the design
+  effect of the per-block error counts.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .channel import (
     NotSamplableError,
     Rician,
     sample_channel,
+    u_second_moment,
 )
 from .decode import (
     EnergyMLAsk,
@@ -254,14 +258,12 @@ def _antenna_pilot(channel, sigma2, dec: PilotPAM, n, nb, rng):
     T, T_l = dec.coherence_slots, dec.pilot_slots
     amps = np.asarray(dec.amplitudes, dtype=float)
     h = sample_channel(channel, nb * n, rng).reshape(nb, n)
+    y_bar = math.sqrt(dec.pilot_power) * h
     if T_l >= 1:
         # The pilot average over T_l slots is Gaussian with variance
         # sigma2/T_l; draw it directly.
-        v_bar = _complex_normal(rng, (nb, n), math.sqrt(sigma2 / (2.0 * T_l)))
-        h_hat = dec.estimate(math.sqrt(dec.pilot_power) * h + v_bar)
-    else:
-        # Without pilots the MMSE estimate is the prior mean.
-        h_hat = np.full((nb, n), dec.mu, dtype=np.complex128)
+        y_bar = y_bar + _complex_normal(rng, (nb, n), math.sqrt(sigma2 / (2.0 * T_l)))
+    h_hat = dec.estimate(y_bar)  # the prior mean without pilots
 
     idx = rng.integers(0, len(amps), size=(nb, T - T_l))
     v = _complex_normal(rng, (nb, n, T - T_l), math.sqrt(sigma2 / 2.0))
@@ -282,13 +284,10 @@ def _rician_pilot(channel: Rician, sigma2, dec: PilotPAM, n, nb, rng):
     T, T_l = dec.coherence_slots, dec.pilot_slots
     amps = np.asarray(dec.amplitudes, dtype=float)
     a = math.sqrt(dec.pilot_power)
-    if T_l >= 1:
-        c = dec.estimate(0.0)
-        g = dec.estimate(1.0) - c
-        pilot_noise = sigma2 / T_l
-    else:
-        # Without pilots the MMSE estimate is the prior mean.
-        c, g, pilot_noise = dec.mu, 0.0, 0.0
+    # Without pilots the estimate is the prior mean: g = 0.
+    c = dec.estimate(0.0)
+    g = dec.estimate(1.0) - c
+    pilot_noise = sigma2 / T_l if T_l else 0.0
     hat_mean = c + g * a * channel.mu
     hat_var = g * g * (a * a * channel.sigma_h2 + pilot_noise)
     cov = g * a * channel.sigma_h2  # Cov(h_i, h_hat_i), real
@@ -350,12 +349,15 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     """Run the scenario block by block; optionally stop early on enough bit errors.
 
     The early stop is evaluated at block granularity in block-index order, so
-    it is as deterministic as the full run.
+    it is as deterministic as the full run.  Returns the symbol, symbol-error
+    and bit-error counts, the per-level sent and error counts, and the SER
+    and BER intervals.
     """
     run_block = (
         _run_pilot_pam_block if isinstance(scenario.decoder, PilotPAM) else _run_noncoherent_block
     )
     coherence = scenario.decoder.coherence_slots
+    data_slots = coherence - scenario.decoder.pilot_slots
     L = scenario.L
     gray = np.array([gray_code(i) for i in range(L)], dtype=np.int64)
     pop = _popcount_table(scenario.bits_per_symbol)
@@ -366,7 +368,7 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     if total == 0:
         raise ValueError("symbol budget is below one coherence block")
 
-    symbols = sym_err = bit_err = 0
+    symbols = sym_err = bit_err = sym_err_sq = bit_err_sq = 0
     tx = np.zeros(L, dtype=np.int64)
     err = np.zeros(L, dtype=np.int64)
     consumed = 0
@@ -375,22 +377,53 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
         count = min(per_block, total - consumed)
         idx, decoded = run_block(scenario, _block_generator(scenario.seed, block_index), count)
         errors = decoded != idx
+        bit_errors = pop[gray[idx] ^ gray[decoded]]
         symbols += idx.size
         sym_err += int(errors.sum())
-        bit_err += int(pop[gray[idx] ^ gray[decoded]].sum())
+        bit_err += int(bit_errors.sum())
+        if data_slots > 1:
+            # Squared error counts per coherence block, for the design effect.
+            sym_err_sq += int((errors.reshape(-1, data_slots).sum(axis=1) ** 2).sum())
+            bit_err_sq += int((bit_errors.reshape(-1, data_slots).sum(axis=1) ** 2).sum())
         tx += np.bincount(idx, minlength=L)
         err += np.bincount(idx[errors], minlength=L)
         consumed += count
         block_index += 1
         if stop_bit_errors is not None and bit_err >= stop_bit_errors:
             break
-    return symbols, sym_err, bit_err, tx, err
+    blocks = symbols // data_slots
+    bits = symbols * scenario.bits_per_symbol
+    ser_ci = _clustered_interval(sym_err, symbols, sym_err_sq, blocks)
+    ber_ci = _clustered_interval(bit_err, bits, bit_err_sq, blocks)
+    return symbols, sym_err, bit_err, tx, err, ser_ci, ber_ci
+
+
+def _clustered_interval(errors: int, trials: int, errors_sq: int, blocks: int):
+    """Wilson interval for errors spread over `blocks` equal coherence blocks.
+
+    The data slots of one coherence block share the channel and its estimate,
+    so their errors are correlated.  The interval is widened by the Kish
+    design effect deff = (variance of the per-block error counts) /
+    (binomial variance of a block), i.e. computed on trials/deff effective
+    trials.  `errors_sq` is the sum of the squared per-block counts, left 0
+    when a block has one data slot.  Then, and with fewer than two blocks or
+    a spread no wider than the binomial one, the plain interval is returned.
+    """
+    if errors_sq == 0 or blocks < 2 or errors in (0, trials):
+        return wilson_interval(errors, trials)
+    p_hat = errors / trials
+    binomial = (trials / blocks) * p_hat * (1.0 - p_hat)
+    spread = (errors_sq - errors * errors / blocks) / (blocks - 1)
+    deff = spread / binomial
+    if deff <= 1.0:
+        return wilson_interval(errors, trials)
+    return wilson_interval(errors / deff, trials / deff)
 
 
 def simulate(scenario: SimScenario) -> SimReport:
     """Estimate SER/BER for the scenario with full-budget deterministic sampling."""
     start = time.perf_counter()
-    symbols, sym_err, bit_err, tx, err = _accumulate(scenario)
+    symbols, sym_err, bit_err, tx, err, ser_ci, ber_ci = _accumulate(scenario)
     bits = symbols * scenario.bits_per_symbol
     return SimReport(
         scheme=scenario.scheme,
@@ -400,8 +433,8 @@ def simulate(scenario: SimScenario) -> SimReport:
         bit_errors=bit_err,
         ser=sym_err / symbols,
         ber=bit_err / bits,
-        ser_ci=wilson_interval(sym_err, symbols),
-        ber_ci=wilson_interval(bit_err, bits),
+        ser_ci=ser_ci,
+        ber_ci=ber_ci,
         seed=scenario.seed,
         shards=scenario.shards,
         tx_counts=tuple(int(c) for c in tx),
@@ -433,9 +466,7 @@ def min_antennas(
 
     def qualifies(n: int) -> bool:
         scen = _with_antennas(scenario_template, n)
-        symbols, _, bit_err, _, _ = _accumulate(scen, stop_bit_errors=min_bit_errors)
-        bits = symbols * scen.bits_per_symbol
-        _, upper = wilson_interval(bit_err, bits)
+        _, upper = _accumulate(scen, stop_bit_errors=min_bit_errors)[-1]
         return upper < target_ber
 
     n = 1
@@ -506,8 +537,6 @@ def histogram(
     check_seed(seed)
     if constellation.boundaries is None:
         raise ValueError("constellation has no decoding regions")
-    from .channel import u_second_moment
-
     levels = constellation.levels
     r_pts = [p + sigma2 for p in levels]
     spread = math.sqrt(u_second_moment(channel, sigma2, levels[-1]) / n)

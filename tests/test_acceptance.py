@@ -26,9 +26,8 @@ from simo_energy.decode import (
     EnergyRegions,
     NoncoherentML,
     PilotPAM,
-    ReceivedBlock,
-    ml_noncoherent_rician,
     ml_threshold_boundaries,
+    noncoherent_ml_index,
 )
 from simo_energy.design import (
     DesignConfig,
@@ -304,11 +303,11 @@ def test_criterion_12_rayleigh_ml_equivalence():
     for _ in range(100):
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         rotated = y * np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
-        k1 = ml_noncoherent_rician(
-            ReceivedBlock(y.reshape(-1, 1)), 0, levels, 0.0, 1.0, sigma2
+        k1 = noncoherent_ml_index(
+            levels, 0.0, 1.0, sigma2, 16, np.sum(np.abs(y) ** 2), np.sum(y.real)
         )
-        k2 = ml_noncoherent_rician(
-            ReceivedBlock(rotated.reshape(-1, 1)), 0, levels, 0.0, 1.0, sigma2
+        k2 = noncoherent_ml_index(
+            levels, 0.0, 1.0, sigma2, 16, np.sum(np.abs(rotated) ** 2), np.sum(rotated.real)
         )
         assert k1 == k2
 

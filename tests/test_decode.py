@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -15,30 +13,42 @@ from simo_energy.decode import (
     EnergyRegions,
     NoncoherentML,
     PilotPAM,
-    ReceivedBlock,
-    coherent_pam_decode,
-    energy_decode,
+    energy_ml_index,
     energy_ml_logpdf,
-    energy_statistic,
     gray_map,
-    gray_unmap,
-    ml_energy_ask,
-    ml_noncoherent_rician,
     ml_threshold_boundaries,
-    pilot_mmse_estimate,
+    noncoherent_ml_index,
+    region_index,
 )
 from simo_energy.design import pam_constellation
 from simo_energy.rates import Constellation
 
 
+def sums(y):
+    """(||y||^2, Re sum_i y_i) over the antenna axis 0: what the receivers read."""
+    return np.sum(np.abs(y) ** 2, axis=0), np.sum(y.real, axis=0)
+
+
+def probe(value, tol):
+    """Energy regions that decide 1 exactly when the statistic lies in
+    (value - tol, value + tol], 0 below and 2 above (needs value > 1.5 tol)."""
+    half = tol / 2
+    levels = (0.0, value - half, value + tol)
+    return EnergyRegions(Constellation(levels, half, (value - tol, value + tol)))
+
+
 class TestEnergyStatistic:
+    """The energy decoders read the average received power ||y||^2 / n."""
+
     def test_zero_column(self):
-        block = ReceivedBlock(np.zeros((4, 2), dtype=complex))
-        assert energy_statistic(block, 0) == 0.0
+        norm2, re_sum = sums(np.zeros((4, 2), dtype=complex))
+        # The statistic of both slots is at most 1e-300, i.e. 0.
+        assert probe(2e-300, 1e-300).decide(4, norm2, re_sum).tolist() == [0, 0]
 
     def test_two_antennas(self):
-        block = ReceivedBlock(np.array([[1.0 + 0j], [1j]]))
-        assert energy_statistic(block, 0) == pytest.approx(1.0)
+        norm2, re_sum = sums(np.array([[1.0 + 0j], [1j]]))
+        # pytest.approx(1.0): within 1e-6 relative.
+        assert probe(1.0, 1e-6).decide(2, norm2, re_sum)[0] == 1
 
     def test_concentrates_at_receiver_point(self):
         rng = np.random.default_rng(1)
@@ -47,59 +57,66 @@ class TestEnergyStatistic:
         v = math.sqrt(sigma2 / 2) * (
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
-        block = ReceivedBlock((h * math.sqrt(p) + v).reshape(n, 1))
+        norm2, re_sum = sums((h * math.sqrt(p) + v).reshape(n, 1))
         u2 = 1.0 * p * p + 2 * sigma2 * p + sigma2 * sigma2
-        assert abs(energy_statistic(block, 0) - 1.1) < 3 * math.sqrt(u2 / n)
+        assert probe(1.1, 3 * math.sqrt(u2 / n)).decide(n, norm2, re_sum)[0] == 1
 
 
 class TestEnergyDecode:
     CON = Constellation((0.0, 1.5, 3.5), 0.25, (1.0, 3.0))
+    DEC = EnergyRegions(CON)
+
+    def decode(self, stat):
+        return self.DEC.decide(1, np.asarray(stat, dtype=float), None)
 
     def test_receiver_points_decode_to_self(self):
         for k, r in enumerate(self.CON.receiver_points()):
-            assert energy_decode(self.CON, r) == k
+            assert self.decode(r) == k
 
     def test_interior_point(self):
-        assert energy_decode(self.CON, 2.5) == 1
+        assert self.decode(2.5) == 1
 
     def test_boundary_belongs_to_lower_region(self):
-        assert energy_decode(self.CON, 1.0) == 0
-        assert energy_decode(self.CON, 3.0) == 1
+        assert self.decode(1.0) == 0
+        assert self.decode(3.0) == 1
 
     def test_monotone_step_function(self):
         stats_grid = np.linspace(0.0, 5.0, 101)
-        decisions = [energy_decode(self.CON, s) for s in stats_grid]
+        decisions = self.decode(stats_grid)
         assert all(b >= a for a, b in zip(decisions, decisions[1:]))
+
+    def test_rejects_a_constellation_without_regions(self):
+        with pytest.raises(ValueError):
+            EnergyRegions(Constellation((0.0, 1.0), 0.25))
 
 
 class TestNoncoherentML:
     def test_rayleigh_depends_only_on_energy(self):
         rng = np.random.default_rng(3)
         levels = (0.0, 0.5, 2.0)
+        dec = NoncoherentML(levels, 0.0, 1.0, 0.3)
         for _ in range(50):
             y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             phase = np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
             y2 = y * phase  # same norm, different samples
-            b1 = ReceivedBlock(y.reshape(-1, 1))
-            b2 = ReceivedBlock(y2.reshape(-1, 1))
-            k1 = ml_noncoherent_rician(b1, 0, levels, 0.0, 1.0, 0.3)
-            k2 = ml_noncoherent_rician(b2, 0, levels, 0.0, 1.0, 0.3)
+            k1 = dec.decide(8, *sums(y.reshape(-1, 1)))
+            k2 = dec.decide(8, *sums(y2.reshape(-1, 1)))
             assert k1 == k2
 
     def test_two_level_threshold(self):
         # mu=0, levels {0,2}, sigma2=1, sigma_h2=1, n=1: the likelihoods
         # cross at ||y||^2 = 1.5 ln 3.
         crossing = 1.5 * math.log(3.0)
+        dec = NoncoherentML((0.0, 2.0), 0.0, 1.0, 1.0)
         for shift, expected in ((-1e-6, 0), (1e-6, 1)):
             y = np.array([[math.sqrt(crossing + shift)]], dtype=complex)
-            got = ml_noncoherent_rician(ReceivedBlock(y), 0, (0.0, 2.0), 0.0, 1.0, 1.0)
-            assert got == expected
+            assert dec.decide(1, *sums(y))[0] == expected
 
     def test_deterministic_channel_noiseless(self):
         levels = (0.0, 1.0, 4.0)
         y = np.full((6, 1), math.sqrt(levels[1]), dtype=complex)
-        got = ml_noncoherent_rician(ReceivedBlock(y), 0, levels, 1.0, 1e-12, 1e-9)
-        assert got == 1
+        got = NoncoherentML(levels, 1.0, 1e-12, 1e-9).decide(6, *sums(y))
+        assert got[0] == 1
 
 
 class TestEnergyMLAsk:
@@ -109,10 +126,9 @@ class TestEnergyMLAsk:
         n, sigma2 = 12, 0.2
         for _ in range(200):
             y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            block = ReceivedBlock(y.reshape(-1, 1))
-            stat = energy_statistic(block, 0)
-            k_energy = ml_energy_ask(stat, n, levels, 0.0, 1.0, sigma2)
-            k_ml = ml_noncoherent_rician(block, 0, levels, 0.0, 1.0, sigma2)
+            norm2, re_sum = sums(y.reshape(-1, 1))
+            k_energy = energy_ml_index(norm2 / n, n, levels, 0.0, 1.0, sigma2)
+            k_ml = noncoherent_ml_index(levels, 0.0, 1.0, sigma2, n, norm2, re_sum)
             assert k_energy == k_ml
 
     @pytest.mark.parametrize("n", [1, 10, 100])
@@ -159,8 +175,12 @@ class TestEnergyMLAsk:
         assert pvalue > 0.01
 
     def test_zero_level_uses_central_branch(self):
-        got = ml_energy_ask(0.05, 4, (0.0, 1.0), 0.7, 0.51, 0.1)
-        assert got == 0
+        got = EnergyMLAsk((0.0, 1.0), 0.7, 0.51, 0.1, 4).decide(4, np.array([4 * 0.05]), None)
+        assert got[0] == 0
+
+    def test_rejects_zero_antennas(self):
+        with pytest.raises(ValueError):
+            EnergyMLAsk((0.0, 1.0), 0.7, 0.51, 0.1, 0)
 
 
 class TestMlThresholdBoundaries:
@@ -169,10 +189,16 @@ class TestMlThresholdBoundaries:
         sigma2 = 0.3
         con = ml_threshold_boundaries(levels, 1.0, sigma2)
         rng = np.random.default_rng(21)
-        for stat in rng.uniform(0.0, 4.0, 300):
-            k_region = energy_decode(con, stat)
-            k_ml = ml_energy_ask(stat, 7, levels, 0.0, 1.0, sigma2)
-            assert k_region == k_ml
+        stat = rng.uniform(0.0, 4.0, 300)
+        k_region = region_index(con.boundaries, stat)
+        k_ml = energy_ml_index(stat, 7, levels, 0.0, 1.0, sigma2)
+        np.testing.assert_array_equal(k_region, k_ml)
+
+
+def pilot_decoder(channel, sigma2):
+    """Pilot PAM with one unit-power pilot and the channel's prior statistics."""
+    amps = pam_constellation(2).amplitudes
+    return PilotPAM(amps, channel.mu, channel.sigma_h2, sigma2, coherence_slots=2, pilot_slots=1)
 
 
 class TestPilotMmse:
@@ -180,11 +206,9 @@ class TestPilotMmse:
         rng = np.random.default_rng(4)
         n = 256
         h = sample_channel(Rician(3.0), n, rng)
-        block = ReceivedBlock(
-            np.column_stack([h * 1.0 + 0.0, np.zeros(n)]), pilot_slots=1
-        )
         ch = Rician(3.0)
-        h_hat = pilot_mmse_estimate(block, 1, 1.0, ch.mu, ch.sigma_h2, 1e-12)
+        # One pilot of amplitude 1: the pilot average is the received pilot.
+        h_hat = pilot_decoder(ch, 1e-12).estimate(h * 1.0 + 0.0)
         assert np.max(np.abs(h_hat - h)) < 1e-5
 
     def test_infinite_noise_limit_is_prior_mean(self):
@@ -192,8 +216,7 @@ class TestPilotMmse:
         ch = Rician(0.0)
         n = 64
         y = rng.standard_normal((n, 2)) @ np.array([1.0, 1j]) * 1e6
-        block = ReceivedBlock(np.column_stack([y, np.zeros(n)]), pilot_slots=1)
-        h_hat = pilot_mmse_estimate(block, 1, 1.0, ch.mu, ch.sigma_h2, 1e12)
+        h_hat = pilot_decoder(ch, 1e12).estimate(y)
         assert np.max(np.abs(h_hat - ch.mu)) < 1e-3
 
     def test_error_variance_matches_mmse_formula(self):
@@ -220,21 +243,30 @@ class TestPilotMmse:
         se_mean = np.abs(err - err.mean()).std() / math.sqrt(n)
         assert abs(err.mean()) < 4 * se_mean
 
-    def test_rejects_zero_pilot_slots(self):
-        block = ReceivedBlock(np.zeros((2, 2), dtype=complex), pilot_slots=1)
-        with pytest.raises(ValueError):
-            pilot_mmse_estimate(block, 0, 1.0, 0.0, 1.0, 0.1)
+    @pytest.mark.parametrize(
+        "y_bar", [np.ones(3), np.ones((2, 5)), np.ones(4, dtype=complex), 1.0]
+    )
+    def test_zero_pilot_slots_give_prior_mean(self, y_bar):
+        # Without training the MMSE estimate is the prior mean mu.
+        decoder = PilotPAM((-1.0, 1.0), 0.5, 0.5, 0.1, 2, 0)
+        h_hat = decoder.estimate(y_bar)
+        assert h_hat.shape == np.shape(y_bar)
+        np.testing.assert_array_equal(h_hat, np.full(np.shape(y_bar), 0.5))
 
 
 class TestCoherentPamDecode:
     AMPS = pam_constellation(4).amplitudes
+    DEC = PilotPAM(AMPS, 0.0, 1.0, 0.1, coherence_slots=2, pilot_slots=1)
+
+    def decode(self, h_hat, y):
+        """Decision for the single data slot y (one entry per antenna)."""
+        return self.DEC.decide(h_hat, np.asarray(y).reshape(-1, 1))[0]
 
     def test_perfect_estimate_noiseless(self):
         h = np.array([1.0 + 0.5j, -0.3 + 1j])
         for k, a in enumerate(self.AMPS):
             y = h * a
-            block = ReceivedBlock(y.reshape(-1, 1))
-            assert coherent_pam_decode(block, 0, h, self.AMPS) == k
+            assert self.decode(h, y) == k
 
     def test_scaled_estimate_same_decision(self):
         rng = np.random.default_rng(8)
@@ -242,69 +274,21 @@ class TestCoherentPamDecode:
         y = h * self.AMPS[2] + 0.1 * (
             rng.standard_normal(4) + 1j * rng.standard_normal(4)
         )
-        block = ReceivedBlock(y.reshape(-1, 1))
-        k1 = coherent_pam_decode(block, 0, h, self.AMPS)
-        k2 = coherent_pam_decode(block, 0, 3.7 * h, self.AMPS)
+        k1 = self.decode(h, y)
+        k2 = self.decode(3.7 * h, y)
         assert k1 == k2
 
     def test_nearest_amplitude_arithmetic(self):
         # z = 0.9 sits closer to 3/sqrt(5) ~ 1.342 than to 1/sqrt(5) ~ 0.447.
-        block = ReceivedBlock(np.array([[0.9 + 0j]]))
-        got = coherent_pam_decode(block, 0, np.array([1.0 + 0j]), self.AMPS)
+        got = self.decode(np.array([1.0 + 0j]), [0.9 + 0j])
         assert self.AMPS[got] == pytest.approx(3 / math.sqrt(5))
 
     def test_null_estimate_collapses_to_midpoint_tie(self):
         # A null estimate projects every symbol to z = 0, the midpoint of the
         # two inner amplitudes; the tie resolves to the smaller one.
-        block = ReceivedBlock(np.array([[0.9 + 0j]]))
-        got = coherent_pam_decode(block, 0, np.zeros(1, dtype=complex), self.AMPS)
+        got = self.decode(np.zeros(1, dtype=complex), [0.9 + 0j])
         assert got == 1
         assert self.AMPS[got] < 0
-
-
-class TestScalarDecodersAreRowsOfTheDecoders:
-    """The scalar functions and the decoder objects apply the same rules."""
-
-    LEVELS = (0.0, 0.6, 1.6, 3.0)
-    SIGMA2 = 1.0
-
-    @pytest.fixture
-    def blocks(self):
-        rng = np.random.default_rng(9)
-        n, m = 8, 400
-        p = np.asarray(self.LEVELS)[rng.integers(0, 4, size=m)]
-        h = sample_channel(Rician(0.0), n * m, rng).reshape(n, m)
-        noise = rng.standard_normal((n, m, 2)) @ np.array([1.0, 1j])
-        y = h * np.sqrt(p) + math.sqrt(self.SIGMA2 / 2) * noise
-        return ReceivedBlock(y), np.sum(np.abs(y) ** 2, axis=0), np.sum(y.real, axis=0)
-
-    def test_noncoherent_receivers(self, blocks):
-        block, norm2, re_sum = blocks
-        ch, n, s2 = Rician(0.0), block.n, self.SIGMA2
-        regions = Constellation(self.LEVELS, s2, (1.25, 2.0, 3.2))
-        by_regions = EnergyRegions(regions).decide(n, norm2, re_sum)
-        by_ml = NoncoherentML(self.LEVELS, ch.mu, ch.sigma_h2, s2).decide(n, norm2, re_sum)
-        by_ask = EnergyMLAsk(self.LEVELS, ch.mu, ch.sigma_h2, s2, n).decide(n, norm2, re_sum)
-        for j in range(block.T):
-            stat = energy_statistic(block, j)
-            assert by_regions[j] == energy_decode(regions, stat)
-            assert by_ml[j] == ml_noncoherent_rician(
-                block, j, self.LEVELS, ch.mu, ch.sigma_h2, s2
-            )
-            assert by_ask[j] == ml_energy_ask(stat, n, self.LEVELS, ch.mu, ch.sigma_h2, s2)
-        assert len(set(by_ml)) == 4
-
-    def test_pilot_pam(self, blocks):
-        block, _, _ = blocks
-        amps = pam_constellation(4).amplitudes
-        decoder = PilotPAM(amps, 0.0, 1.0, self.SIGMA2, coherence_slots=3, pilot_slots=2)
-        samples = block.samples[:, :30].reshape(block.n, 10, 3).transpose(1, 0, 2)
-        for rows in samples:
-            pilots = ReceivedBlock(rows, pilot_slots=2)
-            h_hat = pilot_mmse_estimate(pilots, 2, 1.0, 0.0, 1.0, self.SIGMA2)
-            np.testing.assert_array_equal(h_hat, decoder.estimate(rows[:, :2].mean(axis=1)))
-            got = decoder.decide(h_hat[None, :], rows[None, :, 2:])
-            assert got[0, 0] == coherent_pam_decode(pilots, 2, h_hat, amps)
 
 
 class TestGrayCode:
@@ -323,7 +307,3 @@ class TestGrayCode:
         codes = [gray_map(i, 3) for i in range(8)]
         for a, b in zip(codes, codes[1:]):
             assert sum(x != y for x, y in zip(a, b)) == 1
-
-    @given(st.integers(min_value=0, max_value=2**12 - 1))
-    def test_round_trip(self, index):
-        assert gray_unmap(gray_map(index, 12)) == index

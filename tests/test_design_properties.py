@@ -117,9 +117,7 @@ def check_equalized(out):
         assert left == pytest.approx(out.t_star, rel=EXPONENT_RTOL)
 
 
-@settings(max_examples=30)
-@given(channel=CHANNEL, snr_db=SNR_DB, L=st.integers(2, 16), budget=BUDGET)
-def test_exact_design_invariants(channel, snr_db, L, budget):
+def check_exact_design(channel, snr_db, L, budget):
     cfg = DesignConfig(L=L, power_budget=budget)
     with solver_log() as records:
         out = design_exact(channel, sigma_from_snr(snr_db), cfg)
@@ -127,6 +125,19 @@ def test_exact_design_invariants(channel, snr_db, L, budget):
     assert out.feasible
     check_design(out, cfg)
     check_equalized(out)
+
+
+@settings(max_examples=30)
+@given(channel=CHANNEL, snr_db=SNR_DB, L=st.integers(2, 16), budget=BUDGET)
+def test_exact_design_invariants(channel, snr_db, L, budget):
+    check_exact_design(channel, snr_db, L, budget)
+
+
+# Large exact designs take up to about a second each, so only a few run.
+@settings(max_examples=4)
+@given(channel=CHANNEL, snr_db=SNR_DB, L=st.integers(17, 64), budget=BUDGET)
+def test_large_exact_design_invariants(channel, snr_db, L, budget):
+    check_exact_design(channel, snr_db, L, budget)
 
 
 @settings(max_examples=60)

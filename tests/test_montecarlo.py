@@ -219,6 +219,44 @@ class TestPilotPam:
         assert scen.effective_rate == pytest.approx(0.9 * 2.0)
 
 
+class TestCoherenceBlockIntervals:
+    """The data slots of one pilot-PAM coherence block share the channel and its
+    estimate, so their errors are correlated; the intervals count that."""
+
+    # Long blocks, little noise: errors come from a poor channel estimate and
+    # arrive a block at a time.
+    LONG_BLOCKS = PilotPAM((-0.9, -0.3, 0.3, 0.9), 0.0, 1.0, 0.01, 16, 1)
+
+    def test_coverage_of_the_mean_across_seeds(self):
+        reports = [
+            simulate(SimScenario(rayleigh(), 0.01, self.LONG_BLOCKS, 2, 4000, seed))
+            for seed in range(300)
+        ]
+        for field, ci in (("ser", "ser_ci"), ("ber", "ber_ci")):
+            mean = np.mean([getattr(r, field) for r in reports])
+            covered = [lo <= mean <= hi for lo, hi in (getattr(r, ci) for r in reports)]
+            # 0.77 (SER) and 0.72 (BER) when every slot counts as independent.
+            assert np.mean(covered) >= 0.88, field
+
+    def test_wider_than_the_independent_slot_interval(self):
+        rep = simulate(SimScenario(rayleigh(), 0.01, self.LONG_BLOCKS, 2, 4000, 0))
+        lo, hi = wilson_interval(rep.symbol_errors, rep.symbols)
+        assert rep.ser_ci[0] < lo and hi < rep.ser_ci[1]
+
+    @pytest.mark.parametrize("cell", ["energy", "pilot-T2-Tl1"])
+    def test_one_data_slot_per_block_keeps_the_binomial_interval(self, cell, design_l4):
+        if cell == "energy":
+            scen = energy_scenario(design_l4.constellation, n=25, seed=1)
+        else:
+            pam = pam_constellation(4)
+            dec = PilotPAM(pam.amplitudes, 0.0, 1.0, 0.1, coherence_slots=2, pilot_slots=1)
+            scen = SimScenario(rayleigh(), 0.1, dec, n=4, symbols=10_000, seed=0)
+        rep = simulate(scen)
+        assert rep.symbol_errors > 0
+        assert rep.ser_ci == wilson_interval(rep.symbol_errors, rep.symbols)
+        assert rep.ber_ci == wilson_interval(rep.bit_errors, rep.bits)
+
+
 class TestMinAntennas:
     def test_coin_flip_target_needs_one_antenna(self, design_l4):
         scen = energy_scenario(design_l4.constellation, n=1, symbols=20_000)
