@@ -15,6 +15,15 @@ EnergyRegions, NoncoherentML and EnergyMLAsk decide a level from
 the pilot average (`estimate`) and decides an amplitude from the data
 (`decide`) or from the projection alone (`decide_projection`), so a
 simulator that draws the projection directly needs no channel estimate.
+
+When the assumed mean mu is 0, both likelihoods depend on ||y||^2 alone and
+their ML regions are intervals of ||y||^2 / n whose boundaries are the
+closed-form crossings of adjacent levels' likelihoods; NoncoherentML and
+EnergyMLAsk then decide with one interval search (region_index) and need no
+Re sum_i y_i.  For mu != 0 they evaluate the likelihood of every level:
+noncoherent_ml_index takes the argmin of noncoherent_nll and energy_ml_index
+the argmax of energy_ml_logpdf.  At mu = 0 those two functions are the
+reference the interval route is tested against.
 """
 
 from __future__ import annotations
@@ -43,6 +52,23 @@ class _NoncoherentReceiver:
         return len(self.levels)
 
 
+class _LikelihoodReceiver(_NoncoherentReceiver):
+    """ML decision under assumed (mu, sigma_h2, sigma2).  With mu = 0 the
+    likelihood reads ||y||^2 alone and the ML regions are intervals of
+    ||y||^2 / n at the closed-form crossings; otherwise `_likelihood_index`
+    compares every level's likelihood."""
+
+    def __post_init__(self):
+        _check_levels_and_noise(self.levels, self.sigma2)
+        _check_channel_variance(self.sigma_h2, zero_mean_likelihood=self.mu == 0)
+
+    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
+        if self.mu == 0.0:
+            crossings = _ml_crossings(self.levels, self.sigma_h2, self.sigma2)
+            return region_index(crossings, norm2 / n)
+        return self._likelihood_index(n, norm2, re_sum)
+
+
 @dataclass(frozen=True)
 class EnergyRegions(_NoncoherentReceiver):
     """Interval decoder over the energy statistic."""
@@ -63,7 +89,7 @@ class EnergyRegions(_NoncoherentReceiver):
 
 
 @dataclass(frozen=True)
-class NoncoherentML(_NoncoherentReceiver):
+class NoncoherentML(_LikelihoodReceiver):
     """Gaussian-likelihood decoder using assumed (mu, sigma_h2, sigma2)."""
 
     levels: tuple
@@ -71,19 +97,19 @@ class NoncoherentML(_NoncoherentReceiver):
     sigma_h2: float
     sigma2: float
     scheme = "noncoherent_ml"
-    needs_sum = True
 
-    def __post_init__(self):
-        _check_levels_and_noise(self.levels, self.sigma2)
+    @property
+    def needs_sum(self) -> bool:
+        return self.mu != 0.0
 
-    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
+    def _likelihood_index(self, n, norm2, re_sum):
         return noncoherent_ml_index(
             self.levels, self.mu, self.sigma_h2, self.sigma2, n, norm2, re_sum
         )
 
 
 @dataclass(frozen=True)
-class EnergyMLAsk(_NoncoherentReceiver):
+class EnergyMLAsk(_LikelihoodReceiver):
     """Exact likelihood of the energy statistic itself, for a fixed antenna count."""
 
     levels: tuple
@@ -94,11 +120,11 @@ class EnergyMLAsk(_NoncoherentReceiver):
     scheme = "ask_energy_ml"
 
     def __post_init__(self):
-        _check_levels_and_noise(self.levels, self.sigma2)
+        super().__post_init__()
         if self.n < 1:
             raise ValueError("antenna count must be at least 1")
 
-    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
+    def _likelihood_index(self, n, norm2, re_sum):
         return energy_ml_index(norm2 / n, n, self.levels, self.mu, self.sigma_h2, self.sigma2)
 
 
@@ -126,6 +152,7 @@ class PilotPAM:
             raise ValueError("amplitudes must be strictly increasing")
         if not (self.sigma2 > 0):
             raise ValueError("assumed noise power must be positive")
+        _check_channel_variance(self.sigma_h2, zero_mean_likelihood=False)
         if not (0 <= self.pilot_slots < self.coherence_slots):
             raise ValueError("pilot slots must leave at least one data slot")
 
@@ -158,6 +185,19 @@ def _check_levels_and_noise(levels, sigma2):
         raise ValueError("levels must be strictly increasing")
     if not (sigma2 > 0):
         raise ValueError("assumed noise power must be positive")
+
+
+def _check_channel_variance(sigma_h2, zero_mean_likelihood: bool):
+    """sigma_h2 must be nonnegative, and positive for a zero-mean likelihood,
+    under which every level would otherwise be equally likely."""
+    if not (sigma_h2 >= 0):
+        raise ValueError(
+            f"sigma_h2: assumed channel variance must be nonnegative, got {sigma_h2!r}"
+        )
+    if zero_mean_likelihood and sigma_h2 == 0:
+        raise ValueError(
+            "sigma_h2: must be positive when mu = 0, or every level has the same likelihood"
+        )
 
 
 def region_index(boundaries, stat) -> np.ndarray:
@@ -331,9 +371,15 @@ def ml_threshold_boundaries(
     b = log(s2_{k+1}/s2_k) / (1/s2_k - 1/s2_{k+1}); interval decoding with
     these boundaries reproduces the ML decisions exactly.
     """
-    levels = tuple(float(p) for p in levels)
-    s2 = [sigma_h2 * p + sigma2 for p in levels]
-    boundaries = []
-    for a, b in zip(s2, s2[1:]):
-        boundaries.append(math.log(b / a) / (1.0 / a - 1.0 / b))
-    return Constellation(levels, sigma2, tuple(boundaries))
+    _check_channel_variance(sigma_h2, zero_mean_likelihood=True)
+    return Constellation(levels, sigma2, _ml_crossings(levels, sigma_h2, sigma2))
+
+
+def _ml_crossings(levels, sigma_h2: float, sigma2: float) -> tuple:
+    """Where adjacent levels' zero-mean likelihoods cross, on the ||y||^2 / n axis.
+
+    The variances s2_k = sigma_h2 * p_k + sigma2 increase with k, so the
+    crossings increase too and every level owns one interval.
+    """
+    s2 = [sigma_h2 * float(p) + sigma2 for p in levels]
+    return tuple(math.log(b / a) / (1.0 / a - 1.0 / b) for a, b in zip(s2, s2[1:]))

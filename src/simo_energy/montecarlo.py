@@ -12,8 +12,10 @@ Each block passes through three layers, each written once:
   pair:
 
   ====================  ==========================  ============================
-  true channel          energy regions, ASK-ML,     noncoherent ML
-                        histogram: ||y||^2          (||y||^2, Re sum_i y_i)
+  true channel          energy regions, ASK-ML,     noncoherent ML with
+                        histogram, noncoherent ML   assumed mu != 0:
+                        with assumed mu = 0:        (||y||^2, Re sum_i y_i)
+                        ||y||^2 alone
   ====================  ==========================  ============================
   Rician (Rayleigh,     one Gamma or scaled         sum_i y_i as one complex
   K = +inf included)    noncentral chi^2 draw       Gaussian, plus a Gamma
@@ -204,7 +206,7 @@ def _gaussian_sums(mean, var, n, rng, count):
     re_sum = n * mean + scale * g[:, 0]
     norm2 = (re_sum**2 + (scale * g[:, 1]) ** 2) / n
     if n > 1:
-        norm2 += rng.gamma(n - 1, var, size=count)
+        norm2 += var * rng.standard_gamma(n - 1, size=count)
     return norm2, re_sum
 
 
@@ -218,7 +220,7 @@ def _rician_stats(channel: Rician, sigma2, p, n, rng, with_sum):
         norm2, re_sum = _gaussian_sums(amp, s, n, rng, len(p))
         re_sum = np.where(live, re_sum, n * amp)
     elif channel.mu == 0.0:
-        norm2 = rng.gamma(n, s)
+        norm2 = s * rng.standard_gamma(n, size=len(p))
     else:
         nonc = 2.0 * n * amp**2 / np.where(live, s, 1.0)
         norm2 = 0.5 * s * rng.noncentral_chisquare(2 * n, nonc)

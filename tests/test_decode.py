@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from simo_energy.channel import Rician, rayleigh, sample_channel
+from simo_energy.channel import Rician, rayleigh, sample_channel, sigma_from_snr
 from simo_energy.decode import (
     EnergyMLAsk,
     EnergyRegions,
@@ -20,7 +20,8 @@ from simo_energy.decode import (
     noncoherent_ml_index,
     region_index,
 )
-from simo_energy.design import pam_constellation
+from simo_energy.design import ask_constellation, pam_constellation
+from simo_energy.montecarlo import _gaussian_sums
 from simo_energy.rates import Constellation
 
 
@@ -147,19 +148,17 @@ class TestEnergyMLAsk:
 
     def test_density_matches_simulated_statistic(self):
         # Histogram of 10^6 sampled statistics against the analytic density.
+        # Each y_i = h_i*sqrt(p) + v_i is CN(mu*sqrt(p), sigma_h2*p + sigma2),
+        # and ||y||^2 is drawn from Gaussian and Gamma variates, not from the
+        # chi-square law under test.
         rng = np.random.default_rng(12)
         n, p, sigma2 = 50, 1.0, 0.1
         ch = Rician(0.0)
         draws = 1_000_000
-        chunks = []
-        for start in range(0, draws, 50_000):
-            m = min(50_000, draws - start)
-            h = sample_channel(ch, m * n, rng).reshape(m, n)
-            v = math.sqrt(sigma2 / 2) * (
-                rng.standard_normal((m, n, 2)) @ np.array([1.0, 1j])
-            )
-            chunks.append(np.mean(np.abs(h * math.sqrt(p) + v) ** 2, axis=1))
-        stat = np.concatenate(chunks)
+        norm2, _ = _gaussian_sums(
+            ch.mu * math.sqrt(p), ch.sigma_h2 * p + sigma2, n, rng, draws
+        )
+        stat = norm2 / n
         edges = np.quantile(stat, np.linspace(0.0, 1.0, 41))
         edges[0], edges[-1] = 0.0, np.inf
         observed, _ = np.histogram(stat, bins=edges)
@@ -193,6 +192,79 @@ class TestMlThresholdBoundaries:
         k_region = region_index(con.boundaries, stat)
         k_ml = energy_ml_index(stat, 7, levels, 0.0, 1.0, sigma2)
         np.testing.assert_array_equal(k_region, k_ml)
+
+
+class TestZeroMeanLikelihoodIntervals:
+    """With mu = 0 both ML decoders decide by intervals of ||y||^2 / n; the
+    likelihood argmin / argmax over every level is the reference."""
+
+    @pytest.mark.parametrize("L", [2, 4, 16, 64])
+    def test_decide_matches_the_likelihood_references(self, L):
+        # 8 SNRs x 3 antenna counts x 12k Rayleigh statistics per L: about
+        # 1.15 million statistics over the four tests.
+        levels = np.asarray(ask_constellation(L).levels)
+        for snr_db in (-20, -10, 0, 10, 20, 30, 40, 50):
+            sigma2 = sigma_from_snr(snr_db)
+            for n in (1, 16, 400):
+                rng = np.random.default_rng([L, snr_db + 20, n])
+                idx = rng.integers(0, L, size=12_000)
+                # On Rayleigh fading ||y||^2 is Gamma(n, p + sigma2).
+                norm2 = rng.gamma(n, levels[idx] + sigma2)
+                stat = norm2 / n
+                ml = NoncoherentML(tuple(levels), 0.0, 1.0, sigma2)
+                ask = EnergyMLAsk(tuple(levels), 0.0, 1.0, sigma2, n)
+                by_nll = noncoherent_ml_index(levels, 0.0, 1.0, sigma2, n, norm2, 0.0 * norm2)
+                by_pdf = energy_ml_index(stat, n, levels, 0.0, 1.0, sigma2)
+                where = f"L={L} snr={snr_db} dB n={n}"
+                np.testing.assert_array_equal(ml.decide(n, norm2, None), by_nll, where)
+                np.testing.assert_array_equal(ask.decide(n, norm2, None), by_pdf, where)
+
+    def test_assumed_variance_other_than_one(self):
+        # Crossings for sigma_h2 != 1 that ml_threshold_boundaries cannot
+        # return as energy regions (receiver point p + sigma2 outside them).
+        levels, sigma_h2, sigma2, n = (0.0, 1.0, 2.0), 0.1, 0.1, 5
+        rng = np.random.default_rng(3)
+        norm2 = rng.gamma(n, sigma_h2 * rng.choice(levels, 20_000) + sigma2)
+        np.testing.assert_array_equal(
+            NoncoherentML(levels, 0.0, sigma_h2, sigma2).decide(n, norm2, None),
+            noncoherent_ml_index(levels, 0.0, sigma_h2, sigma2, n, norm2, 0.0 * norm2),
+        )
+        np.testing.assert_array_equal(
+            EnergyMLAsk(levels, 0.0, sigma_h2, sigma2, n).decide(n, norm2, None),
+            energy_ml_index(norm2 / n, n, levels, 0.0, sigma_h2, sigma2),
+        )
+
+
+LEVELS_3 = (0.0, 1.0, 2.0)
+# Each receiver built from an assumed (mu, sigma_h2); the thresholds are zero-mean.
+ASSUMED = {
+    "noncoherent_ml": lambda mu, sigma_h2: NoncoherentML(LEVELS_3, mu, sigma_h2, 0.1),
+    "ask_energy_ml": lambda mu, sigma_h2: EnergyMLAsk(LEVELS_3, mu, sigma_h2, 0.1, 4),
+    "pilot_pam": lambda mu, sigma_h2: PilotPAM((-1.0, 1.0), mu, sigma_h2, 0.1, 2, 1),
+    "ml_thresholds": lambda mu, sigma_h2: ml_threshold_boundaries(LEVELS_3, sigma_h2, 0.1),
+}
+
+
+class TestAssumedChannelVariance:
+    """Bad assumed statistics end in a ValueError that names sigma_h2."""
+
+    @pytest.mark.parametrize("receiver", list(ASSUMED))
+    @pytest.mark.parametrize("sigma_h2", [-0.5, math.nan])
+    def test_rejects_negative_variance(self, receiver, sigma_h2):
+        with pytest.raises(ValueError, match="sigma_h2"):
+            ASSUMED[receiver](0.5, sigma_h2)
+
+    @pytest.mark.parametrize("receiver", ["noncoherent_ml", "ask_energy_ml", "ml_thresholds"])
+    def test_rejects_zero_variance_at_zero_mean(self, receiver):
+        # Every level would have the same likelihood.
+        with pytest.raises(ValueError, match="sigma_h2"):
+            ASSUMED[receiver](0.0, 0.0)
+
+    def test_zero_variance_with_a_mean_or_pilots_is_accepted(self):
+        # K = +inf (mu = 1, sigma_h2 = 0) and an untrained pilot receiver.
+        ASSUMED["noncoherent_ml"](1.0, 0.0)
+        ASSUMED["ask_energy_ml"](1.0, 0.0)
+        ASSUMED["pilot_pam"](0.0, 0.0)
 
 
 def pilot_decoder(channel, sigma2):

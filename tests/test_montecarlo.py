@@ -9,7 +9,7 @@ import pytest
 
 from scipy.stats import ks_2samp
 
-from simo_energy import montecarlo
+from simo_energy import decode, montecarlo
 from simo_energy.channel import (
     NakagamiReal,
     Rician,
@@ -22,7 +22,9 @@ from simo_energy.decode import (
     EnergyRegions,
     NoncoherentML,
     PilotPAM,
+    energy_ml_index,
     ml_threshold_boundaries,
+    noncoherent_ml_index,
 )
 from simo_energy.design import (
     DesignConfig,
@@ -382,22 +384,74 @@ class TestSufficientStatisticSampler:
         lo_b, hi_b = reference.ser_ci
         assert lo_a <= hi_b and lo_b <= hi_a
 
-    def test_ml_decides_like_ml_thresholds_on_the_same_statistics(self):
-        # Rayleigh noncoherent ML depends on ||y||^2 alone, so on identical
-        # statistics it must reproduce interval decoding at the ML crossings
-        # symbol for symbol, in a regime with plenty of errors.
+    @staticmethod
+    def _regions_and_ml_reference(reference):
+        # Rayleigh ML depends on ||y||^2 alone, so on identical statistics the
+        # likelihood reference must reproduce interval decoding at the ML
+        # crossings symbol for symbol, in a regime with plenty of errors.
         levels = design_exact(rayleigh(), SIGMA2_0DB, DesignConfig(L=4)).constellation.levels
         regions = EnergyRegions(ml_threshold_boundaries(levels, 1.0, SIGMA2_0DB))
-        ml = NoncoherentML(levels, 0.0, 1.0, SIGMA2_0DB)
         rng = montecarlo._block_generator(3, 0)
         idx = rng.integers(0, 4, size=20_000)
         norm2, re_sum = montecarlo._sample_stats(
             rayleigh(), SIGMA2_0DB, np.asarray(levels)[idx], 16, rng, with_sum=True
         )
         by_regions = regions.decide(16, norm2, re_sum)
-        by_ml = ml.decide(16, norm2, re_sum)
         assert np.count_nonzero(by_regions != idx) > 100
-        assert np.array_equal(by_regions, by_ml)
+        assert np.array_equal(by_regions, reference(levels, norm2, re_sum))
+
+    def test_ml_decides_like_ml_thresholds_on_the_same_statistics(self):
+        self._regions_and_ml_reference(
+            lambda levels, norm2, re_sum: noncoherent_ml_index(
+                levels, 0.0, 1.0, SIGMA2_0DB, 16, norm2, re_sum
+            )
+        )
+
+    def test_energy_ml_decides_like_ml_thresholds_on_the_same_statistics(self):
+        self._regions_and_ml_reference(
+            lambda levels, norm2, re_sum: energy_ml_index(
+                norm2 / 16, 16, levels, 0.0, 1.0, SIGMA2_0DB
+            )
+        )
+
+
+class _LikelihoodCalled(RuntimeError):
+    pass
+
+
+class TestZeroMeanMLSkipsTheLikelihoods:
+    """With assumed mu = 0 both ML receivers decide by intervals of ||y||^2 / n:
+    no likelihood matrix, and no Re sum_i y_i drawn."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise _LikelihoodCalled
+
+        monkeypatch.setattr(decode, "noncoherent_nll", refuse)
+        monkeypatch.setattr(decode, "energy_ml_logpdf", refuse)
+        monkeypatch.setattr(montecarlo, "_gaussian_sums", refuse)
+
+    @pytest.mark.parametrize("scheme", ["noncoherent_ml", "ask_energy_ml"])
+    def test_zero_mean_runs_without_them(self, scheme, spies):
+        con = min_distance_constellation(4, SIGMA2_0DB)
+        scen = SimScenario(
+            rayleigh(), SIGMA2_0DB, _decoder(scheme, rayleigh(), con, 8), n=8, symbols=2000, seed=1
+        )
+        assert simulate(scen).symbols == 2000
+        assert min_antennas(scen, 0.2, 64) is not None
+
+    @pytest.mark.parametrize("scheme", ["noncoherent_ml", "ask_energy_ml"])
+    def test_nonzero_mean_still_evaluates_them(self, scheme, spies):
+        channel = Rician(0.0)
+        con = min_distance_constellation(4, SIGMA2_0DB)
+        scen = SimScenario(
+            channel, SIGMA2_0DB, _decoder(scheme, channel, con, 8), n=8, symbols=2000, seed=1
+        )
+        with pytest.raises(_LikelihoodCalled):
+            simulate(scen)
+        with pytest.raises(_LikelihoodCalled):
+            min_antennas(scen, 0.2, 64)
 
 
 NAKAGAMI_MS = [0.6, 1.8, 5.0]
@@ -504,7 +558,8 @@ class _PerAntennaCalled(RuntimeError):
 
 
 class TestPerAntennaPathStaysOff:
-    """Only Nakagami noncoherent ML and Nakagami pilot PAM draw every antenna."""
+    """Only Nakagami noncoherent ML with assumed mu != 0 and Nakagami pilot PAM
+    draw every antenna."""
 
     @pytest.fixture
     def no_antenna_draws(self, monkeypatch):
@@ -551,6 +606,18 @@ class TestPerAntennaPathStaysOff:
         assert simulate(scen).symbols == 2000 // 4 * (4 - pilot_slots)
         min_antennas(scen, 0.2, 64)
 
+    def test_nakagami_zero_mean_noncoherent_ml_runs_without_antenna_draws(
+        self, no_antenna_draws
+    ):
+        # A receiver that assumes Rayleigh fading reads ||y||^2 alone.
+        con = min_distance_constellation(4, SIGMA2_0DB)
+        scen = SimScenario(
+            NakagamiReal(2.0), SIGMA2_0DB, _decoder("noncoherent_ml", rayleigh(), con, 8),
+            n=8, symbols=2000, seed=1,
+        )
+        assert simulate(scen).symbols == 2000
+        assert min_antennas(scen, 0.2, 64) is not None
+
     def test_nakagami_still_draws_antennas(self, no_antenna_draws):
         channel = NakagamiReal(2.0)
         con = min_distance_constellation(4, SIGMA2_0DB)
@@ -590,6 +657,9 @@ class TestStreamIsPinned:
         "pilot-pam-T2-Tl1": (884, 1021, (525, 508, 482, 485), (164, 286, 266, 168)),
         "pilot-pam-T4-Tl0": (1630, 1826, (1008, 952, 980, 1060), (283, 515, 532, 300)),
         "nakagami-pilot-pam": (637, 656, (534, 500, 492, 474), (108, 235, 202, 92)),
+        # Recorded when zero-mean noncoherent ML stopped drawing Re sum_i y_i;
+        # it now draws and decides exactly like the ASK-ML cell.
+        "rayleigh-noncoherent-ml": (1164, 1261, (773, 748, 756, 723), (169, 368, 394, 233)),
     }
 
     def scenario(self, name):
@@ -607,6 +677,7 @@ class TestStreamIsPinned:
             "rayleigh-energy": (rayleigh(), EnergyRegions(self.REGIONS)),
             "rician0dB-noncoherent-ml": (ric, NoncoherentML(self.LEVELS, ric.mu, ric.sigma_h2, 1.0)),
             "rayleigh-ask-energy-ml": (rayleigh(), EnergyMLAsk(self.LEVELS, 0.0, 1.0, 1.0, 8)),
+            "rayleigh-noncoherent-ml": (rayleigh(), NoncoherentML(self.LEVELS, 0.0, 1.0, 1.0)),
             "nakagami-energy": (nak, EnergyRegions(self.REGIONS)),
             "nakagami-noncoherent-ml": (nak, NoncoherentML(self.LEVELS, nak.mu, nak.sigma_h2, 1.0)),
         }[name]
