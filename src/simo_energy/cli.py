@@ -36,7 +36,9 @@ from .decode import EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM
 from .montecarlo import (
     SimScenario,
     check_bins,
+    check_n_max,
     check_seed,
+    check_target_ber,
     check_trials,
     histogram,
     min_antennas,
@@ -79,12 +81,13 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _field(name: str):
-    """Report a ValueError raised by the library inside the block as a config error on `name`."""
+    """Report a ValueError or TypeError raised inside the block (a library check, or
+    a conversion of a value of the wrong type) as a config error on `name`."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
@@ -466,10 +469,14 @@ def cmd_sweep_n(cfg: dict, out_path: Optional[str]) -> int:
 def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
     constellation = _constellation_for_run(cfg)
     sim = cfg["sim"]
+    with _field("sim.target_ber"):
+        target_ber = float(sim["target_ber"])
+        check_target_ber(target_ber)
+    with _field("sim.n_max"):
+        n_max = int(sim["n_max"])
+        check_n_max(n_max)
     template = _scenario_from(cfg, constellation, 1)
-    n_star = min_antennas(
-        template, float(sim["target_ber"]), int(sim["n_max"])
-    )
+    n_star = min_antennas(template, target_ber, n_max)
     rows = [
         [
             template.scheme,

@@ -3,7 +3,10 @@
 Randomness is organized in fixed-size logical blocks: block b of a scenario
 draws from a counter-based Philox stream keyed by (seed, b), so the merged
 error counts do not depend on how blocks are distributed over shards, and any
-rerun with the same seed reproduces the counts bit for bit.
+rerun with the same seed reproduces the counts bit for bit.  A block holds at
+most 2^14 symbols and at most 2^18 antenna draws (so 2^18 / n symbols from
+n = 16 up), in whole coherence blocks; `min_antennas` checks its stop rule
+after each block.
 
 Each block passes through three layers, each written once:
 
@@ -34,8 +37,10 @@ Each block passes through three layers, each written once:
   The per-antenna paths also serve the tests as the reference.
 - decoder: the decoder object's own rule from `decode` (`decide`, or
   `decide_projection` for pilot PAM).
-- counts: `_accumulate` turns (sent, decoded) index pairs into symbol
-  errors, Gray-coded bit errors, per-level counts and Wilson intervals.
+- counts: `_block_counts` turns a block's (sent, decoded) index pairs into
+  one L x L confusion matrix, and from it symbol errors, Gray-coded bit
+  errors and per-level counts; `_accumulate` sums them over blocks and
+  forms the Wilson intervals.
   Pilot-PAM slots of one coherence block share the channel, so with more
   than one data slot per block the intervals are widened by the design
   effect of the per-block error counts.
@@ -46,7 +51,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -69,7 +74,8 @@ from .decode import (
 )
 from .rates import Constellation
 
-_BLOCK_DRAWS = 1 << 18  # target number of antenna draws per logical rng block
+_BLOCK_DRAWS = 1 << 18  # most antenna draws per logical rng block
+_BLOCK_SYMBOLS = 1 << 14  # most symbols per logical rng block
 _WILSON_Z = 1.959963984540054  # 95% two-sided
 
 
@@ -172,14 +178,21 @@ def _block_generator(seed: int, index: int) -> np.random.Generator:
 
 
 def _symbols_per_block(n: int, coherence: int) -> int:
-    """Symbols per logical block: about _BLOCK_DRAWS antenna draws, in whole coherence blocks."""
-    per = max(1, _BLOCK_DRAWS // max(n, 1))
+    """Symbols per logical block, in whole coherence blocks (at least one).
+
+    At most _BLOCK_SYMBOLS symbols, so an early stop acts within that many at
+    any n, and at most _BLOCK_DRAWS antenna draws, the memory bound of the
+    per-antenna samplers.  From n = 16 up the draw cap is the tighter one.
+    """
+    per = min(_BLOCK_SYMBOLS, _BLOCK_DRAWS // max(n, 1))
     return max(coherence, (per // coherence) * coherence)
 
 
-def _popcount_table(bits: int) -> np.ndarray:
-    size = 1 << bits
-    return np.array([bin(v).count("1") for v in range(size)], dtype=np.int64)
+def _bit_error_table(L: int) -> np.ndarray:
+    """L x L Gray-coded bit errors: entry [i, j] for level i sent and j decoded."""
+    gray = np.array([gray_code(i) for i in range(L)], dtype=np.int64)
+    popcount = np.array([bin(v).count("1") for v in range(1 << (L - 1).bit_length())])
+    return popcount[gray[:, None] ^ gray[None, :]]
 
 
 def _complex_normal(rng, shape, scale: float) -> np.ndarray:
@@ -212,6 +225,9 @@ def _gaussian_sums(mean, var, n, rng, count):
 
 def _rician_stats(channel: Rician, sigma2, p, n, rng, with_sum):
     s = channel.sigma_h2 * p + sigma2
+    if channel.mu == 0.0 and not with_sum:
+        # y is CN(0, s) per antenna, and s = 0 gives exactly 0.
+        return s * rng.standard_gamma(n, size=len(p)), None
     amp = channel.mu * np.sqrt(p)
     # s = 0 (K = +inf or p = 0, noiseless) makes y = amp on every antenna;
     # those symbols get the exact values below and must not divide by s.
@@ -219,8 +235,6 @@ def _rician_stats(channel: Rician, sigma2, p, n, rng, with_sum):
     if with_sum:
         norm2, re_sum = _gaussian_sums(amp, s, n, rng, len(p))
         re_sum = np.where(live, re_sum, n * amp)
-    elif channel.mu == 0.0:
-        norm2 = s * rng.standard_gamma(n, size=len(p))
     else:
         nonc = 2.0 * n * amp**2 / np.where(live, s, 1.0)
         norm2 = 0.5 * s * rng.noncentral_chisquare(2 * n, nonc)
@@ -347,6 +361,43 @@ def _run_pilot_pam_block(scenario: SimScenario, rng, count: int):
     return idx.ravel(), dec.decide_projection(z).ravel()
 
 
+class _Counts(NamedTuple):
+    """Error counts of some blocks; adding two gives the counts of both."""
+
+    sym_err: int
+    bit_err: int
+    tx: np.ndarray  # symbols sent per level
+    err: np.ndarray  # symbol errors per level
+    sym_err_sq: int  # sum of squared per-coherence-block symbol errors
+    bit_err_sq: int  # the same for bit errors
+
+    def __add__(self, other):
+        return _Counts(*(a + b for a, b in zip(self, other)))
+
+
+def _block_counts(idx, decoded, bit_errors: np.ndarray, data_slots: int) -> _Counts:
+    """Counts of one block's (sent, decoded) level indices.
+
+    `bit_errors` is `_bit_error_table(L)`.  Every count but the squares is
+    read off the block's L x L confusion matrix.  The squares are summed over
+    coherence blocks of `data_slots` consecutive symbols, and left 0 with one
+    data slot per block.
+    """
+    L = len(bit_errors)
+    confusion = np.bincount(idx * L + decoded, minlength=L * L).reshape(L, L)
+    tx = confusion.sum(axis=1)
+    err = tx - np.diag(confusion)
+    sym_err_sq = bit_err_sq = 0
+    if data_slots > 1:
+        per_block = (decoded != idx).reshape(-1, data_slots).sum(axis=1)
+        sym_err_sq = int((per_block**2).sum())
+        per_block = bit_errors[idx, decoded].reshape(-1, data_slots).sum(axis=1)
+        bit_err_sq = int((per_block**2).sum())
+    return _Counts(
+        int(err.sum()), int((confusion * bit_errors).sum()), tx, err, sym_err_sq, bit_err_sq
+    )
+
+
 def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     """Run the scenario block by block; optionally stop early on enough bit errors.
 
@@ -361,8 +412,7 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     coherence = scenario.decoder.coherence_slots
     data_slots = coherence - scenario.decoder.pilot_slots
     L = scenario.L
-    gray = np.array([gray_code(i) for i in range(L)], dtype=np.int64)
-    pop = _popcount_table(scenario.bits_per_symbol)
+    bit_errors = _bit_error_table(L)
 
     # Blocks and the budget are whole coherence blocks, so every count is too.
     per_block = _symbols_per_block(scenario.n, coherence)
@@ -370,34 +420,23 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     if total == 0:
         raise ValueError("symbol budget is below one coherence block")
 
-    symbols = sym_err = bit_err = sym_err_sq = bit_err_sq = 0
-    tx = np.zeros(L, dtype=np.int64)
-    err = np.zeros(L, dtype=np.int64)
+    counts = _Counts(0, 0, np.zeros(L, dtype=np.int64), np.zeros(L, dtype=np.int64), 0, 0)
     consumed = 0
     block_index = 0
     while consumed < total:
         count = min(per_block, total - consumed)
         idx, decoded = run_block(scenario, _block_generator(scenario.seed, block_index), count)
-        errors = decoded != idx
-        bit_errors = pop[gray[idx] ^ gray[decoded]]
-        symbols += idx.size
-        sym_err += int(errors.sum())
-        bit_err += int(bit_errors.sum())
-        if data_slots > 1:
-            # Squared error counts per coherence block, for the design effect.
-            sym_err_sq += int((errors.reshape(-1, data_slots).sum(axis=1) ** 2).sum())
-            bit_err_sq += int((bit_errors.reshape(-1, data_slots).sum(axis=1) ** 2).sum())
-        tx += np.bincount(idx, minlength=L)
-        err += np.bincount(idx[errors], minlength=L)
+        counts += _block_counts(idx, decoded, bit_errors, data_slots)
         consumed += count
         block_index += 1
-        if stop_bit_errors is not None and bit_err >= stop_bit_errors:
+        if stop_bit_errors is not None and counts.bit_err >= stop_bit_errors:
             break
+    symbols = int(counts.tx.sum())
     blocks = symbols // data_slots
     bits = symbols * scenario.bits_per_symbol
-    ser_ci = _clustered_interval(sym_err, symbols, sym_err_sq, blocks)
-    ber_ci = _clustered_interval(bit_err, bits, bit_err_sq, blocks)
-    return symbols, sym_err, bit_err, tx, err, ser_ci, ber_ci
+    ser_ci = _clustered_interval(counts.sym_err, symbols, counts.sym_err_sq, blocks)
+    ber_ci = _clustered_interval(counts.bit_err, bits, counts.bit_err_sq, blocks)
+    return symbols, counts.sym_err, counts.bit_err, counts.tx, counts.err, ser_ci, ber_ci
 
 
 def _clustered_interval(errors: int, trials: int, errors_sq: int, blocks: int):
@@ -448,6 +487,16 @@ def simulate(scenario: SimScenario) -> SimReport:
 NOT_REACHED = None
 
 
+def check_target_ber(target_ber: float) -> None:
+    if not (0.0 < target_ber < 0.5):
+        raise ValueError(f"target BER must be in (0, 0.5), got {target_ber!r}")
+
+
+def check_n_max(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max!r}")
+
+
 def min_antennas(
     scenario_template: SimScenario,
     target_ber: float,
@@ -461,10 +510,8 @@ def min_antennas(
     bisection under the usual monotone-BER assumption.  Returns None when even
     n_max fails.
     """
-    if not (0.0 < target_ber < 0.5):
-        raise ValueError("target BER must be in (0, 0.5)")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    check_target_ber(target_ber)
+    check_n_max(n_max)
 
     def qualifies(n: int) -> bool:
         scen = _with_antennas(scenario_template, n)

@@ -176,6 +176,16 @@ class TestConfigHandling:
             (["histogram", "--design.method", "mindist", "--sim.bins", "0"], "sim.bins"),
             (["histogram", "--design.method", "mindist", "--sim.trials", "-5"], "sim.trials"),
             (["histogram", "--design.method", "mindist", "--seed", "-1"], "sim.seed"),
+            (["min-antennas", "--design.method", "mindist", "--sim.target_ber", "0.7"],
+             "sim.target_ber"),
+            (["min-antennas", "--design.method", "mindist", "--sim.target_ber", "0"],
+             "sim.target_ber"),
+            (["min-antennas", "--design.method", "mindist", "--sim.target_ber", "low"],
+             "sim.target_ber"),
+            (["min-antennas", "--design.method", "mindist", "--sim.target_ber", "[0.1]"],
+             "sim.target_ber"),
+            (["min-antennas", "--design.method", "mindist", "--sim.n_max", "0"], "sim.n_max"),
+            (["min-antennas", "--design.method", "mindist", "--sim.n_max", "many"], "sim.n_max"),
         ],
     )
     def test_bad_value_names_its_field(self, args, field, capsys):

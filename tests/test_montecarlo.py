@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.stats import ks_2samp
 
@@ -23,6 +25,7 @@ from simo_energy.decode import (
     NoncoherentML,
     PilotPAM,
     energy_ml_index,
+    gray_code,
     ml_threshold_boundaries,
     noncoherent_ml_index,
 )
@@ -298,6 +301,86 @@ class TestMinAntennas:
         scen = energy_scenario(design_l4.constellation)
         with pytest.raises(ValueError):
             min_antennas(scen, 0.7, 10)
+
+    def test_hopeless_candidate_costs_one_capped_block(self, design_l4, monkeypatch):
+        blocks, counts = [], []
+        make_rng, run_block = montecarlo._block_generator, montecarlo._run_noncoherent_block
+
+        def spy_rng(seed, index):
+            blocks.append(index)
+            return make_rng(seed, index)
+
+        def spy_block(scenario, rng, count):
+            counts.append(count)
+            return run_block(scenario, rng, count)
+
+        monkeypatch.setattr(montecarlo, "_block_generator", spy_rng)
+        monkeypatch.setattr(montecarlo, "_run_noncoherent_block", spy_block)
+        scen = energy_scenario(design_l4.constellation, n=1, symbols=100_000)
+        assert min_antennas(scen, 1e-3, 1) is None
+        assert blocks == [0]
+        assert counts == [montecarlo._BLOCK_SYMBOLS]
+
+
+class TestBlockRule:
+    @pytest.mark.parametrize("coherence", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 400, 2048])
+    def test_caps_and_whole_coherence_blocks(self, n, coherence):
+        per = montecarlo._symbols_per_block(n, coherence)
+        cap = min(montecarlo._BLOCK_SYMBOLS, montecarlo._BLOCK_DRAWS // n)
+        assert per % coherence == 0
+        assert cap - coherence < per <= montecarlo._BLOCK_SYMBOLS
+        if n <= montecarlo._BLOCK_DRAWS // coherence:
+            assert per * n <= montecarlo._BLOCK_DRAWS
+        if n >= 16:
+            # The symbol cap is inactive: the same blocks as a draw cap alone.
+            assert per == (montecarlo._BLOCK_DRAWS // n // coherence) * coherence
+
+    def test_more_antennas_than_the_draw_cap_still_take_one_coherence_block(self):
+        assert montecarlo._symbols_per_block(montecarlo._BLOCK_DRAWS + 1, 4) == 4
+
+
+def _reference_counts(sent, decoded, L, data_slots):
+    """Symbol and bit errors, per-level counts and squared per-coherence-block
+    errors, one symbol at a time from gray_code and a popcount."""
+    bits = [bin(gray_code(s) ^ gray_code(d)).count("1") for s, d in zip(sent, decoded)]
+    wrong = [int(s != d) for s, d in zip(sent, decoded)]
+    tx, err = [0] * L, [0] * L
+    for s, w in zip(sent, wrong):
+        tx[s] += 1
+        err[s] += w
+    sym_sq = bit_sq = 0
+    if data_slots > 1:
+        for b in range(0, len(sent), data_slots):
+            sym_sq += sum(wrong[b:b + data_slots]) ** 2
+            bit_sq += sum(bits[b:b + data_slots]) ** 2
+    return sum(wrong), sum(bits), tx, err, sym_sq, bit_sq
+
+
+class TestCountLayer:
+    @settings(max_examples=200)
+    @given(
+        L=st.sampled_from([2, 3, 4, 16, 64]),
+        data_slots=st.sampled_from([1, 3]),
+        blocks=st.integers(1, 200),
+        wrong=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_symbol_by_symbol_reference(self, L, data_slots, blocks, wrong, seed):
+        rng = np.random.default_rng(seed)
+        size = blocks * data_slots
+        sent = rng.integers(0, L, size)
+        # A share `wrong` of the decisions is redrawn: errors of any distance.
+        decoded = np.where(rng.random(size) < wrong, rng.integers(0, L, size), sent)
+        got = montecarlo._block_counts(sent, decoded, montecarlo._bit_error_table(L), data_slots)
+        sym_err, bit_err, tx, err, sym_sq, bit_sq = _reference_counts(
+            sent.tolist(), decoded.tolist(), L, data_slots
+        )
+        assert (got.sym_err, got.bit_err, got.sym_err_sq, got.bit_err_sq) == (
+            sym_err, bit_err, sym_sq, bit_sq,
+        )
+        assert got.tx.tolist() == tx
+        assert got.err.tolist() == err
 
 
 class TestHistogram:
@@ -660,6 +743,8 @@ class TestStreamIsPinned:
         # Recorded when zero-mean noncoherent ML stopped drawing Re sum_i y_i;
         # it now draws and decides exactly like the ASK-ML cell.
         "rayleigh-noncoherent-ml": (1164, 1261, (773, 748, 756, 723), (169, 368, 394, 233)),
+        # Recorded when blocks were capped at 2^14 symbols: three blocks at n = 2.
+        "rayleigh-energy-n2": (22464, 27988, (9998, 9842, 10105, 10055), (2845, 7358, 7645, 4616)),
     }
 
     def scenario(self, name):
@@ -670,6 +755,8 @@ class TestStreamIsPinned:
         if name.endswith("Tl0"):
             decoder = PilotPAM(self.AMPS, ric.mu, ric.sigma_h2, 1.0, coherence_slots=4, pilot_slots=0)
             return SimScenario(ric, 1.0, decoder, 4, 4000, 5)
+        if name == "rayleigh-energy-n2":
+            return SimScenario(rayleigh(), 1.0, EnergyRegions(self.REGIONS), 2, 40_000, 5)
         if name == "nakagami-pilot-pam":
             decoder = PilotPAM(self.AMPS, nak.mu, nak.sigma_h2, 1.0, coherence_slots=2, pilot_slots=1)
             return SimScenario(nak, 1.0, decoder, 4, 4000, 5)
