@@ -138,6 +138,7 @@ def alpha1(channel: ChannelSpec) -> float:
 
     This is E[h_re^4] + E[h_im^4] + 2 E[h_re^2] E[h_im^2] - 1 for a channel
     normalized to E|h|^2 = 1; it multiplies p^2 in the energy variance.
+    Raises ValueError for a channel without that unit power.
     """
     if isinstance(channel, MomentsOnly):
         return channel.alpha1_value
@@ -147,13 +148,12 @@ def alpha1(channel: ChannelSpec) -> float:
             return 0.0
         return (1.0 + 2.0 * k) / (1.0 + k) ** 2
     if isinstance(channel, NakagamiReal):
+        _require_normalized(channel)
         return channel.omega**2 * (1.0 + 1.0 / channel.m) - 1.0
     raise TypeError(f"unsupported channel {channel!r}")
 
 
 def _require_normalized(channel: ChannelSpec) -> None:
-    if isinstance(channel, MomentsOnly):
-        return
     if abs(channel.second_moment - 1.0) > 1e-9:
         raise ValueError(
             f"channel must satisfy E|h|^2 = 1, got {channel.second_moment!r}"
@@ -169,7 +169,6 @@ def u_second_moment(channel: ChannelSpec, sigma2: float, p: float) -> float:
     """Variance E[U^2] of the per-antenna energy fluctuation at power level p."""
     if p < 0:
         raise ValueError("power level must be nonnegative")
-    _require_normalized(channel)
     return energy_variance(alpha1(channel), sigma2, p)
 
 

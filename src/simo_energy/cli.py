@@ -1,10 +1,17 @@
 """Command-line front end: design, evaluate, and simulate from JSON configs.
 
-Subcommands: design | evaluate | simulate | sweep-n | min-antennas | histogram.
-Configuration comes from an optional JSON file plus dotted per-field override
-flags (``--channel.K_dB -10``); later sources win.  Results are written as
-gnuplot-friendly CSV (config echoed in ``#`` comment lines) or as a JSON
-object with ``config`` and ``rows``.
+usage: simo-energy COMMAND [--config FILE] [--out PATH] [--artifact PATH]
+           [--seed N] [--shards N] [--format csv|json] [--BLOCK.FIELD VALUE ...]
+
+COMMAND comes first: design | evaluate | simulate | sweep-n | min-antennas |
+histogram.  Configuration comes from an optional JSON file plus dotted
+per-field flags (``--channel.K_dB -10``, ``--sim.n "[50, 100]"``); flags apply
+after the file and in order, so the last setting of a field wins.  --seed,
+--shards and --format are shorthands for sim.seed, sim.shards and
+output.format.  Integer fields take whole numbers, and sim.true / sim.assumed
+take channel fields only.  Results are written as gnuplot-friendly CSV
+(config echoed in ``#`` comment lines) or as a JSON object with ``config``
+and ``rows``.
 
 Exit codes: 0 success (NOT_REACHED is data, not an error), 1 usage or config
 error, 2 design infeasibility.
@@ -12,7 +19,6 @@ error, 2 design infeasibility.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -74,6 +80,18 @@ _SIM_DEFAULTS = {
 }
 _OUTPUT_DEFAULTS = {"path": None, "format": "csv"}
 
+# The fields each block takes, by the block's path; () is the top level.
+_FIELDS = {
+    (): ("channel", "design", "sim", "output", "artifact"),
+    ("channel",): _CHANNEL_DEFAULTS,
+    ("design",): _DESIGN_DEFAULTS,
+    ("sim",): _SIM_DEFAULTS,
+    ("output",): _OUTPUT_DEFAULTS,
+    ("sim", "true"): _CHANNEL_DEFAULTS,
+    ("sim", "assumed"): _CHANNEL_DEFAULTS,
+}
+_SHORTHANDS = {"seed": "sim.seed", "shards": "sim.shards", "format": "output.format"}
+
 
 class ConfigError(ValueError):
     """Configuration problem; the message names the offending field."""
@@ -91,6 +109,15 @@ def _field(name: str):
         raise ConfigError(f"{name}: {exc}") from None
 
 
+def _whole(value, name: str) -> int:
+    """An integer config field as an int: 1e5 is read as 100000, 2.7 is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name}: must be a whole number, got {value!r}")
+    return value
+
+
 def _parse_scalar(text: str):
     lowered = text.lower()
     if lowered in ("-inf", "inf", "+inf"):
@@ -101,7 +128,35 @@ def _parse_scalar(text: str):
         return text
 
 
-def _merge_config(path: Optional[str], overrides) -> dict:
+def _set(cfg: dict, path: tuple, value) -> None:
+    """Write one config field, named by its path of keys, from the file or a flag.
+
+    A JSON object given for a block sets that block's fields one by one; one
+    given for sim.true or sim.assumed replaces it, and those two may be null.
+    """
+    *block, field = path
+    if path in _FIELDS and not (value is None and block == ["sim"]):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{'.'.join(path)}: expected a JSON object, got {value!r}")
+        if block == ["sim"]:
+            cfg["sim"][field] = {}
+        for key, v in value.items():
+            _set(cfg, (*path, key), v)
+        return
+    if field not in _FIELDS.get(tuple(block), ()):
+        raise ConfigError(f"{'.'.join(path)}: unknown config field")
+    if path == ("sim", "n") and isinstance(value, (int, float)):
+        value = [value]
+    node = cfg
+    for part in block:
+        if node[part] is None:
+            node[part] = {}
+        node = node[part]
+    node[field] = value
+
+
+def _merge_config(path: Optional[str], settings) -> dict:
+    """The defaults, then the JSON file at `path`, then the (field path, value) settings."""
     cfg = {
         "channel": dict(_CHANNEL_DEFAULTS),
         "design": dict(_DESIGN_DEFAULTS),
@@ -119,65 +174,44 @@ def _merge_config(path: Optional[str], overrides) -> dict:
             raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        for block, value in loaded.items():
-            if block not in cfg:
-                raise ConfigError(f"unknown config block {block!r}")
-            if isinstance(value, dict):
-                for key, v in value.items():
-                    if key not in cfg[block]:
-                        raise ConfigError(f"unknown field {block}.{key!r}")
-                    cfg[block][key] = v
-            else:
-                cfg[block] = value
-    for dotted, raw in overrides:
-        value = _parse_scalar(raw)
-        parts = dotted.split(".")
-        if len(parts) == 1 and parts[0] in cfg and not isinstance(cfg[parts[0]], dict):
-            cfg[parts[0]] = value
-            continue
-        if len(parts) < 2 or parts[0] not in cfg or not isinstance(cfg[parts[0]], dict):
-            raise ConfigError(f"unknown override field {dotted!r}")
-        node = cfg[parts[0]]
-        for part in parts[1:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                node[part] = {}
-            node = node[part]
-        leaf = parts[-1]
-        if parts[1:] == [leaf] and leaf not in node and parts[0] in ("channel", "design", "sim", "output"):
-            raise ConfigError(f"unknown override field {dotted!r}")
-        node[leaf] = value
+        settings = [*(((key,), v) for key, v in loaded.items()), *settings]
+    for field, value in settings:
+        _set(cfg, field, value)
     return cfg
 
 
-def _channel_from(block: dict):
-    """(ChannelSpec, sigma2) from a channel-shaped dict."""
+def _channel_from(block: dict, name: str):
+    """(ChannelSpec, sigma2) from a channel-shaped dict; errors name it `name`."""
     kind = block.get("kind", "rayleigh")
     gamma = block.get("gamma_dB")
-    if gamma is None or not math.isfinite(float(gamma)):
-        raise ConfigError("channel.gamma_dB must be a finite number")
+    with _field(f"{name}.gamma_dB"):
+        if gamma is None or not math.isfinite(float(gamma)):
+            raise ValueError(f"must be a finite number, got {gamma!r}")
     sigma2 = sigma_from_snr(float(gamma))
     if kind == "rayleigh":
         return Rician(-math.inf), sigma2
     if kind == "rician":
         k_db = block.get("K_dB")
         if k_db is None:
-            raise ConfigError("channel.K_dB is required for kind 'rician'")
-        return Rician(float(k_db)), sigma2
+            raise ConfigError(f"{name}.K_dB: required for kind 'rician'")
+        with _field(f"{name}.K_dB"):
+            return Rician(float(k_db)), sigma2
     if kind == "nakagami":
         m = block.get("m")
         if m is None:
-            raise ConfigError("channel.m is required for kind 'nakagami'")
-        with _field("channel"):
-            return NakagamiReal(float(m), float(block.get("omega", 1.0))), sigma2
-    raise ConfigError(f"unknown channel.kind {kind!r}")
+            raise ConfigError(f"{name}.m: required for kind 'nakagami'")
+        with _field(name):
+            channel = NakagamiReal(float(m), float(block.get("omega", 1.0)))
+            alpha1(channel)  # refuses a channel without unit power E|h|^2 = 1
+        return channel, sigma2
+    raise ConfigError(f"{name}.kind: unknown kind {kind!r}")
 
 
-def _merged_channel(base: dict, override) -> dict:
-    if not override:
-        return base
-    merged = dict(base)
-    merged.update({k: v for k, v in override.items() if v is not None})
-    return merged
+def _sim_channel(cfg: dict, which: str):
+    """(ChannelSpec, sigma2) of sim.true or sim.assumed over the channel block."""
+    override = cfg["sim"][which] or {}
+    merged = {**cfg["channel"], **{k: v for k, v in override.items() if v is not None}}
+    return _channel_from(merged, f"sim.{which}" if override else "channel")
 
 
 def _box_from(cfg: dict) -> UncertaintyBox:
@@ -193,7 +227,7 @@ def _box_from(cfg: dict) -> UncertaintyBox:
     a_g = a if d.get("a_gamma_dB") is None else d["a_gamma_dB"]
     if a_k is None or a_g is None:
         raise ConfigError("design.a_dB (or a_K_dB / a_gamma_dB) is required for robust")
-    nominal, _ = _channel_from(ch)
+    nominal, _ = _channel_from(ch, "channel")
     gamma = float(ch["gamma_dB"])
     alphas = []
     for dk in (-a_k, a_k):
@@ -210,10 +244,10 @@ def _box_from(cfg: dict) -> UncertaintyBox:
 def _design_from(cfg: dict):
     """Run the configured design. Returns (outcome_or_None, constellation_or_None)."""
     d = cfg["design"]
-    channel, sigma2 = _channel_from(cfg["channel"])
+    channel, sigma2 = _channel_from(cfg["channel"], "channel")
     method = d["method"]
     with _field("design.L"):
-        dcfg = DesignConfig(L=int(d["L"]))
+        dcfg = DesignConfig(L=_whole(d["L"], "design.L"))
     with _field("design.budget"):
         dcfg = replace(dcfg, power_budget=float(d["budget"]))
     with _field("design.eps"):
@@ -260,7 +294,7 @@ def _write_rows(cfg: dict, columns, rows, out_path: Optional[str]) -> None:
             "rows": [dict(zip(columns, row)) for row in rows],
         }
         text = json.dumps(payload, indent=2, default=str) + "\n"
-    elif fmt == "csv":
+    else:
         lines = [
             f"# config: {json.dumps(cfg, sort_keys=True, default=str)}",
             f"# config_sha256: {digest}",
@@ -271,8 +305,6 @@ def _write_rows(cfg: dict, columns, rows, out_path: Optional[str]) -> None:
         for row in rows:
             lines.append(",".join(_format_value(v) for v in row))
         text = "\n".join(lines) + "\n"
-    else:
-        raise ConfigError(f"unknown output.format {fmt!r}")
     _emit(text, out_path)
 
 
@@ -339,7 +371,7 @@ def _artifact_constellation(cfg: dict) -> Constellation:
 def _antenna_counts(cfg: dict) -> list:
     """sim.n as a nonempty list of antenna counts, each at least 1."""
     with _field("sim.n"):
-        counts = [int(n) for n in cfg["sim"]["n"]]
+        counts = [_whole(n, "sim.n") for n in cfg["sim"]["n"]]
         if not counts or min(counts) < 1:
             raise ValueError(f"antenna counts must be at least 1, got {cfg['sim']['n']!r}")
     return counts
@@ -358,7 +390,7 @@ def cmd_evaluate(cfg: dict, out_path: Optional[str]) -> int:
     if not cfg.get("artifact"):
         raise ConfigError("artifact: evaluate requires a constellation artifact")
     constellation = _artifact_constellation(cfg)
-    channel, sigma2 = _channel_from(cfg["channel"])
+    channel, sigma2 = _channel_from(cfg["channel"], "channel")
     i_e = error_exponent(constellation, channel, sigma2)
     columns = ["n", "chernoff_bound", "error_exponent"]
     for k in range(1, constellation.L):
@@ -377,10 +409,8 @@ def cmd_evaluate(cfg: dict, out_path: Optional[str]) -> int:
 
 def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenario:
     sim = cfg["sim"]
-    true_block = _merged_channel(cfg["channel"], sim.get("true"))
-    assumed_block = _merged_channel(cfg["channel"], sim.get("assumed"))
-    true_channel, true_sigma2 = _channel_from(true_block)
-    assumed_channel, assumed_sigma2 = _channel_from(assumed_block)
+    true_channel, true_sigma2 = _sim_channel(cfg, "true")
+    assumed_channel, assumed_sigma2 = _sim_channel(cfg, "assumed")
     scheme = sim["scheme"]
     if scheme == "energy":
         decoder = EnergyRegions(constellation)
@@ -401,15 +431,15 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
         )
     elif scheme == "pilot_pam":
         with _field("design.L"):
-            pam = pam_constellation(int(cfg["design"]["L"]))
+            pam = pam_constellation(_whole(cfg["design"]["L"], "design.L"))
         with _field("sim.T_l"):
             decoder = PilotPAM(
                 amplitudes=pam.amplitudes,
                 mu=assumed_channel.mu,
                 sigma_h2=assumed_channel.sigma_h2,
                 sigma2=assumed_sigma2,
-                coherence_slots=int(sim["T"]),
-                pilot_slots=int(sim["T_l"]),
+                coherence_slots=_whole(sim["T"], "sim.T"),
+                pilot_slots=_whole(sim["T_l"], "sim.T_l"),
                 pilot_power=float(sim["pilot_power"]),
             )
     else:
@@ -421,13 +451,13 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
             true_sigma2=true_sigma2,
             decoder=decoder,
             n=n,
-            symbols=int(sim["symbols"]),
+            symbols=_whole(sim["symbols"], "sim.symbols"),
             seed=0,
         )
     with _field("sim.seed"):
-        scenario = replace(scenario, seed=int(sim["seed"]))
+        scenario = replace(scenario, seed=_whole(sim["seed"], "sim.seed"))
     with _field("sim.shards"):
-        scenario = replace(scenario, shards=int(sim["shards"]))
+        scenario = replace(scenario, shards=_whole(sim["shards"], "sim.shards"))
     return scenario
 
 
@@ -449,17 +479,14 @@ def _report_row(n: int, report) -> list:
 
 
 def cmd_simulate(cfg: dict, out_path: Optional[str]) -> int:
-    constellation = _constellation_for_run(cfg)
-    n = _antenna_counts(cfg)[0]
-    report = simulate(_scenario_from(cfg, constellation, n))
-    _write_rows(cfg, _SWEEP_COLUMNS, [_report_row(n, report)], out_path)
-    return 0
+    """The sweep-n row of the first antenna count in sim.n."""
+    return cmd_sweep_n(cfg, out_path, max_rows=1)
 
 
-def cmd_sweep_n(cfg: dict, out_path: Optional[str]) -> int:
+def cmd_sweep_n(cfg: dict, out_path: Optional[str], max_rows: Optional[int] = None) -> int:
     constellation = _constellation_for_run(cfg)
     rows = []
-    for n in _antenna_counts(cfg):
+    for n in _antenna_counts(cfg)[:max_rows]:
         report = simulate(_scenario_from(cfg, constellation, n))
         rows.append(_report_row(n, report))
     _write_rows(cfg, _SWEEP_COLUMNS, rows, out_path)
@@ -473,7 +500,7 @@ def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
         target_ber = float(sim["target_ber"])
         check_target_ber(target_ber)
     with _field("sim.n_max"):
-        n_max = int(sim["n_max"])
+        n_max = _whole(sim["n_max"], "sim.n_max")
         check_n_max(n_max)
     template = _scenario_from(cfg, constellation, 1)
     n_star = min_antennas(template, target_ber, n_max)
@@ -491,20 +518,18 @@ def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
 def cmd_histogram(cfg: dict, out_path: Optional[str]) -> int:
     sim = cfg["sim"]
     with _field("sim.bins"):
-        bins = int(sim["bins"])
+        bins = _whole(sim["bins"], "sim.bins")
         check_bins(bins)
     with _field("sim.trials"):
-        trials = int(sim["trials"])
+        trials = _whole(sim["trials"], "sim.trials")
         check_trials(trials)
     with _field("sim.seed"):
-        seed = int(sim["seed"])
+        seed = _whole(sim["seed"], "sim.seed")
         check_seed(seed)
     constellation = _constellation_for_run(cfg)
     if constellation.boundaries is None:
         raise ConfigError("histogram needs a region-decoded constellation")
-    channel, sigma2 = _channel_from(
-        _merged_channel(cfg["channel"], cfg["sim"].get("true"))
-    )
+    channel, sigma2 = _sim_channel(cfg, "true")
     result = histogram(
         constellation, channel, sigma2, n=_antenna_counts(cfg)[0],
         trials=trials, bins=bins, seed=seed,
@@ -533,55 +558,48 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="simo-energy",
-        description="Energy-level constellation design and link simulation",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], help="output format")
-    parser.add_argument("--seed", type=int, help="simulation seed (64-bit)")
-    parser.add_argument("--shards", type=int, help="shard count (provenance only)")
-    parser.add_argument("--artifact", help="constellation artifact to load")
-    return parser
+def _parse_argv(argv: list):
+    """(command, paths, settings) from argv: the command, then flags in order.
+
+    paths holds the verbatim values of --config and --out; settings lists the
+    (field path, value) pairs of every other flag, shorthands resolved.
+    """
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        commands = ", ".join(_COMMANDS)
+        raise ConfigError(f"the command comes first, one of {commands}; got {command!r}")
+    paths, settings = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, raw = token.partition("=")
+        name = _SHORTHANDS.get(flag[2:], flag[2:])
+        known = "." in name or name in ("config", "out", "artifact")
+        if not (flag.startswith("--") and known):
+            raise ConfigError(f"unrecognized argument {token!r}")
+        if not eq:
+            raw = next(tokens, None)
+            if raw is None:
+                raise ConfigError(f"missing value for {token!r}")
+        if name in ("config", "out"):
+            paths[name] = raw
+        else:
+            value = raw if name == "artifact" else _parse_scalar(raw)
+            settings.append((tuple(name.split(".")), value))
+    return command, paths, settings
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
-    overrides = []
-    i = 0
-    while i < len(extras):
-        token = extras[i]
-        if not token.startswith("--") or "." not in token:
-            print(f"config error: unrecognized argument {token!r}", file=sys.stderr)
-            return 1
-        if "=" in token:
-            dotted, raw = token[2:].split("=", 1)
-            i += 1
-        else:
-            if i + 1 >= len(extras):
-                print(f"config error: missing value for {token!r}", file=sys.stderr)
-                return 1
-            dotted, raw = token[2:], extras[i + 1]
-            i += 2
-        overrides.append((dotted, raw))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        return 0
     try:
-        cfg = _merge_config(args.config, overrides)
-        if args.seed is not None:
-            cfg["sim"]["seed"] = args.seed
-        if args.shards is not None:
-            cfg["sim"]["shards"] = args.shards
-        if args.format is not None:
-            cfg["output"]["format"] = args.format
-        if args.artifact is not None:
-            cfg["artifact"] = args.artifact
-        if isinstance(cfg["sim"]["n"], (int, float)):
-            cfg["sim"]["n"] = [int(cfg["sim"]["n"])]
-        out_path = args.out if args.out is not None else cfg["output"]["path"]
-        return _COMMANDS[args.command](cfg, out_path)
+        command, paths, settings = _parse_argv(argv)
+        cfg = _merge_config(paths.get("config"), settings)
+        fmt = cfg["output"]["format"]
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"output.format: must be 'csv' or 'json', got {fmt!r}")
+        return _COMMANDS[command](cfg, paths.get("out", cfg["output"]["path"]))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -369,9 +369,14 @@ def ml_threshold_boundaries(
     For mu = 0 the noncoherent likelihood depends on the statistic alone, and
     adjacent levels' log-likelihoods cross at
     b = log(s2_{k+1}/s2_k) / (1/s2_k - 1/s2_{k+1}); interval decoding with
-    these boundaries reproduces the ML decisions exactly.
+    these boundaries reproduces the ML decisions exactly.  Only sigma_h2 = 1
+    is accepted: the regions' receiver points p + sigma2 are the mean
+    statistic at that variance alone.
     """
-    _check_channel_variance(sigma_h2, zero_mean_likelihood=True)
+    if sigma_h2 != 1.0:
+        raise ValueError(
+            f"sigma_h2: receiver points p + sigma2 need sigma_h2 = 1, got {sigma_h2!r}"
+        )
     return Constellation(levels, sigma2, _ml_crossings(levels, sigma_h2, sigma2))
 
 

@@ -50,6 +50,13 @@ class TestAlpha1:
     def test_moments_only_passthrough(self):
         assert alpha1(MomentsOnly(0.42)) == 0.42
 
+    def test_rejects_a_channel_without_unit_power(self):
+        # alpha1 is defined for E|h|^2 = 1 only; u_second_moment relies on that check.
+        with pytest.raises(ValueError, match=r"E\|h\|\^2 = 1"):
+            alpha1(NakagamiReal(2.0, 2.0))
+        with pytest.raises(ValueError, match=r"E\|h\|\^2 = 1"):
+            u_second_moment(NakagamiReal(2.0, 2.0), 0.1, 1.0)
+
     @pytest.mark.parametrize(
         "channel",
         [rayleigh(), Rician(0.0), Rician(6.0), NakagamiReal(1.0), NakagamiReal(2.5)],

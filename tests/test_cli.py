@@ -186,11 +186,107 @@ class TestConfigHandling:
              "sim.target_ber"),
             (["min-antennas", "--design.method", "mindist", "--sim.n_max", "0"], "sim.n_max"),
             (["min-antennas", "--design.method", "mindist", "--sim.n_max", "many"], "sim.n_max"),
+            # Integer fields take whole numbers.
+            (["simulate", "--design.method", "mindist", "--sim.n", "2.7"], "sim.n"),
+            (["simulate", "--design.method", "mindist", "--sim.n", "[100, 2.7]"], "sim.n"),
+            (["design", "--design.L", "4.6"], "design.L"),
+            (["histogram", "--design.method", "mindist", "--sim.bins", "12.9"], "sim.bins"),
+            (["simulate", "--design.method", "mindist", "--sim.symbols", "2000.5"], "sim.symbols"),
+            (["simulate", "--design.method", "mindist", "--seed", "abc"], "sim.seed"),
+            (["simulate", "--design.method", "mindist", "--format", "xml"], "output.format"),
+            # The setter knows the config's shape, from flags and files alike.
+            (["simulate", "--design.method", "mindist", "--sim.true.Kdb", "3"], "sim.true.Kdb"),
+            (["design", "--channel.foo.bar", "1"], "channel.foo.bar"),
+            (["design", "--config", {"channel": 5}], "channel"),
+            (["design", "--config", {"channel.kind": "rician"}], "channel.kind"),
+            (["simulate", "--design.method", "mindist", "--config", {"sim": {"true": {"Kdb": 3}}}],
+             "sim.true.Kdb"),
+            # Channels without unit power, and channel errors named by their block.
+            (["design", "--channel.kind", "nakagami", "--channel.m", "2", "--channel.omega", "2",
+              "--design.method", "moments"], "channel"),
+            (["design", "--channel.kind", "nakagami", "--channel.m", "2", "--channel.omega", "2"],
+             "channel"),
+            (["evaluate", "--artifact", {"levels": [0.0, 1.0], "sigma2_design": 0.1,
+                                         "boundaries": [0.5]},
+              "--channel.kind", "nakagami", "--channel.m", "2", "--channel.omega", "2"],
+             "channel"),
+            (["histogram", "--design.method", "mindist", "--channel.kind", "nakagami",
+              "--channel.m", "2", "--sim.true.omega", "2"], "sim.true"),
+            (["simulate", "--design.method", "mindist", "--sim.scheme", "noncoherent_ml",
+              "--sim.assumed.kind", "nakagami"], "sim.assumed.m"),
+            (["simulate", "--design.method", "mindist", "--sim.true.kind", "rician"],
+             "sim.true.K_dB"),
+            (["simulate", "--design.method", "mindist", "--sim.assumed.gamma_dB", "inf"],
+             "sim.assumed.gamma_dB"),
+            (["simulate", "--design.method", "mindist", "--sim.true.kind", "awgn"],
+             "sim.true.kind"),
+            (["design", "--channel.gamma_dB", "abc"], "channel.gamma_dB"),
+            (["design", "--channel.kind", "rician", "--channel.K_dB", "abc"], "channel.K_dB"),
         ],
     )
-    def test_bad_value_names_its_field(self, args, field, capsys):
+    def test_bad_value_names_its_field(self, args, field, tmp_path, capsys):
+        # A dict in args stands for a JSON file with that content.
+        args = list(args)
+        for i, arg in enumerate(args):
+            if isinstance(arg, dict):
+                path = tmp_path / f"arg{i}.json"
+                path.write_text(json.dumps(arg))
+                args[i] = str(path)
         assert run(args) == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ([], "the command comes first"),
+            (["bogus"], "the command comes first"),
+            (["--seed", "3", "design"], "the command comes first"),
+            (["design", "stray"], "unrecognized argument 'stray'"),
+            (["design", "--design.L"], "missing value for '--design.L'"),
+            (["design", "--seed"], "missing value for '--seed'"),
+            (["design", "--bogus", "1"], "unrecognized argument '--bogus'"),
+            (["design", "--conf", "cfg.json"], "unrecognized argument '--conf'"),
+        ],
+    )
+    def test_usage_error_exits_1(self, args, message, capsys):
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("args", [["--help"], ["-h"], ["design", "--help"]])
+    def test_help_exits_0(self, args, capsys):
+        assert run(args) == 0
+        assert capsys.readouterr().out.startswith("Command-line front end")
+
+    def test_config_file_and_flags_write_the_same_bytes(self, tmp_path):
+        settings = {
+            "channel": {"kind": "rician", "K_dB": 0, "gamma_dB": 10},
+            "design": {"method": "mindist", "L": 4},
+            "sim": {"n": [20, 40], "symbols": 5000, "seed": 3, "true": {"gamma_dB": 8}},
+            "output": {"format": "json"},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        flags = [
+            "--channel.kind", "rician", "--channel.K_dB", "0", "--channel.gamma_dB", "10",
+            "--design.method", "mindist", "--design.L", "4",
+            "--sim.n", "[20, 40]", "--sim.symbols", "5000", "--seed", "3",
+            "--sim.true.gamma_dB", "8", "--format", "json",
+        ]
+        assert run(["sweep-n", "--config", str(cfg), "--out", str(tmp_path / "a.json")]) == 0
+        assert run(["sweep-n", *flags, "--out", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags,seed",
+        [(["--seed", "3", "--sim.seed", "4"], 4), (["--sim.seed", "4", "--seed", "3"], 3)],
+    )
+    def test_shorthand_resolves_by_position(self, flags, seed, tmp_path):
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--design.method", "mindist", "--sim.symbols", "1e5", *flags]
+        assert run(args + ["--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert f"# seed: {seed}" in lines
+        assert lines[-1].split(",")[-2:] == ["100000", str(seed)]
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-n", "evaluate"])
     def test_missing_artifact_file_names_the_field(self, command, tmp_path, capsys):

@@ -193,6 +193,12 @@ class TestMlThresholdBoundaries:
         k_ml = energy_ml_index(stat, 7, levels, 0.0, 1.0, sigma2)
         np.testing.assert_array_equal(k_region, k_ml)
 
+    @pytest.mark.parametrize("sigma_h2", [0.5, 0.9, 1.1, 2.0])
+    def test_rejects_variance_other_than_one(self, sigma_h2):
+        # Receiver points p + sigma2 are the mean statistic only at sigma_h2 = 1.
+        with pytest.raises(ValueError, match="^sigma_h2: "):
+            ml_threshold_boundaries((0.0, 0.4, 1.6), sigma_h2, 0.3)
+
 
 class TestZeroMeanLikelihoodIntervals:
     """With mu = 0 both ML decoders decide by intervals of ||y||^2 / n; the
@@ -220,8 +226,8 @@ class TestZeroMeanLikelihoodIntervals:
                 np.testing.assert_array_equal(ask.decide(n, norm2, None), by_pdf, where)
 
     def test_assumed_variance_other_than_one(self):
-        # Crossings for sigma_h2 != 1 that ml_threshold_boundaries cannot
-        # return as energy regions (receiver point p + sigma2 outside them).
+        # Crossings for sigma_h2 != 1, which ml_threshold_boundaries refuses
+        # to return as energy regions (receiver points p + sigma2).
         levels, sigma_h2, sigma2, n = (0.0, 1.0, 2.0), 0.1, 0.1, 5
         rng = np.random.default_rng(3)
         norm2 = rng.gamma(n, sigma_h2 * rng.choice(levels, 20_000) + sigma2)
