@@ -99,13 +99,14 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _field(name: str):
-    """Report a ValueError or TypeError raised inside the block (a library check, or
-    a conversion of a value of the wrong type) as a config error on `name`."""
+    """Report a ValueError, TypeError or OverflowError raised inside the block (a
+    library check, or arithmetic on a value of the wrong type or size) as a
+    config error on `name`."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
@@ -145,6 +146,8 @@ def _set(cfg: dict, path: tuple, value) -> None:
         return
     if field not in _FIELDS.get(tuple(block), ()):
         raise ConfigError(f"{'.'.join(path)}: unknown config field")
+    if path in (("artifact",), ("output", "path")) and not isinstance(value, (str, type(None))):
+        raise ConfigError(f"{'.'.join(path)}: must be a path or null, got {value!r}")
     if path == ("sim", "n") and isinstance(value, (int, float)):
         value = [value]
     node = cfg
@@ -222,23 +225,34 @@ def _box_from(cfg: dict) -> UncertaintyBox:
     """
     ch = cfg["channel"]
     d = cfg["design"]
-    a = d.get("a_dB")
-    a_k = a if d.get("a_K_dB") is None else d["a_K_dB"]
-    a_g = a if d.get("a_gamma_dB") is None else d["a_gamma_dB"]
-    if a_k is None or a_g is None:
-        raise ConfigError("design.a_dB (or a_K_dB / a_gamma_dB) is required for robust")
+
+    def width(key):
+        """(field, value) of a half-width, read from `key` or, when unset, a_dB."""
+        key = key if d[key] is not None else "a_dB"
+        if d[key] is None:
+            raise ConfigError("design.a_dB (or a_K_dB / a_gamma_dB) is required for robust")
+        with _field(f"design.{key}"):
+            value = float(d[key])
+            if math.isnan(value):
+                raise ValueError("must be a number, got nan")
+        return f"design.{key}", value
+
+    k_field, a_k = width("a_K_dB")
+    g_field, a_g = width("a_gamma_dB")
     nominal, _ = _channel_from(ch, "channel")
     gamma = float(ch["gamma_dB"])
     alphas = []
-    for dk in (-a_k, a_k):
-        if isinstance(nominal, Rician):
-            k_db = nominal.K_db
-            corner = Rician(k_db + dk if math.isfinite(k_db) else k_db)
-        else:
-            corner = nominal
-        alphas.append(alpha1(corner))
-    sigmas = [math.sqrt(sigma_from_snr(gamma + dg)) for dg in (-a_g, a_g)]
-    return UncertaintyBox(min(alphas), max(alphas), min(sigmas), max(sigmas))
+    with _field(k_field):
+        for dk in (-a_k, a_k):
+            if isinstance(nominal, Rician):
+                k_db = nominal.K_db
+                corner = Rician(k_db + dk if math.isfinite(k_db) else k_db)
+            else:
+                corner = nominal
+            alphas.append(alpha1(corner))
+    with _field(g_field):
+        sigmas = [math.sqrt(sigma_from_snr(gamma + dg)) for dg in (-a_g, a_g)]
+        return UncertaintyBox(min(alphas), max(alphas), min(sigmas), max(sigmas))
 
 
 def _design_from(cfg: dict):
@@ -440,8 +454,9 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
                 sigma2=assumed_sigma2,
                 coherence_slots=_whole(sim["T"], "sim.T"),
                 pilot_slots=_whole(sim["T_l"], "sim.T_l"),
-                pilot_power=float(sim["pilot_power"]),
             )
+        with _field("sim.pilot_power"):
+            decoder = replace(decoder, pilot_power=float(sim["pilot_power"]))
     else:
         raise ConfigError(f"unknown sim.scheme {scheme!r}")
     # n is checked by the callers, so only the symbol budget can fail here.

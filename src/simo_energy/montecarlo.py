@@ -3,16 +3,16 @@
 Randomness is organized in fixed-size logical blocks: block b of a scenario
 draws from a counter-based Philox stream keyed by (seed, b), so the merged
 error counts do not depend on how blocks are distributed over shards, and any
-rerun with the same seed reproduces the counts bit for bit.  A block holds at
-most 2^14 symbols and at most 2^18 antenna draws (so 2^18 / n symbols from
-n = 16 up), in whole coherence blocks; `min_antennas` checks its stop rule
-after each block.
+rerun with the same seed reproduces the counts bit for bit.  A block holds
+2^14 symbols, in whole coherence blocks; a sampler that draws every antenna
+holds at most 2^18 antenna draws (so 2^18 / n symbols from n = 16 up).
+`min_antennas` checks its stop rule after each block.
 
 Each block passes through three layers, each written once:
 
 - sampler: the transmitted symbol indices and the receiver's decision
   statistics.  Which sampler runs depends on the (true channel, scheme)
-  pair:
+  pair, and `_sampler` decides it once, for the block size as well:
 
   ====================  ==========================  ============================
   true channel          energy regions, ASK-ML,     noncoherent ML with
@@ -177,14 +177,14 @@ def _block_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
-def _symbols_per_block(n: int, coherence: int) -> int:
+def _symbols_per_block(draws: int, coherence: int) -> int:
     """Symbols per logical block, in whole coherence blocks (at least one).
 
-    At most _BLOCK_SYMBOLS symbols, so an early stop acts within that many at
-    any n, and at most _BLOCK_DRAWS antenna draws, the memory bound of the
-    per-antenna samplers.  From n = 16 up the draw cap is the tighter one.
+    At most _BLOCK_SYMBOLS symbols, so an early stop acts within that many, and
+    at most _BLOCK_DRAWS antenna draws, the memory bound of the per-antenna
+    samplers.  `draws` per symbol is n for those and 1 for the others (`_sampler`).
     """
-    per = min(_BLOCK_SYMBOLS, _BLOCK_DRAWS // max(n, 1))
+    per = min(_BLOCK_SYMBOLS, _BLOCK_DRAWS // draws)
     return max(coherence, (per // coherence) * coherence)
 
 
@@ -251,23 +251,6 @@ def _nakagami_stats(channel: NakagamiReal, sigma2, p, n, rng, with_sum):
     return 0.5 * sigma2 * rng.noncentral_chisquare(2 * n, 2.0 * p * gain / sigma2), None
 
 
-def _sample_stats(channel, sigma2, p, n, rng, with_sum):
-    """Per-symbol (||y||^2, Re sum_i y_i) of y = h*sqrt(p) + noise over n antennas.
-
-    `p` is a float array holding one power level per symbol.  The sum is drawn only when
-    `with_sum` is set (otherwise None).  Rician channels draw both statistics
-    directly, Nakagami channels draw ||y||^2 directly, and only the Nakagami
-    sum falls back to per-antenna draws.
-    """
-    if isinstance(channel, Rician):
-        sampler = _rician_stats
-    elif with_sum:
-        sampler = _antenna_stats
-    else:
-        sampler = _nakagami_stats
-    return sampler(channel, sigma2, p, n, rng, with_sum)
-
-
 def _antenna_pilot(channel, sigma2, dec: PilotPAM, n, nb, rng):
     """Amplitude indices and projections of the data slots of nb coherence blocks, from
     per-antenna draws of the channel, the pilot average and the data samples."""
@@ -329,32 +312,43 @@ def _rician_pilot(channel: Rician, sigma2, dec: PilotPAM, n, nb, rng):
     return idx, np.where(live[:, None], z, 0.0)
 
 
-def _pilot_projections(channel, sigma2, dec: PilotPAM, n, nb, rng):
-    """(sent amplitude indices, projections Re(h_hat^H y)/||h_hat||^2), each nb x (T - T_l).
+def _sampler(channel, decoder, n: int):
+    """(sampler, antenna draws per symbol) for a true channel and a decoder.
 
-    Rician channels draw the projections from per-block sufficient
-    statistics; other channels draw every antenna.
+    Pilot-PAM samplers take (channel, sigma2, decoder, n, nb, rng) and return
+    the sent amplitude indices and projections Re(h_hat^H y)/||h_hat||^2 of
+    nb coherence blocks, each nb x (T - T_l).  The others take (channel,
+    sigma2, p, n, rng, with_sum), one power level per symbol in `p`, and
+    return (||y||^2, Re sum_i y_i), the sum None unless `with_sum`.  Only
+    Nakagami pilot PAM and the Nakagami sum draw every antenna (n per
+    symbol); the rest draw a few values per symbol whatever n is (1).
     """
-    sampler = _rician_pilot if isinstance(channel, Rician) else _antenna_pilot
-    return sampler(channel, sigma2, dec, n, nb, rng)
+    rician = isinstance(channel, Rician)
+    if isinstance(decoder, PilotPAM):
+        return (_rician_pilot, 1) if rician else (_antenna_pilot, n)
+    if rician:
+        return _rician_stats, 1
+    if decoder.needs_sum:
+        return _antenna_stats, n
+    return _nakagami_stats, 1
 
 
-def _run_noncoherent_block(scenario: SimScenario, rng, count: int):
+def _run_noncoherent_block(scenario: SimScenario, sampler, rng, count: int):
     """(sent, decoded) level indices of `count` symbols."""
     dec = scenario.decoder
     levels = np.asarray(dec.levels, dtype=float)
     idx = rng.integers(0, len(levels), size=count)
-    norm2, re_sum = _sample_stats(
+    norm2, re_sum = sampler(
         scenario.true_channel, scenario.true_sigma2, levels[idx], scenario.n, rng,
-        with_sum=dec.needs_sum,
+        dec.needs_sum,
     )
     return idx, dec.decide(scenario.n, norm2, re_sum)
 
 
-def _run_pilot_pam_block(scenario: SimScenario, rng, count: int):
+def _run_pilot_pam_block(scenario: SimScenario, sampler, rng, count: int):
     """(sent, decoded) amplitude indices of the data slots of count // T coherence blocks."""
     dec: PilotPAM = scenario.decoder
-    idx, z = _pilot_projections(
+    idx, z = sampler(
         scenario.true_channel, scenario.true_sigma2, dec, scenario.n,
         count // dec.coherence_slots, rng,
     )
@@ -413,9 +407,10 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     data_slots = coherence - scenario.decoder.pilot_slots
     L = scenario.L
     bit_errors = _bit_error_table(L)
+    sampler, draws = _sampler(scenario.true_channel, scenario.decoder, scenario.n)
 
     # Blocks and the budget are whole coherence blocks, so every count is too.
-    per_block = _symbols_per_block(scenario.n, coherence)
+    per_block = _symbols_per_block(draws, coherence)
     total = (scenario.symbols // coherence) * coherence
     if total == 0:
         raise ValueError("symbol budget is below one coherence block")
@@ -425,7 +420,8 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     block_index = 0
     while consumed < total:
         count = min(per_block, total - consumed)
-        idx, decoded = run_block(scenario, _block_generator(scenario.seed, block_index), count)
+        rng = _block_generator(scenario.seed, block_index)
+        idx, decoded = run_block(scenario, sampler, rng, count)
         counts += _block_counts(idx, decoded, bit_errors, data_slots)
         consumed += count
         block_index += 1
@@ -593,10 +589,11 @@ def histogram(
     edges = np.linspace(0.0, hi, bins + 1)
 
     region_edges = (0.0,) + constellation.boundaries + (math.inf,)
+    sampler, _ = _sampler(channel, EnergyRegions(constellation), n)
     counts, means, variances, outside = [], [], [], []
     for k, p in enumerate(levels):
         rng = _block_generator(seed, k)
-        norm2, _ = _sample_stats(channel, sigma2, np.full(trials, p), n, rng, with_sum=False)
+        norm2, _ = sampler(channel, sigma2, np.full(trials, p), n, rng, False)
         stat = norm2 / n
         c, _ = np.histogram(stat, bins=edges)
         counts.append(tuple(int(x) for x in c))

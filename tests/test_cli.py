@@ -222,6 +222,29 @@ class TestConfigHandling:
              "sim.true.kind"),
             (["design", "--channel.gamma_dB", "abc"], "channel.gamma_dB"),
             (["design", "--channel.kind", "rician", "--channel.K_dB", "abc"], "channel.K_dB"),
+            # Robust half-widths, each named by its own field.
+            (["design", "--design.method", "robust", "--design.a_dB", "abc"], "design.a_dB"),
+            (["design", "--design.method", "robust", "--design.a_dB", "[1]"], "design.a_dB"),
+            (["design", "--design.method", "robust", "--design.a_dB", "1",
+              "--design.a_K_dB", "abc"], "design.a_K_dB"),
+            (["design", "--design.method", "robust", "--design.a_gamma_dB", "[1]",
+              "--design.a_K_dB", "1"], "design.a_gamma_dB"),
+            (["design", "--design.method", "robust", "--design.a_dB", "nan"], "design.a_dB"),
+            (["design", "--design.method", "robust", "--design.a_dB", "1e308"], "design.a_dB"),
+            (["design", "--design.method", "robust", "--channel.kind", "rician", "--channel.K_dB",
+              "0", "--design.a_dB", "1", "--design.a_K_dB", "1e308"], "design.a_K_dB"),
+            # Pilot-PAM fields, each named by its own field.
+            (["simulate", "--design.method", "mindist", "--sim.scheme", "pilot_pam",
+              "--design.L", "2", "--sim.T", "2", "--sim.pilot_power", "abc"], "sim.pilot_power"),
+            (["simulate", "--design.method", "mindist", "--sim.scheme", "pilot_pam",
+              "--design.L", "2", "--sim.T", "2", "--sim.T_l", "1", "--sim.pilot_power", "-1"],
+             "sim.pilot_power"),
+            (["simulate", "--design.method", "mindist", "--sim.scheme", "pilot_pam",
+              "--design.L", "2", "--sim.T", "2.5"], "sim.T"),
+            # Paths from a config file must be strings.
+            (["evaluate", "--config", {"artifact": 1}], "artifact"),
+            (["simulate", "--design.method", "mindist", "--config", {"output": {"path": 1}}],
+             "output.path"),
         ],
     )
     def test_bad_value_names_its_field(self, args, field, tmp_path, capsys):
@@ -234,6 +257,23 @@ class TestConfigHandling:
                 args[i] = str(path)
         assert run(args) == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("evaluate", {"artifact": 1}),
+            ("simulate", {"artifact": False}),
+            ("simulate", {"output": {"path": 1}}),
+        ],
+    )
+    def test_non_string_path_opens_nothing(self, command, config, tmp_path, capsys):
+        # A number would otherwise be opened as a file descriptor.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run([command, "--design.method", "mindist", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be a path or null" in err
 
     @pytest.mark.parametrize(
         "args,message",

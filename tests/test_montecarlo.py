@@ -302,7 +302,12 @@ class TestMinAntennas:
         with pytest.raises(ValueError):
             min_antennas(scen, 0.7, 10)
 
-    def test_hopeless_candidate_costs_one_capped_block(self, design_l4, monkeypatch):
+    @pytest.mark.parametrize("n_max,gamma_db", [(1, 10.0), (400, -20.0)])
+    def test_hopeless_candidate_costs_one_capped_block(
+        self, n_max, gamma_db, design_l4, monkeypatch
+    ):
+        # At -20 dB every candidate up to n = 400 sees its 100 bit errors in
+        # its first block, so each one draws a single block of 2^14 symbols.
         blocks, counts = [], []
         make_rng, run_block = montecarlo._block_generator, montecarlo._run_noncoherent_block
 
@@ -310,23 +315,58 @@ class TestMinAntennas:
             blocks.append(index)
             return make_rng(seed, index)
 
-        def spy_block(scenario, rng, count):
-            counts.append(count)
-            return run_block(scenario, rng, count)
+        def spy_block(scenario, sampler, rng, count):
+            counts.append((scenario.n, count))
+            return run_block(scenario, sampler, rng, count)
 
         monkeypatch.setattr(montecarlo, "_block_generator", spy_rng)
         monkeypatch.setattr(montecarlo, "_run_noncoherent_block", spy_block)
-        scen = energy_scenario(design_l4.constellation, n=1, symbols=100_000)
-        assert min_antennas(scen, 1e-3, 1) is None
-        assert blocks == [0]
-        assert counts == [montecarlo._BLOCK_SYMBOLS]
+        scen = energy_scenario(
+            design_l4.constellation, n=1, symbols=100_000, sigma2=sigma_from_snr(gamma_db)
+        )
+        assert min_antennas(scen, 1e-3, n_max) is None
+        assert counts[-1][0] == n_max
+        assert blocks == [0] * len(counts)
+        assert [count for _, count in counts] == [montecarlo._BLOCK_SYMBOLS] * len(counts)
+
+
+LEVELS = (0.0, 0.6, 1.6, 3.0)
+AMPS = (-0.9, -0.3, 0.3, 0.9)
+NAKAGAMI = NakagamiReal(2.0)
+ENERGY_REGIONS = EnergyRegions(Constellation(LEVELS, 1.0, (1.25, 2.0, 3.2)))
+RICIAN_0DB = Rician(0.0)
+# Receivers whose samplers draw a few values per symbol whatever n is.
+SUFFICIENT_STATISTIC_CELLS = {
+    "rayleigh-energy": (rayleigh(), ENERGY_REGIONS),
+    "rician0dB-noncoherent-ml": (
+        RICIAN_0DB, NoncoherentML(LEVELS, RICIAN_0DB.mu, RICIAN_0DB.sigma_h2, 1.0)
+    ),
+    "nakagami-energy": (NAKAGAMI, ENERGY_REGIONS),
+    "nakagami-zero-mean-ml": (NAKAGAMI, NoncoherentML(LEVELS, 0.0, 1.0, 1.0)),
+    "rician0dB-pilot-pam-T2": (
+        RICIAN_0DB, PilotPAM(AMPS, RICIAN_0DB.mu, RICIAN_0DB.sigma_h2, 1.0, 2, 1)
+    ),
+    "rayleigh-pilot-pam-T3": (rayleigh(), PilotPAM(AMPS, 0.0, 1.0, 1.0, 3, 0)),
+}
 
 
 class TestBlockRule:
+    """Blocks of per-antenna samplers hold at most _BLOCK_DRAWS antenna draws;
+    the other samplers' blocks hold _BLOCK_SYMBOLS symbols at every n."""
+
     @pytest.mark.parametrize("coherence", [1, 2, 4])
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 400, 2048])
-    def test_caps_and_whole_coherence_blocks(self, n, coherence):
-        per = montecarlo._symbols_per_block(n, coherence)
+    @pytest.mark.parametrize("scheme", ["noncoherent_ml", "pilot_pam"])
+    def test_per_antenna_samplers_keep_the_draw_cap(self, scheme, n, coherence):
+        if scheme == "pilot_pam":
+            decoder = PilotPAM(AMPS, NAKAGAMI.mu, NAKAGAMI.sigma_h2, 1.0, max(coherence, 2), 1)
+            coherence = decoder.coherence_slots
+        else:
+            decoder = NoncoherentML(LEVELS, NAKAGAMI.mu, NAKAGAMI.sigma_h2, 1.0)
+        sampler, draws = montecarlo._sampler(NAKAGAMI, decoder, n)
+        assert sampler in (montecarlo._antenna_stats, montecarlo._antenna_pilot)
+        assert draws == n
+        per = montecarlo._symbols_per_block(draws, coherence)
         cap = min(montecarlo._BLOCK_SYMBOLS, montecarlo._BLOCK_DRAWS // n)
         assert per % coherence == 0
         assert cap - coherence < per <= montecarlo._BLOCK_SYMBOLS
@@ -338,6 +378,40 @@ class TestBlockRule:
 
     def test_more_antennas_than_the_draw_cap_still_take_one_coherence_block(self):
         assert montecarlo._symbols_per_block(montecarlo._BLOCK_DRAWS + 1, 4) == 4
+
+    @pytest.mark.parametrize("n", [17, 400, 2048])
+    @pytest.mark.parametrize("cell", list(SUFFICIENT_STATISTIC_CELLS))
+    def test_sufficient_statistic_samplers_hold_2_14_symbols(self, cell, n):
+        channel, decoder = SUFFICIENT_STATISTIC_CELLS[cell]
+        coherence = decoder.coherence_slots
+        _, draws = montecarlo._sampler(channel, decoder, n)
+        per = montecarlo._symbols_per_block(draws, coherence)
+        assert per == (montecarlo._BLOCK_SYMBOLS // coherence) * coherence
+
+    def test_rayleigh_energy_at_n_1000_runs_in_7_blocks(self, design_l4, monkeypatch):
+        # 2^18 / 1000 = 262 symbols per block would take 382 blocks.
+        blocks = []
+        make_rng = montecarlo._block_generator
+        monkeypatch.setattr(
+            montecarlo, "_block_generator", lambda seed, i: blocks.append(i) or make_rng(seed, i)
+        )
+        report = simulate(energy_scenario(design_l4.constellation, n=1000, symbols=100_000))
+        assert report.symbols == 100_000
+        assert blocks == list(range(7))
+
+    def test_nakagami_ml_at_n_400_draws_at_most_2_18_antennas_per_block(self, monkeypatch):
+        sizes = []
+        draw = montecarlo.sample_channel
+
+        def spy(channel, size, rng):
+            sizes.append(size)
+            return draw(channel, size, rng)
+
+        monkeypatch.setattr(montecarlo, "sample_channel", spy)
+        decoder = NoncoherentML(LEVELS, NAKAGAMI.mu, NAKAGAMI.sigma_h2, 1.0)
+        assert simulate(SimScenario(NAKAGAMI, 1.0, decoder, 400, 2000, 5)).symbols == 2000
+        assert len(sizes) == 4
+        assert max(sizes) <= montecarlo._BLOCK_DRAWS
 
 
 def _reference_counts(sent, decoded, L, data_slots):
@@ -427,6 +501,13 @@ def _decoder(scheme, channel, constellation, n):
     return EnergyMLAsk(levels, channel.mu, channel.sigma_h2, SIGMA2_0DB, n=n)
 
 
+def _per_antenna_sampler(channel, decoder, n):
+    """The per-antenna reference path of any receiver, in place of `montecarlo._sampler`."""
+    if isinstance(decoder, PilotPAM):
+        return montecarlo._antenna_pilot, n
+    return montecarlo._antenna_stats, n
+
+
 class TestSufficientStatisticSampler:
     """The direct Rician sampler against the per-antenna reference path."""
 
@@ -436,7 +517,7 @@ class TestSufficientStatisticSampler:
     def test_statistics_match_per_antenna_draws(self, channel, n, with_sum):
         trials = 4000
         p = np.full(trials, 1.5)
-        stats = montecarlo._sample_stats(
+        stats = montecarlo._rician_stats(
             channel, SIGMA2_0DB, p, n, montecarlo._block_generator(5, 0), with_sum
         )
         reference = montecarlo._antenna_stats(
@@ -460,7 +541,7 @@ class TestSufficientStatisticSampler:
             n=n, symbols=20_000, seed=17,
         )
         direct = simulate(scen)
-        monkeypatch.setattr(montecarlo, "_sample_stats", montecarlo._antenna_stats)
+        monkeypatch.setattr(montecarlo, "_sampler", _per_antenna_sampler)
         reference = simulate(scen)
         assert direct.symbol_errors > 0 and reference.symbol_errors > 0
         lo_a, hi_a = direct.ser_ci
@@ -476,7 +557,7 @@ class TestSufficientStatisticSampler:
         regions = EnergyRegions(ml_threshold_boundaries(levels, 1.0, SIGMA2_0DB))
         rng = montecarlo._block_generator(3, 0)
         idx = rng.integers(0, 4, size=20_000)
-        norm2, re_sum = montecarlo._sample_stats(
+        norm2, re_sum = montecarlo._rician_stats(
             rayleigh(), SIGMA2_0DB, np.asarray(levels)[idx], 16, rng, with_sum=True
         )
         by_regions = regions.decide(16, norm2, re_sum)
@@ -549,7 +630,7 @@ class TestNakagamiEnergySampler:
         channel = NakagamiReal(m)
         p = np.full(3000, 1.5)
         for seed in range(3):
-            direct, _ = montecarlo._sample_stats(
+            direct, _ = montecarlo._nakagami_stats(
                 channel, SIGMA2_0DB, p, n, montecarlo._block_generator(seed, 0), False
             )
             reference, _ = montecarlo._antenna_stats(
@@ -561,7 +642,7 @@ class TestNakagamiEnergySampler:
     @pytest.mark.parametrize("n", [1, 16, 400])
     def test_moments_match_theory(self, m, n):
         channel, trials, p = NakagamiReal(m), 40_000, 1.5
-        norm2, _ = montecarlo._sample_stats(
+        norm2, _ = montecarlo._nakagami_stats(
             channel, SIGMA2_0DB, np.full(trials, p), n, montecarlo._block_generator(7, 0), False
         )
         stat = norm2 / n
@@ -575,14 +656,13 @@ class TestNakagamiEnergySampler:
         p = np.array([0.0, 0.6, 1.6, 3.0] * 50)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            norm2, _ = montecarlo._sample_stats(
+            norm2, _ = montecarlo._nakagami_stats(
                 channel, 0.0, p, n, montecarlo._block_generator(3, 0), False
             )
         gain = montecarlo._block_generator(3, 0).gamma(n * 1.8, 1.0 / 1.8, size=len(p))
         assert np.array_equal(norm2, p * gain)
 
 
-AMPS = (-0.9, -0.3, 0.3, 0.9)
 PILOT_CELLS = {
     # name: (true channel, true sigma2, decoder, n)
     "rayleigh-T2-Tl1": (rayleigh(), 1.0, PilotPAM(AMPS, 0.0, 1.0, 1.0, 2, 1), 4),
@@ -606,7 +686,7 @@ class TestPilotProjectionSampler:
         channel, sigma2, decoder, n = PILOT_CELLS[name]
         scen = SimScenario(channel, sigma2, decoder, n=n, symbols=30_000, seed=23)
         direct = simulate(scen)
-        monkeypatch.setattr(montecarlo, "_pilot_projections", montecarlo._antenna_pilot)
+        monkeypatch.setattr(montecarlo, "_sampler", _per_antenna_sampler)
         reference = simulate(scen)
         assert direct.symbol_errors > 100 and reference.symbol_errors > 100
         # Slots of one coherence block share the channel and its estimate, so
@@ -625,7 +705,7 @@ class TestPilotProjectionSampler:
         # mu = 0 without pilots makes the estimate the zero vector, so every
         # projection is 0 and every slot decodes to the amplitude nearest 0.
         if sampler == "per_antenna":
-            monkeypatch.setattr(montecarlo, "_pilot_projections", montecarlo._antenna_pilot)
+            monkeypatch.setattr(montecarlo, "_sampler", _per_antenna_sampler)
         decoder = PilotPAM(AMPS, 0.0, 1.0, 1.0, coherence_slots=2, pilot_slots=0)
         scen = SimScenario(rayleigh(), 1.0, decoder, n=8, symbols=2000, seed=4)
         k0 = int(decoder.decide_projection(0.0))
@@ -745,6 +825,9 @@ class TestStreamIsPinned:
         "rayleigh-noncoherent-ml": (1164, 1261, (773, 748, 756, 723), (169, 368, 394, 233)),
         # Recorded when blocks were capped at 2^14 symbols: three blocks at n = 2.
         "rayleigh-energy-n2": (22464, 27988, (9998, 9842, 10105, 10055), (2845, 7358, 7645, 4616)),
+        # Recorded when sufficient-statistic samplers took 2^14-symbol blocks at
+        # every n: three blocks at n = 100, where the draw cap made sixteen.
+        "rayleigh-energy-n100": (669, 669, (9998, 9842, 10105, 10055), (91, 201, 208, 169)),
     }
 
     def scenario(self, name):
@@ -755,8 +838,9 @@ class TestStreamIsPinned:
         if name.endswith("Tl0"):
             decoder = PilotPAM(self.AMPS, ric.mu, ric.sigma_h2, 1.0, coherence_slots=4, pilot_slots=0)
             return SimScenario(ric, 1.0, decoder, 4, 4000, 5)
-        if name == "rayleigh-energy-n2":
-            return SimScenario(rayleigh(), 1.0, EnergyRegions(self.REGIONS), 2, 40_000, 5)
+        if name.startswith("rayleigh-energy-n"):
+            n = int(name.rpartition("n")[2])
+            return SimScenario(rayleigh(), 1.0, EnergyRegions(self.REGIONS), n, 40_000, 5)
         if name == "nakagami-pilot-pam":
             decoder = PilotPAM(self.AMPS, nak.mu, nak.sigma_h2, 1.0, coherence_slots=2, pilot_slots=1)
             return SimScenario(nak, 1.0, decoder, 4, 4000, 5)
