@@ -1,15 +1,14 @@
 """Time `simulate` on Rayleigh cells at large n and count its rng blocks.
 
-Usage: PYTHONPATH=src python3 scripts/block_timing.py [--reps 200]
+Usage: PYTHONPATH=src python3 scripts/block_timing.py
 
 It times whichever `simo_energy` is importable, so the same script measures
 two checkouts when PYTHONPATH points at each one's `src` in turn.  Each cell
-is timed `--reps` times, the cells interleaved, after one warm-up run; the
+is timed REPS times, the cells interleaved, after one warm-up run; the
 median and quartiles are printed in ms with the cell's block count, one JSON
 object per line.
 """
 
-import argparse
 import json
 import statistics
 import time
@@ -21,6 +20,7 @@ from simo_energy.design import DesignConfig, design_exact
 from simo_energy.montecarlo import SimScenario, simulate
 
 DRAWS = 1 << 21  # antenna draws per cell, as n * symbols, except the last cell
+REPS = 100  # timed runs per cell
 
 
 def cells():
@@ -53,14 +53,11 @@ def block_count(scenario) -> int:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=200)
-    args = parser.parse_args()
     scenarios = dict(cells())
     times = {name: [] for name in scenarios}
     for scenario in scenarios.values():
         simulate(scenario)
-    for _ in range(args.reps):
+    for _ in range(REPS):
         for name, scenario in scenarios.items():
             start = time.perf_counter()
             simulate(scenario)

@@ -155,8 +155,8 @@ class PilotPAM:
         _check_channel_variance(self.sigma_h2, zero_mean_likelihood=False)
         if not (0 <= self.pilot_slots < self.coherence_slots):
             raise ValueError("pilot slots must leave at least one data slot")
-        if not (self.pilot_power >= 0):
-            raise ValueError(f"pilot power must be nonnegative, got {self.pilot_power!r}")
+        if not (math.isfinite(self.pilot_power) and self.pilot_power >= 0):
+            raise ValueError(f"pilot power must be finite and nonnegative, got {self.pilot_power!r}")
 
     @property
     def L(self) -> int:

@@ -589,6 +589,7 @@ def histogram(
     edges = np.linspace(0.0, hi, bins + 1)
 
     region_edges = (0.0,) + constellation.boundaries + (math.inf,)
+    # The decoder only selects the ||y||^2 sampler of `channel`; it decides nothing.
     sampler, _ = _sampler(channel, EnergyRegions(constellation), n)
     counts, means, variances, outside = [], [], [], []
     for k, p in enumerate(levels):

@@ -240,6 +240,9 @@ class TestConfigHandling:
               "--design.L", "2", "--sim.T", "2", "--sim.T_l", "1", "--sim.pilot_power", "-1"],
              "sim.pilot_power"),
             (["simulate", "--design.method", "mindist", "--sim.scheme", "pilot_pam",
+              "--design.L", "2", "--sim.T", "2", "--sim.T_l", "1", "--sim.pilot_power", "inf"],
+             "sim.pilot_power"),
+            (["simulate", "--design.method", "mindist", "--sim.scheme", "pilot_pam",
               "--design.L", "2", "--sim.T", "2.5"], "sim.T"),
             # Paths from a config file must be strings.
             (["evaluate", "--config", {"artifact": 1}], "artifact"),

@@ -280,8 +280,8 @@ def pilot_decoder(channel, sigma2):
 
 
 class TestPilotMmse:
-    @pytest.mark.parametrize("power", [-1.0, math.nan])
-    def test_rejects_negative_or_nan_pilot_power(self, power):
+    @pytest.mark.parametrize("power", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_nan_or_infinite_pilot_power(self, power):
         amps = pam_constellation(2).amplitudes
         with pytest.raises(ValueError, match="pilot power"):
             PilotPAM(amps, 0.0, 1.0, 0.1, coherence_slots=2, pilot_slots=1, pilot_power=power)

@@ -302,9 +302,12 @@ class TestMinAntennas:
         with pytest.raises(ValueError):
             min_antennas(scen, 0.7, 10)
 
-    @pytest.mark.parametrize("n_max,gamma_db", [(1, 10.0), (400, -20.0)])
+    @pytest.mark.parametrize(
+        "n_max,gamma_db,candidates",
+        [(1, 10.0, [1]), (400, -20.0, [1, 2, 4, 8, 16, 32, 64, 128, 256, 400])],
+    )
     def test_hopeless_candidate_costs_one_capped_block(
-        self, n_max, gamma_db, design_l4, monkeypatch
+        self, n_max, gamma_db, candidates, design_l4, monkeypatch
     ):
         # At -20 dB every candidate up to n = 400 sees its 100 bit errors in
         # its first block, so each one draws a single block of 2^14 symbols.
@@ -325,7 +328,7 @@ class TestMinAntennas:
             design_l4.constellation, n=1, symbols=100_000, sigma2=sigma_from_snr(gamma_db)
         )
         assert min_antennas(scen, 1e-3, n_max) is None
-        assert counts[-1][0] == n_max
+        assert [n for n, _ in counts] == candidates
         assert blocks == [0] * len(counts)
         assert [count for _, count in counts] == [montecarlo._BLOCK_SYMBOLS] * len(counts)
 
