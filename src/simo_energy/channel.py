@@ -80,38 +80,41 @@ class Rician:
             return 0.0
         return 1.0 / (k + 1.0)
 
-    @property
-    def second_moment(self) -> float:
-        return 1.0
+
+# From this shape on, 1 - mu^2 would lose digits to cancellation.
+_NAKAGAMI_SERIES_M = 16.0
+
+
+def _log_mean_amplitude_series(m: float) -> float:
+    """log(Gamma(m + 1/2) / (Gamma(m) sqrt(m))) by its asymptotic series in 1/m,
+    accurate to rounding for m >= _NAKAGAMI_SERIES_M."""
+    x = 1.0 / m
+    x2 = x * x
+    return x * (-1.0 / 8 + x2 * (1.0 / 192 + x2 * (-1.0 / 640 + x2 * (17.0 / 14336 - x2 * 31.0 / 18432))))
 
 
 @dataclass(frozen=True)
 class NakagamiReal:
-    """Nonnegative real amplitude with a Nakagami(m, omega) law, zero imaginary part."""
+    """Nonnegative real amplitude with a Nakagami(m, 1) law (E|h|^2 = 1), zero imaginary part."""
 
     m: float
-    omega: float = 1.0
 
     def __post_init__(self):
-        if not (self.m > 0):
-            raise ValueError("Nakagami shape m must be positive")
-        if not (self.omega > 0):
-            raise ValueError("Nakagami second moment omega must be positive")
+        if not (0 < self.m < math.inf):
+            raise ValueError(f"Nakagami shape m must be positive and finite, got {self.m!r}")
 
     @property
     def mu(self) -> float:
-        # E[A] for A^2 ~ Gamma(m, omega/m)
-        return math.exp(gammaln(self.m + 0.5) - gammaln(self.m)) * math.sqrt(
-            self.omega / self.m
-        )
+        # E[A] for A^2 ~ Gamma(m, 1/m)
+        if self.m < _NAKAGAMI_SERIES_M:
+            return math.exp(gammaln(self.m + 0.5) - gammaln(self.m)) * math.sqrt(1.0 / self.m)
+        return math.exp(_log_mean_amplitude_series(self.m))
 
     @property
     def sigma_h2(self) -> float:
-        return self.omega - self.mu**2
-
-    @property
-    def second_moment(self) -> float:
-        return self.omega
+        if self.m < _NAKAGAMI_SERIES_M:
+            return 1.0 - self.mu**2
+        return -math.expm1(2.0 * _log_mean_amplitude_series(self.m))
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,6 @@ def alpha1(channel: ChannelSpec) -> float:
 
     This is E[h_re^4] + E[h_im^4] + 2 E[h_re^2] E[h_im^2] - 1 for a channel
     normalized to E|h|^2 = 1; it multiplies p^2 in the energy variance.
-    Raises ValueError for a channel without that unit power.
     """
     if isinstance(channel, MomentsOnly):
         return channel.alpha1_value
@@ -148,16 +150,8 @@ def alpha1(channel: ChannelSpec) -> float:
             return 0.0
         return (1.0 + 2.0 * k) / (1.0 + k) ** 2
     if isinstance(channel, NakagamiReal):
-        _require_normalized(channel)
-        return channel.omega**2 * (1.0 + 1.0 / channel.m) - 1.0
+        return 1.0 / channel.m
     raise TypeError(f"unsupported channel {channel!r}")
-
-
-def _require_normalized(channel: ChannelSpec) -> None:
-    if abs(channel.second_moment - 1.0) > 1e-9:
-        raise ValueError(
-            f"channel must satisfy E|h|^2 = 1, got {channel.second_moment!r}"
-        )
 
 
 def energy_variance(alpha1_value: float, sigma2: float, p: float) -> float:
@@ -187,7 +181,7 @@ def sample_channel(
         g = rng.standard_normal((count, 2))
         return mu + scale * (g[:, 0] + 1j * g[:, 1])
     if isinstance(channel, NakagamiReal):
-        power = rng.gamma(shape=channel.m, scale=channel.omega / channel.m, size=count)
+        power = rng.gamma(shape=channel.m, scale=1.0 / channel.m, size=count)
         return np.sqrt(power).astype(np.complex128)
     raise TypeError(f"unsupported channel {channel!r}")
 
@@ -197,7 +191,7 @@ def theta_max_energy(channel: ChannelSpec, sigma2: float, p: float) -> float:
     if isinstance(channel, Rician):
         return 1.0 / (channel.sigma_h2 * p + sigma2)
     if isinstance(channel, NakagamiReal):
-        return channel.m / (channel.omega * p + channel.m * sigma2)
+        return channel.m / (p + channel.m * sigma2)
     raise NotSamplableError("moments-only channels have no MGF")
 
 
@@ -215,16 +209,16 @@ def _log_mgf_nakagami(
 ) -> float:
     # Conditional on G = |h|^2, |y|^2 is noncentral exponential, so
     # E[e^{theta|y|^2}] = E[e^{cG}] / (1 - theta*sigma2) with
-    # c = theta*p/(1 - theta*sigma2), and G ~ Gamma(m, omega/m) gives
-    # E[e^{cG}] = (1 - c*omega/m)^(-m) = ((1 - theta*A)/(1 - theta*sigma2))^(-m).
+    # c = theta*p/(1 - theta*sigma2), and G ~ Gamma(m, 1/m) gives
+    # E[e^{cG}] = (1 - c/m)^(-m) = ((1 - theta*A)/(1 - theta*sigma2))^(-m).
     m = channel.m
-    a = sigma2 + channel.omega * p / m
+    a = sigma2 + p / m
     if theta * a >= 1.0:
         raise DivergentMgfError(theta, 1.0 / a)
     return (
         -m * math.log1p(-theta * a)
         + (m - 1.0) * math.log1p(-theta * sigma2)
-        - theta * (channel.omega * p + sigma2)
+        - theta * (p + sigma2)
     )
 
 
@@ -236,7 +230,7 @@ def log_mgf_energy(
     Rician channels use the scaled noncentral chi-square MGF; Nakagami
     channels use the Gamma MGF of |h|^2,
     -m*log(1 - theta*A) + (m - 1)*log(1 - theta*sigma2) - theta*r with
-    A = sigma2 + omega*p/m and r = omega*p + sigma2.  Raises
+    A = sigma2 + p/m and r = p + sigma2.  Raises
     DivergentMgfError at or beyond the domain boundary.
     """
     if p < 0:
@@ -274,10 +268,10 @@ def saddle_point_energy(
     if isinstance(channel, NakagamiReal):
         # Clearing denominators gives R*A*sigma2*theta^2 - b*theta + v = 0
         # with R = r + v and b = R*(A + sigma2) - A*sigma2.  The quadratic
-        # is -omega*p <= 0 at theta = 1/A, so its smaller root is the one
+        # is -p <= 0 at theta = 1/A, so its smaller root is the one
         # inside the domain theta < 1/A.
-        a = sigma2 + channel.omega * p / channel.m
-        total = channel.omega * p + sigma2 + v
+        a = sigma2 + p / channel.m
+        total = p + sigma2 + v
         lead = total * a * sigma2
         b = total * (a + sigma2) - a * sigma2
         root_disc = math.sqrt(max(b * b - 4.0 * lead * v, 0.0))

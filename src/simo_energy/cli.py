@@ -52,7 +52,7 @@ from .montecarlo import (
 )
 from .rates import Constellation, chernoff_ser_bound, error_exponent, tail_exponents
 
-_CHANNEL_DEFAULTS = {"kind": "rayleigh", "K_dB": None, "m": None, "omega": 1.0, "gamma_dB": 10.0}
+_CHANNEL_DEFAULTS = {"kind": "rayleigh", "K_dB": None, "m": None, "gamma_dB": 10.0}
 _DESIGN_DEFAULTS = {
     "method": "exact",
     "L": 4,
@@ -204,9 +204,7 @@ def _channel_from(block: dict, name: str):
         if m is None:
             raise ConfigError(f"{name}.m: required for kind 'nakagami'")
         with _field(name):
-            channel = NakagamiReal(float(m), float(block.get("omega", 1.0)))
-            alpha1(channel)  # refuses a channel without unit power E|h|^2 = 1
-        return channel, sigma2
+            return NakagamiReal(float(m)), sigma2
     raise ConfigError(f"{name}.kind: unknown kind {kind!r}")
 
 
@@ -323,12 +321,15 @@ def _write_rows(cfg: dict, columns, rows, out_path: Optional[str]) -> None:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    """Write text to stdout, or to out_path when one is given."""
+    """Write text to stdout, or to out_path (--out or output.path) when one is given."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"output.path: cannot write {out_path!r}: {exc.strerror}") from None
 
 
 def cmd_design(cfg: dict, out_path: Optional[str]) -> int:
@@ -392,7 +393,7 @@ def _antenna_counts(cfg: dict) -> list:
 
 
 def _constellation_for_run(cfg: dict) -> Constellation:
-    if cfg.get("artifact"):
+    if cfg["artifact"] is not None:
         return _artifact_constellation(cfg)
     outcome, constellation = _design_from(cfg)
     if outcome is not None and not outcome.feasible:
@@ -401,7 +402,7 @@ def _constellation_for_run(cfg: dict) -> Constellation:
 
 
 def cmd_evaluate(cfg: dict, out_path: Optional[str]) -> int:
-    if not cfg.get("artifact"):
+    if cfg["artifact"] is None:
         raise ConfigError("artifact: evaluate requires a constellation artifact")
     constellation = _artifact_constellation(cfg)
     channel, sigma2 = _channel_from(cfg["channel"], "channel")

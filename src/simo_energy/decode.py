@@ -12,9 +12,9 @@ nearest_amplitude_index, and ml_threshold_boundaries for the zero-mean ML
 regions.  The decoder objects are the one way a receiver is applied:
 EnergyRegions, NoncoherentML and EnergyMLAsk decide a level from
 (||y||^2, Re sum_i y_i) with `decide`; PilotPAM estimates the channel from
-the pilot average (`estimate`) and decides an amplitude from the data
-(`decide`) or from the projection alone (`decide_projection`), so a
-simulator that draws the projection directly needs no channel estimate.
+the pilot average (`estimate`) and decides an amplitude from the projection
+Re(h_hat^H y) / ||h_hat||^2 alone (`decide`), so a simulator that draws the
+projection directly needs no channel estimate.
 
 When the assumed mean mu is 0, both likelihoods depend on ||y||^2 alone and
 their ML regions are intervals of ||y||^2 / n whose boundaries are the
@@ -172,12 +172,9 @@ class PilotPAM:
         gain = self.sigma_h2 * a / (self.sigma_h2 * a**2 + self.sigma2 / self.pilot_slots)
         return self.mu + gain * (y_bar - self.mu * a)
 
-    def decide_projection(self, z) -> np.ndarray:
+    def decide(self, z) -> np.ndarray:
         """Amplitude index of each projection z = Re(h_hat^H y) / ||h_hat||^2."""
         return nearest_amplitude_index(self.amplitudes, z)
-
-    def decide(self, h_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.decide_projection(pam_projection(h_hat, y))
 
 
 def _check_levels_and_noise(levels, sigma2):

@@ -37,30 +37,29 @@ from .rates import (
 )
 
 _log = logging.getLogger("simo_energy")
+_MAX_DOUBLINGS = 70  # bracketing steps of `_maximize_exponent`, either way
+_MAX_BISECTIONS = 200  # probes of `_maximize_exponent` in total
 
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Size, power budget and termination tolerances for the design bisection.
+    """Size, power budget and termination tolerance for the design bisection.
 
     `eps` is both the first exponent probed and the power tolerance relative
-    to the budget; `max_doublings` caps the bracketing steps and
-    `max_bisections` the total number of probes (see `_maximize_exponent`).
+    to the budget.
     """
 
     L: int
     power_budget: float = 1.0
     eps: float = 1e-6
-    max_doublings: int = 70
-    max_bisections: int = 200
 
     def __post_init__(self):
         if self.L < 2:
             raise ValueError("constellation size must be at least 2")
-        if not (self.power_budget > 0):
-            raise ValueError("power budget must be positive")
-        if not (self.eps > 0):
-            raise ValueError("termination tolerance must be positive")
+        if not (0 < self.power_budget < math.inf):
+            raise ValueError(f"power budget must be positive and finite, got {self.power_budget!r}")
+        if not (0 < self.eps < math.inf):
+            raise ValueError(f"termination tolerance must be positive and finite, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -147,20 +146,20 @@ def _maximize_exponent(power_at: Callable[[float], float], cfg: DesignConfig):
 
     power_at returns +inf when the inner construction fails.  The bracket
     starts at t = cfg.eps and doubles upward while the budget holds, or
-    halves downward while it does not, at most cfg.max_doublings steps either
+    halves downward while it does not, at most _MAX_DOUBLINGS steps either
     way.  Bisection stops once the bracket is narrower than 1e-9 of its upper
     end and the power at its lower end is within cfg.eps of the budget,
     relative to the budget.  Returns (t_star, iterations), or
     (None, iterations) when no probed exponent fits the budget.  A t that
-    still fits after max_doublings doublings, and a bisection stopped by
-    max_bisections before both tolerances hold, are logged as warnings on
-    the `simo_energy` logger.
+    still fits after _MAX_DOUBLINGS doublings, and a bisection stopped after
+    _MAX_BISECTIONS probes before both tolerances hold, are logged as
+    warnings on the `simo_energy` logger.
     """
     budget = cfg.power_budget
     t_l = t_u = None
     t = cfg.eps
     iters = 0
-    for _ in range(cfg.max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         iters += 1
         s = power_at(t)
         if s <= budget:
@@ -178,7 +177,7 @@ def _maximize_exponent(power_at: Callable[[float], float], cfg: DesignConfig):
         _log.warning(
             "design exponent still fits the budget after max_doublings=%d "
             "doublings; returning the capped t=%r",
-            cfg.max_doublings,
+            _MAX_DOUBLINGS,
             t_l,
         )
         return t_l, iters
@@ -187,11 +186,11 @@ def _maximize_exponent(power_at: Callable[[float], float], cfg: DesignConfig):
         power_ok = budget - s_l <= cfg.eps * budget
         if width_ok and power_ok:
             break
-        if iters >= cfg.max_bisections:
+        if iters >= _MAX_BISECTIONS:
             _log.warning(
                 "design bisection stopped at max_bisections=%d before converging: "
                 "t in [%r, %r], power %r against budget %r",
-                cfg.max_bisections,
+                _MAX_BISECTIONS,
                 t_l,
                 t_u,
                 s_l,
@@ -399,10 +398,6 @@ class PamConstellation:
     @property
     def L(self) -> int:
         return len(self.amplitudes)
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return (self.L - 1).bit_length()
 
 
 def pam_constellation(L: int) -> PamConstellation:

@@ -35,8 +35,8 @@ Each block passes through three layers, each written once:
   Re(h_hat^H h) given them, and each data slot draws one Gaussian.  Under Nakagami fading the pilot block draws
   every antenna sample of the channel, the pilot average and the data.
   The per-antenna paths also serve the tests as the reference.
-- decoder: the decoder object's own rule from `decode` (`decide`, or
-  `decide_projection` for pilot PAM).
+- decoder: the decoder object's own rule from `decode` (`decide`, which
+  for pilot PAM takes the projection).
 - counts: `_block_counts` turns a block's (sent, decoded) index pairs into
   one L x L confusion matrix, and from it symbol errors, Gray-coded bit
   errors and per-level counts; `_accumulate` sums them over blocks and
@@ -77,18 +77,19 @@ from .rates import Constellation
 _BLOCK_DRAWS = 1 << 18  # most antenna draws per logical rng block
 _BLOCK_SYMBOLS = 1 << 14  # most symbols per logical rng block
 _WILSON_Z = 1.959963984540054  # 95% two-sided
+_MIN_BIT_ERRORS = 100  # bit errors that end a min_antennas candidate early
 
 
-def wilson_interval(errors: int, trials: int, z: float = _WILSON_Z):
+def wilson_interval(errors: int, trials: int):
     """Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
     p_hat = errors / trials
-    z2 = z * z
+    z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / trials
     center = (p_hat + z2 / (2.0 * trials)) / denom
     half = (
-        z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
+        _WILSON_Z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
         / denom
     )
     # The exact endpoints at 0 and all-errors are 0 and 1; keep them exact so
@@ -243,9 +244,9 @@ def _rician_stats(channel: Rician, sigma2, p, n, rng, with_sum):
 
 
 def _nakagami_stats(channel: NakagamiReal, sigma2, p, n, rng, with_sum):
-    # Given the channel energy G = sum_i |h_i|^2 ~ Gamma(n*m, omega/m),
+    # Given the channel energy G = sum_i |h_i|^2 ~ Gamma(n*m, 1/m),
     # ||y||^2 is (sigma2/2) * chi'^2(2n, 2pG/sigma2), and exactly pG without noise.
-    gain = rng.gamma(n * channel.m, channel.omega / channel.m, size=len(p))
+    gain = rng.gamma(n * channel.m, 1.0 / channel.m, size=len(p))
     if sigma2 == 0.0:
         return p * gain, None
     return 0.5 * sigma2 * rng.noncentral_chisquare(2 * n, 2.0 * p * gain / sigma2), None
@@ -352,7 +353,7 @@ def _run_pilot_pam_block(scenario: SimScenario, sampler, rng, count: int):
         scenario.true_channel, scenario.true_sigma2, dec, scenario.n,
         count // dec.coherence_slots, rng,
     )
-    return idx.ravel(), dec.decide_projection(z).ravel()
+    return idx.ravel(), dec.decide(z).ravel()
 
 
 class _Counts(NamedTuple):
@@ -497,11 +498,10 @@ def min_antennas(
     scenario_template: SimScenario,
     target_ber: float,
     n_max: int,
-    min_bit_errors: int = 100,
 ) -> Optional[int]:
     """Smallest antenna count whose Wilson upper BER bound beats the target.
 
-    Each candidate n simulates until min_bit_errors bit errors are seen or the
+    Each candidate n simulates until _MIN_BIT_ERRORS bit errors are seen or the
     template's symbol budget runs out.  Exponential bracketing is followed by
     bisection under the usual monotone-BER assumption.  Returns None when even
     n_max fails.
@@ -511,7 +511,7 @@ def min_antennas(
 
     def qualifies(n: int) -> bool:
         scen = _with_antennas(scenario_template, n)
-        _, upper = _accumulate(scen, stop_bit_errors=min_bit_errors)[-1]
+        _, upper = _accumulate(scen, stop_bit_errors=_MIN_BIT_ERRORS)[-1]
         return upper < target_ber
 
     n = 1

@@ -49,7 +49,7 @@ class RateOracle:
         self.p = p
         # Not used by the rate evaluations; bench/layers.py reads it.
         self.theta_max = theta_max_energy(channel, sigma2, p)
-        self.r = channel.second_moment * p + sigma2
+        self.r = p + sigma2
         self.u2 = u_second_moment(channel, sigma2, p)
 
     def log_mgf(self, theta: float) -> float:
@@ -218,10 +218,6 @@ class Constellation:
     @property
     def L(self) -> int:
         return len(self.levels)
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return max(1, (self.L - 1).bit_length())
 
     def receiver_points(self) -> tuple:
         """Mean statistic r(p_k) = p_k + sigma2 for each level."""

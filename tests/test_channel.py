@@ -45,17 +45,10 @@ class TestAlpha1:
         assert alpha1(Rician(0.0)) == pytest.approx(0.75, abs=1e-15)
 
     def test_nakagami_m1(self):
-        assert alpha1(NakagamiReal(1.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert alpha1(NakagamiReal(1.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_moments_only_passthrough(self):
         assert alpha1(MomentsOnly(0.42)) == 0.42
-
-    def test_rejects_a_channel_without_unit_power(self):
-        # alpha1 is defined for E|h|^2 = 1 only; u_second_moment relies on that check.
-        with pytest.raises(ValueError, match=r"E\|h\|\^2 = 1"):
-            alpha1(NakagamiReal(2.0, 2.0))
-        with pytest.raises(ValueError, match=r"E\|h\|\^2 = 1"):
-            u_second_moment(NakagamiReal(2.0, 2.0), 0.1, 1.0)
 
     @pytest.mark.parametrize(
         "channel",
@@ -113,7 +106,7 @@ class TestSampleChannel:
 
     def test_nakagami_m1_energy_is_exponential(self):
         rng = np.random.default_rng(11)
-        h = sample_channel(NakagamiReal(1.0, 1.0), 100_000, rng)
+        h = sample_channel(NakagamiReal(1.0), 100_000, rng)
         assert np.all(h.imag == 0.0)
         _, pvalue = stats.kstest(np.abs(h) ** 2, "expon")
         assert pvalue > 0.01
@@ -126,7 +119,7 @@ class TestSampleChannel:
         assert abs(h.mean() - channel.mu) < 4 * se_mean
         power = np.abs(h) ** 2
         se_pow = power.std(ddof=1) / math.sqrt(len(h))
-        assert abs(power.mean() - channel.second_moment) < 4 * se_pow
+        assert abs(power.mean() - 1.0) < 4 * se_pow
 
     def test_moments_only_not_samplable(self):
         with pytest.raises(NotSamplableError):
@@ -170,7 +163,7 @@ class TestLogMgfEnergy:
     def test_nakagami_divergence_at_gamma_bound(self):
         ch = NakagamiReal(2.0)
         p, sigma2 = 1.0, 0.5
-        t_max = ch.m / (ch.omega * p + ch.m * sigma2)
+        t_max = ch.m / (p + ch.m * sigma2)
         with pytest.raises(DivergentMgfError):
             log_mgf_energy(ch, sigma2, p, t_max)
 
@@ -250,3 +243,10 @@ class TestNakagamiFromK:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             nakagami_m_from_K(-math.inf)
+
+
+class TestNakagamiReal:
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_shape_that_is_not_positive_and_finite(self, m):
+        with pytest.raises(ValueError, match="positive and finite"):
+            NakagamiReal(m)

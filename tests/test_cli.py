@@ -201,17 +201,21 @@ class TestConfigHandling:
             (["design", "--config", {"channel.kind": "rician"}], "channel.kind"),
             (["simulate", "--design.method", "mindist", "--config", {"sim": {"true": {"Kdb": 3}}}],
              "sim.true.Kdb"),
-            # Channels without unit power, and channel errors named by their block.
+            # Every channel has unit power, so omega is no field; channel errors
+            # are named by their block.
             (["design", "--channel.kind", "nakagami", "--channel.m", "2", "--channel.omega", "2",
-              "--design.method", "moments"], "channel"),
-            (["design", "--channel.kind", "nakagami", "--channel.m", "2", "--channel.omega", "2"],
-             "channel"),
+              "--design.method", "moments"], "channel.omega"),
+            (["design", "--channel.kind", "nakagami", "--channel.m", "2", "--channel.omega", "1"],
+             "channel.omega"),
             (["evaluate", "--artifact", {"levels": [0.0, 1.0], "sigma2_design": 0.1,
                                          "boundaries": [0.5]},
               "--channel.kind", "nakagami", "--channel.m", "2", "--channel.omega", "2"],
-             "channel"),
+             "channel.omega"),
             (["histogram", "--design.method", "mindist", "--channel.kind", "nakagami",
-              "--channel.m", "2", "--sim.true.omega", "2"], "sim.true"),
+              "--channel.m", "2", "--sim.true.omega", "2"], "sim.true.omega"),
+            (["design", "--channel.kind", "nakagami", "--channel.m", "inf"], "channel"),
+            (["simulate", "--design.method", "mindist", "--channel.kind", "nakagami",
+              "--channel.m", "inf"], "channel"),
             (["simulate", "--design.method", "mindist", "--sim.scheme", "noncoherent_ml",
               "--sim.assumed.kind", "nakagami"], "sim.assumed.m"),
             (["simulate", "--design.method", "mindist", "--sim.true.kind", "rician"],
@@ -248,6 +252,20 @@ class TestConfigHandling:
             (["evaluate", "--config", {"artifact": 1}], "artifact"),
             (["simulate", "--design.method", "mindist", "--config", {"output": {"path": 1}}],
              "output.path"),
+            # An empty or unwritable path names its field too.
+            (["simulate", "--design.method", "mindist", "--artifact", "", "--sim.symbols", "2000"],
+             "artifact"),
+            (["evaluate", "--artifact", ""], "artifact"),
+            (["design", "--design.method", "mindist", "--out", ""], "output.path"),
+            (["design", "--design.method", "mindist", "--out", "/nonexistent/dir/x.json"],
+             "output.path"),
+            (["design", "--design.method", "mindist", "--config", {"output": {"path": ""}}],
+             "output.path"),
+            # The design search needs a finite budget and tolerance.
+            (["design", "--design.method", "robust", "--design.a_dB", "1", "--design.budget",
+              "1e999999"], "design.budget"),
+            (["design", "--design.L", "2", "--design.budget", "1e999999"], "design.budget"),
+            (["design", "--design.L", "2", "--design.eps", "1e999"], "design.eps"),
         ],
     )
     def test_bad_value_names_its_field(self, args, field, tmp_path, capsys):

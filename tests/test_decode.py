@@ -18,6 +18,7 @@ from simo_energy.decode import (
     gray_map,
     ml_threshold_boundaries,
     noncoherent_ml_index,
+    pam_projection,
     region_index,
 )
 from simo_energy.design import ask_constellation, pam_constellation
@@ -344,7 +345,7 @@ class TestCoherentPamDecode:
 
     def decode(self, h_hat, y):
         """Decision for the single data slot y (one entry per antenna)."""
-        return self.DEC.decide(h_hat, np.asarray(y).reshape(-1, 1))[0]
+        return self.DEC.decide(pam_projection(h_hat, np.asarray(y).reshape(-1, 1)))[0]
 
     def test_perfect_estimate_noiseless(self):
         h = np.array([1.0 + 0.5j, -0.3 + 1j])

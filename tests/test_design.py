@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from simo_energy import design
 from simo_energy.channel import (
     MomentsOnly,
     NakagamiReal,
@@ -189,9 +190,9 @@ class TestDesignRobust:
         out = design_robust(box, cfg)
         assert not out.feasible
         assert out.constellation is None
-        # The search probes t = eps and halves it max_doublings times before
+        # The search probes t = eps and halves it _MAX_DOUBLINGS times before
         # giving up; the outcome counts those probes.
-        assert out.iterations == cfg.max_doublings + 1
+        assert out.iterations == design._MAX_DOUBLINGS + 1
 
     def test_widening_the_box_never_helps(self):
         cfg = DesignConfig(L=4)
@@ -271,18 +272,20 @@ class TestExponentSearch:
             design_robust(UncertaintyBox(0.9, 1.0, 0.3, 0.4), DesignConfig(L=4))
         assert caplog.records == []
 
-    def test_doubling_cap_warns(self, caplog):
+    def test_doubling_cap_warns(self, caplog, monkeypatch):
         # Two doublings from 1e-6 stop far below t* ~ 0.16: the capped value
         # is returned, and the logger says so.
+        monkeypatch.setattr(design, "_MAX_DOUBLINGS", 2)
         with caplog.at_level(logging.WARNING, logger="simo_energy"):
-            out = design_moments(1.0, SIGMA2_10DB, DesignConfig(L=4, max_doublings=2))
+            out = design_moments(1.0, SIGMA2_10DB, DesignConfig(L=4))
         assert out.t_star == pytest.approx(4e-6)
         assert len(caplog.records) == 1
         assert "max_doublings" in caplog.records[0].getMessage()
 
-    def test_bisection_cap_warns(self, caplog):
+    def test_bisection_cap_warns(self, caplog, monkeypatch):
+        monkeypatch.setattr(design, "_MAX_BISECTIONS", 25)
         with caplog.at_level(logging.WARNING, logger="simo_energy"):
-            out = design_moments(1.0, SIGMA2_10DB, DesignConfig(L=4, max_bisections=25))
+            out = design_moments(1.0, SIGMA2_10DB, DesignConfig(L=4))
         assert out.iterations == 25
         assert len(caplog.records) == 1
         assert "max_bisections" in caplog.records[0].getMessage()
@@ -358,6 +361,15 @@ class TestConfigValidation:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             DesignConfig(L=2, power_budget=0.0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_budget_or_tolerance_that_is_not_positive_and_finite(self, value):
+        # An infinite budget or tolerance would send the search to overflow,
+        # a false infeasible verdict or an unbracketed rate inverse.
+        with pytest.raises(ValueError, match="positive and finite"):
+            DesignConfig(L=2, power_budget=value)
+        with pytest.raises(ValueError, match="positive and finite"):
+            DesignConfig(L=2, eps=value)
 
     def test_rejects_bad_box(self):
         with pytest.raises(ValueError):

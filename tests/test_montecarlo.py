@@ -711,7 +711,7 @@ class TestPilotProjectionSampler:
             monkeypatch.setattr(montecarlo, "_sampler", _per_antenna_sampler)
         decoder = PilotPAM(AMPS, 0.0, 1.0, 1.0, coherence_slots=2, pilot_slots=0)
         scen = SimScenario(rayleigh(), 1.0, decoder, n=8, symbols=2000, seed=4)
-        k0 = int(decoder.decide_projection(0.0))
+        k0 = int(decoder.decide(0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rep = simulate(scen)

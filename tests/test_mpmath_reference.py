@@ -7,7 +7,8 @@ conditionally) under Nakagami fading.  The exponent reference finds the
 stationary point of theta*v - Lambda(theta) with mpmath.findroot on a
 numerically differentiated 50-digit Lambda, and takes the supremum there.
 The energy-ML density is checked against the Bessel form of the noncentral
-chi-square density, with mpmath.besseli.
+chi-square density, with mpmath.besseli, and the Nakagami mean amplitude and
+channel variance against the Gamma-function ratio.
 """
 
 import math
@@ -71,12 +72,12 @@ def _log_mgf_by_quadrature(channel, sigma2, p, theta):
 
         log_e = mpmath.log(expect(c)) + mpmath.log(expect(0))
         return log_e - theta * (p + sigma2)
-    # Given G = |h|^2 ~ Gamma(m, omega/m), |y|^2 is noncentral exponential:
+    # Given G = |h|^2 ~ Gamma(m, 1/m), |y|^2 is noncentral exponential:
     # E[exp(theta|y|^2) | G] = exp(c*G) / (1 - theta*sigma2).
-    m, omega = mpf(channel.m), mpf(channel.omega)
+    m = mpf(channel.m)
     qn = 1 - theta * sigma2
     c = theta * p / qn
-    rate = m / omega
+    rate = m
 
     def integrand(g):
         density = rate**m * g ** (m - 1) * mpmath.exp(-rate * g) / mpmath.gamma(m)
@@ -84,13 +85,13 @@ def _log_mgf_by_quadrature(channel, sigma2, p, theta):
 
     scale = m / (rate - c)
     points = [0, scale, 16 * scale, mpmath.inf]
-    return mpmath.log(mpmath.quad(integrand, points) / qn) - theta * (omega * p + sigma2)
+    return mpmath.log(mpmath.quad(integrand, points) / qn) - theta * (p + sigma2)
 
 
 def _theta_max_mp(channel, sigma2, p):
     if isinstance(channel, Rician):
         return 1 / (mpf(channel.sigma_h2) * p + sigma2)
-    return 1 / (mpf(sigma2) + mpf(channel.omega) * p / mpf(channel.m))
+    return 1 / (mpf(sigma2) + p / mpf(channel.m))
 
 
 def _log_mgf_mp(channel, sigma2, p, theta):
@@ -101,10 +102,10 @@ def _log_mgf_mp(channel, sigma2, p, theta):
         s = mpf(channel.sigma_h2) * p + sigma2
         q = 1 - theta * s
         return theta * lam / q - mpmath.log(q) - theta * (p + sigma2)
-    m, omega = mpf(channel.m), mpf(channel.omega)
+    m = mpf(channel.m)
     qn = 1 - theta * sigma2
     c = theta * p / qn
-    return -m * mpmath.log(1 - c * omega / m) - mpmath.log(qn) - theta * (omega * p + sigma2)
+    return -m * mpmath.log(1 - c / m) - mpmath.log(qn) - theta * (p + sigma2)
 
 
 def _saddle_mp(channel, sigma2, p, v):
@@ -220,3 +221,14 @@ def test_energy_ml_logpdf_against_besseli(n, nc):
         ref = _ncx2_logpdf_mp(w, df, 2 * n / s2) + mpmath.log(2 * n / s2)
         assert math.isfinite(value)
         assert _rel_err(value, ref) <= REL_TOL, (stat, value, ref)
+
+
+@pytest.mark.parametrize("m", [0.5, 0.9, 2.0, 15.9, 16.0, 50.0, 1e3, 1e5, 1e8, 1e12])
+def test_nakagami_mean_and_variance_against_gamma_ratio(m):
+    # E[A] = Gamma(m + 1/2) / (Gamma(m) sqrt(m)) and sigma_h2 = 1 - E[A]^2;
+    # 1 - E[A]^2 loses digits to cancellation in double precision as m grows.
+    M = mpf(m)
+    mu = mpmath.exp(mpmath.loggamma(M + mpf(1) / 2) - mpmath.loggamma(M)) / mpmath.sqrt(M)
+    channel = NakagamiReal(m)
+    assert _rel_err(channel.mu, mu) <= 1e-11
+    assert _rel_err(channel.sigma_h2, 1 - mu**2) <= 1e-11
