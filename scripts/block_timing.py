@@ -1,12 +1,16 @@
-"""Time `simulate` on Rayleigh cells at large n and count its rng blocks.
+"""Time `simulate` per cell and count its rng blocks.
+
+The cells are Rayleigh energy and noncoherent-ML receivers at large n, plus
+the two samplers the Rayleigh cells do not run at n = 16: Nakagami energy
+regions and Rayleigh pilot PAM (T = 2, T_l = 1).
 
 Usage: PYTHONPATH=src python3 scripts/block_timing.py
 
 It times whichever `simo_energy` is importable, so the same script measures
 two checkouts when PYTHONPATH points at each one's `src` in turn.  Each cell
 is timed REPS times, the cells interleaved, after one warm-up run; the
-median and quartiles are printed in ms with the cell's block count, one JSON
-object per line.
+median and quartiles are printed in ms with the cell's block count and its
+decided symbols per second at the median (Msym/s), one JSON object per line.
 """
 
 import json
@@ -14,12 +18,12 @@ import statistics
 import time
 
 from simo_energy import montecarlo
-from simo_energy.channel import rayleigh, sigma_from_snr
-from simo_energy.decode import EnergyRegions, NoncoherentML
-from simo_energy.design import DesignConfig, design_exact
+from simo_energy.channel import NakagamiReal, rayleigh, sigma_from_snr
+from simo_energy.decode import EnergyRegions, NoncoherentML, PilotPAM
+from simo_energy.design import DesignConfig, design_exact, pam_constellation
 from simo_energy.montecarlo import SimScenario, simulate
 
-DRAWS = 1 << 21  # antenna draws per cell, as n * symbols, except the last cell
+DRAWS = 1 << 21  # antenna draws per cell, as n * symbols, except energy.n1000
 REPS = 100  # timed runs per cell
 
 
@@ -28,16 +32,20 @@ def cells():
     constellation = design_exact(rayleigh(), sigma2, DesignConfig(L=4)).constellation
     energy = EnergyRegions(constellation)
     ml = NoncoherentML(constellation.levels, 0.0, 1.0, sigma2)
-    for name, decoder, n, symbols in (
-        ("energy.n100", energy, 100, DRAWS // 100),
-        ("noncoherent_ml.n100", ml, 100, DRAWS // 100),
-        ("energy.n400", energy, 400, DRAWS // 400),
-        ("energy.n1000", energy, 1000, 100_000),
+    pilot = PilotPAM(pam_constellation(4).amplitudes, 0.0, 1.0, sigma2, 2, 1)
+    for name, channel, decoder, n, symbols in (
+        ("energy.n100", rayleigh(), energy, 100, DRAWS // 100),
+        ("noncoherent_ml.n100", rayleigh(), ml, 100, DRAWS // 100),
+        ("energy.n400", rayleigh(), energy, 400, DRAWS // 400),
+        ("energy.n1000", rayleigh(), energy, 1000, 100_000),
+        ("nakagami_energy.n16", NakagamiReal(2.0), energy, 16, DRAWS // 16),
+        ("pilot_pam.n16", rayleigh(), pilot, 16, DRAWS // 16),
     ):
-        yield name, SimScenario(rayleigh(), sigma2, decoder, n, symbols, seed=1)
+        yield name, SimScenario(channel, sigma2, decoder, n, symbols, seed=1)
 
 
-def block_count(scenario) -> int:
+def block_count(scenario):
+    """(rng blocks, decided symbols) of one `simulate` run."""
     make_rng, seen = montecarlo._block_generator, []
 
     def counting(seed, index):
@@ -46,10 +54,10 @@ def block_count(scenario) -> int:
 
     montecarlo._block_generator = counting
     try:
-        simulate(scenario)
+        report = simulate(scenario)
     finally:
         montecarlo._block_generator = make_rng
-    return len(seen)
+    return len(seen), report.symbols
 
 
 def main() -> None:
@@ -64,11 +72,13 @@ def main() -> None:
             times[name].append(time.perf_counter() - start)
     for name, scenario in scenarios.items():
         q1, median, q3 = statistics.quantiles(times[name], n=4)
+        blocks, decided = block_count(scenario)
         print(json.dumps({
             "cell": name,
             "n": scenario.n,
-            "symbols": scenario.symbols,
-            "blocks": block_count(scenario),
+            "symbols": decided,
+            "blocks": blocks,
+            "msym_per_s": round(decided / median / 1e6, 3),
             "median_ms": round(1e3 * median, 3),
             "q1_ms": round(1e3 * q1, 3),
             "q3_ms": round(1e3 * q3, 3),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -39,6 +40,9 @@ from .rates import (
 _log = logging.getLogger("simo_energy")
 _MAX_DOUBLINGS = 70  # bracketing steps of `_maximize_exponent`, either way
 _MAX_BISECTIONS = 200  # probes of `_maximize_exponent` in total
+# Largest L * budget: levels up to it are squared, times fourth moments, in
+# the tail exponents, and must stay far from float overflow (about 1.3e154).
+_MAX_TOTAL_POWER = 1e150
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,9 @@ class DesignConfig:
     """Size, power budget and termination tolerance for the design bisection.
 
     `eps` is both the first exponent probed and the power tolerance relative
-    to the budget.
+    to the budget, so it lies between the float resolution 2^-52 and 1: a
+    finer tolerance cannot be met, and from a smaller first probe the
+    doubling cap no longer reaches the optimal exponent.
     """
 
     L: int
@@ -60,6 +66,12 @@ class DesignConfig:
             raise ValueError(f"power budget must be positive and finite, got {self.power_budget!r}")
         if not (0 < self.eps < math.inf):
             raise ValueError(f"termination tolerance must be positive and finite, got {self.eps!r}")
+        if self.L * self.power_budget > _MAX_TOTAL_POWER:
+            raise ValueError(
+                f"L * power budget must be at most {_MAX_TOTAL_POWER:g}, got {self.power_budget!r}"
+            )
+        if not (sys.float_info.epsilon <= self.eps < 1.0):
+            raise ValueError(f"termination tolerance must lie in [2^-52, 1), got {self.eps!r}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Deterministic, shardable Monte Carlo engine for symbol/bit error estimation.
 
 Randomness is organized in fixed-size logical blocks: block b of a scenario
-draws from a counter-based Philox stream keyed by (seed, b), so the merged
-error counts do not depend on how blocks are distributed over shards, and any
-rerun with the same seed reproduces the counts bit for bit.  A block holds
-2^14 symbols, in whole coherence blocks; a sampler that draws every antenna
-holds at most 2^18 antenna draws (so 2^18 / n symbols from n = 16 up).
-`min_antennas` checks its stop rule after each block.
+draws from its own SFC64 stream, seeded by SeedSequence(seed, spawn_key=(b,)),
+so the merged error counts do not depend on how blocks are distributed over
+shards, and any rerun with the same seed reproduces the counts bit for bit.
+A block holds 2^14 symbols, in whole coherence blocks; a sampler that draws
+every antenna holds at most 2^18 antenna draws (so 2^18 / n symbols from
+n = 16 up).  `min_antennas` checks its stop rule after each block.
 
 Each block passes through three layers, each written once:
 
@@ -20,13 +20,16 @@ Each block passes through three layers, each written once:
                         with assumed mu = 0:        (||y||^2, Re sum_i y_i)
                         ||y||^2 alone
   ====================  ==========================  ============================
-  Rician (Rayleigh,     one Gamma or scaled         sum_i y_i as one complex
-  K = +inf included)    noncentral chi^2 draw       Gaussian, plus a Gamma
+  Rician (Rayleigh,     one Gamma draw (mu = 0),    Re sum_i y_i as one
+  K = +inf included)    else `_gaussian_sums`       Gaussian, plus a Gamma
                                                     remainder for ||y||^2
   Nakagami              G = sum_i |h_i|^2 as one    every antenna sample
-                        Gamma draw, then one
-                        scaled noncentral chi^2
+                        Gamma draw, then
+                        `_gaussian_sums` given G
   ====================  ==========================  ============================
+
+  `_gaussian_sums` is the one formula for the nonzero-mean statistics: one
+  Gaussian for Re sum_i y_i and one Gamma for the rest of ||y||^2.
 
   Pilot-based PAM decides from the per-slot projection
   z = Re(h_hat^H y) / ||h_hat||^2.  Under Rician fading (h_i, h_hat_i) is
@@ -175,7 +178,12 @@ class SimReport:
 
 
 def _block_generator(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+    """The generator of logical block `index`: an SFC64 stream seeded by the
+    SeedSequence spawned from `seed` with spawn key (index,), NumPy's
+    construction of independent streams."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(index,)))
+    )
 
 
 def _symbols_per_block(draws: int, coherence: int) -> int:
@@ -212,15 +220,13 @@ def _antenna_stats(channel, sigma2, p, n, rng, with_sum):
 def _gaussian_sums(mean, var, n, rng, count):
     """(||x||^2, Re sum_i x_i) of `count` vectors of n i.i.d. CN(mean, var) entries.
 
-    The sum is one complex Gaussian draw and ||x||^2 is |sum|^2/n plus an
-    independent var*Gamma(n - 1) remainder.
+    `mean` is real.  Re sum_i x_i is one Gaussian draw.  ||x||^2 is
+    (Re sum)^2/n plus (Im sum)^2/n, which is var*Gamma(1/2), plus the
+    var*Gamma(n - 1) energy orthogonal to the all-ones direction: one
+    var*Gamma(n - 1/2) draw for the two together.
     """
-    scale = np.sqrt(n * var / 2.0)
-    g = rng.standard_normal((count, 2))
-    re_sum = n * mean + scale * g[:, 0]
-    norm2 = (re_sum**2 + (scale * g[:, 1]) ** 2) / n
-    if n > 1:
-        norm2 += var * rng.standard_gamma(n - 1, size=count)
+    re_sum = n * mean + np.sqrt(n * var / 2.0) * rng.standard_normal(count)
+    norm2 = re_sum**2 / n + var * rng.standard_gamma(n - 0.5, size=count)
     return norm2, re_sum
 
 
@@ -230,26 +236,21 @@ def _rician_stats(channel: Rician, sigma2, p, n, rng, with_sum):
         # y is CN(0, s) per antenna, and s = 0 gives exactly 0.
         return s * rng.standard_gamma(n, size=len(p)), None
     amp = channel.mu * np.sqrt(p)
+    norm2, re_sum = _gaussian_sums(amp, s, n, rng, len(p))
     # s = 0 (K = +inf or p = 0, noiseless) makes y = amp on every antenna;
-    # those symbols get the exact values below and must not divide by s.
-    live = s > 0.0
-    if with_sum:
-        norm2, re_sum = _gaussian_sums(amp, s, n, rng, len(p))
-        re_sum = np.where(live, re_sum, n * amp)
-    else:
-        nonc = 2.0 * n * amp**2 / np.where(live, s, 1.0)
-        norm2 = 0.5 * s * rng.noncentral_chisquare(2 * n, nonc)
-    norm2 = np.where(live, norm2, n * channel.mu**2 * p)
+    # give those symbols the exact energy, not (n*amp)^2/n rounded.
+    norm2 = np.where(s > 0.0, norm2, n * channel.mu**2 * p)
     return norm2, re_sum if with_sum else None
 
 
 def _nakagami_stats(channel: NakagamiReal, sigma2, p, n, rng, with_sum):
-    # Given the channel energy G = sum_i |h_i|^2 ~ Gamma(n*m, 1/m),
-    # ||y||^2 is (sigma2/2) * chi'^2(2n, 2pG/sigma2), and exactly pG without noise.
+    # Given the channel energy G = sum_i |h_i|^2 ~ Gamma(n*m, 1/m), ||y||^2
+    # depends on h only through ||h||^2 (rotational invariance of the noise),
+    # so it is ||x||^2 of x_i ~ CN(sqrt(pG/n), sigma2), and exactly pG without noise.
     gain = rng.gamma(n * channel.m, 1.0 / channel.m, size=len(p))
     if sigma2 == 0.0:
         return p * gain, None
-    return 0.5 * sigma2 * rng.noncentral_chisquare(2 * n, 2.0 * p * gain / sigma2), None
+    return _gaussian_sums(np.sqrt(p * gain / n), sigma2, n, rng, len(p))[0], None
 
 
 def _antenna_pilot(channel, sigma2, dec: PilotPAM, n, nb, rng):

@@ -266,6 +266,12 @@ class TestConfigHandling:
               "1e999999"], "design.budget"),
             (["design", "--design.L", "2", "--design.budget", "1e999999"], "design.budget"),
             (["design", "--design.L", "2", "--design.eps", "1e999"], "design.eps"),
+            # A relative tolerance lies in [2^-52, 1), and levels up to
+            # L * budget must square without overflow.
+            (["design", "--design.L", "2", "--design.eps", "1e300"], "design.eps"),
+            (["design", "--design.L", "2", "--design.eps", "1e-320"], "design.eps"),
+            (["design", "--design.method", "robust", "--design.a_dB", "1", "--design.budget",
+              "1e300"], "design.budget"),
         ],
     )
     def test_bad_value_names_its_field(self, args, field, tmp_path, capsys):

@@ -371,6 +371,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="positive and finite"):
             DesignConfig(L=2, eps=value)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("eps", 1.0), ("eps", 1e300), ("eps", 1e-30), ("eps", 1e-320),
+         ("power_budget", 1e300), ("power_budget", 5.1e149)],
+    )
+    def test_rejects_a_tolerance_or_budget_out_of_range(self, field, value):
+        # eps = 1e300 and 1e-320 and budget = 1e300 ended in tracebacks, and
+        # eps = 1e-30 in the doubling cap's wrong exponent.
+        with pytest.raises(ValueError):
+            DesignConfig(L=2, **{field: value})
+
+    @pytest.mark.parametrize("eps", [2.0**-52, 0.999])
+    def test_tolerance_at_either_end_still_designs(self, eps):
+        out = design_exact(rayleigh(), SIGMA2_10DB, DesignConfig(L=4, eps=eps))
+        reference = design_exact(rayleigh(), SIGMA2_10DB, DesignConfig(L=4))
+        assert out.t_star == pytest.approx(reference.t_star, rel=1e-6)
+
     def test_rejects_bad_box(self):
         with pytest.raises(ValueError):
             UncertaintyBox(1.0, 0.5, 0.1, 0.2)
