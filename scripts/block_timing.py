@@ -2,7 +2,9 @@
 
 The cells are Rayleigh energy and noncoherent-ML receivers at large n, plus
 the two samplers the Rayleigh cells do not run at n = 16: Nakagami energy
-regions and Rayleigh pilot PAM (T = 2, T_l = 1).
+regions and Rayleigh pilot PAM (T = 2, T_l = 1).  One more Rayleigh energy
+cell decodes 64 minimum-distance levels at n = 400, where the interval
+search takes log2(64) = 6 passes.
 
 Usage: PYTHONPATH=src python3 scripts/block_timing.py
 
@@ -20,7 +22,12 @@ import time
 from simo_energy import montecarlo
 from simo_energy.channel import NakagamiReal, rayleigh, sigma_from_snr
 from simo_energy.decode import EnergyRegions, NoncoherentML, PilotPAM
-from simo_energy.design import DesignConfig, design_exact, pam_constellation
+from simo_energy.design import (
+    DesignConfig,
+    design_exact,
+    min_distance_constellation,
+    pam_constellation,
+)
 from simo_energy.montecarlo import SimScenario, simulate
 
 DRAWS = 1 << 21  # antenna draws per cell, as n * symbols, except energy.n1000
@@ -31,6 +38,7 @@ def cells():
     sigma2 = sigma_from_snr(10.0)
     constellation = design_exact(rayleigh(), sigma2, DesignConfig(L=4)).constellation
     energy = EnergyRegions(constellation)
+    energy_64 = EnergyRegions(min_distance_constellation(64, sigma2))
     ml = NoncoherentML(constellation.levels, 0.0, 1.0, sigma2)
     pilot = PilotPAM(pam_constellation(4).amplitudes, 0.0, 1.0, sigma2, 2, 1)
     for name, channel, decoder, n, symbols in (
@@ -38,6 +46,7 @@ def cells():
         ("noncoherent_ml.n100", rayleigh(), ml, 100, DRAWS // 100),
         ("energy.n400", rayleigh(), energy, 400, DRAWS // 400),
         ("energy.n1000", rayleigh(), energy, 1000, 100_000),
+        ("energy_L64.n400", rayleigh(), energy_64, 400, DRAWS // 400),
         ("nakagami_energy.n16", NakagamiReal(2.0), energy, 16, DRAWS // 16),
         ("pilot_pam.n16", rayleigh(), pilot, 16, DRAWS // 16),
     ):

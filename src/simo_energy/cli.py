@@ -32,6 +32,7 @@ from .design import (
     DesignConfig,
     UncertaintyBox,
     ask_constellation,
+    check_total_snr,
     design_exact,
     design_moments,
     design_robust,
@@ -264,6 +265,10 @@ def _design_from(cfg: dict):
         dcfg = replace(dcfg, power_budget=float(d["budget"]))
     with _field("design.eps"):
         dcfg = replace(dcfg, eps=float(d["eps"]))
+    if method in ("exact", "moments", "robust"):
+        box = _box_from(cfg) if method == "robust" else None
+        with _field("design.budget"):
+            check_total_snr(dcfg, sigma2 if box is None else box.sigma_max**2)
     if method == "exact":
         out = design_exact(channel, sigma2, dcfg)
         return out, out.constellation
@@ -271,7 +276,7 @@ def _design_from(cfg: dict):
         out = design_moments(alpha1(channel), sigma2, dcfg)
         return out, out.constellation
     if method == "robust":
-        out = design_robust(_box_from(cfg), dcfg)
+        out = design_robust(box, dcfg)
         return out, out.constellation
     if method == "mindist":
         return None, min_distance_constellation(dcfg.L, sigma2)

@@ -9,7 +9,14 @@ decoding is deterministic.
 Each decision rule is written once, vectorised over symbols: region_index,
 noncoherent_ml_index, energy_ml_index, pam_projection followed by
 nearest_amplitude_index, and ml_threshold_boundaries for the zero-mean ML
-regions.  The decoder objects are the one way a receiver is applied:
+regions.  region_index is the one interval search of every threshold
+receiver: the energy regions, the zero-mean ML crossings and the PAM
+midpoints of nearest_amplitude_index all go through it.  It is a branch-free
+binary search, k = ceil(log2 L) vectorised gather-and-compare passes over
+the boundaries padded with +inf, and decides exactly as
+np.searchsorted(boundaries, stat, side="left").
+
+The decoder objects are the one way a receiver is applied:
 EnergyRegions, NoncoherentML and EnergyMLAsk decide a level from
 (||y||^2, Re sum_i y_i) with `decide`; PilotPAM estimates the channel from
 the pilot average (`estimate`) and decides an amplitude from the projection
@@ -200,8 +207,27 @@ def _check_channel_variance(sigma_h2, zero_mean_likelihood: bool):
 
 
 def region_index(boundaries, stat) -> np.ndarray:
-    """Index of the region containing each statistic; boundaries belong to the lower region."""
-    return np.searchsorted(boundaries, stat, side="left")
+    """Index of the region containing each statistic; boundaries belong to the lower region.
+
+    A binary search run level by level over all statistics at once.  The
+    boundaries are padded with +inf to 2^k - 1 entries, and each of the k
+    passes moves every index right by the pass's step where the statistic
+    exceeds the boundary it faces.  The test is not(stat <= b), so a NaN
+    statistic moves right at every pass; the final clamp to len(boundaries)
+    then gives exactly np.searchsorted(boundaries, stat, side="left"), which
+    is slower here because each unsorted statistic costs it a branchy search.
+    """
+    stat = np.asarray(stat)
+    count = len(boundaries)
+    depth = max(count.bit_length(), 1)
+    padded = np.full((1 << depth) - 1, np.inf)
+    padded[:count] = boundaries
+    step = 1 << (depth - 1)
+    index = ~(stat <= padded[step - 1]) * step
+    while step > 1:
+        step >>= 1
+        index += ~(stat <= padded[step - 1:].take(index)) * step
+    return np.minimum(index, count)
 
 
 def noncoherent_nll(
@@ -346,7 +372,7 @@ def nearest_amplitude_index(amplitudes: np.ndarray, z) -> np.ndarray:
     """Index of the closest amplitude; midpoints resolve to the smaller amplitude."""
     amplitudes = np.asarray(amplitudes, dtype=float)
     midpoints = 0.5 * (amplitudes[:-1] + amplitudes[1:])
-    return np.searchsorted(midpoints, z, side="left")
+    return region_index(midpoints, z)
 
 
 def gray_code(index: int) -> int:

@@ -43,6 +43,12 @@ _MAX_BISECTIONS = 200  # probes of `_maximize_exponent` in total
 # Largest L * budget: levels up to it are squared, times fourth moments, in
 # the tail exponents, and must stay far from float overflow (about 1.3e154).
 _MAX_TOTAL_POWER = 1e150
+# Largest L * budget / sigma2, the SNR of the total power.  The design is
+# invariant to scaling budget and sigma2 together, and so is where its outer
+# search breaks down: two-level designs end at the bisection cap from about
+# 7e9 (quadratic tails) and 1.3e11 (exact tails) at -20, 10 and 50 dB alike,
+# and far above that at the doubling cap or an unbracketed rate inverse.
+_MAX_TOTAL_SNR = 1e9
 
 
 @dataclass(frozen=True)
@@ -151,6 +157,16 @@ class DesignOutcome:
 
     def __bool__(self) -> bool:
         return self.feasible
+
+
+def check_total_snr(cfg: DesignConfig, sigma2: float) -> None:
+    """Refuse a design whose total power L * budget exceeds _MAX_TOTAL_SNR * sigma2."""
+    total = cfg.L * cfg.power_budget
+    if not (total <= _MAX_TOTAL_SNR * sigma2):
+        raise ValueError(
+            f"L * power budget must be at most {_MAX_TOTAL_SNR:g} times the noise power "
+            f"{sigma2!r}, got {total!r}"
+        )
 
 
 def _maximize_exponent(power_at: Callable[[float], float], cfg: DesignConfig):
@@ -308,8 +324,10 @@ def design_exact(
     t_star, and the mean power meets the budget to within cfg.eps.  Passing a
     custom `oracle_factory` swaps the tail-exponent model (design_moments and
     design_robust do exactly that) without touching the construction itself;
-    region boundaries sit at p + sigma2 + d_R for every model.
+    region boundaries sit at p + sigma2 + d_R for every model.  A total
+    power L * budget above _MAX_TOTAL_SNR * sigma2 is refused (check_total_snr).
     """
+    check_total_snr(cfg, sigma2)
     factory = oracle_factory or (lambda p: RateOracle(channel, sigma2, p))
 
     def power_at(t: float) -> float:

@@ -272,6 +272,16 @@ class TestConfigHandling:
             (["design", "--design.L", "2", "--design.eps", "1e-320"], "design.eps"),
             (["design", "--design.method", "robust", "--design.a_dB", "1", "--design.budget",
               "1e300"], "design.budget"),
+            # Above a total SNR L * budget / sigma2 of 1e9 the design search
+            # reached its caps or failed to bracket a rate inverse.
+            (["design", "--channel.kind", "nakagami", "--channel.m", "0.6", "--design.budget",
+              "1e100", "--design.L", "16"], "design.budget"),
+            (["design", "--channel.kind", "nakagami", "--channel.m", "0.6", "--design.budget",
+              "1e100", "--design.L", "4"], "design.budget"),
+            (["design", "--design.L", "2", "--channel.gamma_dB", "90"], "design.budget"),
+            (["design", "--design.method", "moments", "--design.budget", "1e9"], "design.budget"),
+            (["design", "--design.method", "robust", "--design.a_dB", "1", "--design.budget",
+              "1e9"], "design.budget"),
         ],
     )
     def test_bad_value_names_its_field(self, args, field, tmp_path, capsys):

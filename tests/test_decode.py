@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -17,6 +19,7 @@ from simo_energy.decode import (
     energy_ml_logpdf,
     gray_map,
     ml_threshold_boundaries,
+    nearest_amplitude_index,
     noncoherent_ml_index,
     pam_projection,
     region_index,
@@ -90,6 +93,51 @@ class TestEnergyDecode:
     def test_rejects_a_constellation_without_regions(self):
         with pytest.raises(ValueError):
             EnergyRegions(Constellation((0.0, 1.0), 0.25))
+
+
+# Values a statistic or boundary can take where a search could go wrong:
+# signed zeros, infinities and NaN, and a few small values that repeat.
+SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+REPEATS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+BOUNDARIES = st.lists(st.one_of(REPEATS, st.floats(allow_nan=False)), max_size=63).map(sorted)
+
+
+def assert_matches_searchsorted(search, boundaries, values):
+    """search(values) equals np.searchsorted(boundaries, values, side="left") for
+    every value as a scalar, for all of them as a 1-d array and as a 2-d array."""
+    values = np.asarray(values, dtype=float)
+    for x in (values, np.stack([values, values[::-1]]), *values):
+        got, want = search(x), np.searchsorted(boundaries, x, side="left")
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want), (x, got, want)
+
+
+class TestRegionIndexMatchesSearchsorted:
+    """region_index is a branch-free binary search; np.searchsorted is its reference."""
+
+    @given(boundaries=BOUNDARIES, data=st.data())
+    def test_region_index(self, boundaries, data):
+        # Every boundary is also a statistic, so ties are always probed.
+        drawn = data.draw(st.lists(st.one_of(REPEATS, st.floats()), max_size=40))
+        values = [*drawn, *boundaries, *SPECIALS]
+        assert_matches_searchsorted(
+            lambda x: region_index(boundaries, x), np.asarray(boundaries, dtype=float), values
+        )
+
+    @given(
+        amplitudes=st.lists(
+            st.floats(-1e300, 1e300), min_size=1, max_size=64, unique=True
+        ).map(sorted),
+        data=st.data(),
+    )
+    def test_nearest_amplitude_index(self, amplitudes, data):
+        a = np.asarray(amplitudes)
+        midpoints = 0.5 * (a[:-1] + a[1:])
+        drawn = data.draw(st.lists(st.floats(), max_size=40))
+        values = [*drawn, *amplitudes, *midpoints, *SPECIALS]
+        assert_matches_searchsorted(
+            lambda z: nearest_amplitude_index(amplitudes, z), midpoints, values
+        )
 
 
 class TestNoncoherentML:

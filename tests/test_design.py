@@ -382,6 +382,37 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DesignConfig(L=2, **{field: value})
 
+    @pytest.mark.parametrize("channel", [rayleigh(), Rician(0.0), NakagamiReal(0.6)])
+    @pytest.mark.parametrize("L", [2, 16])
+    def test_total_snr_at_the_bound_designs_without_warnings(self, channel, L, caplog):
+        # Two-level designs are the first to reach a search cap as
+        # L * budget / sigma2 grows; at the bound every method still converges.
+        # L is a power of two, so L * budget is the bound exactly.
+        sigma2 = sigma_from_snr(50.0)
+        cfg = DesignConfig(L=L, power_budget=design._MAX_TOTAL_SNR * sigma2 / L)
+        box = UncertaintyBox.degenerate(alpha1(channel), sigma2)
+        with caplog.at_level(logging.WARNING, logger="simo_energy"):
+            outcomes = [
+                design_exact(channel, sigma2, cfg),
+                design_moments(alpha1(channel), sigma2, cfg),
+                design_robust(box, cfg),
+            ]
+        assert caplog.records == []
+        for out in outcomes:
+            assert out.feasible
+            assert out.mean_power == pytest.approx(cfg.power_budget, rel=cfg.eps)
+
+    @pytest.mark.parametrize("snr_db", [-20.0, 10.0, 50.0])
+    def test_rejects_a_total_snr_above_the_bound(self, snr_db):
+        sigma2 = sigma_from_snr(snr_db)
+        cfg = DesignConfig(L=2, power_budget=design._MAX_TOTAL_SNR * sigma2)
+        with pytest.raises(ValueError, match="times the noise power"):
+            design_exact(rayleigh(), sigma2, cfg)
+        with pytest.raises(ValueError, match="times the noise power"):
+            design_moments(1.0, sigma2, cfg)
+        with pytest.raises(ValueError, match="times the noise power"):
+            design_robust(UncertaintyBox.degenerate(1.0, sigma2), cfg)
+
     @pytest.mark.parametrize("eps", [2.0**-52, 0.999])
     def test_tolerance_at_either_end_still_designs(self, eps):
         out = design_exact(rayleigh(), SIGMA2_10DB, DesignConfig(L=4, eps=eps))
