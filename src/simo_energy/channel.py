@@ -20,8 +20,9 @@ lives here and the rate layer built on top is family-agnostic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -281,27 +282,52 @@ def saddle_point_energy(
     raise NotSamplableError("moments-only channels have no MGF")
 
 
+# Absolute tolerance of increasing_root, which binds only at roots within
+# about 1e-292 of zero: the relative one, 4 ulp, binds everywhere else.
+# Brent's interpolation underflows among subnormals, so a smaller one would
+# leave only bisection, over about a thousand halvings.
+_ROOT_XTOL = sys.float_info.min
+
+
+def increasing_root(
+    f: Callable[[float], float], lo: float, width: float, cap: float = math.inf
+) -> Optional[float]:
+    """Root of an increasing f above lo, where f(lo) < 0; None when f(cap) < 0.
+
+    The upper end of the bracket grows over min(lo + width*2^k, cap) until f
+    turns nonnegative (a NaN counts as negative), and brentq then solves to
+    4 ulp relative.  An infinite cap that the bracket overflows before f
+    turns nonnegative also gives None.  Hitting brentq's iteration cap
+    raises RuntimeError, so a returned root is always a converged one.
+    """
+    a, hi = lo, min(lo + width, cap)
+    while not (f(hi) >= 0.0):
+        a, width = hi, 2.0 * width
+        hi = min(lo + width, cap)
+        if a >= cap or math.isinf(hi):
+            return None
+    return brentq(f, a, hi, xtol=_ROOT_XTOL, rtol=4.0 * sys.float_info.epsilon, maxiter=200)
+
+
 def nakagami_m_from_K(K_db: float) -> float:
     """Shape m of the Nakagami amplitude whose mean matches a Rician K-factor.
 
-    Solves Gamma(m + 1/2) / (Gamma(m) * sqrt(m)) = sqrt(K/(K+1)) for the unique
-    m > 0; the left side increases monotonically from 0 toward 1.
+    Solves log NakagamiReal(m).mu = log sqrt(K/(K+1)) in u = log m; the left
+    side increases monotonically from -inf toward 0.  Below -3000 dB the
+    matching m nears the smallest normal float, and above +3000 dB the
+    largest, so K must lie in between.
     """
-    if not math.isfinite(K_db):
-        raise ValueError("K must be finite in dB")
-    k = 10.0 ** (K_db / 10.0)
-    target = math.sqrt(k / (k + 1.0))
-    if not (0.0 < target < 1.0):
-        raise ValueError(f"no matching m for K_db={K_db!r}")
-    log_target = math.log(target)
+    if not (-3000.0 <= K_db <= 3000.0):
+        raise ValueError(f"K must lie in [-3000, 3000] dB, got {K_db!r}")
+    # log sqrt(K/(K+1)) without the cancellation of K/(K+1) near 1.
+    log_target = -0.5 * math.log1p(10.0 ** (-K_db / 10.0))
 
-    def f(m: float) -> float:
-        return gammaln(m + 0.5) - gammaln(m) - 0.5 * math.log(m) - log_target
+    def f(u: float) -> float:
+        m = math.exp(u)
+        if m < _NAKAGAMI_SERIES_M:
+            return math.log(NakagamiReal(m).mu) - log_target
+        # The series itself keeps the digits that log(mu) loses as mu nears 1.
+        return _log_mean_amplitude_series(m) - log_target
 
-    lo = 1e-8
-    hi = 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e15:
-            raise ValueError(f"no matching m for K_db={K_db!r}")
-    return brentq(f, lo, hi, xtol=1e-300, rtol=1e-12)
+    lo, cap = math.log(sys.float_info.min), math.log(sys.float_info.max)
+    return math.exp(increasing_root(f, lo, 1.0, cap))

@@ -25,9 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from scipy.optimize import brentq
-
-from .channel import ChannelSpec, MomentsOnly, energy_variance
+from .channel import ChannelSpec, MomentsOnly, energy_variance, increasing_root
 from .decode import gray_map
 from .rates import (
     Constellation,
@@ -235,32 +233,6 @@ def _maximize_exponent(power_at: Callable[[float], float], cfg: DesignConfig):
     return t_l, iters
 
 
-def _find_next_level(psi, lo: float, step: float, cap: float) -> Optional[float]:
-    """Smallest root of the increasing-then-saturating psi above lo.
-
-    psi(lo) < 0; the bracket is expanded geometrically from `step`.  Returns
-    None when psi stays negative up to `cap`, in which case any root would
-    blow the power budget.
-    """
-    if lo >= cap:
-        return None
-    a = lo
-    width = max(step, 1e-9 * max(lo, 1.0))
-    b = min(lo + width, cap)
-    while psi(b) < 0.0:
-        if b >= cap:
-            return None
-        a = b
-        width *= 2.0
-        b = min(lo + width, cap)
-    if a == lo:
-        # brentq needs a strictly negative left end; nudge off the root at lo.
-        a = lo + 1e-15 * max(lo, 1.0)
-        if psi(a) >= 0.0:
-            return a
-    return brentq(psi, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-
-
 def _exact_levels_at(
     t: float,
     cfg: DesignConfig,
@@ -283,7 +255,9 @@ def _exact_levels_at(
         def psi(q: float, _anchor=anchor) -> float:
             return oracle_factory(q).rate_left(q - _anchor) - t
 
-        q = _find_next_level(psi, anchor, d_r, cap)
+        # psi(anchor) = -t < 0; a psi still negative at cap means that any
+        # root would blow the power budget.
+        q = increasing_root(psi, anchor, d_r, cap)
         if q is None:
             return None
         levels.append(q)

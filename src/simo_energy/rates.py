@@ -7,9 +7,10 @@ per-antenna fluctuation U.  The supremum in I(d) = sup theta*d - Lambda(theta)
 is attained at the closed-form saddle point theta*(d) that `channel`
 provides for every fading family, so each exponent is one saddle-point
 evaluation and one log-MGF evaluation.  This module computes those
-exponents, their inverses (by bisection), the small-deviation quadratic
-approximation, and the resulting union bound / error exponent of a
-constellation with interval decoding regions.
+exponents, their inverses (by the bracketed root finder
+`channel.increasing_root`), the small-deviation quadratic approximation,
+and the resulting union bound / error exponent of a constellation with
+interval decoding regions.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .channel import (
     MomentsOnly,
     NotSamplableError,
     energy_variance,
+    increasing_root,
     log_mgf_energy,
     saddle_point_energy,
     theta_max_energy,
@@ -76,43 +78,25 @@ class RateOracle:
         return max(-theta * d - self.log_mgf(theta), 0.0)
 
     def inverse_rate(self, side: str, t: float) -> float:
-        """Smallest deviation d with rate(side)(d) = t, by bisection.
+        """The deviation d with rate(side)(d) = t, by `increasing_root`.
 
         The rate functions are continuous and strictly increasing, so the root
-        is unique; iteration stops once |I(d) - t| < 1e-10 and the bracketing
-        interval is below 1e-12 relative width.
+        is unique.  The left exponent is infinite only at the statistic floor
+        r(p), so a target it does not reach below r(p)*(1 - 1e-15) is refused.
         """
         if not (t > 0):
             raise ValueError("target exponent must be positive")
         if side == "right":
-            rate = self.rate_right
-            lo = 0.0
-            hi = math.sqrt(2.0 * t * self.u2) if self.u2 > 0 else 1.0
-            for _ in range(200):
-                if rate(hi) >= t:
-                    break
-                lo = hi
-                hi *= 2.0
-            else:
-                raise RuntimeError("failed to bracket the right rate inverse")
+            width = math.sqrt(2.0 * t * self.u2) if self.u2 > 0 else 1.0
+            d = increasing_root(lambda d: self.rate_right(d) - t, 0.0, width)
         elif side == "left":
-            rate = self.rate_left
-            lo = 0.0
-            hi = self.r * (1.0 - 1e-15)
+            cap = self.r * (1.0 - 1e-15)
+            d = increasing_root(lambda d: self.rate_left(d) - t, 0.0, cap, cap)
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-        mid = 0.5 * (lo + hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            val = rate(mid)
-            if val >= t:
-                hi = mid
-            else:
-                lo = mid
-            if (hi - lo) < 1e-12 * max(hi, 1e-300) and abs(val - t) < 1e-10:
-                break
-        return 0.5 * (lo + hi)
+        if d is None:
+            raise ValueError(f"the {side} tail exponent never reaches {t!r}")
+        return d
 
 
 class QuadraticRateOracle:
@@ -151,27 +135,16 @@ def equalize_boundary(oracle_k, oracle_next, gap: float) -> float:
     """Split `gap` between adjacent receiver points so both tail exponents match.
 
     Returns d_R in (0, gap) with oracle_k.rate_right(d_R) equal to
-    oracle_next.rate_left(gap - d_R); the difference is monotone in d_R, so
-    bisection drives it below 1e-12 of the larger exponent, or stops when the
-    bracket is narrower than 1e-16 of the gap.
+    oracle_next.rate_left(gap - d_R), by `increasing_root` on their
+    difference: it increases from -rate_left(gap) < 0 to rate_right(gap) >= 0.
     """
     if not (gap > 0):
         raise ValueError("gap must be positive")
-    lo, hi = 0.0, gap
-    d = 0.5 * gap
-    for _ in range(200):
-        d = 0.5 * (lo + hi)
-        right, left = oracle_k.rate_right(d), oracle_next.rate_left(gap - d)
-        diff = right - left
-        if diff >= 0:
-            hi = d
-        else:
-            lo = d
-        if math.isfinite(diff) and abs(diff) <= 1e-12 * max(right, left):
-            break
-        if (hi - lo) < 1e-16 * gap:
-            break
-    return d
+
+    def diff(d: float) -> float:
+        return oracle_k.rate_right(d) - oracle_next.rate_left(gap - d)
+
+    return increasing_root(diff, 0.0, gap, gap)
 
 
 @dataclass(frozen=True)

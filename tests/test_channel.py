@@ -1,9 +1,13 @@
 """Channel statistics, samplers, and the energy log-MGF."""
 
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from simo_energy.channel import (
@@ -13,6 +17,7 @@ from simo_energy.channel import (
     NotSamplableError,
     Rician,
     alpha1,
+    increasing_root,
     log_mgf_energy,
     nakagami_m_from_K,
     rayleigh,
@@ -240,9 +245,107 @@ class TestNakagamiFromK:
         lhs = math.exp(gammaln(m + 0.5) - gammaln(m)) / math.sqrt(m)
         assert abs(lhs - math.sqrt(k / (k + 1))) < 1e-9
 
+    @pytest.mark.parametrize(
+        "k_db", [-3000.0, -2233.0, -1000.0, -300.0, -78.0, -40.0, -10.0, 0.0, 12.0, 40.0, 60.0, 100.0]
+    )
+    def test_mean_amplitude_round_trip(self, k_db):
+        # mu rounds to about eps * |log m| relative: exp of a difference of
+        # two log-gammas of that size.
+        m = nakagami_m_from_K(k_db)
+        k = 10 ** (k_db / 10)
+        target = math.sqrt(k / (k + 1))
+        tol = 8 * sys.float_info.epsilon * max(1.0, abs(math.log(m)))
+        assert NakagamiReal(m).mu == pytest.approx(target, rel=tol)
+
+    @pytest.mark.parametrize("k_db", [-3000.0, -78.0, 0.0, 20.0, 60.0, 100.0, 300.0])
+    def test_matches_mpmath(self, k_db):
+        # The reference solves in u = log m at 120 digits, where the log-gamma
+        # difference of a large m keeps its digits.  The library's 4-ulp
+        # tolerance on u leaves m good to about 8 eps |log m| relative.
+        m = nakagami_m_from_K(k_db)
+        with mp.workdps(120):
+            k = mp.mpf(10) ** (mp.mpf(k_db) / 10)
+            log_target = -mp.log1p(1 / k) / 2
+
+            def f(u):
+                x = mp.exp(u)
+                return mp.loggamma(x + 0.5) - mp.loggamma(x) - u / 2 - log_target
+
+            want = mp.exp(mp.findroot(f, mp.log(m)))
+            rel = float(abs(m - want) / want)
+        assert rel <= 8 * sys.float_info.epsilon * max(1.0, abs(math.log(m)))
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             nakagami_m_from_K(-math.inf)
+
+    @pytest.mark.parametrize("k_db", [-3001.0, 3001.0, math.inf, math.nan])
+    def test_rejects_out_of_range(self, k_db):
+        with pytest.raises(ValueError, match="K must lie in"):
+            nakagami_m_from_K(k_db)
+
+
+# Increasing functions g with sign(g(z)) = sign(z) in floating point, so
+# that f(x) = g(x - r) has its root exactly at r.  The last one is flat up to
+# a kink and rises from there, like _BoxRateOracle.rate_left.
+INCREASING = {
+    "linear": lambda z: z,
+    "cubic": lambda z: z + z * z * z,
+    "tanh": math.tanh,
+    "expm1": lambda z: math.expm1(min(z, 700.0)),
+    "atan": math.atan,
+    "flat_then_rising": lambda z: z * (z + 1.0) if z > -0.5 else -0.25,
+}
+
+
+# Brent's interpolation multiplies values of f, which underflow for a root
+# within about 1e-150 of zero (at a bracket of unit width); it then falls back
+# to bisection and meets the iteration cap.  No caller has such a root.
+ROOT = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-100, max_value=1e6),
+    st.floats(min_value=-1e6, max_value=-1e-100),
+)
+
+
+class TestIncreasingRoot:
+    @given(
+        name=st.sampled_from(sorted(INCREASING)),
+        root=ROOT,
+        below=st.floats(min_value=1e-3, max_value=1e3),
+        width=st.floats(min_value=1e-6, max_value=1e6),
+        finite_cap=st.booleans(),
+    )
+    def test_root_within_4_ulp(self, name, root, below, width, finite_cap):
+        g = INCREASING[name]
+        lo = root - below
+        cap = root + width if finite_cap else math.inf
+        x = increasing_root(lambda x: g(x - root), lo, width, cap)
+        # At zero, the absolute floor binds instead.
+        assert abs(x - root) <= 4 * math.ulp(root) + sys.float_info.min
+
+    @given(
+        name=st.sampled_from(sorted(INCREASING)),
+        root=st.floats(min_value=-1e6, max_value=1e6),
+        below=st.floats(min_value=1e-3, max_value=1e3),
+        short=st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+        width=st.floats(min_value=1e-6, max_value=1e6),
+    )
+    def test_none_when_negative_at_the_cap(self, name, root, below, short, width):
+        g = INCREASING[name]
+        lo = root - below
+        cap = lo + short * below
+        assume(cap < root)
+        assert increasing_root(lambda x: g(x - root), lo, width, cap) is None
+
+    def test_root_at_the_first_probe(self):
+        assert increasing_root(lambda x: x - 2.0, 0.0, 2.0) == 2.0
+
+    def test_iteration_cap_raises(self):
+        # A step at zero: no interpolation helps, and from a bracket of width 1
+        # bisection needs about 1000 halvings to come within the absolute floor.
+        with pytest.raises(RuntimeError):
+            increasing_root(lambda x: math.copysign(1.0, x), -1.0, 1e-3)
 
 
 class TestNakagamiReal:

@@ -105,6 +105,25 @@ class TestDesignExact:
                 assert left == pytest.approx(out.t_star, abs=1e-8)
 
 
+@pytest.mark.parametrize("snr_db", [-20.0, 10.0, 50.0])
+@pytest.mark.parametrize("L", [2, 4, 16, 64])
+@pytest.mark.parametrize(
+    "channel", [rayleigh(), Rician(0.0), NakagamiReal(2.0)],
+    ids=["rayleigh", "rician0dB", "nakagami2"],
+)
+@pytest.mark.parametrize("method", ["exact", "moments"])
+def test_region_edges_sit_at_t_star(method, channel, L, snr_db):
+    """Both exponents of every region edge equal t_star to 1e-11 relative."""
+    sigma2, cfg = sigma_from_snr(snr_db), DesignConfig(L=L)
+    if method == "exact":
+        out = design_exact(channel, sigma2, cfg)
+    else:
+        out = design_moments(alpha1(channel), sigma2, cfg)
+    for right, left in out.boundary_exponents:
+        assert right == pytest.approx(out.t_star, rel=1e-11, abs=0.0)
+        assert left == pytest.approx(out.t_star, rel=1e-11, abs=0.0)
+
+
 class TestDesignMoments:
     def test_pairwise_gap_equation(self):
         sigma2 = SIGMA2_10DB

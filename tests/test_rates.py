@@ -117,6 +117,12 @@ class TestInverseRate:
             d = exp_oracle.inverse_rate("left", t)
             assert exp_oracle.rate_left(d) == pytest.approx(t, abs=1e-9)
 
+    def test_left_refuses_an_unreachable_exponent(self, exp_oracle):
+        # The left exponent at the largest bracketed deviation r*(1 - 1e-15)
+        # is about 33.5: a larger target has no root short of the floor.
+        with pytest.raises(ValueError, match="left"):
+            exp_oracle.inverse_rate("left", 100.0)
+
     def test_rejects_nonpositive_target(self, exp_oracle):
         with pytest.raises(ValueError):
             exp_oracle.inverse_rate("right", 0.0)
