@@ -13,8 +13,9 @@ For a trial exponent t the construction (`_exact_levels_at`) packs levels
 as tightly as the tail model allows: every interior region edge sits
 exactly at exponent t, which makes the mean transmit power a nondecreasing
 function of t.  An outer search (`_maximize_exponent`) then finds the
-largest t whose construction fits the power budget, and the outcome reports
-the levels, the region edges and the exponents on both sides of each edge.
+largest t whose construction fits the power budget, as one bracketed root
+of log(power / budget) in log t, and the outcome reports the levels, the
+region edges and the exponents on both sides of each edge.
 """
 
 from __future__ import annotations
@@ -36,27 +37,27 @@ from .rates import (
 )
 
 _log = logging.getLogger("simo_energy")
-_MAX_DOUBLINGS = 70  # bracketing steps of `_maximize_exponent`, either way
-_MAX_BISECTIONS = 200  # probes of `_maximize_exponent` in total
-# Largest L * budget: levels up to it are squared, times fourth moments, in
+_MAX_DOUBLINGS = 70  # `_maximize_exponent` searches t in eps * 2^(+-70)
+# Largest L * budget: levels up to 4 times it are squared, times fourth moments, in
 # the tail exponents, and must stay far from float overflow (about 1.3e154).
 _MAX_TOTAL_POWER = 1e150
 # Largest L * budget / sigma2, the SNR of the total power.  The design is
 # invariant to scaling budget and sigma2 together, and so is where its outer
-# search breaks down: two-level designs end at the bisection cap from about
-# 7e9 (quadratic tails) and 1.3e11 (exact tails) at -20, 10 and 50 dB alike,
-# and far above that at the doubling cap or an unbracketed rate inverse.
+# search loses precision: once two-level tails saturate, the power is
+# ill-conditioned in t, and two-level designs end short of the budget by over
+# eps, with a warning, from 3e10-1e11 (quadratic tails) and 3e11 (exact tails)
+# at -20, 10 and 50 dB alike.  Up to 1e14, L = 16 never warned and no cap was hit.
 _MAX_TOTAL_SNR = 1e9
 
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Size, power budget and termination tolerance for the design bisection.
+    """Size, power budget and tolerance of the design's exponent search.
 
-    `eps` is both the first exponent probed and the power tolerance relative
-    to the budget, so it lies between the float resolution 2^-52 and 1: a
-    finer tolerance cannot be met, and from a smaller first probe the
-    doubling cap no longer reaches the optimal exponent.
+    `eps` is the first exponent probed, the centre of the searched range
+    eps * 2^(+-70), and the power shortfall relative to the budget above
+    which the result is logged as a warning.  It lies in [2^-52, 1): a finer
+    tolerance cannot be met, and from a smaller centre the range misses t*.
     """
 
     L: int
@@ -168,69 +169,48 @@ def check_total_snr(cfg: DesignConfig, sigma2: float) -> None:
 
 
 def _maximize_exponent(power_at: Callable[[float], float], cfg: DesignConfig):
-    """Largest t with power_at(t) <= budget, by bracketing then bisection.
+    """Largest probed t with power_at(t) <= budget, by one increasing_root call.
 
-    power_at returns +inf when the inner construction fails.  The bracket
-    starts at t = cfg.eps and doubles upward while the budget holds, or
-    halves downward while it does not, at most _MAX_DOUBLINGS steps either
-    way.  Bisection stops once the bracket is narrower than 1e-9 of its upper
-    end and the power at its lower end is within cfg.eps of the budget,
-    relative to the budget.  Returns (t_star, iterations), or
-    (None, iterations) when no probed exponent fits the budget.  A t that
-    still fits after _MAX_DOUBLINGS doublings, and a bisection stopped after
-    _MAX_BISECTIONS probes before both tolerances hold, are logged as
-    warnings on the `simo_energy` logger.
+    The root of log(power_at(t) / budget) is sought in u = log t over
+    t in eps * 2^(+-_MAX_DOUBLINGS), with t = eps as the first bracket probe.
+    Near saturation the computed power wobbles by about 1e-12 relative within
+    a few ulp of t, so the result is the largest probed t that fits the
+    budget, not the root.  Returns (t_star, probes), or (None, 1) when the
+    lower end of the range is over budget.  A t that still fits at the upper
+    end, and a power short of the budget by more than cfg.eps relative, are
+    logged as warnings on the `simo_energy` logger.
     """
     budget = cfg.power_budget
-    t_l = t_u = None
-    t = cfg.eps
-    iters = 0
-    for _ in range(_MAX_DOUBLINGS + 1):
-        iters += 1
-        s = power_at(t)
-        if s <= budget:
-            t_l, s_l = t, s
-        else:
-            t_u = t
-        if t_l is not None and t_u is not None:
-            break
-        t = 0.5 * t if t_l is None else 2.0 * t
-    if t_l is None:
-        return None, iters
-    if t_u is None:
-        # Exponent grows without bound within the doubling cap (degenerate
-        # channels); return the capped value.
+    t_fit, power_fit, probes = 0.0, None, 0
+
+    def excess(u: float) -> float:
+        nonlocal t_fit, power_fit, probes
+        probes += 1
+        t = math.exp(u)
+        power = power_at(t)
+        if power <= budget and t > t_fit:
+            t_fit, power_fit = t, power
+        # log(P / B), not log P - log B: scaling both by a power of two
+        # leaves the ratio, and so the whole search, bit-identical.
+        return math.log(power / budget)
+
+    span = _MAX_DOUBLINGS * math.log(2.0)
+    lo = math.log(cfg.eps) - span
+    excess(lo)
+    if power_fit is None:
+        return None, probes
+    if increasing_root(excess, lo, span, lo + 2.0 * span) is None:
+        # Exponent grows without bound over the range (degenerate channels).
         _log.warning(
-            "design exponent still fits the budget after max_doublings=%d "
-            "doublings; returning the capped t=%r",
-            _MAX_DOUBLINGS,
-            t_l,
+            "design exponent still fits the budget at the top of its range, eps * 2^%d; "
+            "returning the capped t=%r", _MAX_DOUBLINGS, t_fit,
         )
-        return t_l, iters
-    while True:
-        width_ok = (t_u - t_l) <= 1e-9 * t_u
-        power_ok = budget - s_l <= cfg.eps * budget
-        if width_ok and power_ok:
-            break
-        if iters >= _MAX_BISECTIONS:
-            _log.warning(
-                "design bisection stopped at max_bisections=%d before converging: "
-                "t in [%r, %r], power %r against budget %r",
-                _MAX_BISECTIONS,
-                t_l,
-                t_u,
-                s_l,
-                budget,
-            )
-            break
-        mid = 0.5 * (t_l + t_u)
-        iters += 1
-        s_mid = power_at(mid)
-        if s_mid <= budget:
-            t_l, s_l = mid, s_mid
-        else:
-            t_u = mid
-    return t_l, iters
+    elif budget - power_fit > cfg.eps * budget:
+        _log.warning(
+            "design power %r at t=%r falls short of the budget %r by more than eps=%r",
+            power_fit, t_fit, budget, cfg.eps,
+        )
+    return t_fit, probes
 
 
 def _exact_levels_at(
@@ -239,7 +219,8 @@ def _exact_levels_at(
     oracle_factory: Callable[[float], object],
 ):
     """Inner construction at exponent t. Returns (levels, d_rights) or None."""
-    total_cap = cfg.L * cfg.power_budget * (1.0 + 1e-12)
+    # Loose, so that the power is finite just above t*: the search needs its slope.
+    total_cap = 4.0 * cfg.L * cfg.power_budget
     levels = [0.0]
     d_rights = []
     running = 0.0
@@ -273,7 +254,7 @@ def exact_power_at(
     t: float,
     oracle_factory: Optional[Callable[[float], object]] = None,
 ) -> float:
-    """Mean power of the exponent-t construction; +inf when it is infeasible.
+    """Mean power of the exponent-t construction; +inf past 4 * budget or with no next level.
 
     `channel` and `sigma2` only pick the default exact oracle; a given
     `oracle_factory` replaces it.

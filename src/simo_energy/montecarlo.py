@@ -578,6 +578,8 @@ def histogram(
     seed: int = 0,
 ) -> StatHistogram:
     """Sampled statistic histograms for every level of a region-decoded constellation."""
+    if isinstance(channel, MomentsOnly):
+        raise NotSamplableError("cannot sample a moments-only channel")
     check_bins(bins)
     check_trials(trials)
     check_seed(seed)

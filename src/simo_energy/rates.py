@@ -167,12 +167,14 @@ class Constellation:
         object.__setattr__(self, "levels", levels)
         if len(levels) < 1:
             raise ValueError("constellation needs at least one level")
+        if not all(math.isfinite(p) for p in levels):
+            raise ValueError(f"power levels must be finite, got {levels!r}")
         if levels[0] < 0:
             raise ValueError("power levels must be nonnegative")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("power levels must be strictly increasing")
-        if not (self.sigma2_design > 0):
-            raise ValueError("design noise power must be positive")
+        if not (0 < self.sigma2_design < math.inf):
+            raise ValueError("design noise power must be positive and finite")
         if self.boundaries is not None:
             bounds = tuple(float(c) for c in self.boundaries)
             object.__setattr__(self, "boundaries", bounds)

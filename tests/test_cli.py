@@ -69,7 +69,7 @@ class TestDesignCommand:
         assert code == 2
         record = json.loads(out.read_text())
         assert record["feasible"] is False
-        assert record["iterations"] == 71
+        assert record["iterations"] == 1
 
     def test_low_snr_moments_design_is_feasible(self, capsys):
         # t* ~ 2.2e-7 lies below the default design.eps; the command used to
@@ -256,6 +256,17 @@ class TestConfigHandling:
             (["simulate", "--design.method", "mindist", "--artifact", "", "--sim.symbols", "2000"],
              "artifact"),
             (["evaluate", "--artifact", ""], "artifact"),
+            # Level-only artifacts need finite levels and noise power: the
+            # likelihood receivers used to simulate NaN or infinite levels.
+            (["simulate", "--artifact", {"levels": [0.0, math.nan, 2.0], "sigma2_design": 0.1,
+                                         "boundaries": None},
+              "--sim.scheme", "noncoherent_ml", "--sim.symbols", "2000"], "artifact"),
+            (["simulate", "--artifact", {"levels": [0.0, 1.0, math.inf], "sigma2_design": 0.1,
+                                         "boundaries": None},
+              "--sim.scheme", "ask_energy_ml", "--sim.symbols", "2000"], "artifact"),
+            (["simulate", "--artifact", {"levels": [0.0, 1.0, 2.0], "sigma2_design": math.inf,
+                                         "boundaries": None},
+              "--sim.scheme", "noncoherent_ml", "--sim.symbols", "2000"], "artifact"),
             (["design", "--design.method", "mindist", "--out", ""], "output.path"),
             (["design", "--design.method", "mindist", "--out", "/nonexistent/dir/x.json"],
              "output.path"),

@@ -50,6 +50,12 @@ def robust_power_at(box, cfg, t):
     )
 
 
+def exact_or_moments(method, channel, sigma2, cfg):
+    if method == "exact":
+        return design_exact(channel, sigma2, cfg)
+    return design_moments(alpha1(channel), sigma2, cfg)
+
+
 @pytest.fixture(scope="module")
 def exact_l4():
     return design_exact(rayleigh(), SIGMA2_10DB, DesignConfig(L=4))
@@ -122,6 +128,44 @@ def test_region_edges_sit_at_t_star(method, channel, L, snr_db):
     for right, left in out.boundary_exponents:
         assert right == pytest.approx(out.t_star, rel=1e-11, abs=0.0)
         assert left == pytest.approx(out.t_star, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("snr_db", [-20.0, 10.0, 50.0])
+@pytest.mark.parametrize("L", [2, 4, 16])
+@pytest.mark.parametrize(
+    "channel", [rayleigh(), Rician(0.0), NakagamiReal(2.0)],
+    ids=["rayleigh", "rician0dB", "nakagami2"],
+)
+@pytest.mark.parametrize("method", ["exact", "moments"])
+def test_mean_power_meets_the_budget(method, channel, L, snr_db):
+    """The power is within eps below the budget and never 1e-12 above it.
+
+    Near saturation the computed power wobbles by about 1e-12 around the
+    budget within a few ulp of t*, so the search must return a probed t that
+    fits, not the root of the power equation (1 + 5.2e-12 at moments L = 2,
+    50 dB).
+    """
+    cfg = DesignConfig(L=L)
+    out = exact_or_moments(method, channel, sigma_from_snr(snr_db), cfg)
+    assert 1.0 - cfg.eps <= out.mean_power <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("snr_db", [-20.0, 0.0, 10.0, 30.0, 50.0])
+@pytest.mark.parametrize(
+    "channel", [rayleigh(), Rician(0.0), NakagamiReal(2.0)],
+    ids=["rayleigh", "rician0dB", "nakagami2"],
+)
+@pytest.mark.parametrize("method", ["exact", "moments"])
+def test_t_star_does_not_rise_with_L(method, channel, snr_db):
+    """Dropping the top level of an (L+1)-level design lowers its mean power,
+    so the best exponent can only fall as L grows."""
+    sigma2 = sigma_from_snr(snr_db)
+    t_stars = [
+        exact_or_moments(method, channel, sigma2, DesignConfig(L=L)).t_star
+        for L in (2, 3, 4, 6, 8, 12, 16)
+    ]
+    for smaller, larger in zip(t_stars, t_stars[1:]):
+        assert larger <= smaller * (1.0 + 1e-12)
 
 
 class TestDesignMoments:
@@ -209,9 +253,22 @@ class TestDesignRobust:
         out = design_robust(box, cfg)
         assert not out.feasible
         assert out.constellation is None
-        # The search probes t = eps and halves it _MAX_DOUBLINGS times before
-        # giving up; the outcome counts those probes.
-        assert out.iterations == design._MAX_DOUBLINGS + 1
+        # The search probes the lower end of its range, eps * 2^-70, once; a
+        # construction over budget there gives the verdict, and the outcome
+        # counts that one probe.
+        assert out.iterations == 1
+
+    @pytest.mark.parametrize("L", [2, 4, 16])
+    @pytest.mark.parametrize("margin", [0.9, 0.99, 1.01, 1.1])
+    def test_verdict_matches_the_closed_form(self, L, margin):
+        # As t -> 0 the worst-case left tail still needs adjacent levels
+        # sigma_max^2 - sigma_min^2 apart, so the box is infeasible exactly
+        # when (sigma_max^2 - sigma_min^2)(L - 1)/2 reaches the budget.
+        sigma2_min = 0.1
+        spread = 2.0 * margin / (L - 1)
+        box = UncertaintyBox(0.8, 1.0, math.sqrt(sigma2_min), math.sqrt(sigma2_min + spread))
+        out = design_robust(box, DesignConfig(L=L))
+        assert out.feasible == (margin < 1.0)
 
     def test_widening_the_box_never_helps(self):
         cfg = DesignConfig(L=4)
@@ -292,22 +349,25 @@ class TestExponentSearch:
         assert caplog.records == []
 
     def test_doubling_cap_warns(self, caplog, monkeypatch):
-        # Two doublings from 1e-6 stop far below t* ~ 0.16: the capped value
+        # A range of eps * 2^(+-2) ends far below t* ~ 0.16: the capped value
         # is returned, and the logger says so.
         monkeypatch.setattr(design, "_MAX_DOUBLINGS", 2)
         with caplog.at_level(logging.WARNING, logger="simo_energy"):
             out = design_moments(1.0, SIGMA2_10DB, DesignConfig(L=4))
         assert out.t_star == pytest.approx(4e-6)
         assert len(caplog.records) == 1
-        assert "max_doublings" in caplog.records[0].getMessage()
+        assert "top of its range" in caplog.records[0].getMessage()
 
-    def test_bisection_cap_warns(self, caplog, monkeypatch):
-        monkeypatch.setattr(design, "_MAX_BISECTIONS", 25)
+    def test_power_shortfall_warns(self, caplog):
+        # At the float resolution the largest probed t that fits stops 7.8e-16
+        # short of the budget: more than eps, so the logger says so rather
+        # than pass it off as converged.
+        cfg = DesignConfig(L=4, eps=2.0**-52)
         with caplog.at_level(logging.WARNING, logger="simo_energy"):
-            out = design_moments(1.0, SIGMA2_10DB, DesignConfig(L=4))
-        assert out.iterations == 25
+            out = design_exact(rayleigh(), SIGMA2_10DB, cfg)
+        assert 1.0 - out.mean_power > cfg.eps
         assert len(caplog.records) == 1
-        assert "max_bisections" in caplog.records[0].getMessage()
+        assert "falls short of the budget" in caplog.records[0].getMessage()
 
 
 class TestBaselines:

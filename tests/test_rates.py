@@ -255,6 +255,17 @@ class TestConstellationType:
         with pytest.raises(ValueError):
             Constellation((1.0, 0.5), 0.1)
 
+    @pytest.mark.parametrize(
+        "levels,sigma2",
+        [((0.0, math.nan, 2.0), 0.1), ((0.0, 1.0, math.inf), 0.1), ((math.nan,), 0.1),
+         ((0.0, 1.0), math.inf), ((0.0, 1.0), math.nan)],
+    )
+    def test_rejects_non_finite_levels_and_noise(self, levels, sigma2):
+        # NaN compares false with everything, so the ordering checks alone
+        # let it through, and a level-only constellation has no region check.
+        with pytest.raises(ValueError, match="finite"):
+            Constellation(levels, sigma2)
+
     def test_rejects_wrong_boundary_count(self):
         with pytest.raises(ValueError):
             Constellation((0.0, 1.0), 0.1, (0.5, 0.9))
