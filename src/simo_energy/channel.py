@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -45,10 +46,20 @@ class DivergentMgfError(ValueError):
 
 
 def sigma_from_snr(gamma_db: float) -> float:
-    """Noise power for a given per-antenna SNR in dB (unit channel second moment)."""
-    if not math.isfinite(gamma_db):
-        raise ValueError(f"SNR must be finite, got {gamma_db!r} dB")
-    return 10.0 ** (-gamma_db / 10.0)
+    """Noise power for a per-antenna SNR in dB (unit channel second moment); positive and finite."""
+    try:
+        sigma2 = 10.0 ** (-gamma_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not (0.0 < sigma2 < math.inf):
+        raise ValueError(
+            f"SNR {gamma_db!r} dB gives noise power {sigma2!r}, not positive and finite"
+        )
+    return sigma2
+
+
+# Largest finite |K| in dB, where K and the matching Nakagami shape stay normal floats.
+_MAX_ABS_K_DB = 3000.0
 
 
 @dataclass(frozen=True)
@@ -56,30 +67,30 @@ class Rician:
     """Rician fading h ~ CN(mu, sigma_h^2) with E|h|^2 = 1.
 
     The K-factor is given in dB; K_db = -inf is Rayleigh and K_db = +inf is a
-    deterministic unit line-of-sight channel.
+    deterministic unit line-of-sight channel; a finite K_db lies in [-3000, 3000].
     """
 
     K_db: float
 
-    @property
+    def __post_init__(self):
+        if not (math.isinf(self.K_db) or abs(self.K_db) <= _MAX_ABS_K_DB):
+            raise ValueError(f"K must be -inf, +inf or lie in [-3000, 3000] dB, got {self.K_db!r}")
+
+    # Derived once per spec: the rate layer reads them in every evaluation.
+    @cached_property
     def k_lin(self) -> float:
-        if math.isinf(self.K_db):
-            return math.inf if self.K_db > 0 else 0.0
         return 10.0 ** (self.K_db / 10.0)
 
-    @property
+    @cached_property
     def mu(self) -> float:
         k = self.k_lin
         if math.isinf(k):
             return 1.0
         return math.sqrt(k / (k + 1.0))
 
-    @property
+    @cached_property
     def sigma_h2(self) -> float:
-        k = self.k_lin
-        if math.isinf(k):
-            return 0.0
-        return 1.0 / (k + 1.0)
+        return 1.0 / (self.k_lin + 1.0)
 
 
 # From this shape on, 1 - mu^2 would lose digits to cancellation.
@@ -104,14 +115,14 @@ class NakagamiReal:
         if not (0 < self.m < math.inf):
             raise ValueError(f"Nakagami shape m must be positive and finite, got {self.m!r}")
 
-    @property
+    @cached_property
     def mu(self) -> float:
         # E[A] for A^2 ~ Gamma(m, 1/m)
         if self.m < _NAKAGAMI_SERIES_M:
             return math.exp(gammaln(self.m + 0.5) - gammaln(self.m)) * math.sqrt(1.0 / self.m)
         return math.exp(_log_mean_amplitude_series(self.m))
 
-    @property
+    @cached_property
     def sigma_h2(self) -> float:
         if self.m < _NAKAGAMI_SERIES_M:
             return 1.0 - self.mu**2
@@ -149,7 +160,11 @@ def alpha1(channel: ChannelSpec) -> float:
         k = channel.k_lin
         if math.isinf(k):
             return 0.0
-        return (1.0 + 2.0 * k) / (1.0 + k) ** 2
+        try:
+            return (1.0 + 2.0 * k) / (1.0 + k) ** 2
+        except OverflowError:
+            # (1 + k)^2 overflows from k = 1.34e154 on, where 2/k is the value to rounding.
+            return 2.0 / k
     if isinstance(channel, NakagamiReal):
         return 1.0 / channel.m
     raise TypeError(f"unsupported channel {channel!r}")
@@ -317,7 +332,7 @@ def nakagami_m_from_K(K_db: float) -> float:
     matching m nears the smallest normal float, and above +3000 dB the
     largest, so K must lie in between.
     """
-    if not (-3000.0 <= K_db <= 3000.0):
+    if not (-_MAX_ABS_K_DB <= K_db <= _MAX_ABS_K_DB):
         raise ValueError(f"K must lie in [-3000, 3000] dB, got {K_db!r}")
     # log sqrt(K/(K+1)) without the cancellation of K/(K+1) near 1.
     log_target = -0.5 * math.log1p(10.0 ** (-K_db / 10.0))

@@ -191,7 +191,7 @@ def _channel_from(block: dict, name: str):
     with _field(f"{name}.gamma_dB"):
         if gamma is None or not math.isfinite(float(gamma)):
             raise ValueError(f"must be a finite number, got {gamma!r}")
-    sigma2 = sigma_from_snr(float(gamma))
+        sigma2 = sigma_from_snr(float(gamma))
     if kind == "rayleigh":
         return Rician(-math.inf), sigma2
     if kind == "rician":
@@ -220,7 +220,8 @@ def _box_from(cfg: dict) -> UncertaintyBox:
     """Uncertainty box from +/- dB half-widths around the nominal channel.
 
     alpha1 and sigma are evaluated at the four (K +/- a_K, gamma +/- a_g)
-    corners and the enclosing interval is taken.
+    corners and the enclosing interval is taken.  Without a finite K there
+    is no K to widen, so an explicit nonzero a_K_dB is refused there.
     """
     ch = cfg["channel"]
     d = cfg["design"]
@@ -239,16 +240,13 @@ def _box_from(cfg: dict) -> UncertaintyBox:
     k_field, a_k = width("a_K_dB")
     g_field, a_g = width("a_gamma_dB")
     nominal, _ = _channel_from(ch, "channel")
+    finite_k = isinstance(nominal, Rician) and math.isfinite(nominal.K_db)
+    if k_field == "design.a_K_dB" and a_k != 0.0 and not finite_k:
+        raise ConfigError(f"{k_field}: the channel has no finite K-factor to widen, got {a_k!r}")
     gamma = float(ch["gamma_dB"])
-    alphas = []
     with _field(k_field):
-        for dk in (-a_k, a_k):
-            if isinstance(nominal, Rician):
-                k_db = nominal.K_db
-                corner = Rician(k_db + dk if math.isfinite(k_db) else k_db)
-            else:
-                corner = nominal
-            alphas.append(alpha1(corner))
+        corners = [Rician(nominal.K_db + dk) for dk in (-a_k, a_k)] if finite_k else [nominal]
+        alphas = [alpha1(corner) for corner in corners]
     with _field(g_field):
         sigmas = [math.sqrt(sigma_from_snr(gamma + dg)) for dg in (-a_g, a_g)]
         return UncertaintyBox(min(alphas), max(alphas), min(sigmas), max(sigmas))
@@ -269,14 +267,12 @@ def _design_from(cfg: dict):
         box = _box_from(cfg) if method == "robust" else None
         with _field("design.budget"):
             check_total_snr(dcfg, sigma2 if box is None else box.sigma_max**2)
-    if method == "exact":
-        out = design_exact(channel, sigma2, dcfg)
-        return out, out.constellation
-    if method == "moments":
-        out = design_moments(alpha1(channel), sigma2, dcfg)
-        return out, out.constellation
-    if method == "robust":
-        out = design_robust(box, dcfg)
+        if method == "exact":
+            out = design_exact(channel, sigma2, dcfg)
+        elif method == "moments":
+            out = design_moments(alpha1(channel), sigma2, dcfg)
+        else:
+            out = design_robust(box, dcfg)
         return out, out.constellation
     if method == "mindist":
         return None, min_distance_constellation(dcfg.L, sigma2)

@@ -14,8 +14,9 @@ as tightly as the tail model allows: every interior region edge sits
 exactly at exponent t, which makes the mean transmit power a nondecreasing
 function of t.  An outer search (`_maximize_exponent`) then finds the
 largest t whose construction fits the power budget, as one bracketed root
-of log(power / budget) in log t, and the outcome reports the levels, the
-region edges and the exponents on both sides of each edge.
+of log(power / budget) in log t, keeping the construction of that probe.
+One private function (`_design`) serves all three, and the outcome reports the
+levels, the region edges and the exponents on both sides of each edge.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .channel import ChannelSpec, MomentsOnly, energy_variance, increasing_root
+from .channel import ChannelSpec, energy_variance, increasing_root
 from .decode import gray_map
 from .rates import (
     Constellation,
     QuadraticRateOracle,
     RateOracle,
-    approx_rate,
     equalize_boundary,
 )
 
@@ -100,30 +100,26 @@ class UncertaintyBox:
         return cls(alpha1_value, alpha1_value, s, s)
 
 
-class _BoxRateOracle:
+class _BoxRateOracle(QuadraticRateOracle):
     """Worst-case quadratic tails over an UncertaintyBox for one power level.
 
     Region edges are placed for the largest noise x_hi = sigma_max^2.  Both
     tails d^2/(2 s(alpha1, x, p)) grow worse with alpha1, so alpha1_max is
     least favourable.  On the right the receiver point p + x is farthest
-    from the next edge at x_hi as well; on the left a smaller noise x moves
-    it toward the edge, shrinking the deviation to d - (x_hi - x), and the
+    from the next edge at x_hi as well, so the right tail is the quadratic
+    one at (alpha1_max, x_hi).  On the left a smaller noise x moves it
+    toward the edge, shrinking the deviation to d - (x_hi - x), and the
     worst x is an endpoint of [sigma_min^2, x_hi] or the one interior
     stationary point of that exponent.
     """
 
     def __init__(self, box: UncertaintyBox, p: float):
-        self.p = p
+        super().__init__(box.alpha1_max, box.sigma_max**2, p)
         self.alpha1_max = box.alpha1_max
         self.x_lo = box.sigma_min**2
-        self.x_hi = box.sigma_max**2
-        self.u2 = energy_variance(self.alpha1_max, self.x_hi, p)
-
-    def rate_right(self, d: float) -> float:
-        return approx_rate(self.u2, d)
 
     def rate_left(self, d: float) -> float:
-        a, p, x_lo, x_hi = self.alpha1_max, self.p, self.x_lo, self.x_hi
+        a, p, x_lo, x_hi = self.alpha1_max, self.p, self.x_lo, self.sigma2
         candidates = [x_lo, x_hi]
         # The one interior stationary point of the exponent as a function of x.
         c0 = d - x_hi - p
@@ -140,7 +136,7 @@ class _BoxRateOracle:
         """Right-tail inverse sqrt(2t*s); the construction needs no other."""
         if side != "right":
             raise ValueError("the box oracle inverts only the right tail")
-        return math.sqrt(2.0 * t * self.u2)
+        return super().inverse_rate(side, t)
 
 
 @dataclass(frozen=True)
@@ -168,28 +164,30 @@ def check_total_snr(cfg: DesignConfig, sigma2: float) -> None:
         )
 
 
-def _maximize_exponent(power_at: Callable[[float], float], cfg: DesignConfig):
-    """Largest probed t with power_at(t) <= budget, by one increasing_root call.
+def _maximize_exponent(build: Callable[[float], Optional[tuple]], cfg: DesignConfig):
+    """Largest probed t whose construction `build(t)` fits the budget, by one increasing_root call.
 
-    The root of log(power_at(t) / budget) is sought in u = log t over
-    t in eps * 2^(+-_MAX_DOUBLINGS), with t = eps as the first bracket probe.
-    Near saturation the computed power wobbles by about 1e-12 relative within
-    a few ulp of t, so the result is the largest probed t that fits the
-    budget, not the root.  Returns (t_star, probes), or (None, 1) when the
-    lower end of the range is over budget.  A t that still fits at the upper
-    end, and a power short of the budget by more than cfg.eps relative, are
+    The root of log(power / budget) is sought in u = log t over t in
+    eps * 2^(+-_MAX_DOUBLINGS), with t = eps as the first bracket probe; a
+    construction that returns None has infinite power.  Near saturation the
+    computed power wobbles by about 1e-12 relative within a few ulp of t, so
+    the result is the largest probed t that fits, not the root.  Returns
+    ((t_star, power, levels, d_rights), probes), or (None, 1) when the lower
+    end of the range is over budget.  A t that still fits at the upper end,
+    and a power short of the budget by more than cfg.eps relative, are
     logged as warnings on the `simo_energy` logger.
     """
     budget = cfg.power_budget
-    t_fit, power_fit, probes = 0.0, None, 0
+    fit, probes = None, 0
 
     def excess(u: float) -> float:
-        nonlocal t_fit, power_fit, probes
+        nonlocal fit, probes
         probes += 1
         t = math.exp(u)
-        power = power_at(t)
-        if power <= budget and t > t_fit:
-            t_fit, power_fit = t, power
+        built = build(t)
+        power = math.inf if built is None else sum(built[0]) / cfg.L
+        if power <= budget and (fit is None or t > fit[0]):
+            fit = (t, power, *built)
         # log(P / B), not log P - log B: scaling both by a power of two
         # leaves the ratio, and so the whole search, bit-identical.
         return math.log(power / budget)
@@ -197,20 +195,20 @@ def _maximize_exponent(power_at: Callable[[float], float], cfg: DesignConfig):
     span = _MAX_DOUBLINGS * math.log(2.0)
     lo = math.log(cfg.eps) - span
     excess(lo)
-    if power_fit is None:
+    if fit is None:
         return None, probes
     if increasing_root(excess, lo, span, lo + 2.0 * span) is None:
         # Exponent grows without bound over the range (degenerate channels).
         _log.warning(
             "design exponent still fits the budget at the top of its range, eps * 2^%d; "
-            "returning the capped t=%r", _MAX_DOUBLINGS, t_fit,
+            "returning the capped t=%r", _MAX_DOUBLINGS, fit[0],
         )
-    elif budget - power_fit > cfg.eps * budget:
+    elif budget - fit[1] > cfg.eps * budget:
         _log.warning(
             "design power %r at t=%r falls short of the budget %r by more than eps=%r",
-            power_fit, t_fit, budget, cfg.eps,
+            fit[1], fit[0], budget, cfg.eps,
         )
-    return t_fit, probes
+    return fit, probes
 
 
 def _exact_levels_at(
@@ -259,12 +257,38 @@ def exact_power_at(
     `channel` and `sigma2` only pick the default exact oracle; a given
     `oracle_factory` replaces it.
     """
-    factory = oracle_factory or (lambda p: RateOracle(channel, sigma2, p))
-    built = _exact_levels_at(t, cfg, factory)
-    if built is None:
-        return math.inf
-    levels, _ = built
-    return sum(levels) / cfg.L
+    built = _exact_levels_at(t, cfg, oracle_factory or (lambda p: RateOracle(channel, sigma2, p)))
+    return math.inf if built is None else sum(built[0]) / cfg.L
+
+
+def _design(
+    sigma2: float, cfg: DesignConfig, factory: Callable[[float], object]
+) -> DesignOutcome:
+    """The construction under one tail model, at the largest exponent that fits the budget.
+
+    Region boundaries sit at p + sigma2 + d_R for every model.  A total
+    power L * budget above _MAX_TOTAL_SNR * sigma2 is refused (check_total_snr).
+    """
+    check_total_snr(cfg, sigma2)
+    fit, iters = _maximize_exponent(lambda t: _exact_levels_at(t, cfg, factory), cfg)
+    if fit is None:
+        return DesignOutcome(
+            False, None, t_star=0.0, mean_power=math.inf, boundary_exponents=(), iterations=iters
+        )
+    t_star, power, levels, d_rights = fit
+    boundaries = tuple(p + sigma2 + d_r for p, d_r in zip(levels, d_rights))
+    exponents = tuple(
+        (factory(p).rate_right(d_r), factory(q).rate_left(q - p - d_r))
+        for p, q, d_r in zip(levels, levels[1:], d_rights)
+    )
+    return DesignOutcome(
+        feasible=True,
+        constellation=Constellation(tuple(levels), sigma2, boundaries),
+        t_star=t_star,
+        mean_power=power,
+        boundary_exponents=exponents,
+        iterations=iters,
+    )
 
 
 def design_exact(
@@ -276,43 +300,11 @@ def design_exact(
     """Exponent-optimal constellation for a fully known channel distribution.
 
     Every interior region edge of the result sits at the same tail exponent
-    t_star, and the mean power meets the budget to within cfg.eps.  Passing a
-    custom `oracle_factory` swaps the tail-exponent model (design_moments and
-    design_robust do exactly that) without touching the construction itself;
-    region boundaries sit at p + sigma2 + d_R for every model.  A total
-    power L * budget above _MAX_TOTAL_SNR * sigma2 is refused (check_total_snr).
+    t_star, and the mean power meets the budget to within cfg.eps.  A given
+    `oracle_factory` replaces the exact oracle of `channel`, for example by
+    one that records its calls.
     """
-    check_total_snr(cfg, sigma2)
-    factory = oracle_factory or (lambda p: RateOracle(channel, sigma2, p))
-
-    def power_at(t: float) -> float:
-        return exact_power_at(channel, sigma2, cfg, t, factory)
-
-    t_star, iters = _maximize_exponent(power_at, cfg)
-    if t_star is None:
-        return DesignOutcome(
-            False, None, t_star=0.0, mean_power=math.inf, boundary_exponents=(), iterations=iters
-        )
-    levels, d_rights = _exact_levels_at(t_star, cfg, factory)
-    boundaries = tuple(
-        p + sigma2 + d_r for p, d_r in zip(levels[:-1], d_rights)
-    )
-    constellation = Constellation(tuple(levels), sigma2, boundaries)
-    exponents = []
-    for k in range(cfg.L - 1):
-        right = factory(levels[k]).rate_right(d_rights[k])
-        left = factory(levels[k + 1]).rate_left(
-            levels[k + 1] - levels[k] - d_rights[k]
-        )
-        exponents.append((right, left))
-    return DesignOutcome(
-        feasible=True,
-        constellation=constellation,
-        t_star=t_star,
-        mean_power=sum(levels) / cfg.L,
-        boundary_exponents=tuple(exponents),
-        iterations=iters,
-    )
+    return _design(sigma2, cfg, oracle_factory or (lambda p: RateOracle(channel, sigma2, p)))
 
 
 def design_moments(
@@ -320,35 +312,27 @@ def design_moments(
 ) -> DesignOutcome:
     """Constellation design from the first four fading moments only.
 
-    Runs design_exact's construction under the quadratic tail model
+    Runs the exact design's construction under the quadratic tail model
     d^2/(2 s(p)) with s(p) = alpha1*p^2 + 2*sigma2*p + sigma2^2, so
     consecutive levels satisfy q - p = sqrt(2t)(sqrt(s(q)) + sqrt(s(p))) and
     the region boundary after level p sits at p + sigma2 + sqrt(2t*s(p)).
     """
-    return design_exact(
-        MomentsOnly(alpha1_value),
-        sigma2,
-        cfg,
-        oracle_factory=lambda p: QuadraticRateOracle(alpha1_value, sigma2, p),
-    )
+    if not (alpha1_value >= 0):
+        raise ValueError("alpha1 must be nonnegative")
+    return _design(sigma2, cfg, lambda p: QuadraticRateOracle(alpha1_value, sigma2, p))
 
 
 def design_robust(box: UncertaintyBox, cfg: DesignConfig) -> DesignOutcome:
     """Minimax constellation over a moment-uncertainty box.
 
-    Runs design_exact's construction under the worst quadratic tails over
-    the box (`_BoxRateOracle`), so every region edge guarantees exponent
+    Runs the exact design's construction under the worst quadratic tails
+    over the box (`_BoxRateOracle`), so every region edge guarantees exponent
     t_star under the least favourable (alpha1, sigma).  A zero-width box
     reproduces design_moments.  Infeasibility (no positive exponent fits the
     power budget, which a wide enough noise range forces) is reported
     through the outcome flag, not an exception.
     """
-    return design_exact(
-        MomentsOnly(box.alpha1_max),
-        box.sigma_max**2,
-        cfg,
-        oracle_factory=lambda p: _BoxRateOracle(box, p),
-    )
+    return _design(box.sigma_max**2, cfg, lambda p: _BoxRateOracle(box, p))
 
 
 def min_distance_constellation(L: int, sigma2: float) -> Constellation:

@@ -132,6 +132,8 @@ class SimScenario:
             raise ValueError("antenna count must be at least 1")
         if self.symbols < 1000:
             raise ValueError("symbol budget must be at least 1000")
+        if self.symbols < self.decoder.coherence_slots:
+            raise ValueError("symbol budget is below one coherence block")
         if self.shards < 1:
             raise ValueError("shard count must be at least 1")
         check_seed(self.seed)
@@ -414,8 +416,6 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     # Blocks and the budget are whole coherence blocks, so every count is too.
     per_block = _symbols_per_block(draws, coherence)
     total = (scenario.symbols // coherence) * coherence
-    if total == 0:
-        raise ValueError("symbol budget is below one coherence block")
 
     counts = _Counts(0, 0, np.zeros(L, dtype=np.int64), np.zeros(L, dtype=np.int64), 0, 0)
     consumed = 0

@@ -49,10 +49,13 @@ class RateOracle:
         self.channel = channel
         self.sigma2 = sigma2
         self.p = p
-        # Not used by the rate evaluations; bench/layers.py reads it.
-        self.theta_max = theta_max_energy(channel, sigma2, p)
         self.r = p + sigma2
         self.u2 = u_second_moment(channel, sigma2, p)
+
+    @property
+    def theta_max(self) -> float:
+        """Right end of the log-MGF domain; the rate evaluations never need it."""
+        return theta_max_energy(self.channel, self.sigma2, self.p)
 
     def log_mgf(self, theta: float) -> float:
         return log_mgf_energy(self.channel, self.sigma2, self.p, theta)
@@ -107,7 +110,6 @@ class QuadraticRateOracle:
             raise ValueError("power level must be nonnegative")
         self.p = p
         self.sigma2 = sigma2
-        self.r = p + sigma2
         self.u2 = energy_variance(alpha1_value, sigma2, p)
 
     def rate_right(self, d: float) -> float:

@@ -1,5 +1,6 @@
 """Channel statistics, samplers, and the energy log-MGF."""
 
+import dataclasses
 import math
 import sys
 
@@ -39,6 +40,44 @@ def test_sigma_from_snr_rejects_nonfinite():
         sigma_from_snr(math.inf)
     with pytest.raises(ValueError):
         sigma_from_snr(math.nan)
+
+
+@pytest.mark.parametrize("gamma_db", [-4000.0, 4000.0, 1e308])
+def test_sigma_from_snr_rejects_a_noise_power_outside_floats(gamma_db):
+    # 10^400 overflows and 10^-400 underflows to 0.
+    with pytest.raises(ValueError, match="noise power"):
+        sigma_from_snr(gamma_db)
+
+
+class TestRician:
+    @pytest.mark.parametrize("k_db", [math.nan, 3000.5, -3000.5, 1e308, -1e308])
+    def test_rejects_nan_and_finite_k_beyond_3000_db(self, k_db):
+        with pytest.raises(ValueError, match="K must"):
+            Rician(k_db)
+
+    @pytest.mark.parametrize(
+        "k_db", [-math.inf, -3000.0, 0.0, 1541.0, 1541.3, 2000.0, 3000.0, math.inf]
+    )
+    def test_statistics_are_finite_on_the_accepted_range(self, k_db):
+        ch = Rician(k_db)
+        for value in (ch.mu, ch.sigma_h2, alpha1(ch)):
+            assert math.isfinite(value)
+        assert 0.0 <= alpha1(ch) <= 1.0
+
+    def test_alpha1_keeps_its_formula_until_the_square_overflows(self):
+        # (1 + k)^2 overflows from k = 1.34e154 (1541.3 dB) on, where 2/k is
+        # alpha1 to rounding.
+        k = Rician(1541.0).k_lin
+        assert alpha1(Rician(1541.0)) == (1.0 + 2.0 * k) / (1.0 + k) ** 2
+        assert alpha1(Rician(3000.0)) == pytest.approx(2e-300, rel=1e-15)
+
+    def test_derived_statistics_keep_equality_hash_and_immutability(self):
+        for make in (lambda: Rician(3.0), lambda: NakagamiReal(2.0)):
+            read, fresh = make(), make()
+            read.mu, read.sigma_h2
+            assert read == fresh and hash(read) == hash(fresh)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                read.mu = 0.5
 
 
 class TestAlpha1:

@@ -71,6 +71,13 @@ class TestDesignCommand:
         assert record["feasible"] is False
         assert record["iterations"] == 1
 
+    @pytest.mark.parametrize("k_db", ["2000", "3000"])
+    def test_a_huge_k_factor_designs(self, k_db, capsys):
+        # (1 + K)^2 overflowed in alpha1 from K = 1541.3 dB on.
+        code = run(["design", "--channel.kind", "rician", "--channel.K_dB", k_db])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True
+
     def test_low_snr_moments_design_is_feasible(self, capsys):
         # t* ~ 2.2e-7 lies below the default design.eps; the command used to
         # report this design infeasible and exit 2.
@@ -226,6 +233,37 @@ class TestConfigHandling:
              "sim.true.kind"),
             (["design", "--channel.gamma_dB", "abc"], "channel.gamma_dB"),
             (["design", "--channel.kind", "rician", "--channel.K_dB", "abc"], "channel.K_dB"),
+            # A K-factor is -inf, +inf or in [-3000, 3000] dB: NaN statistics
+            # used to give a silent SER or a traceback.
+            (["design", "--channel.kind", "rician", "--channel.K_dB", "nan"], "channel.K_dB"),
+            (["design", "--channel.kind", "rician", "--channel.K_dB", "3500"], "channel.K_dB"),
+            (["simulate", "--design.method", "mindist", "--channel.kind", "rician",
+              "--channel.K_dB", "nan"], "channel.K_dB"),
+            (["simulate", "--design.method", "mindist", "--sim.true.kind", "rician",
+              "--sim.true.K_dB", "nan"], "sim.true.K_dB"),
+            # An SNR whose noise power overflows or underflows in floating point.
+            (["design", "--channel.gamma_dB", "-4000"], "channel.gamma_dB"),
+            (["design", "--channel.gamma_dB", "4000"], "channel.gamma_dB"),
+            (["design", "--channel.gamma_dB", "1e308"], "channel.gamma_dB"),
+            (["simulate", "--design.method", "mindist", "--channel.gamma_dB", "4000"],
+             "channel.gamma_dB"),
+            (["simulate", "--design.method", "mindist", "--sim.true.gamma_dB", "-4000"],
+             "sim.true.gamma_dB"),
+            # A coherence block longer than the symbol budget.
+            (["simulate", "--design.method", "mindist", "--sim.scheme", "pilot_pam",
+              "--design.L", "2", "--sim.T", "5000", "--sim.symbols", "2000"], "sim.symbols"),
+            (["min-antennas", "--design.method", "mindist", "--sim.scheme", "pilot_pam",
+              "--design.L", "2", "--sim.T", "5000", "--sim.symbols", "2000"], "sim.symbols"),
+            # Only a Rician channel with a finite K has a K-factor to widen;
+            # elsewhere a_K_dB used to be ignored.
+            (["design", "--design.method", "robust", "--channel.kind", "nakagami",
+              "--channel.m", "2", "--design.a_K_dB", "5", "--design.a_gamma_dB", "0"],
+             "design.a_K_dB"),
+            (["design", "--design.method", "robust", "--design.a_K_dB", "1",
+              "--design.a_gamma_dB", "0"], "design.a_K_dB"),
+            (["design", "--design.method", "robust", "--channel.kind", "rician",
+              "--channel.K_dB", "inf", "--design.a_K_dB", "1", "--design.a_gamma_dB", "0"],
+             "design.a_K_dB"),
             # Robust half-widths, each named by its own field.
             (["design", "--design.method", "robust", "--design.a_dB", "abc"], "design.a_dB"),
             (["design", "--design.method", "robust", "--design.a_dB", "[1]"], "design.a_dB"),

@@ -168,6 +168,28 @@ def test_t_star_does_not_rise_with_L(method, channel, snr_db):
         assert larger <= smaller * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("L", [2, 4, 16])
+@pytest.mark.parametrize(
+    "channel", [rayleigh(), Rician(0.0), NakagamiReal(2.0)],
+    ids=["rayleigh", "rician0dB", "nakagami2"],
+)
+@pytest.mark.parametrize("method", ["exact", "moments"])
+def test_t_star_does_not_fall_as_the_snr_rises(method, channel, L):
+    """t* is nondecreasing in the SNR from -20 to 50 dB.
+
+    Unlike the relation in L this is not derived from the construction: it
+    held on every design here, and a counterexample is a finding to record,
+    not a reason to widen the tolerance.
+    """
+    cfg = DesignConfig(L=L)
+    t_stars = [
+        exact_or_moments(method, channel, sigma_from_snr(float(snr_db)), cfg).t_star
+        for snr_db in range(-20, 55, 5)
+    ]
+    for lower, higher in zip(t_stars, t_stars[1:]):
+        assert higher >= lower * (1.0 - 1e-12)
+
+
 class TestDesignMoments:
     def test_pairwise_gap_equation(self):
         sigma2 = SIGMA2_10DB
@@ -179,6 +201,11 @@ class TestDesignMoments:
             assert q - p == pytest.approx(
                 b * (math.sqrt(s(q)) + math.sqrt(s(p))), abs=1e-9
             )
+
+    @pytest.mark.parametrize("a1", [-0.1, math.nan])
+    def test_rejects_an_alpha1_that_is_not_nonnegative(self, a1):
+        with pytest.raises(ValueError, match="alpha1 must be nonnegative"):
+            design_moments(a1, 0.1, DesignConfig(L=4))
 
     def test_smaller_alpha1_packs_tighter(self):
         cfg = DesignConfig(L=4)
