@@ -2,9 +2,11 @@
 
 The cells are Rayleigh energy and noncoherent-ML receivers at large n, plus
 the two samplers the Rayleigh cells do not run at n = 16: Nakagami energy
-regions and Rayleigh pilot PAM (T = 2, T_l = 1).  One more Rayleigh energy
-cell decodes 64 minimum-distance levels at n = 400, where the interval
-search takes log2(64) = 6 passes.
+regions and Rayleigh pilot PAM (T = 2, T_l = 1).  A Rician K = 0 dB pilot-PAM
+cell (T = 4, T_l = 1) runs the projection sampler's other branch: a
+nonzero-mean estimate and three data slots that share one cross term.  One
+more Rayleigh energy cell decodes 64 minimum-distance levels at n = 400,
+where the interval search takes log2(64) = 6 passes.
 
 Usage: PYTHONPATH=src python3 scripts/block_timing.py
 
@@ -20,7 +22,7 @@ import statistics
 import time
 
 from simo_energy import montecarlo
-from simo_energy.channel import NakagamiReal, rayleigh, sigma_from_snr
+from simo_energy.channel import NakagamiReal, Rician, rayleigh, sigma_from_snr
 from simo_energy.decode import EnergyRegions, NoncoherentML, PilotPAM
 from simo_energy.design import (
     DesignConfig,
@@ -40,7 +42,10 @@ def cells():
     energy = EnergyRegions(constellation)
     energy_64 = EnergyRegions(min_distance_constellation(64, sigma2))
     ml = NoncoherentML(constellation.levels, 0.0, 1.0, sigma2)
-    pilot = PilotPAM(pam_constellation(4).amplitudes, 0.0, 1.0, sigma2, 2, 1)
+    amps = pam_constellation(4).amplitudes
+    pilot = PilotPAM(amps, 0.0, 1.0, sigma2, 2, 1)
+    rician = Rician(0.0)
+    rician_pilot = PilotPAM(amps, rician.mu, rician.sigma_h2, sigma2, 4, 1)
     for name, channel, decoder, n, symbols in (
         ("energy.n100", rayleigh(), energy, 100, DRAWS // 100),
         ("noncoherent_ml.n100", rayleigh(), ml, 100, DRAWS // 100),
@@ -49,6 +54,7 @@ def cells():
         ("energy_L64.n400", rayleigh(), energy_64, 400, DRAWS // 400),
         ("nakagami_energy.n16", NakagamiReal(2.0), energy, 16, DRAWS // 16),
         ("pilot_pam.n16", rayleigh(), pilot, 16, DRAWS // 16),
+        ("pilot_pam_rician0dB_T4.n16", rician, rician_pilot, 16, DRAWS // 16),
     ):
         yield name, SimScenario(channel, sigma2, decoder, n, symbols, seed=1)
 

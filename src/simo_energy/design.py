@@ -172,7 +172,7 @@ def _maximize_exponent(build: Callable[[float], Optional[tuple]], cfg: DesignCon
     construction that returns None has infinite power.  Near saturation the
     computed power wobbles by about 1e-12 relative within a few ulp of t, so
     the result is the largest probed t that fits, not the root.  Returns
-    ((t_star, power, levels, d_rights), probes), or (None, 1) when the lower
+    ((t_star, power, *build(t_star)), probes), or (None, 1) when the lower
     end of the range is over budget.  A t that still fits at the upper end,
     and a power short of the budget by more than cfg.eps relative, are
     logged as warnings on the `simo_energy` logger.
@@ -216,14 +216,19 @@ def _exact_levels_at(
     cfg: DesignConfig,
     oracle_factory: Callable[[float], object],
 ):
-    """Inner construction at exponent t. Returns (levels, d_rights) or None."""
+    """Inner construction at exponent t. Returns (levels, d_rights, oracles) or None.
+
+    oracles[k] is the oracle of levels[k], for every level but the last.
+    """
     # Loose, so that the power is finite just above t*: the search needs its slope.
     total_cap = 4.0 * cfg.L * cfg.power_budget
     levels = [0.0]
     d_rights = []
+    oracles = []
     running = 0.0
     for k in range(cfg.L - 1):
         oracle = oracle_factory(levels[-1])
+        oracles.append(oracle)
         d_r = oracle.inverse_rate("right", t)
         anchor = levels[-1] + d_r
         remaining = cfg.L - 1 - k
@@ -242,22 +247,13 @@ def _exact_levels_at(
         levels.append(q)
         d_rights.append(d_r)
         running += q
-    return levels, d_rights
+    return levels, d_rights, oracles
 
 
-def exact_power_at(
-    channel: ChannelSpec,
-    sigma2: float,
-    cfg: DesignConfig,
-    t: float,
-    oracle_factory: Optional[Callable[[float], object]] = None,
-) -> float:
-    """Mean power of the exponent-t construction; +inf past 4 * budget or with no next level.
-
-    `channel` and `sigma2` only pick the default exact oracle; a given
-    `oracle_factory` replaces it.
-    """
-    built = _exact_levels_at(t, cfg, oracle_factory or (lambda p: RateOracle(channel, sigma2, p)))
+def exact_power_at(channel: ChannelSpec, sigma2: float, cfg: DesignConfig, t: float) -> float:
+    """Mean power of the exponent-t construction under the exact tails of `channel`;
+    +inf past 4 * budget or with no next level."""
+    built = _exact_levels_at(t, cfg, lambda p: RateOracle(channel, sigma2, p))
     return math.inf if built is None else sum(built[0]) / cfg.L
 
 
@@ -275,11 +271,13 @@ def _design(
         return DesignOutcome(
             False, None, t_star=0.0, mean_power=math.inf, boundary_exponents=(), iterations=iters
         )
-    t_star, power, levels, d_rights = fit
+    t_star, power, levels, d_rights, oracles = fit
     boundaries = tuple(p + sigma2 + d_r for p, d_r in zip(levels, d_rights))
+    # The construction built the oracle of every level but the last.
+    oracles.append(factory(levels[-1]))
     exponents = tuple(
-        (factory(p).rate_right(d_r), factory(q).rate_left(q - p - d_r))
-        for p, q, d_r in zip(levels, levels[1:], d_rights)
+        (lower.rate_right(d_r), upper.rate_left(q - p - d_r))
+        for p, q, d_r, lower, upper in zip(levels, levels[1:], d_rights, oracles, oracles[1:])
     )
     return DesignOutcome(
         feasible=True,

@@ -32,12 +32,28 @@ Each block passes through three layers, each written once:
   Gaussian for Re sum_i y_i and one Gamma for the rest of ||y||^2.
 
   Pilot-based PAM decides from the per-slot projection
-  z = Re(h_hat^H y) / ||h_hat||^2.  Under Rician fading (h_i, h_hat_i) is
-  jointly Gaussian, so each coherence block draws sum_i h_hat_i and
-  ||h_hat||^2 (fixed when the estimate is deterministic), then
-  Re(h_hat^H h) given them, and each data slot draws one Gaussian.  Under Nakagami fading the pilot block draws
-  every antenna sample of the channel, the pilot average and the data.
-  The per-antenna paths also serve the tests as the reference.
+  z = Re(h_hat^H y) / ||h_hat||^2, and `_rician_pilot` draws only what it
+  reads.  Under Rician fading (h_i, h_hat_i) is jointly Gaussian, and per
+  coherence block of T slots, T_l of them pilots:
+
+  ==========================  =========================================
+  estimate h_hat              ||h_hat||^2 and Re sum_i h_hat_i
+  ==========================  =========================================
+  zero mean, true mu = 0      ||h_hat||^2 as one Gamma draw; the sum is
+  (Rayleigh, assumed mu = 0)  never read
+  nonzero mean                `_gaussian_sums`: one Gaussian, one Gamma
+  deterministic (gain 0,      fixed, no draw
+  e.g. no pilots)
+  ==========================  =========================================
+
+  With one data slot per block (T - T_l = 1) the slot then draws its
+  amplitude index and one Gaussian, into which the estimate error and the
+  noise fold.  Longer blocks draw Re(h_hat^H h) as one Gaussian shared by
+  their slots, and each data slot an index and one Gaussian.  A Rayleigh
+  T = 2, T_l = 1 block thus draws 3 values.  Under Nakagami fading the
+  pilot block draws every antenna sample of the channel, the pilot average
+  and the data.  The per-antenna paths also serve the tests as the
+  reference.
 - decoder: the decoder object's own rule from `decode` (`decide`, which
   for pilot PAM takes the projection).
 - counts: `_block_counts` turns a block's (sent, decoded) index pairs into
@@ -219,6 +235,12 @@ def _antenna_stats(channel, sigma2, p, n, rng, with_sum):
     return norm2, np.sum(y.real, axis=1) if with_sum else None
 
 
+def _zero_mean_norm2(var, n, rng, count):
+    """||x||^2 of `count` vectors of n i.i.d. CN(0, var) entries: one
+    var*Gamma(n) draw each, and exactly 0 where var = 0."""
+    return var * rng.standard_gamma(n, size=count)
+
+
 def _gaussian_sums(mean, var, n, rng, count):
     """(||x||^2, Re sum_i x_i) of `count` vectors of n i.i.d. CN(mean, var) entries.
 
@@ -235,8 +257,7 @@ def _gaussian_sums(mean, var, n, rng, count):
 def _rician_stats(channel: Rician, sigma2, p, n, rng, with_sum):
     s = channel.sigma_h2 * p + sigma2
     if channel.mu == 0.0 and not with_sum:
-        # y is CN(0, s) per antenna, and s = 0 gives exactly 0.
-        return s * rng.standard_gamma(n, size=len(p)), None
+        return _zero_mean_norm2(s, n, rng, len(p)), None
     amp = channel.mu * np.sqrt(p)
     norm2, re_sum = _gaussian_sums(amp, s, n, rng, len(p))
     # s = 0 (K = +inf or p = 0, noiseless) makes y = amp on every antenna;
@@ -283,6 +304,14 @@ def _rician_pilot(channel: Rician, sigma2, dec: PilotPAM, n, nb, rng):
     Then Re(h_hat^H h) = alpha*||h_hat||^2 + beta*Re(sum h_hat) + Re(h_hat^H e),
     the last term being N(0, ||h_hat||^2 * e_var / 2) given h_hat, and the
     data noise adds N(0, sigma2 / (2*||h_hat||^2)) to each slot's projection.
+
+    Only what the projection reads is drawn.  A zero-mean estimate with
+    beta = 0 (true and assumed mu = 0) needs ||h_hat||^2 alone, one Gamma
+    draw.  With one data slot the cross term and the slot noise are
+    independent Gaussians given h_hat, so the slot sent with amplitude x
+    projects to x*(alpha + beta*Re(sum h_hat)/||h_hat||^2) plus one
+    N(0, (x^2 * e_var + sigma2) / (2*||h_hat||^2)) draw.  The data slots of
+    a longer block share the cross term, drawn once per block.
     """
     T, T_l = dec.coherence_slots, dec.pilot_slots
     amps = np.asarray(dec.amplitudes, dtype=float)
@@ -298,19 +327,29 @@ def _rician_pilot(channel: Rician, sigma2, dec: PilotPAM, n, nb, rng):
     beta = channel.mu - alpha * hat_mean
     e_var = max(channel.sigma_h2 - alpha * cov, 0.0)
 
-    if hat_var > 0.0:
-        hat_norm2, hat_re_sum = _gaussian_sums(hat_mean, hat_var, n, rng, nb)
-    else:
+    if hat_var == 0.0:
         # A deterministic estimate: every antenna holds hat_mean.
         hat_norm2 = np.full(nb, n * hat_mean * hat_mean)
         hat_re_sum = np.full(nb, n * hat_mean)
-    cross = alpha * hat_norm2 + beta * hat_re_sum
-    cross += np.sqrt(hat_norm2 * e_var / 2.0) * rng.standard_normal(nb)
-
-    idx = rng.integers(0, len(amps), size=(nb, T - T_l))
+    elif hat_mean == 0.0 and beta == 0.0:
+        # Re(sum h_hat) is never read.
+        hat_norm2, hat_re_sum = _zero_mean_norm2(hat_var, n, rng, nb), 0.0
+    else:
+        hat_norm2, hat_re_sum = _gaussian_sums(hat_mean, hat_var, n, rng, nb)
     # A null estimate (||h_hat|| = 0) projects every slot to 0.
     live = hat_norm2 > 0.0
     safe = np.where(live, hat_norm2, 1.0)
+
+    if T - T_l == 1:
+        idx = rng.integers(0, len(amps), size=nb)
+        x = amps[idx]
+        gain = alpha + beta * hat_re_sum / safe if beta != 0.0 else alpha
+        z = gain * x + np.sqrt((x * x * e_var + sigma2) / (2.0 * safe)) * rng.standard_normal(nb)
+        return idx[:, None], np.where(live, z, 0.0)[:, None]
+
+    cross = alpha * hat_norm2 + beta * hat_re_sum
+    cross += np.sqrt(hat_norm2 * e_var / 2.0) * rng.standard_normal(nb)
+    idx = rng.integers(0, len(amps), size=(nb, T - T_l))
     z = amps[idx] * (cross / safe)[:, None]
     z += np.sqrt(sigma2 / (2.0 * safe))[:, None] * rng.standard_normal((nb, T - T_l))
     return idx, np.where(live[:, None], z, 0.0)

@@ -8,7 +8,6 @@ import pytest
 
 from simo_energy import design
 from simo_energy.channel import (
-    MomentsOnly,
     NakagamiReal,
     Rician,
     alpha1,
@@ -34,20 +33,20 @@ from simo_energy.rates import QuadraticRateOracle, error_exponent
 SIGMA2_10DB = sigma_from_snr(10.0)
 
 
+def construction_power_at(cfg, t, factory):
+    """Mean power of the construction at t under the tails of `factory`'s oracles."""
+    built = design._exact_levels_at(t, cfg, factory)
+    return math.inf if built is None else sum(built[0]) / cfg.L
+
+
 def moments_power_at(alpha1_value, sigma2, cfg, t):
     """Mean power of the construction at t under the quadratic tail model."""
-    return exact_power_at(
-        MomentsOnly(alpha1_value), sigma2, cfg, t,
-        oracle_factory=lambda p: QuadraticRateOracle(alpha1_value, sigma2, p),
-    )
+    return construction_power_at(cfg, t, lambda p: QuadraticRateOracle(alpha1_value, sigma2, p))
 
 
 def robust_power_at(box, cfg, t):
     """Mean power of the construction at t under the box's worst-case tails."""
-    return exact_power_at(
-        MomentsOnly(box.alpha1_max), box.sigma_max**2, cfg, t,
-        oracle_factory=lambda p: _BoxRateOracle(box, p),
-    )
+    return construction_power_at(cfg, t, lambda p: _BoxRateOracle(box, p))
 
 
 def exact_or_moments(method, channel, sigma2, cfg):

@@ -246,9 +246,14 @@ class TestCoherenceBlockIntervals:
             assert np.mean(covered) >= 0.88, field
 
     def test_wider_than_the_independent_slot_interval(self):
-        rep = simulate(SimScenario(rayleigh(), 0.01, self.LONG_BLOCKS, 2, 4000, 0))
-        lo, hi = wilson_interval(rep.symbol_errors, rep.symbols)
-        assert rep.ser_ci[0] < lo and hi < rep.ser_ci[1]
+        # Each seed's design effect is itself random and can fall to 1 or
+        # below, which keeps the plain interval; count the seeds that widen.
+        wider = 0
+        for seed in range(100):
+            rep = simulate(SimScenario(rayleigh(), 0.01, self.LONG_BLOCKS, 2, 4000, seed))
+            lo, hi = wilson_interval(rep.symbol_errors, rep.symbols)
+            wider += rep.ser_ci[0] < lo and hi < rep.ser_ci[1]
+        assert wider >= 90
 
     @pytest.mark.parametrize("cell", ["energy", "pilot-T2-Tl1"])
     def test_one_data_slot_per_block_keeps_the_binomial_interval(self, cell, design_l4):
@@ -706,6 +711,24 @@ PILOT_CELLS = {
 }
 
 
+# The projection's branches: a zero-mean estimate with one and with three data
+# slots, and a nonzero-mean estimate (beta != 0) whose slots share a cross term.
+# At n = 2 the law of ||h_hat||^2, and so of z, is far from Gaussian.
+PROJECTION_CELLS = {
+    "rayleigh-T2-Tl1": (rayleigh(), 1.0, PilotPAM(AMPS, 0.0, 1.0, 1.0, 2, 1), 2),
+    "rayleigh-T4-Tl1": (rayleigh(), 1.0, PilotPAM(AMPS, 0.0, 1.0, 1.0, 4, 1), 2),
+    "rician3dB-assumed-rayleigh-pilot2": PILOT_CELLS["rician3dB-assumed-rayleigh-pilot2"],
+}
+
+
+class _GaussianSumsCalled(RuntimeError):
+    pass
+
+
+def _refuse_gaussian_sums(*args, **kwargs):
+    raise _GaussianSumsCalled
+
+
 class TestPilotProjectionSampler:
     """The direct Rician pilot-PAM sampler against the per-antenna reference block."""
 
@@ -727,6 +750,35 @@ class TestPilotProjectionSampler:
             pooled * (1 - pooled) * slots * (1 / direct.symbols + 1 / reference.symbols)
         )
         assert abs(direct.ser - reference.ser) < 4 * se
+
+    @pytest.mark.parametrize("name", list(PROJECTION_CELLS))
+    def test_projection_law_matches_per_antenna_draws(self, name):
+        # Two-sample KS of z per sent amplitude and data slot; blocks are
+        # independent, so each (amplitude, slot) sample is i.i.d.
+        channel, sigma2, decoder, n = PROJECTION_CELLS[name]
+        draws = [
+            sampler(channel, sigma2, decoder, n, 40_000, montecarlo._block_generator(seed, 0))
+            for sampler, seed in ((montecarlo._rician_pilot, 31), (montecarlo._antenna_pilot, 32))
+        ]
+        for slot in range(decoder.coherence_slots - decoder.pilot_slots):
+            for k in range(decoder.L):
+                direct, antenna = (z[idx[:, slot] == k, slot] for idx, z in draws)
+                assert ks_2samp(direct, antenna).pvalue > 1e-3, (slot, k)
+
+    @pytest.mark.parametrize("coherence_slots", [2, 4])
+    def test_zero_mean_estimate_draws_no_gaussian_sums(self, coherence_slots, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_gaussian_sums", _refuse_gaussian_sums)
+        decoder = PilotPAM(AMPS, 0.0, 1.0, 1.0, coherence_slots, pilot_slots=1)
+        scen = SimScenario(rayleigh(), 1.0, decoder, n=8, symbols=2000, seed=1)
+        assert simulate(scen).symbols == 2000 // coherence_slots * (coherence_slots - 1)
+
+    @pytest.mark.parametrize("coherence_slots", [2, 4])
+    def test_nonzero_mean_estimate_still_draws_them(self, coherence_slots, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_gaussian_sums", _refuse_gaussian_sums)
+        channel = Rician(0.0)
+        decoder = PilotPAM(AMPS, channel.mu, channel.sigma_h2, 1.0, coherence_slots, 1)
+        with pytest.raises(_GaussianSumsCalled):
+            simulate(SimScenario(channel, 1.0, decoder, n=8, symbols=2000, seed=1))
 
     @pytest.mark.parametrize("sampler", ["direct", "per_antenna"])
     def test_null_estimate_decodes_every_slot_as_z_zero(self, sampler, monkeypatch):
@@ -848,7 +900,9 @@ class TestStreamIsPinned:
         "rayleigh-ask-energy-ml": (1183, 1276, (743, 748, 784, 725), (168, 369, 417, 229)),
         "nakagami-energy": (1079, 1134, (743, 748, 784, 725), (179, 354, 359, 187)),
         "nakagami-noncoherent-ml": (760, 778, (743, 748, 784, 725), (61, 197, 335, 167)),
-        "pilot-pam-T2-Tl1": (893, 1012, (465, 525, 506, 504), (150, 299, 290, 154)),
+        # Recorded again when zero-mean estimates drew ||h_hat||^2 as one Gamma
+        # and single-data-slot blocks one Gaussian per slot.
+        "pilot-pam-T2-Tl1": (853, 973, (498, 509, 464, 529), (169, 265, 272, 147)),
         "pilot-pam-T4-Tl0": (1694, 1908, (1035, 984, 990, 991), (315, 535, 541, 303)),
         "nakagami-pilot-pam": (686, 708, (551, 468, 496, 485), (122, 211, 237, 116)),
         # Zero-mean noncoherent ML draws and decides exactly like the ASK-ML cell.
