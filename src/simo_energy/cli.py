@@ -42,8 +42,8 @@ from .design import (
 from .decode import EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM
 from .montecarlo import (
     SimScenario,
+    check_antenna_count,
     check_bins,
-    check_n_max,
     check_seed,
     check_target_ber,
     check_trials,
@@ -518,7 +518,7 @@ def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
         check_target_ber(target_ber)
     with _field("sim.n_max"):
         n_max = _whole(sim["n_max"], "sim.n_max")
-        check_n_max(n_max)
+        check_antenna_count(n_max, "n_max")
     template = _scenario_from(cfg, constellation, 1)
     n_star = min_antennas(template, target_ber, n_max)
     rows = [

@@ -67,7 +67,9 @@ Each block passes through three layers, each written once:
 
 from __future__ import annotations
 
+import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
@@ -98,6 +100,8 @@ _BLOCK_SYMBOLS = 1 << 14  # most symbols per logical rng block
 _WILSON_Z = 1.959963984540054  # 95% two-sided
 _MIN_BIT_ERRORS = 100  # bit errors that end a min_antennas candidate early
 
+_log = logging.getLogger("simo_energy")
+
 
 def wilson_interval(errors: int, trials: int):
     """Wilson score interval for a binomial proportion."""
@@ -116,6 +120,14 @@ def wilson_interval(errors: int, trials: int):
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == trials else min(1.0, center + half)
     return lo, hi
+
+
+def check_antenna_count(n, name: str = "antenna count") -> None:
+    """A Python or NumPy integer of at least 1; floats and bools are refused."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be a whole number, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n!r}")
 
 
 def check_seed(seed: int) -> None:
@@ -144,8 +156,7 @@ class SimScenario:
             raise NotSamplableError("cannot simulate a moments-only channel")
         if not (self.true_sigma2 >= 0):
             raise ValueError("true noise power must be nonnegative")
-        if self.n < 1:
-            raise ValueError("antenna count must be at least 1")
+        check_antenna_count(self.n)
         if self.symbols < 1000:
             raise ValueError("symbol budget must be at least 1000")
         if self.symbols < self.decoder.coherence_slots:
@@ -529,11 +540,6 @@ def check_target_ber(target_ber: float) -> None:
         raise ValueError(f"target BER must be in (0, 0.5), got {target_ber!r}")
 
 
-def check_n_max(n_max: int) -> None:
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max!r}")
-
-
 def min_antennas(
     scenario_template: SimScenario,
     target_ber: float,
@@ -542,38 +548,78 @@ def min_antennas(
     """Smallest antenna count whose Wilson upper BER bound beats the target.
 
     Each candidate n simulates until _MIN_BIT_ERRORS bit errors are seen or the
-    template's symbol budget runs out.  Exponential bracketing is followed by
-    bisection under the usual monotone-BER assumption.  Returns None when even
-    n_max fails.
+    template's symbol budget runs out, and qualifies when its Wilson upper BER
+    bound is below the target.  The error rate falls like exp(-n*t*), so
+    log(upper / target) is close to linear in n, and `_aimed_search` aims its
+    candidates at its root.  The answer n qualifies and n - 1 does not (or
+    n = 1): under the usual monotone-BER assumption, the count a bisection
+    finds.  Returns None when even n_max fails.  Each candidate (n, symbols,
+    bit errors, upper bound, verdict) and the search's totals are logged at
+    DEBUG level on the `simo_energy` logger.
     """
     check_target_ber(target_ber)
-    check_n_max(n_max)
+    check_antenna_count(n_max, "n_max")
+    spent = []  # symbols simulated per candidate
 
-    def qualifies(n: int) -> bool:
+    def log_ratio(n: int) -> float:
         scen = _with_antennas(scenario_template, n)
-        _, upper = _accumulate(scen, stop_bit_errors=_MIN_BIT_ERRORS)[-1]
-        return upper < target_ber
+        symbols, _, bit_err, *_, (_, upper) = _accumulate(scen, stop_bit_errors=_MIN_BIT_ERRORS)
+        spent.append(symbols)
+        _log.debug(
+            "min_antennas candidate n=%d: %d symbols, %d bit errors, BER upper %.6g, %s",
+            n, symbols, bit_err, upper, "qualifies" if upper < target_ber else "fails",
+        )
+        return math.log(upper / target_ber)
 
-    n = 1
-    lo = 0
-    hi = None
-    while n <= n_max:
-        if qualifies(n):
-            hi = n
-            break
-        lo = n
-        n *= 2
-    if hi is None:
-        if lo < n_max and qualifies(n_max):
-            hi = n_max
-        else:
+    n_star = _aimed_search(log_ratio, n_max)
+    _log.debug(
+        "min_antennas: %d candidates, %d symbols, n* = %s", len(spent), sum(spent), n_star
+    )
+    return n_star
+
+
+def _aimed_search(f, n_max: int) -> Optional[int]:
+    """Smallest n in [1, n_max] with f(n) < 0, for f nonincreasing, evaluated
+    once per candidate.
+
+    Bracket phase: from n = 1, each step aims a secant through the last two
+    candidates at the root, rounded up, and at most 4 times the last
+    candidate and n_max; from n = 1, or when f did not fall, it takes the
+    full 4 times.  Steps that grow n by less than half must add at least 1,
+    1, 2, 4, ... antennas (`gap`, rounded up, doubles with each), so a
+    hopeless search ends in O(log n_max) candidates, while a secant that
+    lands one short of the root may still take the next count.  Once a
+    candidate qualifies, each step is regula falsi between the largest
+    failing lo and the smallest qualifying hi, rounded up and kept within
+    [lo + 1, hi - 1], until a step fails to halve the bracket; bisection
+    takes over from then on.  Returns hi once hi = lo + 1 (or hi = 1), and
+    None when n_max fails.
+    """
+    n, prev, gap = 1, None, 0.5
+    while (f_n := f(n)) >= 0.0:
+        if n >= n_max:
             return NOT_REACHED
+        guess = math.inf
+        if prev is not None and f_n < prev[1]:
+            guess = n + f_n * (n - prev[0]) / (prev[1] - f_n)
+        prev = (n, f_n)
+        step = min(math.ceil(min(max(guess, n + gap), 4 * n)), n_max)
+        if step < 1.5 * n:
+            gap *= 2
+        n = step
+    (lo, f_lo), hi, f_hi = prev or (0, 0.0), n, f_n
+    interpolate = True
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if qualifies(mid):
-            hi = mid
+        width = hi - lo
+        if interpolate:
+            n = min(max(math.ceil(lo + width * f_lo / (f_lo - f_hi)), lo + 1), hi - 1)
         else:
-            lo = mid
+            n = (lo + hi) // 2
+        if (f_n := f(n)) < 0.0:
+            hi, f_hi = n, f_n
+        else:
+            lo, f_lo = n, f_n
+        interpolate = interpolate and 2 * (hi - lo) <= width
     return hi
 
 
@@ -619,6 +665,7 @@ def histogram(
     """Sampled statistic histograms for every level of a region-decoded constellation."""
     if isinstance(channel, MomentsOnly):
         raise NotSamplableError("cannot sample a moments-only channel")
+    check_antenna_count(n)
     check_bins(bins)
     check_trials(trials)
     check_seed(seed)

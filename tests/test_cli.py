@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, tables, exit codes, reproducibility."""
 
 import json
+import logging
 import math
 
 import pytest
@@ -547,6 +548,19 @@ class TestSimulationCommands:
         _, rows = data_rows(out)
         n_star = int(rows[0].split(",")[2])
         assert 1 <= n_star <= 2048
+
+    def test_min_antennas_debug_log_leaves_rows_alone(self, tmp_path, caplog):
+        args = ["min-antennas", "--design.method", "mindist", "--design.L", "4",
+                "--sim.symbols", "20000", "--sim.n_max", "256"]
+        quiet, traced = tmp_path / "quiet.csv", tmp_path / "traced.csv"
+        with caplog.at_level(logging.WARNING, logger="simo_energy"):
+            assert run(args + ["--out", str(quiet)]) == 0
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="simo_energy"):
+            assert run(args + ["--out", str(traced)]) == 0
+        candidates = [r for r in caplog.records if "candidate n=" in r.getMessage()]
+        assert candidates and caplog.records[-1].getMessage().startswith("min_antennas: ")
+        assert traced.read_bytes() == quiet.read_bytes()
 
     def test_histogram_rows(self, tmp_path):
         out = tmp_path / "hist.csv"

@@ -1,5 +1,6 @@
 """Simulation engine: determinism, scheme behavior, antenna search, histograms."""
 
+import logging
 import math
 import warnings
 from dataclasses import replace
@@ -186,6 +187,17 @@ class TestSimulate:
         with pytest.raises(ValueError):
             energy_scenario(design_l4.constellation, symbols=100)
 
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, 0, np.int64(0)])
+    def test_rejects_a_fractional_boolean_or_zero_antenna_count(self, design_l4, bad):
+        # n = 2.5 once simulated a Gamma(2.5) energy as if it were an antenna count.
+        with pytest.raises(ValueError):
+            energy_scenario(design_l4.constellation, n=bad)
+
+    def test_takes_a_numpy_antenna_count(self, design_l4):
+        got = simulate(energy_scenario(design_l4.constellation, n=np.int32(25), seed=1))
+        want = simulate(energy_scenario(design_l4.constellation, n=25, seed=1))
+        assert replace(got, elapsed_s=0.0) == replace(want, elapsed_s=0.0)
+
     def test_noncoherent_ml_rayleigh_matches_energy_with_ml_thresholds(self):
         from simo_energy.decode import ml_threshold_boundaries
 
@@ -311,7 +323,7 @@ class TestMinAntennas:
 
     @pytest.mark.parametrize(
         "n_max,gamma_db,candidates",
-        [(1, 10.0, [1]), (400, -20.0, [1, 2, 4, 8, 16, 32, 64, 128, 256, 400])],
+        [(1, 10.0, [1]), (400, -20.0, [1, 4, 16, 64, 256, 400])],
     )
     def test_hopeless_candidate_costs_one_capped_block(
         self, n_max, gamma_db, candidates, design_l4, monkeypatch
@@ -338,6 +350,180 @@ class TestMinAntennas:
         assert [n for n, _ in counts] == candidates
         assert blocks == [0] * len(counts)
         assert [count for _, count in counts] == [montecarlo._BLOCK_SYMBOLS] * len(counts)
+
+    @pytest.mark.parametrize(
+        "seed,n_star,candidates", [(1, 30, [1, 4, 16, 29, 30]), (101, 31, [1, 4, 16, 29, 30, 31])]
+    )
+    def test_reached_search_is_pinned(self, seed, n_star, candidates, design_l4, monkeypatch):
+        # The benchmark's energy template.  At seed 1 a secant from n = 4 and
+        # 16 lands one short of n* = 30, and the next one on it; doubling and
+        # bisection probed 1, 2, 4, 8, 16, 32, 24, 28, 30, 29.  At seed 101
+        # the secant falls short at 29 and again at 30, a step of one antenna
+        # that still lets the next one be n* = 31.
+        probes = _spy_candidates(monkeypatch)
+        scen = energy_scenario(design_l4.constellation, n=1, symbols=100_000, seed=seed)
+        assert min_antennas(scen, 1e-3, 2048) == n_star
+        assert [n for n, *_ in probes] == candidates
+
+    @pytest.mark.parametrize("bad", [2.5, 5.0, True, "5"])
+    def test_refuses_a_fractional_or_boolean_n_max(self, design_l4, bad):
+        # n_max = 5.5 once kept bisection's bracket 1.5 wide forever.
+        scen = energy_scenario(design_l4.constellation, n=1, symbols=20_000)
+        with pytest.raises(ValueError):
+            min_antennas(scen, 1e-3, bad)
+
+    def test_takes_a_numpy_n_max(self, design_l4):
+        scen = energy_scenario(design_l4.constellation, n=1, symbols=20_000)
+        assert min_antennas(scen, 0.499, np.int64(4)) == 1
+
+    def test_logs_each_candidate_and_the_totals(self, design_l4, monkeypatch, caplog):
+        probes = _spy_candidates(monkeypatch)
+        scen = energy_scenario(design_l4.constellation, n=1, symbols=100_000, seed=1)
+        with caplog.at_level(logging.DEBUG, logger="simo_energy"):
+            n_star = min_antennas(scen, 1e-3, 2048)
+        messages = [r.getMessage() for r in caplog.records if r.name == "simo_energy"]
+        assert len(messages) == len(probes) + 1
+        for message, (n, symbols, bit_errors, upper) in zip(messages, probes):
+            verdict = "qualifies" if upper < 1e-3 else "fails"
+            assert message == (
+                f"min_antennas candidate n={n}: {symbols} symbols, {bit_errors} bit errors, "
+                f"BER upper {upper:.6g}, {verdict}"
+            )
+        total = sum(symbols for _, symbols, *_ in probes)
+        assert messages[-1] == (
+            f"min_antennas: {len(probes)} candidates, {total} symbols, n* = {n_star}"
+        )
+
+
+def _spy_candidates(monkeypatch):
+    """Record (n, symbols, bit errors, BER upper bound) of every candidate that
+    `min_antennas` simulates, in order."""
+    probes, accumulate = [], montecarlo._accumulate
+
+    def spy(scenario, stop_bit_errors=None):
+        result = accumulate(scenario, stop_bit_errors)
+        probes.append((scenario.n, result[0], result[2], result[-1][1]))
+        return result
+
+    monkeypatch.setattr(montecarlo, "_accumulate", spy)
+    return probes
+
+
+def bisection_min_antennas(template, target_ber, n_max):
+    """The reference: the doubling and bisection search over the same
+    per-candidate verdict that `min_antennas` used before it aimed."""
+
+    def qualifies(n):
+        scen = montecarlo._with_antennas(template, n)
+        _, upper = montecarlo._accumulate(scen, stop_bit_errors=montecarlo._MIN_BIT_ERRORS)[-1]
+        return upper < target_ber
+
+    n, lo, hi = 1, 0, None
+    while n <= n_max:
+        if qualifies(n):
+            hi = n
+            break
+        lo, n = n, 2 * n
+    if hi is None:
+        if lo < n_max and qualifies(n_max):
+            hi = n_max
+        else:
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        hi, lo = (mid, lo) if qualifies(mid) else (hi, mid)
+    return hi
+
+
+SEARCH_TARGET = 1e-3
+# Upper BER bounds as a function of (n, k, n_max) whose smallest qualifying n
+# is k (none when k > n_max).  The cliff falls slowly just above the target
+# and then drops, the worst case for regula falsi.  A curve that approaches
+# the target from above draws secant steps of a few antennas each.
+HOPELESS_CURVES = ("flat", "flat-above-target", "approaching-target")
+SEARCH_CURVES = {
+    "step": lambda n, k, n_max: 0.3 if n < k else 1e-5,
+    "flat": lambda n, k, n_max: 0.3,
+    "flat-above-target": lambda n, k, n_max: 1.01 * SEARCH_TARGET,
+    "approaching-target": lambda n, k, n_max: SEARCH_TARGET * (1.0 + math.exp(-n / 3.0)),
+    "convex": lambda n, k, n_max: min(0.5, SEARCH_TARGET * ((k - 0.5) / n) ** 3),
+    "cliff": lambda n, k, n_max: (
+        SEARCH_TARGET * (1.5 - n / (2 * n_max)) if n < k else 1e-6
+    ),
+}
+
+
+class TestMinAntennasContract:
+    """The aimed search returns the count that doubling and bisection return,
+    and each answer is shown by its own probes."""
+
+    @staticmethod
+    def cell(name, constellation):
+        sigma2 = SIGMA2_10DB
+        ric = Rician(0.0)
+        amps = pam_constellation(2).amplitudes
+        return {
+            "rayleigh-energy": (rayleigh(), EnergyRegions(constellation)),
+            "rician0dB-energy": (ric, EnergyRegions(constellation)),
+            "nakagami-energy": (NakagamiReal(2.0), EnergyRegions(constellation)),
+            "rayleigh-ask-ml": (
+                rayleigh(), EnergyMLAsk(constellation.levels, 0.0, 1.0, sigma2, n=1)
+            ),
+            "rician0dB-noncoherent-ml": (
+                ric, NoncoherentML(constellation.levels, ric.mu, ric.sigma_h2, sigma2)
+            ),
+            "pilot-pam-T2-Tl1": (rayleigh(), PilotPAM(amps, 0.0, 1.0, sigma2, 2, 1)),
+            "pilot-pam-T2-Tl0": (rayleigh(), PilotPAM(amps, 0.0, 1.0, sigma2, 2, 0)),
+        }[name]
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "rayleigh-energy", "rician0dB-energy", "nakagami-energy", "rayleigh-ask-ml",
+            "rician0dB-noncoherent-ml", "pilot-pam-T2-Tl1", "pilot-pam-T2-Tl0",
+        ],
+    )
+    def test_same_answer_as_bisection_and_shown_by_its_probes(self, name, design_l4, monkeypatch):
+        channel, decoder = self.cell(name, design_l4.constellation)
+        n_max = 256
+        for seed in (1, 2, 3, 4):
+            for target in (1e-2, 1e-3):
+                template = SimScenario(channel, SIGMA2_10DB, decoder, 1, 20_000, seed)
+                expected = bisection_min_antennas(template, target, n_max)
+                with monkeypatch.context() as m:
+                    probes = _spy_candidates(m)
+                    n_star = min_antennas(template, target, n_max)
+                assert n_star == expected, (seed, target)
+                verdicts = {n: upper < target for n, _, _, upper in probes}
+                assert len(verdicts) == len(probes)
+                if n_star is None:
+                    assert verdicts[n_max] is False
+                else:
+                    assert verdicts[n_star] is True
+                    assert n_star == 1 or verdicts[n_star - 1] is False
+
+    @pytest.mark.parametrize("curve", list(SEARCH_CURVES))
+    def test_synthetic_curves(self, curve, design_l4, monkeypatch):
+        # The answer is k, no n is simulated twice, and the search takes at
+        # most the 2*ceil(log2(n_max)) + 2 candidates of doubling and bisection.
+        upper_of, probed, case = SEARCH_CURVES[curve], [], {}
+
+        def fake(scenario, stop_bit_errors=None):
+            probed.append(scenario.n)
+            upper = upper_of(scenario.n, case["k"], case["n_max"])
+            return 1000, 0, 0, None, None, None, (0.0, upper)
+
+        monkeypatch.setattr(montecarlo, "_accumulate", fake)
+        template = energy_scenario(design_l4.constellation, n=1)
+        for n_max in (1, 2, 3, 5, 64, 400, 2048):
+            ks = range(1, n_max + 2) if n_max <= 64 else [*range(1, n_max, 37), n_max, n_max + 1]
+            for k in [n_max + 1] if curve in HOPELESS_CURVES else ks:
+                case.update(k=k, n_max=n_max)
+                probed.clear()
+                n_star = min_antennas(template, SEARCH_TARGET, n_max)
+                assert n_star == (k if k <= n_max else None), (n_max, k, probed)
+                assert len(set(probed)) == len(probed), (n_max, k, probed)
+                assert len(probed) <= 2 * math.ceil(math.log2(n_max)) + 2, (n_max, k, probed)
 
 
 LEVELS = (0.0, 0.6, 1.6, 3.0)
@@ -491,6 +677,16 @@ class TestHistogram:
     def test_rejects_few_bins(self, design_l4):
         with pytest.raises(ValueError):
             histogram(design_l4.constellation, rayleigh(), 0.1, 10, 100, bins=5)
+
+    @pytest.mark.parametrize("bad", [10.5, 10.0, True, 0])
+    def test_rejects_a_fractional_boolean_or_zero_antenna_count(self, design_l4, bad):
+        with pytest.raises(ValueError):
+            histogram(design_l4.constellation, rayleigh(), 0.1, bad, 100, bins=20)
+
+    def test_takes_a_numpy_antenna_count(self, design_l4):
+        args = (design_l4.constellation, rayleigh(), 0.1)
+        got = histogram(*args, np.int64(10), 100, bins=20, seed=3)
+        assert got == histogram(*args, 10, 100, bins=20, seed=3)
 
     @pytest.mark.parametrize("trials,seed", [(0, 0), (-5, 0), (100, -1), (100, 2**64)])
     def test_rejects_bad_trials_and_seed(self, design_l4, trials, seed):
