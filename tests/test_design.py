@@ -189,6 +189,26 @@ def test_t_star_does_not_fall_as_the_snr_rises(method, channel, L):
         assert higher >= lower * (1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("snr_db", [-20.0, 10.0, 50.0])
+@pytest.mark.parametrize("L", [2, 4, 16, 64])
+@pytest.mark.parametrize(
+    "channel",
+    [rayleigh(), Rician(0.0), Rician(10.0), NakagamiReal(2.0), NakagamiReal(0.6)],
+    ids=["rayleigh", "rician0dB", "rician10dB", "nakagami2", "nakagami0.6"],
+)
+def test_equalized_regions_reproduce_the_exact_design(channel, L, snr_db):
+    """A cross-path identity: `equalized_regions` splits each gap by
+    `equalize_boundary`, not by the construction, yet on the design's own
+    levels it gives the design's boundaries, and its error exponent is t*."""
+    sigma2 = sigma_from_snr(snr_db)
+    out = design_exact(channel, sigma2, DesignConfig(L=L))
+    assert out.feasible
+    con = equalized_regions(out.constellation.levels, channel, sigma2)
+    for got, want in zip(con.boundaries, out.constellation.boundaries, strict=True):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert error_exponent(con, channel, sigma2) == pytest.approx(out.t_star, rel=1e-10, abs=0.0)
+
+
 class TestDesignMoments:
     def test_pairwise_gap_equation(self):
         sigma2 = SIGMA2_10DB
