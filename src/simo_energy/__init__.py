@@ -3,9 +3,7 @@
 from .channel import (
     ChannelSpec,
     DivergentMgfError,
-    MomentsOnly,
     NakagamiReal,
-    NotSamplableError,
     Rician,
     alpha1,
     log_mgf_energy,

@@ -10,11 +10,14 @@ per-antenna energy fluctuation
 
 so this module provides its moments, its log moment generating function
 Lambda(theta) = log E[exp(theta*U)] and the saddle point theta*(v) solving
-Lambda'(theta) = v.  Both fading families have closed forms: under Rician
-fading |h*sqrt(p) + v|^2 is a scaled noncentral chi-square, and a Nakagami
-amplitude makes |h|^2 Gamma distributed.  In either case Lambda'(theta) = v
-reduces to a quadratic, so everything that depends on the fading family
-lives here and the rate layer built on top is family-agnostic.
+Lambda'(theta) = v.  Each fading family is a frozen dataclass that owns its
+closed forms as methods: `alpha1`, `sample`, `theta_max`, `log_mgf` and
+`saddle_point`.  Under Rician fading |h*sqrt(p) + v|^2 is a scaled
+noncentral chi-square, and a Nakagami amplitude makes |h|^2 Gamma
+distributed.  In either case Lambda'(theta) = v reduces to a quadratic, so
+the rate layer built on top is family-agnostic.  The module-level
+`alpha1`, `sample_channel` and `log_mgf_energy` check their inputs and
+delegate to the family's method.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
-
-
-class NotSamplableError(TypeError):
-    """Raised when a distribution-dependent operation gets a moments-only channel."""
 
 
 class DivergentMgfError(ValueError):
@@ -68,6 +67,8 @@ class Rician:
 
     The K-factor is given in dB; K_db = -inf is Rayleigh and K_db = +inf is a
     deterministic unit line-of-sight channel; a finite K_db lies in [-3000, 3000].
+    |h*sqrt(p) + v|^2 is s/2 times a noncentral chi-square with two
+    degrees of freedom, s = sigma_h^2*p + sigma2, and noncentrality 2*mu^2*p/s.
     """
 
     K_db: float
@@ -92,6 +93,45 @@ class Rician:
     def sigma_h2(self) -> float:
         return 1.0 / (self.k_lin + 1.0)
 
+    @cached_property
+    def alpha1(self) -> float:
+        k = self.k_lin
+        if math.isinf(k):
+            return 0.0
+        try:
+            return (1.0 + 2.0 * k) / (1.0 + k) ** 2
+        except OverflowError:
+            # (1 + k)^2 overflows from k = 1.34e154 on, where 2/k is the value to rounding.
+            return 2.0 / k
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        if self.sigma_h2 == 0.0:
+            return np.full(count, self.mu, dtype=np.complex128)
+        scale = math.sqrt(self.sigma_h2 / 2.0)
+        g = rng.standard_normal((count, 2))
+        return self.mu + scale * (g[:, 0] + 1j * g[:, 1])
+
+    def theta_max(self, sigma2: float, p: float) -> float:
+        return 1.0 / (self.sigma_h2 * p + sigma2)
+
+    def log_mgf(self, sigma2: float, p: float, theta: float) -> float:
+        s2 = self.sigma_h2 * p + sigma2
+        q = 1.0 - theta * s2
+        if q <= 0.0:
+            raise DivergentMgfError(theta, 1.0 / s2)
+        lam = self.mu**2 * p
+        return -theta * (p + sigma2) + theta * lam / q - math.log(q)
+
+    def saddle_point(self, sigma2: float, p: float, v: float) -> float:
+        # With q = 1 - theta*s and x = 1/q the equation is
+        # lam*x^2 + s*x - (r + v) = 0.  q is the reciprocal of its positive
+        # root, written so that lam = 0 needs no special case.
+        s2 = self.sigma_h2 * p + sigma2
+        lam = self.mu**2 * p
+        total = p + sigma2 + v
+        q = (s2 + math.sqrt(s2 * s2 + 4.0 * lam * total)) / (2.0 * total)
+        return (1.0 - q) / s2
+
 
 # From this shape on, 1 - mu^2 would lose digits to cancellation.
 _NAKAGAMI_SERIES_M = 16.0
@@ -107,7 +147,11 @@ def _log_mean_amplitude_series(m: float) -> float:
 
 @dataclass(frozen=True)
 class NakagamiReal:
-    """Nonnegative real amplitude with a Nakagami(m, 1) law (E|h|^2 = 1), zero imaginary part."""
+    """Nonnegative real amplitude with a Nakagami(m, 1) law (E|h|^2 = 1), zero imaginary part.
+
+    |h|^2 is Gamma(m, 1/m).  With A = sigma2 + p/m, the energy MGF is finite
+    for theta < 1/A.
+    """
 
     m: float
 
@@ -128,19 +172,54 @@ class NakagamiReal:
             return 1.0 - self.mu**2
         return -math.expm1(2.0 * _log_mean_amplitude_series(self.m))
 
+    @cached_property
+    def alpha1(self) -> float:
+        return 1.0 / self.m
 
-@dataclass(frozen=True)
-class MomentsOnly:
-    """Channel known only through its fourth-moment coefficient; not samplable."""
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        power = rng.gamma(shape=self.m, scale=1.0 / self.m, size=count)
+        return np.sqrt(power).astype(np.complex128)
 
-    alpha1_value: float
+    def theta_max(self, sigma2: float, p: float) -> float:
+        return self.m / (p + self.m * sigma2)
 
-    def __post_init__(self):
-        if not (self.alpha1_value >= 0):
-            raise ValueError("alpha1 must be nonnegative")
+    def log_mgf(self, sigma2: float, p: float, theta: float) -> float:
+        # Conditional on G = |h|^2, |y|^2 is noncentral exponential, so
+        # E[e^{theta|y|^2}] = E[e^{cG}] / (1 - theta*sigma2) with
+        # c = theta*p/(1 - theta*sigma2), and G ~ Gamma(m, 1/m) gives
+        # E[e^{cG}] = (1 - c/m)^(-m) = ((1 - theta*A)/(1 - theta*sigma2))^(-m).
+        m = self.m
+        a = sigma2 + p / m
+        if theta * a >= 1.0:
+            raise DivergentMgfError(theta, 1.0 / a)
+        return (
+            -m * math.log1p(-theta * a)
+            + (m - 1.0) * math.log1p(-theta * sigma2)
+            - theta * (p + sigma2)
+        )
+
+    def saddle_point(self, sigma2: float, p: float, v: float) -> float:
+        # Clearing denominators gives R*A*sigma2*theta^2 - b*theta + v = 0
+        # with R = r + v and b = R*(A + sigma2) - A*sigma2.  The quadratic
+        # is -p <= 0 at theta = 1/A, so its smaller root is the one
+        # inside the domain theta < 1/A.
+        a = sigma2 + p / self.m
+        total = p + sigma2 + v
+        lead = total * a * sigma2
+        b = total * (a + sigma2) - a * sigma2
+        root_disc = math.sqrt(max(b * b - 4.0 * lead * v, 0.0))
+        if b > 0.0:
+            return 2.0 * v / (b + root_disc)
+        return (b - root_disc) / (2.0 * lead)
 
 
-ChannelSpec = Union[Rician, NakagamiReal, MomentsOnly]
+# A fading law: its statistics (mu, sigma_h2, alpha1) and its methods
+# sample(count, rng), theta_max(sigma2, p), log_mgf(sigma2, p, theta) and
+# saddle_point(sigma2, p, v), the theta with d/dtheta log_mgf = v for
+# v > -(p + sigma2): the derivative increases from -(p + sigma2) to +inf
+# over the MGF domain, so the root is unique, and v > 0 gives theta in
+# (0, theta_max), v < 0 a negative theta.
+ChannelSpec = Union[Rician, NakagamiReal]
 
 
 def rayleigh() -> Rician:
@@ -154,20 +233,7 @@ def alpha1(channel: ChannelSpec) -> float:
     This is E[h_re^4] + E[h_im^4] + 2 E[h_re^2] E[h_im^2] - 1 for a channel
     normalized to E|h|^2 = 1; it multiplies p^2 in the energy variance.
     """
-    if isinstance(channel, MomentsOnly):
-        return channel.alpha1_value
-    if isinstance(channel, Rician):
-        k = channel.k_lin
-        if math.isinf(k):
-            return 0.0
-        try:
-            return (1.0 + 2.0 * k) / (1.0 + k) ** 2
-        except OverflowError:
-            # (1 + k)^2 overflows from k = 1.34e154 on, where 2/k is the value to rounding.
-            return 2.0 / k
-    if isinstance(channel, NakagamiReal):
-        return 1.0 / channel.m
-    raise TypeError(f"unsupported channel {channel!r}")
+    return channel.alpha1
 
 
 def energy_variance(alpha1_value: float, sigma2: float, p: float) -> float:
@@ -179,63 +245,14 @@ def u_second_moment(channel: ChannelSpec, sigma2: float, p: float) -> float:
     """Variance E[U^2] of the per-antenna energy fluctuation at power level p."""
     if p < 0:
         raise ValueError("power level must be nonnegative")
-    return energy_variance(alpha1(channel), sigma2, p)
+    return energy_variance(channel.alpha1, sigma2, p)
 
 
 def sample_channel(
     channel: ChannelSpec, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw `count` i.i.d. channel coefficients as a complex vector."""
-    if isinstance(channel, MomentsOnly):
-        raise NotSamplableError("moments-only channels cannot be sampled")
-    if isinstance(channel, Rician):
-        mu = channel.mu
-        sh2 = channel.sigma_h2
-        if sh2 == 0.0:
-            return np.full(count, mu, dtype=np.complex128)
-        scale = math.sqrt(sh2 / 2.0)
-        g = rng.standard_normal((count, 2))
-        return mu + scale * (g[:, 0] + 1j * g[:, 1])
-    if isinstance(channel, NakagamiReal):
-        power = rng.gamma(shape=channel.m, scale=1.0 / channel.m, size=count)
-        return np.sqrt(power).astype(np.complex128)
-    raise TypeError(f"unsupported channel {channel!r}")
-
-
-def theta_max_energy(channel: ChannelSpec, sigma2: float, p: float) -> float:
-    """Right boundary of the energy-MGF domain: E[exp(theta*U)] < inf for theta < theta_max."""
-    if isinstance(channel, Rician):
-        return 1.0 / (channel.sigma_h2 * p + sigma2)
-    if isinstance(channel, NakagamiReal):
-        return channel.m / (p + channel.m * sigma2)
-    raise NotSamplableError("moments-only channels have no MGF")
-
-
-def _log_mgf_rician(channel: Rician, sigma2: float, p: float, theta: float) -> float:
-    s2 = channel.sigma_h2 * p + sigma2
-    q = 1.0 - theta * s2
-    if q <= 0.0:
-        raise DivergentMgfError(theta, 1.0 / s2)
-    lam = channel.mu**2 * p
-    return -theta * (p + sigma2) + theta * lam / q - math.log(q)
-
-
-def _log_mgf_nakagami(
-    channel: NakagamiReal, sigma2: float, p: float, theta: float
-) -> float:
-    # Conditional on G = |h|^2, |y|^2 is noncentral exponential, so
-    # E[e^{theta|y|^2}] = E[e^{cG}] / (1 - theta*sigma2) with
-    # c = theta*p/(1 - theta*sigma2), and G ~ Gamma(m, 1/m) gives
-    # E[e^{cG}] = (1 - c/m)^(-m) = ((1 - theta*A)/(1 - theta*sigma2))^(-m).
-    m = channel.m
-    a = sigma2 + p / m
-    if theta * a >= 1.0:
-        raise DivergentMgfError(theta, 1.0 / a)
-    return (
-        -m * math.log1p(-theta * a)
-        + (m - 1.0) * math.log1p(-theta * sigma2)
-        - theta * (p + sigma2)
-    )
+    return channel.sample(count, rng)
 
 
 def log_mgf_energy(
@@ -253,48 +270,7 @@ def log_mgf_energy(
         raise ValueError("power level must be nonnegative")
     if theta == 0.0:
         return 0.0
-    if isinstance(channel, Rician):
-        return _log_mgf_rician(channel, sigma2, p, theta)
-    if isinstance(channel, NakagamiReal):
-        return _log_mgf_nakagami(channel, sigma2, p, theta)
-    raise NotSamplableError("moments-only channels have no MGF")
-
-
-def saddle_point_energy(
-    channel: ChannelSpec, sigma2: float, p: float, v: float
-) -> float:
-    """The theta with d/dtheta log_mgf_energy(theta) = v, for v > -r(p).
-
-    The derivative increases from -r(p) to +inf over the MGF domain, so the
-    root is unique; v > 0 gives theta in (0, theta_max) and v < 0 a negative
-    theta.  Both families reduce the equation to a quadratic, solved in the
-    cancellation-free form.
-    """
-    if p < 0:
-        raise ValueError("power level must be nonnegative")
-    if isinstance(channel, Rician):
-        # With q = 1 - theta*s and x = 1/q the equation is
-        # lam*x^2 + s*x - (r + v) = 0.  q is the reciprocal of its positive
-        # root, written so that lam = 0 needs no special case.
-        s2 = channel.sigma_h2 * p + sigma2
-        lam = channel.mu**2 * p
-        total = p + sigma2 + v
-        q = (s2 + math.sqrt(s2 * s2 + 4.0 * lam * total)) / (2.0 * total)
-        return (1.0 - q) / s2
-    if isinstance(channel, NakagamiReal):
-        # Clearing denominators gives R*A*sigma2*theta^2 - b*theta + v = 0
-        # with R = r + v and b = R*(A + sigma2) - A*sigma2.  The quadratic
-        # is -p <= 0 at theta = 1/A, so its smaller root is the one
-        # inside the domain theta < 1/A.
-        a = sigma2 + p / channel.m
-        total = p + sigma2 + v
-        lead = total * a * sigma2
-        b = total * (a + sigma2) - a * sigma2
-        root_disc = math.sqrt(max(b * b - 4.0 * lead * v, 0.0))
-        if b > 0.0:
-            return 2.0 * v / (b + root_disc)
-        return (b - root_disc) / (2.0 * lead)
-    raise NotSamplableError("moments-only channels have no MGF")
+    return channel.log_mgf(sigma2, p, theta)
 
 
 # Absolute tolerance of increasing_root, which binds only at roots within

@@ -78,9 +78,7 @@ import numpy as np
 
 from .channel import (
     ChannelSpec,
-    MomentsOnly,
     NakagamiReal,
-    NotSamplableError,
     Rician,
     sample_channel,
     u_second_moment,
@@ -152,8 +150,6 @@ class SimScenario:
     shards: int = 1
 
     def __post_init__(self):
-        if isinstance(self.true_channel, MomentsOnly):
-            raise NotSamplableError("cannot simulate a moments-only channel")
         if not (self.true_sigma2 >= 0):
             raise ValueError("true noise power must be nonnegative")
         check_antenna_count(self.n)
@@ -663,8 +659,6 @@ def histogram(
     seed: int = 0,
 ) -> StatHistogram:
     """Sampled statistic histograms for every level of a region-decoded constellation."""
-    if isinstance(channel, MomentsOnly):
-        raise NotSamplableError("cannot sample a moments-only channel")
     check_antenna_count(n)
     check_bins(bins)
     check_trials(trials)

@@ -4,13 +4,13 @@ For a power level p the receiver statistic ||y||^2/n concentrates at
 r(p) = p + sigma2; deviations of size d to the right or left decay like
 exp(-n*I(d)) where I is the Legendre transform of the log-MGF of the
 per-antenna fluctuation U.  The supremum in I(d) = sup theta*d - Lambda(theta)
-is attained at the closed-form saddle point theta*(d) that `channel`
-provides for every fading family, so each exponent is one saddle-point
-evaluation and one log-MGF evaluation.  This module computes those
-exponents, their inverses (by the bracketed root finder
-`channel.increasing_root`), the small-deviation quadratic approximation,
-and the resulting union bound / error exponent of a constellation with
-interval decoding regions.
+is attained at the closed-form saddle point theta*(d) that each fading
+family provides (`Rician.saddle_point`, `NakagamiReal.saddle_point`), so
+each exponent is one saddle-point evaluation and one log-MGF evaluation,
+whatever the family.  This module computes those exponents, their
+inverses (by the bracketed root finder `channel.increasing_root`), the
+small-deviation quadratic approximation, and the resulting union bound /
+error exponent of a constellation with interval decoding regions.
 """
 
 from __future__ import annotations
@@ -21,13 +21,9 @@ from typing import Optional
 
 from .channel import (
     ChannelSpec,
-    MomentsOnly,
-    NotSamplableError,
     energy_variance,
     increasing_root,
     log_mgf_energy,
-    saddle_point_energy,
-    theta_max_energy,
     u_second_moment,
 )
 
@@ -40,8 +36,6 @@ class RateOracle:
     """
 
     def __init__(self, channel: ChannelSpec, sigma2: float, p: float):
-        if isinstance(channel, MomentsOnly):
-            raise NotSamplableError("moments-only channels have no rate functions")
         if not (sigma2 > 0):
             raise ValueError("noise power must be positive")
         if p < 0:
@@ -55,7 +49,7 @@ class RateOracle:
     @property
     def theta_max(self) -> float:
         """Right end of the log-MGF domain; the rate evaluations never need it."""
-        return theta_max_energy(self.channel, self.sigma2, self.p)
+        return self.channel.theta_max(self.sigma2, self.p)
 
     def log_mgf(self, theta: float) -> float:
         return log_mgf_energy(self.channel, self.sigma2, self.p, theta)
@@ -66,7 +60,7 @@ class RateOracle:
             raise ValueError("deviation must be nonnegative")
         if d == 0.0:
             return 0.0
-        theta = saddle_point_energy(self.channel, self.sigma2, self.p, d)
+        theta = self.channel.saddle_point(self.sigma2, self.p, d)
         return max(theta * d - self.log_mgf(theta), 0.0)
 
     def rate_left(self, d: float) -> float:
@@ -77,7 +71,7 @@ class RateOracle:
             return 0.0
         if d >= self.r:
             return math.inf
-        theta = saddle_point_energy(self.channel, self.sigma2, self.p, -d)
+        theta = self.channel.saddle_point(self.sigma2, self.p, -d)
         return max(-theta * d - self.log_mgf(theta), 0.0)
 
     def inverse_rate(self, side: str, t: float) -> float:

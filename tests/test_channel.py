@@ -13,9 +13,7 @@ from scipy import stats
 
 from simo_energy.channel import (
     DivergentMgfError,
-    MomentsOnly,
     NakagamiReal,
-    NotSamplableError,
     Rician,
     alpha1,
     increasing_root,
@@ -24,7 +22,6 @@ from simo_energy.channel import (
     rayleigh,
     sample_channel,
     sigma_from_snr,
-    theta_max_energy,
     u_second_moment,
 )
 
@@ -90,9 +87,6 @@ class TestAlpha1:
 
     def test_nakagami_m1(self):
         assert alpha1(NakagamiReal(1.0)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_moments_only_passthrough(self):
-        assert alpha1(MomentsOnly(0.42)) == 0.42
 
     @pytest.mark.parametrize(
         "channel",
@@ -165,10 +159,6 @@ class TestSampleChannel:
         se_pow = power.std(ddof=1) / math.sqrt(len(h))
         assert abs(power.mean() - 1.0) < 4 * se_pow
 
-    def test_moments_only_not_samplable(self):
-        with pytest.raises(NotSamplableError):
-            sample_channel(MomentsOnly(1.0), 10, np.random.default_rng(0))
-
 
 class TestLogMgfEnergy:
     @pytest.mark.parametrize("channel", [rayleigh(), Rician(6.0), NakagamiReal(1.3)])
@@ -196,7 +186,7 @@ class TestLogMgfEnergy:
         ch = Rician(0.0)
         p, sigma2 = 1.0, 0.25
         t_max = 1.0 / (ch.sigma_h2 * p + sigma2)
-        assert theta_max_energy(ch, sigma2, p) == pytest.approx(t_max, abs=1e-15)
+        assert ch.theta_max(sigma2, p) == pytest.approx(t_max, abs=1e-15)
         assert math.isfinite(log_mgf_energy(ch, sigma2, p, t_max * (1 - 1e-9)))
         with pytest.raises(DivergentMgfError) as err:
             log_mgf_energy(ch, sigma2, p, t_max)
@@ -226,7 +216,7 @@ class TestLogMgfEnergy:
         for gamma_db in (0.0, 10.0):
             sigma2 = sigma_from_snr(gamma_db)
             for p in (0.0, 0.5, 2.0):
-                t_max = theta_max_energy(ch, sigma2, p)
+                t_max = ch.theta_max(sigma2, p)
                 s2 = ch.sigma_h2 * p + sigma2
                 lam = ch.mu**2 * p
                 r = p + sigma2
@@ -260,10 +250,6 @@ class TestLogMgfEnergy:
                 assert math.log(val) == pytest.approx(
                     log_mgf_energy(ch, sigma2, p, theta), abs=1e-7
                 )
-
-    def test_moments_only_has_no_mgf(self):
-        with pytest.raises(NotSamplableError):
-            log_mgf_energy(MomentsOnly(1.0), 1.0, 1.0, 0.1)
 
 
 class TestNakagamiFromK:

@@ -14,9 +14,7 @@ from scipy.stats import kstest, ks_2samp, ncx2, norm
 
 from simo_energy import decode, montecarlo
 from simo_energy.channel import (
-    MomentsOnly,
     NakagamiReal,
-    NotSamplableError,
     Rician,
     rayleigh,
     sigma_from_snr,
@@ -692,12 +690,6 @@ class TestHistogram:
     def test_rejects_bad_trials_and_seed(self, design_l4, trials, seed):
         with pytest.raises(ValueError):
             histogram(design_l4.constellation, rayleigh(), 0.1, 10, trials, bins=20, seed=seed)
-
-    def test_rejects_a_moments_only_channel(self, design_l4):
-        # A moments-only channel has no law to sample; without the check the
-        # sampler fails on its missing Nakagami shape with an AttributeError.
-        with pytest.raises(NotSamplableError):
-            histogram(design_l4.constellation, MomentsOnly(1.0), 0.1, 10, 100, bins=20)
 
 
 SIGMA2_0DB = sigma_from_snr(0.0)

@@ -20,8 +20,6 @@ from simo_energy.channel import (
     Rician,
     log_mgf_energy,
     rayleigh,
-    saddle_point_energy,
-    theta_max_energy,
 )
 from simo_energy.decode import energy_ml_logpdf
 from simo_energy.rates import RateOracle
@@ -154,7 +152,7 @@ QUADRATURE_CASES = [
 @pytest.mark.parametrize("name,sigma2,p", QUADRATURE_CASES)
 def test_log_mgf_against_quadrature(name, sigma2, p):
     channel = CHANNELS[name]
-    t_max = theta_max_energy(channel, sigma2, p)
+    t_max = channel.theta_max(sigma2, p)
     # The last point approaches the domain boundary theta_max.
     for f in (-20.0, -0.05, 0.5, 1 - 1e-5):
         theta = f * t_max
@@ -177,7 +175,7 @@ def test_rates_against_findroot_supremum(name, sigma2, p):
             d = f * oracle.r
             v = d if side == "right" else -d
             theta_ref, rate_ref = _rate_mp(channel, sigma2, p, v)
-            theta = saddle_point_energy(channel, sigma2, p, v)
+            theta = channel.saddle_point(sigma2, p, v)
             assert _rel_err(theta, theta_ref) <= 1e-8, (side, f)
             rate = oracle.rate_right(d) if side == "right" else oracle.rate_left(d)
             assert _rel_err(rate, rate_ref) <= REL_TOL, (side, f, rate, rate_ref)
