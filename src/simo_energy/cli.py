@@ -120,6 +120,13 @@ def _whole(value, name: str) -> int:
     return value
 
 
+def _real(value) -> float:
+    """A real config value as a float; JSON true and false are not numbers here."""
+    if isinstance(value, bool):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_scalar(text: str):
     lowered = text.lower()
     if lowered in ("-inf", "inf", "+inf"):
@@ -189,9 +196,9 @@ def _channel_from(block: dict, name: str):
     kind = block.get("kind", "rayleigh")
     gamma = block.get("gamma_dB")
     with _field(f"{name}.gamma_dB"):
-        if gamma is None or not math.isfinite(float(gamma)):
+        if gamma is None or not math.isfinite(_real(gamma)):
             raise ValueError(f"must be a finite number, got {gamma!r}")
-        sigma2 = sigma_from_snr(float(gamma))
+        sigma2 = sigma_from_snr(_real(gamma))
     if kind == "rayleigh":
         return Rician(-math.inf), sigma2
     if kind == "rician":
@@ -199,13 +206,13 @@ def _channel_from(block: dict, name: str):
         if k_db is None:
             raise ConfigError(f"{name}.K_dB: required for kind 'rician'")
         with _field(f"{name}.K_dB"):
-            return Rician(float(k_db)), sigma2
+            return Rician(_real(k_db)), sigma2
     if kind == "nakagami":
         m = block.get("m")
         if m is None:
             raise ConfigError(f"{name}.m: required for kind 'nakagami'")
         with _field(name):
-            return NakagamiReal(float(m)), sigma2
+            return NakagamiReal(_real(m)), sigma2
     raise ConfigError(f"{name}.kind: unknown kind {kind!r}")
 
 
@@ -232,7 +239,7 @@ def _box_from(cfg: dict) -> UncertaintyBox:
         if d[key] is None:
             raise ConfigError("design.a_dB (or a_K_dB / a_gamma_dB) is required for robust")
         with _field(f"design.{key}"):
-            value = float(d[key])
+            value = _real(d[key])
             if math.isnan(value):
                 raise ValueError("must be a number, got nan")
         return f"design.{key}", value
@@ -260,9 +267,9 @@ def _design_from(cfg: dict):
     with _field("design.L"):
         dcfg = DesignConfig(L=_whole(d["L"], "design.L"))
     with _field("design.budget"):
-        dcfg = replace(dcfg, power_budget=float(d["budget"]))
+        dcfg = replace(dcfg, power_budget=_real(d["budget"]))
     with _field("design.eps"):
-        dcfg = replace(dcfg, eps=float(d["eps"]))
+        dcfg = replace(dcfg, eps=_real(d["eps"]))
     if method in ("exact", "moments", "robust"):
         box = _box_from(cfg) if method == "robust" else None
         with _field("design.budget"):
@@ -458,7 +465,7 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
                 pilot_slots=_whole(sim["T_l"], "sim.T_l"),
             )
         with _field("sim.pilot_power"):
-            decoder = replace(decoder, pilot_power=float(sim["pilot_power"]))
+            decoder = replace(decoder, pilot_power=_real(sim["pilot_power"]))
     else:
         raise ConfigError(f"unknown sim.scheme {scheme!r}")
     # n is checked by the callers, so only the symbol budget can fail here.
@@ -514,7 +521,7 @@ def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
     constellation = _constellation_for_run(cfg)
     sim = cfg["sim"]
     with _field("sim.target_ber"):
-        target_ber = float(sim["target_ber"])
+        target_ber = _real(sim["target_ber"])
         check_target_ber(target_ber)
     with _field("sim.n_max"):
         n_max = _whole(sim["n_max"], "sim.n_max")

@@ -120,15 +120,21 @@ def wilson_interval(errors: int, trials: int):
     return lo, hi
 
 
+def check_whole(value, name: str) -> None:
+    """A Python or NumPy integer; floats (1e5 included) and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def check_antenna_count(n, name: str = "antenna count") -> None:
-    """A Python or NumPy integer of at least 1; floats and bools are refused."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"{name} must be a whole number, got {n!r}")
+    """A whole number of at least 1."""
+    check_whole(n, name)
     if n < 1:
         raise ValueError(f"{name} must be at least 1, got {n!r}")
 
 
 def check_seed(seed: int) -> None:
+    check_whole(seed, "seed")
     if not (0 <= seed < 2**64):
         raise ValueError("seed must fit in 64 bits")
 
@@ -153,10 +159,12 @@ class SimScenario:
         if not (self.true_sigma2 >= 0):
             raise ValueError("true noise power must be nonnegative")
         check_antenna_count(self.n)
+        check_whole(self.symbols, "symbols")
         if self.symbols < 1000:
             raise ValueError("symbol budget must be at least 1000")
         if self.symbols < self.decoder.coherence_slots:
             raise ValueError("symbol budget is below one coherence block")
+        check_whole(self.shards, "shards")
         if self.shards < 1:
             raise ValueError("shard count must be at least 1")
         check_seed(self.seed)
@@ -639,14 +647,23 @@ class StatHistogram:
     outside_fraction: tuple  # mass falling outside each symbol's own region
 
 
+# `histogram` holds each level's trials as float64 arrays (2^24 take 128 MB
+# each) and its bin counts as tuples of Python ints (about 36 bytes each), so
+# both sizes are capped for the arrays to fit in memory.
+_MAX_TRIALS = 1 << 24
+_MAX_BINS = 1 << 20
+
+
 def check_bins(bins: int) -> None:
-    if bins < 10:
-        raise ValueError("need at least 10 bins")
+    check_whole(bins, "bins")
+    if not (10 <= bins <= _MAX_BINS):
+        raise ValueError(f"bins must lie in [10, {_MAX_BINS}], got {bins!r}")
 
 
 def check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError("need at least one trial per level")
+    check_whole(trials, "trials")
+    if not (1 <= trials <= _MAX_TRIALS):
+        raise ValueError(f"trials per level must lie in [1, {_MAX_TRIALS}], got {trials!r}")
 
 
 def histogram(

@@ -184,6 +184,12 @@ class TestConfigHandling:
             (["histogram", "--design.method", "mindist", "--sim.bins", "0"], "sim.bins"),
             (["histogram", "--design.method", "mindist", "--sim.trials", "-5"], "sim.trials"),
             (["histogram", "--design.method", "mindist", "--seed", "-1"], "sim.seed"),
+            # Sizes whose arrays would not fit in memory: numpy used to raise
+            # "Maximum allowed size exceeded" or "... dimension exceeded".
+            (["histogram", "--design.method", "mindist", "--sim.bins", "1e20"], "sim.bins"),
+            (["histogram", "--design.method", "mindist", "--sim.bins", "1e308"], "sim.bins"),
+            (["histogram", "--design.method", "mindist", "--sim.trials", "1e20"], "sim.trials"),
+            (["histogram", "--design.method", "mindist", "--sim.trials", "1e308"], "sim.trials"),
             (["min-antennas", "--design.method", "mindist", "--sim.target_ber", "0.7"],
              "sim.target_ber"),
             (["min-antennas", "--design.method", "mindist", "--sim.target_ber", "0"],
@@ -233,6 +239,28 @@ class TestConfigHandling:
             (["simulate", "--design.method", "mindist", "--sim.true.kind", "awgn"],
              "sim.true.kind"),
             (["design", "--channel.gamma_dB", "abc"], "channel.gamma_dB"),
+            # JSON true and false are not numbers: they used to be read as 1.0 and 0.0.
+            (["design", "--channel.gamma_dB", "true"], "channel.gamma_dB"),
+            (["design", "--channel.kind", "rician", "--channel.K_dB", "false"], "channel.K_dB"),
+            (["design", "--channel.kind", "nakagami", "--channel.m", "true"], "channel"),
+            (["design", "--design.budget", "true"], "design.budget"),
+            (["design", "--design.eps", "true"], "design.eps"),
+            (["design", "--design.method", "robust", "--design.a_dB", "true"], "design.a_dB"),
+            (["design", "--design.method", "robust", "--channel.kind", "rician", "--channel.K_dB",
+              "0", "--design.a_dB", "1", "--design.a_K_dB", "false"], "design.a_K_dB"),
+            (["design", "--design.method", "robust", "--design.a_dB", "1",
+              "--design.a_gamma_dB", "true"], "design.a_gamma_dB"),
+            (["simulate", "--design.method", "mindist", "--sim.true.gamma_dB", "true"],
+             "sim.true.gamma_dB"),
+            (["simulate", "--design.method", "mindist", "--sim.scheme", "noncoherent_ml",
+              "--sim.assumed.gamma_dB", "false"], "sim.assumed.gamma_dB"),
+            (["simulate", "--design.method", "mindist", "--sim.true.kind", "rician",
+              "--sim.true.K_dB", "true"], "sim.true.K_dB"),
+            (["simulate", "--design.method", "mindist", "--sim.scheme", "pilot_pam",
+              "--design.L", "2", "--sim.T", "2", "--sim.T_l", "1", "--sim.pilot_power", "true"],
+             "sim.pilot_power"),
+            (["min-antennas", "--design.method", "mindist", "--sim.target_ber", "true"],
+             "sim.target_ber"),
             (["design", "--channel.kind", "rician", "--channel.K_dB", "abc"], "channel.K_dB"),
             # A K-factor is -inf, +inf or in [-3000, 3000] dB: NaN statistics
             # used to give a silent SER or a traceback.

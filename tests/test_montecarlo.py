@@ -191,6 +191,28 @@ class TestSimulate:
         with pytest.raises(ValueError):
             energy_scenario(design_l4.constellation, n=bad)
 
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("symbols", 1e5),  # used to end in numpy's TypeError
+            ("symbols", True),
+            ("shards", 1.5),  # shards and seed used to run, echoed into the report
+            ("shards", True),
+            ("seed", True),
+            ("seed", 11.0),
+        ],
+    )
+    def test_rejects_a_fractional_or_boolean_whole_field(self, design_l4, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number"):
+            energy_scenario(design_l4.constellation, **{field: bad})
+
+    def test_takes_numpy_symbols_seed_and_shards(self, design_l4):
+        con = design_l4.constellation
+        got = simulate(energy_scenario(con, symbols=np.int64(20_000), seed=np.uint64(11),
+                                       shards=np.int32(2)))
+        want = simulate(energy_scenario(con, symbols=20_000, seed=11, shards=2))
+        assert replace(got, elapsed_s=0.0) == replace(want, elapsed_s=0.0)
+
     def test_takes_a_numpy_antenna_count(self, design_l4):
         got = simulate(energy_scenario(design_l4.constellation, n=np.int32(25), seed=1))
         want = simulate(energy_scenario(design_l4.constellation, n=25, seed=1))
@@ -690,6 +712,26 @@ class TestHistogram:
     def test_rejects_bad_trials_and_seed(self, design_l4, trials, seed):
         with pytest.raises(ValueError):
             histogram(design_l4.constellation, rayleigh(), 0.1, 10, trials, bins=20, seed=seed)
+
+    @pytest.mark.parametrize(
+        "trials,bins,field",
+        [
+            (montecarlo._MAX_TRIALS + 1, 20, "trials"),
+            (10**20, 20, "trials"),
+            (100.0, 20, "trials"),
+            (100, montecarlo._MAX_BINS + 1, "bins"),
+            (100, 10**20, "bins"),
+            (100, True, "bins"),
+        ],
+    )
+    def test_rejects_sizes_beyond_memory_and_non_whole_sizes(self, design_l4, trials, bins, field):
+        # numpy used to raise "Maximum allowed size exceeded" for 1e20 bins.
+        with pytest.raises(ValueError, match=f"^{field}"):
+            histogram(design_l4.constellation, rayleigh(), 0.1, 10, trials, bins=bins)
+
+    def test_size_checks_take_their_caps(self):
+        montecarlo.check_trials(montecarlo._MAX_TRIALS)
+        montecarlo.check_bins(montecarlo._MAX_BINS)
 
 
 SIGMA2_0DB = sigma_from_snr(0.0)
