@@ -647,10 +647,11 @@ class StatHistogram:
     outside_fraction: tuple  # mass falling outside each symbol's own region
 
 
-# `histogram` holds each level's trials as float64 arrays (2^24 take 128 MB
-# each) and its bin counts as tuples of Python ints (about 36 bytes each), so
-# both sizes are capped for the arrays to fit in memory.
-_MAX_TRIALS = 1 << 24
+# `histogram` draws each level's trials at once into several float64 arrays
+# (2^22 trials take 32 MB each) and keeps its bin counts as tuples of Python
+# ints (about 36 bytes each), so both sizes are capped for the arrays to fit
+# in memory.
+_MAX_TRIALS = 1 << 22
 _MAX_BINS = 1 << 20
 
 
