@@ -285,7 +285,7 @@ def _design_from(cfg: dict):
         return None, min_distance_constellation(dcfg.L, sigma2)
     if method == "ask":
         return None, ask_constellation(dcfg.L, sigma2)
-    raise ConfigError(f"unknown design.method {d['method']!r}")
+    raise ConfigError(f"design.method: unknown method {method!r}")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -467,7 +467,7 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
         with _field("sim.pilot_power"):
             decoder = replace(decoder, pilot_power=_real(sim["pilot_power"]))
     else:
-        raise ConfigError(f"unknown sim.scheme {scheme!r}")
+        raise ConfigError(f"sim.scheme: unknown scheme {scheme!r}")
     # n is checked by the callers, so only the symbol budget can fail here.
     with _field("sim.symbols"):
         scenario = SimScenario(

@@ -1,11 +1,18 @@
 """Command-line interface: artifacts, tables, exit codes, reproducibility."""
 
+import io
 import json
 import logging
 import math
+import os
+import signal
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from simo_energy import cli
 from simo_energy.cli import load_constellation_artifact, main
 
 
@@ -629,3 +636,84 @@ class TestSimulationCommands:
         ser_nom = json.loads(nominal.read_text())["rows"][0]["ser"]
         ser_mis = json.loads(mismatched.read_text())["rows"][0]["ser"]
         assert ser_mis > ser_nom
+
+
+# Every leaf field of the config, as its dotted path.
+LEAF_FIELDS = sorted(
+    ".".join((*block, field))
+    for block, fields in cli._FIELDS.items()
+    for field in fields
+    if (*block, field) not in cli._FIELDS
+)
+EDGE_VALUES = [
+    "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-1", "0", "0.5", "2.5", "3000",
+    "1e20", "abc", "[]", "{}", "[1, 2]", "true", "null",
+]
+# Runs that do not end yet: no upper bound on L (min-distance levels) or on
+# the symbol budget.
+UNENDING = {
+    *((command, "design.L", "1e20") for command in cli._COMMANDS if command != "evaluate"),
+    *((command, "sim.symbols", value) for command in ("simulate", "sweep-n")
+      for value in ("1e20", "1e308")),
+}
+CASE_SECONDS = 10
+
+
+class Overtime(Exception):
+    pass
+
+
+@contextmanager
+def time_cap(seconds):
+    """Raise Overtime in the block once it has run for `seconds` of wall time."""
+
+    def expire(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def edge_dir(tmp_path_factory):
+    """A working directory holding a min-distance design artifact."""
+    path = tmp_path_factory.mktemp("edges")
+    assert main(["design", "--design.method", "mindist", "--out", str(path / "art.json")]) == 0
+    return path
+
+
+@settings(max_examples=600)
+@given(
+    command=st.sampled_from(list(cli._COMMANDS)),
+    field=st.sampled_from(LEAF_FIELDS),
+    value=st.sampled_from(EDGE_VALUES),
+)
+def test_every_field_survives_every_edge_value(edge_dir, command, field, value):
+    """Each command, with one leaf field set to one edge value, exits 0, 1 or 2
+    without a traceback, and an exit 1 names that field."""
+    assume((command, field, value) not in UNENDING)
+    argv = [command]
+    if field != "design.method":
+        argv += ["--design.method", "mindist"]
+    if field != "sim.symbols":
+        argv += ["--sim.symbols", "2000"]
+    if command == "evaluate" and field != "artifact":
+        argv += ["--artifact", "art.json"]
+    argv += [f"--{field}", value]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(edge_dir)  # an output.path such as "abc" is written here
+    try:
+        with time_cap(CASE_SECONDS), redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith(f"config error: {field}: ")
