@@ -23,6 +23,7 @@ delegate to the family's method.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -298,6 +299,25 @@ def increasing_root(
         if a >= cap or math.isinf(hi):
             return None
     return brentq(f, a, hi, xtol=_ROOT_XTOL, rtol=4.0 * sys.float_info.epsilon, maxiter=200)
+
+
+def check_number(value, name: str, lo, hi, ends: str = "[]", *, whole: bool = False):
+    """A numeric input as an int (`whole`) or a float, once it is checked.
+
+    It must be a Python or NumPy integer (`whole`) or real, never a bool, and
+    lie between lo and hi, each end closed or open as the bracket in `ends`
+    says.  NaN lies in no range, and an infinity only in one closed at it.
+    Anything else raises ValueError("<name> must be ..., got <value!r>").
+    """
+    if whole:
+        kind, cast, types = "a whole number", int, numbers.Integral
+    else:
+        kind, cast, types = "a number", float, numbers.Real
+    if isinstance(value, types) and not isinstance(value, bool):
+        x = cast(value)
+        if (lo <= x if ends[0] == "[" else lo < x) and (x <= hi if ends[1] == "]" else x < hi):
+            return x
+    raise ValueError(f"{name} must be {kind} in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}")
 
 
 def nakagami_m_from_K(K_db: float) -> float:

@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import Optional
 
-from .channel import NakagamiReal, Rician, alpha1, sigma_from_snr
+from .channel import NakagamiReal, Rician, alpha1, check_number, sigma_from_snr
 from .design import (
     DesignConfig,
     UncertaintyBox,
@@ -41,12 +41,12 @@ from .design import (
 )
 from .decode import EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM
 from .montecarlo import (
+    BINS_RANGE,
+    COUNT_RANGE,
+    SEED_RANGE,
+    TARGET_BER_RANGE,
+    TRIALS_RANGE,
     SimScenario,
-    check_antenna_count,
-    check_bins,
-    check_seed,
-    check_target_ber,
-    check_trials,
     histogram,
     min_antennas,
     simulate,
@@ -111,20 +111,10 @@ def _field(name: str):
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _whole(value, name: str) -> int:
-    """An integer config field as an int: 1e5 is read as 100000, 2.7 is refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{name}: must be a whole number, got {value!r}")
-    return value
-
-
-def _real(value) -> float:
-    """A real config value as a float; JSON true and false are not numbers here."""
-    if isinstance(value, bool):
-        raise TypeError(f"must be a number, got {value!r}")
-    return float(value)
+def _json_int(value):
+    """An integral float as an int, so that a whole field reads 1e5 as 100000;
+    any other value as it is, for the library's check to accept or refuse."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _parse_scalar(text: str):
@@ -194,11 +184,9 @@ def _merge_config(path: Optional[str], settings) -> dict:
 def _channel_from(block: dict, name: str):
     """(ChannelSpec, sigma2) from a channel-shaped dict; errors name it `name`."""
     kind = block.get("kind", "rayleigh")
-    gamma = block.get("gamma_dB")
     with _field(f"{name}.gamma_dB"):
-        if gamma is None or not math.isfinite(_real(gamma)):
-            raise ValueError(f"must be a finite number, got {gamma!r}")
-        sigma2 = sigma_from_snr(_real(gamma))
+        gamma = check_number(block.get("gamma_dB"), "gamma_dB", -math.inf, math.inf, "()")
+        sigma2 = sigma_from_snr(gamma)
     if kind == "rayleigh":
         return Rician(-math.inf), sigma2
     if kind == "rician":
@@ -206,13 +194,13 @@ def _channel_from(block: dict, name: str):
         if k_db is None:
             raise ConfigError(f"{name}.K_dB: required for kind 'rician'")
         with _field(f"{name}.K_dB"):
-            return Rician(_real(k_db)), sigma2
+            return Rician(check_number(k_db, "K_dB", -math.inf, math.inf)), sigma2
     if kind == "nakagami":
         m = block.get("m")
         if m is None:
             raise ConfigError(f"{name}.m: required for kind 'nakagami'")
         with _field(name):
-            return NakagamiReal(_real(m)), sigma2
+            return NakagamiReal(check_number(m, "m", -math.inf, math.inf)), sigma2
     raise ConfigError(f"{name}.kind: unknown kind {kind!r}")
 
 
@@ -239,10 +227,7 @@ def _box_from(cfg: dict) -> UncertaintyBox:
         if d[key] is None:
             raise ConfigError("design.a_dB (or a_K_dB / a_gamma_dB) is required for robust")
         with _field(f"design.{key}"):
-            value = _real(d[key])
-            if math.isnan(value):
-                raise ValueError("must be a number, got nan")
-        return f"design.{key}", value
+            return f"design.{key}", check_number(d[key], key, -math.inf, math.inf)
 
     k_field, a_k = width("a_K_dB")
     g_field, a_g = width("a_gamma_dB")
@@ -265,11 +250,11 @@ def _design_from(cfg: dict):
     channel, sigma2 = _channel_from(cfg["channel"], "channel")
     method = d["method"]
     with _field("design.L"):
-        dcfg = DesignConfig(L=_whole(d["L"], "design.L"))
+        dcfg = DesignConfig(L=_json_int(d["L"]))
     with _field("design.budget"):
-        dcfg = replace(dcfg, power_budget=_real(d["budget"]))
+        dcfg = replace(dcfg, power_budget=d["budget"])
     with _field("design.eps"):
-        dcfg = replace(dcfg, eps=_real(d["eps"]))
+        dcfg = replace(dcfg, eps=d["eps"])
     if method in ("exact", "moments", "robust"):
         box = _box_from(cfg) if method == "robust" else None
         with _field("design.budget"):
@@ -392,11 +377,13 @@ def _artifact_constellation(cfg: dict) -> Constellation:
 
 
 def _antenna_counts(cfg: dict) -> list:
-    """sim.n as a nonempty list of antenna counts, each at least 1."""
+    """sim.n as a nonempty list of antenna counts."""
     with _field("sim.n"):
-        counts = [_whole(n, "sim.n") for n in cfg["sim"]["n"]]
-        if not counts or min(counts) < 1:
-            raise ValueError(f"antenna counts must be at least 1, got {cfg['sim']['n']!r}")
+        counts = [
+            check_number(_json_int(n), "n", *COUNT_RANGE, whole=True) for n in cfg["sim"]["n"]
+        ]
+        if not counts:
+            raise ValueError(f"must list at least one antenna count, got {cfg['sim']['n']!r}")
     return counts
 
 
@@ -454,18 +441,20 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
         )
     elif scheme == "pilot_pam":
         with _field("design.L"):
-            pam = pam_constellation(_whole(cfg["design"]["L"], "design.L"))
-        with _field("sim.T_l"):
+            pam = pam_constellation(_json_int(cfg["design"]["L"]))
+        with _field("sim.T"):
             decoder = PilotPAM(
                 amplitudes=pam.amplitudes,
                 mu=assumed_channel.mu,
                 sigma_h2=assumed_channel.sigma_h2,
                 sigma2=assumed_sigma2,
-                coherence_slots=_whole(sim["T"], "sim.T"),
-                pilot_slots=_whole(sim["T_l"], "sim.T_l"),
+                coherence_slots=_json_int(sim["T"]),
+                pilot_slots=0,
             )
+        with _field("sim.T_l"):
+            decoder = replace(decoder, pilot_slots=_json_int(sim["T_l"]))
         with _field("sim.pilot_power"):
-            decoder = replace(decoder, pilot_power=_real(sim["pilot_power"]))
+            decoder = replace(decoder, pilot_power=sim["pilot_power"])
     else:
         raise ConfigError(f"sim.scheme: unknown scheme {scheme!r}")
     # n is checked by the callers, so only the symbol budget can fail here.
@@ -475,13 +464,13 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
             true_sigma2=true_sigma2,
             decoder=decoder,
             n=n,
-            symbols=_whole(sim["symbols"], "sim.symbols"),
+            symbols=_json_int(sim["symbols"]),
             seed=0,
         )
     with _field("sim.seed"):
-        scenario = replace(scenario, seed=_whole(sim["seed"], "sim.seed"))
+        scenario = replace(scenario, seed=_json_int(sim["seed"]))
     with _field("sim.shards"):
-        scenario = replace(scenario, shards=_whole(sim["shards"], "sim.shards"))
+        scenario = replace(scenario, shards=_json_int(sim["shards"]))
     return scenario
 
 
@@ -521,11 +510,9 @@ def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
     constellation = _constellation_for_run(cfg)
     sim = cfg["sim"]
     with _field("sim.target_ber"):
-        target_ber = _real(sim["target_ber"])
-        check_target_ber(target_ber)
+        target_ber = check_number(sim["target_ber"], "target_ber", *TARGET_BER_RANGE)
     with _field("sim.n_max"):
-        n_max = _whole(sim["n_max"], "sim.n_max")
-        check_antenna_count(n_max, "n_max")
+        n_max = check_number(_json_int(sim["n_max"]), "n_max", *COUNT_RANGE, whole=True)
     template = _scenario_from(cfg, constellation, 1)
     n_star = min_antennas(template, target_ber, n_max)
     rows = [
@@ -542,14 +529,11 @@ def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
 def cmd_histogram(cfg: dict, out_path: Optional[str]) -> int:
     sim = cfg["sim"]
     with _field("sim.bins"):
-        bins = _whole(sim["bins"], "sim.bins")
-        check_bins(bins)
+        bins = check_number(_json_int(sim["bins"]), "bins", *BINS_RANGE, whole=True)
     with _field("sim.trials"):
-        trials = _whole(sim["trials"], "sim.trials")
-        check_trials(trials)
+        trials = check_number(_json_int(sim["trials"]), "trials", *TRIALS_RANGE, whole=True)
     with _field("sim.seed"):
-        seed = _whole(sim["seed"], "sim.seed")
-        check_seed(seed)
+        seed = check_number(_json_int(sim["seed"]), "seed", *SEED_RANGE, whole=True)
     constellation = _constellation_for_run(cfg)
     if constellation.boundaries is None:
         raise ConfigError("histogram needs a region-decoded constellation")

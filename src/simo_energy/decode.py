@@ -43,6 +43,7 @@ import numpy as np
 from scipy.special import ive
 from scipy.stats import chi2
 
+from .channel import check_number
 from .rates import Constellation
 
 
@@ -128,8 +129,7 @@ class EnergyMLAsk(_LikelihoodReceiver):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n < 1:
-            raise ValueError("antenna count must be at least 1")
+        check_number(self.n, "n", 1, math.inf, whole=True)
 
     def _likelihood_index(self, n, norm2, re_sum):
         return energy_ml_index(norm2 / n, n, self.levels, self.mu, self.sigma_h2, self.sigma2)
@@ -160,10 +160,10 @@ class PilotPAM:
         if not (self.sigma2 > 0):
             raise ValueError("assumed noise power must be positive")
         _check_channel_variance(self.sigma_h2, zero_mean_likelihood=False)
-        if not (0 <= self.pilot_slots < self.coherence_slots):
-            raise ValueError("pilot slots must leave at least one data slot")
-        if not (math.isfinite(self.pilot_power) and self.pilot_power >= 0):
-            raise ValueError(f"pilot power must be finite and nonnegative, got {self.pilot_power!r}")
+        check_number(self.coherence_slots, "coherence_slots", 1, math.inf, whole=True)
+        # At least one slot of each coherence block carries data.
+        check_number(self.pilot_slots, "pilot_slots", 0, self.coherence_slots, "[)", whole=True)
+        check_number(self.pilot_power, "pilot_power", 0, math.inf, "[)")
 
     @property
     def L(self) -> int:

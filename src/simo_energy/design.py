@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .channel import ChannelSpec, energy_variance, increasing_root
+from .channel import ChannelSpec, check_number, energy_variance, increasing_root
 from .decode import gray_map
 from .rates import (
     Constellation,
@@ -48,6 +48,7 @@ _MAX_TOTAL_POWER = 1e150
 # eps, with a warning, from 3e10-1e11 (quadratic tails) and 3e11 (exact tails)
 # at -20, 10 and 50 dB alike.  Up to 1e14, L = 16 never warned and no cap was hit.
 _MAX_TOTAL_SNR = 1e9
+_L_RANGE = (2, math.inf)  # constellation sizes, as the (lo, hi) of check_number
 
 
 @dataclass(frozen=True)
@@ -65,18 +66,13 @@ class DesignConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("constellation size must be at least 2")
-        if not (0 < self.power_budget < math.inf):
-            raise ValueError(f"power budget must be positive and finite, got {self.power_budget!r}")
-        if not (0 < self.eps < math.inf):
-            raise ValueError(f"termination tolerance must be positive and finite, got {self.eps!r}")
+        check_number(self.L, "L", *_L_RANGE, whole=True)
+        check_number(self.power_budget, "power_budget", 0, math.inf, "()")
+        check_number(self.eps, "eps", sys.float_info.epsilon, 1, "[)")
         if self.L * self.power_budget > _MAX_TOTAL_POWER:
             raise ValueError(
                 f"L * power budget must be at most {_MAX_TOTAL_POWER:g}, got {self.power_budget!r}"
             )
-        if not (sys.float_info.epsilon <= self.eps < 1.0):
-            raise ValueError(f"termination tolerance must lie in [2^-52, 1), got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -335,8 +331,7 @@ def design_robust(box: UncertaintyBox, cfg: DesignConfig) -> DesignOutcome:
 
 def min_distance_constellation(L: int, sigma2: float) -> Constellation:
     """Equispaced levels 2(k-1)/(L-1) with boundaries at the receiver-point midpoints."""
-    if L < 2:
-        raise ValueError("constellation size must be at least 2")
+    check_number(L, "L", *_L_RANGE, whole=True)
     levels = tuple(2.0 * k / (L - 1) for k in range(L))
     boundaries = tuple((2.0 * k - 1.0) / (L - 1) + sigma2 for k in range(1, L))
     return Constellation(levels, sigma2, boundaries)
@@ -348,8 +343,7 @@ def ask_constellation(L: int, sigma2_design: float = 1.0) -> Constellation:
     The returned constellation carries no decoding regions: an ASK system is
     decoded by the energy-domain likelihood rule.
     """
-    if L < 2:
-        raise ValueError("constellation size must be at least 2")
+    check_number(L, "L", *_L_RANGE, whole=True)
     delta2 = 6.0 / ((L - 1) * (2 * L - 1))
     levels = tuple(delta2 * k * k for k in range(L))
     return Constellation(levels, sigma2_design)
@@ -369,8 +363,9 @@ class PamConstellation:
 
 def pam_constellation(L: int) -> PamConstellation:
     """Amplitudes (2k-1-L)*Delta with Delta^2 = 3/(L^2-1); L must be a power of 2."""
-    if L < 2 or L & (L - 1):
-        raise ValueError("PAM size must be a power of two")
+    check_number(L, "L", *_L_RANGE, whole=True)
+    if L & (L - 1):
+        raise ValueError(f"L must be a power of two, got {L!r}")
     delta = math.sqrt(3.0 / (L * L - 1.0))
     amplitudes = tuple((2.0 * k - 1.0 - L) * delta for k in range(1, L + 1))
     bits = (L - 1).bit_length()

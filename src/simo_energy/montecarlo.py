@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
@@ -80,6 +79,7 @@ from .channel import (
     ChannelSpec,
     NakagamiReal,
     Rician,
+    check_number,
     sample_channel,
     u_second_moment,
 )
@@ -97,6 +97,20 @@ _BLOCK_DRAWS = 1 << 18  # most antenna draws per logical rng block
 _BLOCK_SYMBOLS = 1 << 14  # most symbols per logical rng block
 _WILSON_Z = 1.959963984540054  # 95% two-sided
 _MIN_BIT_ERRORS = 100  # bit errors that end a min_antennas candidate early
+
+# Ranges of the numeric inputs that the CLI checks too, each as the
+# (lo, hi[, ends]) of `check_number`.  A seed is one 64-bit word.
+# `histogram` draws each level's trials at once into several float64 arrays
+# (2^22 trials take 32 MB each) and keeps its bin counts as tuples of Python
+# ints (about 36 bytes each), so both sizes are capped for the arrays to fit
+# in memory.
+_MAX_TRIALS = 1 << 22
+_MAX_BINS = 1 << 20
+COUNT_RANGE = (1, math.inf)
+SEED_RANGE = (0, 2**64 - 1)
+TARGET_BER_RANGE = (0, 0.5, "()")
+TRIALS_RANGE = (1, _MAX_TRIALS)
+BINS_RANGE = (10, _MAX_BINS)
 
 _log = logging.getLogger("simo_energy")
 
@@ -120,25 +134,6 @@ def wilson_interval(errors: int, trials: int):
     return lo, hi
 
 
-def check_whole(value, name: str) -> None:
-    """A Python or NumPy integer; floats (1e5 included) and bools are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-
-
-def check_antenna_count(n, name: str = "antenna count") -> None:
-    """A whole number of at least 1."""
-    check_whole(n, name)
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1, got {n!r}")
-
-
-def check_seed(seed: int) -> None:
-    check_whole(seed, "seed")
-    if not (0 <= seed < 2**64):
-        raise ValueError("seed must fit in 64 bits")
-
-
 DecoderLike = Union[EnergyRegions, NoncoherentML, EnergyMLAsk, PilotPAM]
 
 
@@ -158,16 +153,12 @@ class SimScenario:
     def __post_init__(self):
         if not (self.true_sigma2 >= 0):
             raise ValueError("true noise power must be nonnegative")
-        check_antenna_count(self.n)
-        check_whole(self.symbols, "symbols")
-        if self.symbols < 1000:
-            raise ValueError("symbol budget must be at least 1000")
+        check_number(self.n, "n", *COUNT_RANGE, whole=True)
+        check_number(self.symbols, "symbols", 1000, math.inf, whole=True)
         if self.symbols < self.decoder.coherence_slots:
             raise ValueError("symbol budget is below one coherence block")
-        check_whole(self.shards, "shards")
-        if self.shards < 1:
-            raise ValueError("shard count must be at least 1")
-        check_seed(self.seed)
+        check_number(self.shards, "shards", *COUNT_RANGE, whole=True)
+        check_number(self.seed, "seed", *SEED_RANGE, whole=True)
         if isinstance(self.decoder, EnergyMLAsk) and self.decoder.n != self.n:
             raise ValueError("decoder antenna count disagrees with scenario")
 
@@ -539,11 +530,6 @@ def simulate(scenario: SimScenario) -> SimReport:
 NOT_REACHED = None
 
 
-def check_target_ber(target_ber: float) -> None:
-    if not (0.0 < target_ber < 0.5):
-        raise ValueError(f"target BER must be in (0, 0.5), got {target_ber!r}")
-
-
 def min_antennas(
     scenario_template: SimScenario,
     target_ber: float,
@@ -561,8 +547,8 @@ def min_antennas(
     bit errors, upper bound, verdict) and the search's totals are logged at
     DEBUG level on the `simo_energy` logger.
     """
-    check_target_ber(target_ber)
-    check_antenna_count(n_max, "n_max")
+    check_number(target_ber, "target_ber", *TARGET_BER_RANGE)
+    check_number(n_max, "n_max", *COUNT_RANGE, whole=True)
     spent = []  # symbols simulated per candidate
 
     def log_ratio(n: int) -> float:
@@ -647,26 +633,6 @@ class StatHistogram:
     outside_fraction: tuple  # mass falling outside each symbol's own region
 
 
-# `histogram` draws each level's trials at once into several float64 arrays
-# (2^22 trials take 32 MB each) and keeps its bin counts as tuples of Python
-# ints (about 36 bytes each), so both sizes are capped for the arrays to fit
-# in memory.
-_MAX_TRIALS = 1 << 22
-_MAX_BINS = 1 << 20
-
-
-def check_bins(bins: int) -> None:
-    check_whole(bins, "bins")
-    if not (10 <= bins <= _MAX_BINS):
-        raise ValueError(f"bins must lie in [10, {_MAX_BINS}], got {bins!r}")
-
-
-def check_trials(trials: int) -> None:
-    check_whole(trials, "trials")
-    if not (1 <= trials <= _MAX_TRIALS):
-        raise ValueError(f"trials per level must lie in [1, {_MAX_TRIALS}], got {trials!r}")
-
-
 def histogram(
     constellation: Constellation,
     channel: ChannelSpec,
@@ -677,10 +643,10 @@ def histogram(
     seed: int = 0,
 ) -> StatHistogram:
     """Sampled statistic histograms for every level of a region-decoded constellation."""
-    check_antenna_count(n)
-    check_bins(bins)
-    check_trials(trials)
-    check_seed(seed)
+    check_number(n, "n", *COUNT_RANGE, whole=True)
+    check_number(bins, "bins", *BINS_RANGE, whole=True)
+    check_number(trials, "trials", *TRIALS_RANGE, whole=True)
+    check_number(seed, "seed", *SEED_RANGE, whole=True)
     if constellation.boundaries is None:
         raise ValueError("constellation has no decoding regions")
     levels = constellation.levels

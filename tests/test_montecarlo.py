@@ -16,6 +16,7 @@ from simo_energy import decode, montecarlo
 from simo_energy.channel import (
     NakagamiReal,
     Rician,
+    check_number,
     rayleigh,
     sigma_from_snr,
     u_second_moment,
@@ -730,8 +731,9 @@ class TestHistogram:
             histogram(design_l4.constellation, rayleigh(), 0.1, 10, trials, bins=bins)
 
     def test_size_checks_take_their_caps(self):
-        montecarlo.check_trials(montecarlo._MAX_TRIALS)
-        montecarlo.check_bins(montecarlo._MAX_BINS)
+        for cap, sizes in [(montecarlo._MAX_TRIALS, montecarlo.TRIALS_RANGE),
+                           (montecarlo._MAX_BINS, montecarlo.BINS_RANGE)]:
+            assert check_number(cap, "size", *sizes, whole=True) == cap
 
 
 SIGMA2_0DB = sigma_from_snr(0.0)
