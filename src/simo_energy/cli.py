@@ -360,7 +360,7 @@ def load_constellation_artifact(path: str) -> Constellation:
     boundaries = record.get("boundaries")
     return Constellation(
         tuple(record["levels"]),
-        float(record["sigma2_design"]),
+        record["sigma2_design"],
         tuple(boundaries) if boundaries else None,
     )
 

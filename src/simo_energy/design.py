@@ -48,7 +48,11 @@ _MAX_TOTAL_POWER = 1e150
 # eps, with a warning, from 3e10-1e11 (quadratic tails) and 3e11 (exact tails)
 # at -20, 10 and 50 dB alike.  Up to 1e14, L = 16 never warned and no cap was hit.
 _MAX_TOTAL_SNR = 1e9
-_L_RANGE = (2, math.inf)  # constellation sizes, as the (lo, hi) of check_number
+# Largest L.  The simulator keeps an L x L int64 bit-error table and builds an
+# L x L confusion matrix per block, 8 MB each at L = 2^10; the paper's
+# constellations stop at L = 64.
+_MAX_L = 1 << 10
+_L_RANGE = (2, _MAX_L)  # constellation sizes, as the (lo, hi) of check_number
 
 
 @dataclass(frozen=True)
@@ -363,7 +367,7 @@ class PamConstellation:
 
 def pam_constellation(L: int) -> PamConstellation:
     """Amplitudes (2k-1-L)*Delta with Delta^2 = 3/(L^2-1); L must be a power of 2."""
-    check_number(L, "L", *_L_RANGE, whole=True)
+    L = check_number(L, "L", *_L_RANGE, whole=True)
     if L & (L - 1):
         raise ValueError(f"L must be a power of two, got {L!r}")
     delta = math.sqrt(3.0 / (L * L - 1.0))

@@ -97,6 +97,9 @@ _BLOCK_DRAWS = 1 << 18  # most antenna draws per logical rng block
 _BLOCK_SYMBOLS = 1 << 14  # most symbols per logical rng block
 _WILSON_Z = 1.959963984540054  # 95% two-sided
 _MIN_BIT_ERRORS = 100  # bit errors that end a min_antennas candidate early
+# Largest symbol budget: the per-level sent and error counts are int64, and
+# no count can exceed the budget.
+_MAX_SYMBOLS = np.iinfo(np.int64).max
 
 # Ranges of the numeric inputs that the CLI checks too, each as the
 # (lo, hi[, ends]) of `check_number`.  A seed is one 64-bit word.
@@ -154,7 +157,7 @@ class SimScenario:
         if not (self.true_sigma2 >= 0):
             raise ValueError("true noise power must be nonnegative")
         check_number(self.n, "n", *COUNT_RANGE, whole=True)
-        check_number(self.symbols, "symbols", 1000, math.inf, whole=True)
+        check_number(self.symbols, "symbols", 1000, _MAX_SYMBOLS, whole=True)
         if self.symbols < self.decoder.coherence_slots:
             raise ValueError("symbol budget is below one coherence block")
         check_number(self.shards, "shards", *COUNT_RANGE, whole=True)

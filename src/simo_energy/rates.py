@@ -21,6 +21,7 @@ from typing import Optional
 
 from .channel import (
     ChannelSpec,
+    check_number,
     energy_variance,
     increasing_root,
     log_mgf_energy,
@@ -159,20 +160,18 @@ class Constellation:
     boundaries: Optional[tuple] = None
 
     def __post_init__(self):
-        levels = tuple(float(p) for p in self.levels)
+        levels = tuple(check_number(p, "levels", 0, math.inf, "[)") for p in self.levels)
         object.__setattr__(self, "levels", levels)
         if len(levels) < 1:
             raise ValueError("constellation needs at least one level")
-        if not all(math.isfinite(p) for p in levels):
-            raise ValueError(f"power levels must be finite, got {levels!r}")
-        if levels[0] < 0:
-            raise ValueError("power levels must be nonnegative")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("power levels must be strictly increasing")
-        if not (0 < self.sigma2_design < math.inf):
-            raise ValueError("design noise power must be positive and finite")
+        sigma2 = check_number(self.sigma2_design, "sigma2_design", 0, math.inf, "()")
+        object.__setattr__(self, "sigma2_design", sigma2)
         if self.boundaries is not None:
-            bounds = tuple(float(c) for c in self.boundaries)
+            bounds = tuple(
+                check_number(c, "boundaries", -math.inf, math.inf, "()") for c in self.boundaries
+            )
             object.__setattr__(self, "boundaries", bounds)
             if len(bounds) != len(levels) - 1:
                 raise ValueError("need exactly L-1 region boundaries")

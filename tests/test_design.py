@@ -538,6 +538,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="times the noise power"):
             design_robust(UncertaintyBox.degenerate(1.0, sigma2), cfg)
 
+    @pytest.mark.parametrize("L", [4.0, True, design._MAX_L + 1])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda L: design_exact(rayleigh(), 0.1, DesignConfig(L=L)),
+            lambda L: min_distance_constellation(L, 0.1),
+            lambda L: ask_constellation(L),
+            lambda L: pam_constellation(L),
+        ],
+        ids=["exact", "mindist", "ask", "pam"],
+    )
+    def test_rejects_a_float_boolean_or_oversized_L(self, build, L):
+        # A float L ended in range()'s or &'s TypeError, L = True was read as
+        # L = 1, and a huge L filled memory with levels.
+        with pytest.raises(ValueError, match="^L must be a whole number"):
+            build(L)
+
+    def test_takes_a_numpy_L_and_the_largest_L(self):
+        assert DesignConfig(L=np.int64(4)) == DesignConfig(L=4)
+        assert min_distance_constellation(np.int64(4), 0.1) == min_distance_constellation(4, 0.1)
+        assert ask_constellation(np.int64(4)) == ask_constellation(4)
+        assert pam_constellation(np.int64(4)) == pam_constellation(4)
+        assert min_distance_constellation(design._MAX_L, 0.1).L == design._MAX_L
+
     @pytest.mark.parametrize("eps", [2.0**-52, 0.999])
     def test_tolerance_at_either_end_still_designs(self, eps):
         out = design_exact(rayleigh(), SIGMA2_10DB, DesignConfig(L=4, eps=eps))

@@ -207,6 +207,11 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"^{field} must be a whole number"):
             energy_scenario(design_l4.constellation, **{field: bad})
 
+    def test_caps_the_symbol_budget_where_int64_counts_could_wrap(self, design_l4):
+        energy_scenario(design_l4.constellation, symbols=montecarlo._MAX_SYMBOLS)
+        with pytest.raises(ValueError, match="^symbols must be"):
+            energy_scenario(design_l4.constellation, symbols=montecarlo._MAX_SYMBOLS + 1)
+
     def test_takes_numpy_symbols_seed_and_shards(self, design_l4):
         con = design_l4.constellation
         got = simulate(energy_scenario(con, symbols=np.int64(20_000), seed=np.uint64(11),

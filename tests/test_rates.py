@@ -263,7 +263,7 @@ class TestConstellationType:
     def test_rejects_non_finite_levels_and_noise(self, levels, sigma2):
         # NaN compares false with everything, so the ordering checks alone
         # let it through, and a level-only constellation has no region check.
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^(levels|sigma2_design) must be a number"):
             Constellation(levels, sigma2)
 
     def test_rejects_wrong_boundary_count(self):
