@@ -3,6 +3,7 @@
 from .channel import (
     ChannelSpec,
     DivergentMgfError,
+    InputError,
     NakagamiReal,
     Rician,
     alpha1,

@@ -301,13 +301,21 @@ def increasing_root(
     return brentq(f, a, hi, xtol=_ROOT_XTOL, rtol=4.0 * sys.float_info.epsilon, maxiter=200)
 
 
+class InputError(ValueError):
+    """A refused input; `field` is the name of the parameter, which starts the message."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def check_number(value, name: str, lo, hi, ends: str = "[]", *, whole: bool = False):
     """A numeric input as an int (`whole`) or a float, once it is checked.
 
     It must be a Python or NumPy integer (`whole`) or real, never a bool, and
     lie between lo and hi, each end closed or open as the bracket in `ends`
     says.  NaN lies in no range, and an infinity only in one closed at it.
-    Anything else raises ValueError("<name> must be ..., got <value!r>").
+    Anything else raises InputError(name, "<name> must be ..., got <value!r>").
     """
     if whole:
         kind, cast, types = "a whole number", int, numbers.Integral
@@ -317,7 +325,8 @@ def check_number(value, name: str, lo, hi, ends: str = "[]", *, whole: bool = Fa
         x = cast(value)
         if (lo <= x if ends[0] == "[" else lo < x) and (x <= hi if ends[1] == "]" else x < hi):
             return x
-    raise ValueError(f"{name} must be {kind} in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}")
+    bounds = f"{ends[0]}{lo}, {hi}{ends[1]}"
+    raise InputError(name, f"{name} must be {kind} in {bounds}, got {value!r}")
 
 
 def nakagami_m_from_K(K_db: float) -> float:

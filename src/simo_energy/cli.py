@@ -24,15 +24,13 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Optional
 
-from .channel import NakagamiReal, Rician, alpha1, check_number, sigma_from_snr
+from .channel import InputError, NakagamiReal, Rician, alpha1, check_number, sigma_from_snr
 from .design import (
     DesignConfig,
     UncertaintyBox,
     ask_constellation,
-    check_total_snr,
     design_exact,
     design_moments,
     design_robust,
@@ -40,17 +38,7 @@ from .design import (
     pam_constellation,
 )
 from .decode import EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM
-from .montecarlo import (
-    BINS_RANGE,
-    COUNT_RANGE,
-    SEED_RANGE,
-    TARGET_BER_RANGE,
-    TRIALS_RANGE,
-    SimScenario,
-    histogram,
-    min_antennas,
-    simulate,
-)
+from .montecarlo import COUNT_RANGE, SimScenario, histogram, min_antennas, simulate
 from .rates import Constellation, chernoff_ser_bound, error_exponent, tail_exponents
 
 _CHANNEL_DEFAULTS = {"kind": "rayleigh", "K_dB": None, "m": None, "gamma_dB": 10.0}
@@ -92,6 +80,13 @@ _FIELDS = {
     ("sim", "assumed"): _CHANNEL_DEFAULTS,
 }
 _SHORTHANDS = {"seed": "sim.seed", "shards": "sim.shards", "format": "output.format"}
+# The config field of each library parameter that an InputError can name.
+_PARAM_FIELDS = {
+    "L": "design.L", "power_budget": "design.budget", "eps": "design.eps",
+    "coherence_slots": "sim.T", "pilot_slots": "sim.T_l", "pilot_power": "sim.pilot_power",
+    **{name: f"sim.{name}" for name in
+       ("n", "symbols", "seed", "shards", "target_ber", "n_max", "trials", "bins")},
+}
 
 
 class ConfigError(ValueError):
@@ -99,16 +94,23 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _field(name: str):
-    """Report a ValueError, TypeError or OverflowError raised inside the block (a
-    library check, or arithmetic on a value of the wrong type or size) as a
-    config error on `name`."""
+def _field(name: Optional[str] = None):
+    """Report a refusal raised inside the block as a config error.
+
+    With a `name`, a ValueError, TypeError or OverflowError (a library check,
+    or arithmetic on a value of the wrong type or size) is reported on it.
+    Without one, only an InputError is, on its parameter's config field; any
+    other exception propagates.
+    """
     try:
         yield
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+        field = name or isinstance(exc, InputError) and _PARAM_FIELDS.get(exc.field)
+        if not field:
+            raise
+        raise ConfigError(f"{field}: {exc}") from None
 
 
 def _json_int(value):
@@ -249,22 +251,17 @@ def _design_from(cfg: dict):
     d = cfg["design"]
     channel, sigma2 = _channel_from(cfg["channel"], "channel")
     method = d["method"]
-    with _field("design.L"):
-        dcfg = DesignConfig(L=_json_int(d["L"]))
-    with _field("design.budget"):
-        dcfg = replace(dcfg, power_budget=d["budget"])
-    with _field("design.eps"):
-        dcfg = replace(dcfg, eps=d["eps"])
+    with _field():
+        dcfg = DesignConfig(_json_int(d["L"]), d["budget"], d["eps"])
     if method in ("exact", "moments", "robust"):
         box = _box_from(cfg) if method == "robust" else None
-        with _field("design.budget"):
-            check_total_snr(dcfg, sigma2 if box is None else box.sigma_max**2)
-        if method == "exact":
-            out = design_exact(channel, sigma2, dcfg)
-        elif method == "moments":
-            out = design_moments(alpha1(channel), sigma2, dcfg)
-        else:
-            out = design_robust(box, dcfg)
+        with _field():
+            if method == "exact":
+                out = design_exact(channel, sigma2, dcfg)
+            elif method == "moments":
+                out = design_moments(alpha1(channel), sigma2, dcfg)
+            else:
+                out = design_robust(box, dcfg)
         return out, out.constellation
     if method == "mindist":
         return None, min_distance_constellation(dcfg.L, sigma2)
@@ -440,38 +437,28 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
             n=n,
         )
     elif scheme == "pilot_pam":
-        with _field("design.L"):
-            pam = pam_constellation(_json_int(cfg["design"]["L"]))
-        with _field("sim.T"):
+        with _field():
             decoder = PilotPAM(
-                amplitudes=pam.amplitudes,
+                amplitudes=pam_constellation(_json_int(cfg["design"]["L"])).amplitudes,
                 mu=assumed_channel.mu,
                 sigma_h2=assumed_channel.sigma_h2,
                 sigma2=assumed_sigma2,
                 coherence_slots=_json_int(sim["T"]),
-                pilot_slots=0,
+                pilot_slots=_json_int(sim["T_l"]),
+                pilot_power=sim["pilot_power"],
             )
-        with _field("sim.T_l"):
-            decoder = replace(decoder, pilot_slots=_json_int(sim["T_l"]))
-        with _field("sim.pilot_power"):
-            decoder = replace(decoder, pilot_power=sim["pilot_power"])
     else:
         raise ConfigError(f"sim.scheme: unknown scheme {scheme!r}")
-    # n is checked by the callers, so only the symbol budget can fail here.
-    with _field("sim.symbols"):
-        scenario = SimScenario(
+    with _field():
+        return SimScenario(
             true_channel=true_channel,
             true_sigma2=true_sigma2,
             decoder=decoder,
             n=n,
             symbols=_json_int(sim["symbols"]),
-            seed=0,
+            seed=_json_int(sim["seed"]),
+            shards=_json_int(sim["shards"]),
         )
-    with _field("sim.seed"):
-        scenario = replace(scenario, seed=_json_int(sim["seed"]))
-    with _field("sim.shards"):
-        scenario = replace(scenario, shards=_json_int(sim["shards"]))
-    return scenario
 
 
 _SWEEP_COLUMNS = ["n", "ser", "ber", "ser_lo", "ser_hi", "ber_lo", "ber_hi", "symbols", "seed"]
@@ -507,14 +494,10 @@ def cmd_sweep_n(cfg: dict, out_path: Optional[str], max_rows: Optional[int] = No
 
 
 def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
-    constellation = _constellation_for_run(cfg)
     sim = cfg["sim"]
-    with _field("sim.target_ber"):
-        target_ber = check_number(sim["target_ber"], "target_ber", *TARGET_BER_RANGE)
-    with _field("sim.n_max"):
-        n_max = check_number(_json_int(sim["n_max"]), "n_max", *COUNT_RANGE, whole=True)
-    template = _scenario_from(cfg, constellation, 1)
-    n_star = min_antennas(template, target_ber, n_max)
+    template = _scenario_from(cfg, _constellation_for_run(cfg), 1)
+    with _field():
+        n_star = min_antennas(template, sim["target_ber"], _json_int(sim["n_max"]))
     rows = [
         [
             template.scheme,
@@ -528,20 +511,16 @@ def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
 
 def cmd_histogram(cfg: dict, out_path: Optional[str]) -> int:
     sim = cfg["sim"]
-    with _field("sim.bins"):
-        bins = check_number(_json_int(sim["bins"]), "bins", *BINS_RANGE, whole=True)
-    with _field("sim.trials"):
-        trials = check_number(_json_int(sim["trials"]), "trials", *TRIALS_RANGE, whole=True)
-    with _field("sim.seed"):
-        seed = check_number(_json_int(sim["seed"]), "seed", *SEED_RANGE, whole=True)
     constellation = _constellation_for_run(cfg)
     if constellation.boundaries is None:
         raise ConfigError("histogram needs a region-decoded constellation")
     channel, sigma2 = _sim_channel(cfg, "true")
-    result = histogram(
-        constellation, channel, sigma2, n=_antenna_counts(cfg)[0],
-        trials=trials, bins=bins, seed=seed,
-    )
+    n = _antenna_counts(cfg)[0]
+    with _field():
+        result = histogram(
+            constellation, channel, sigma2, n=n, trials=_json_int(sim["trials"]),
+            bins=_json_int(sim["bins"]), seed=_json_int(sim["seed"]),
+        )
     columns = ["kind", "symbol", "left", "right", "count"]
     rows = []
     edges = result.bin_edges

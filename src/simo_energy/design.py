@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .channel import ChannelSpec, check_number, energy_variance, increasing_root
+from .channel import ChannelSpec, InputError, check_number, energy_variance, increasing_root
 from .decode import gray_map
 from .rates import (
     Constellation,
@@ -74,8 +74,9 @@ class DesignConfig:
         check_number(self.power_budget, "power_budget", 0, math.inf, "()")
         check_number(self.eps, "eps", sys.float_info.epsilon, 1, "[)")
         if self.L * self.power_budget > _MAX_TOTAL_POWER:
-            raise ValueError(
-                f"L * power budget must be at most {_MAX_TOTAL_POWER:g}, got {self.power_budget!r}"
+            raise InputError(
+                "power_budget",
+                f"L * power budget must be at most {_MAX_TOTAL_POWER:g}, got {self.power_budget!r}",
             )
 
 
@@ -152,16 +153,6 @@ class DesignOutcome:
 
     def __bool__(self) -> bool:
         return self.feasible
-
-
-def check_total_snr(cfg: DesignConfig, sigma2: float) -> None:
-    """Refuse a design whose total power L * budget exceeds _MAX_TOTAL_SNR * sigma2."""
-    total = cfg.L * cfg.power_budget
-    if not (total <= _MAX_TOTAL_SNR * sigma2):
-        raise ValueError(
-            f"L * power budget must be at most {_MAX_TOTAL_SNR:g} times the noise power "
-            f"{sigma2!r}, got {total!r}"
-        )
 
 
 def _maximize_exponent(build: Callable[[float], Optional[tuple]], cfg: DesignConfig):
@@ -263,9 +254,15 @@ def _design(
     """The construction under one tail model, at the largest exponent that fits the budget.
 
     Region boundaries sit at p + sigma2 + d_R for every model.  A total
-    power L * budget above _MAX_TOTAL_SNR * sigma2 is refused (check_total_snr).
+    power L * budget above _MAX_TOTAL_SNR * sigma2 is refused.
     """
-    check_total_snr(cfg, sigma2)
+    total = cfg.L * cfg.power_budget
+    if not (total <= _MAX_TOTAL_SNR * sigma2):
+        raise InputError(
+            "power_budget",
+            f"L * power budget must be at most {_MAX_TOTAL_SNR:g} times the noise power "
+            f"{sigma2!r}, got {total!r}",
+        )
     fit, iters = _maximize_exponent(lambda t: _exact_levels_at(t, cfg, factory), cfg)
     if fit is None:
         return DesignOutcome(
@@ -369,7 +366,7 @@ def pam_constellation(L: int) -> PamConstellation:
     """Amplitudes (2k-1-L)*Delta with Delta^2 = 3/(L^2-1); L must be a power of 2."""
     L = check_number(L, "L", *_L_RANGE, whole=True)
     if L & (L - 1):
-        raise ValueError(f"L must be a power of two, got {L!r}")
+        raise InputError("L", f"L must be a power of two, got {L!r}")
     delta = math.sqrt(3.0 / (L * L - 1.0))
     amplitudes = tuple((2.0 * k - 1.0 - L) * delta for k in range(1, L + 1))
     bits = (L - 1).bit_length()

@@ -77,6 +77,7 @@ import numpy as np
 
 from .channel import (
     ChannelSpec,
+    InputError,
     NakagamiReal,
     Rician,
     check_number,
@@ -101,8 +102,8 @@ _MIN_BIT_ERRORS = 100  # bit errors that end a min_antennas candidate early
 # no count can exceed the budget.
 _MAX_SYMBOLS = np.iinfo(np.int64).max
 
-# Ranges of the numeric inputs that the CLI checks too, each as the
-# (lo, hi[, ends]) of `check_number`.  A seed is one 64-bit word.
+# Ranges of the numeric inputs, each as the (lo, hi[, ends]) of
+# `check_number`.  A seed is one 64-bit word.
 # `histogram` draws each level's trials at once into several float64 arrays
 # (2^22 trials take 32 MB each) and keeps its bin counts as tuples of Python
 # ints (about 36 bytes each), so both sizes are capped for the arrays to fit
@@ -159,7 +160,7 @@ class SimScenario:
         check_number(self.n, "n", *COUNT_RANGE, whole=True)
         check_number(self.symbols, "symbols", 1000, _MAX_SYMBOLS, whole=True)
         if self.symbols < self.decoder.coherence_slots:
-            raise ValueError("symbol budget is below one coherence block")
+            raise InputError("symbols", "symbol budget is below one coherence block")
         check_number(self.shards, "shards", *COUNT_RANGE, whole=True)
         check_number(self.seed, "seed", *SEED_RANGE, whole=True)
         if isinstance(self.decoder, EnergyMLAsk) and self.decoder.n != self.n:
@@ -550,8 +551,8 @@ def min_antennas(
     bit errors, upper bound, verdict) and the search's totals are logged at
     DEBUG level on the `simo_energy` logger.
     """
-    check_number(target_ber, "target_ber", *TARGET_BER_RANGE)
-    check_number(n_max, "n_max", *COUNT_RANGE, whole=True)
+    target_ber = check_number(target_ber, "target_ber", *TARGET_BER_RANGE)
+    n_max = check_number(n_max, "n_max", *COUNT_RANGE, whole=True)
     spent = []  # symbols simulated per candidate
 
     def log_ratio(n: int) -> float:

@@ -13,9 +13,11 @@ from scipy import stats
 
 from simo_energy.channel import (
     DivergentMgfError,
+    InputError,
     NakagamiReal,
     Rician,
     alpha1,
+    check_number,
     increasing_root,
     log_mgf_energy,
     nakagami_m_from_K,
@@ -44,6 +46,17 @@ def test_sigma_from_snr_rejects_a_noise_power_outside_floats(gamma_db):
     # 10^400 overflows and 10^-400 underflows to 0.
     with pytest.raises(ValueError, match="noise power"):
         sigma_from_snr(gamma_db)
+
+
+@pytest.mark.parametrize(
+    "value,whole", [(0, True), (2.5, True), (True, False), (math.nan, False), ("1", False)]
+)
+def test_check_number_refusal_names_its_parameter(value, whole):
+    # The name that starts the message is the error's field too.
+    with pytest.raises(InputError, match="^trials must be") as info:
+        check_number(value, "trials", 1, 10, whole=whole)
+    assert info.value.field == "trials"
+    assert isinstance(info.value, ValueError)
 
 
 class TestRician:
