@@ -37,8 +37,8 @@ from .design import (
     min_distance_constellation,
     pam_constellation,
 )
-from .decode import EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM
-from .montecarlo import COUNT_RANGE, SimScenario, histogram, min_antennas, simulate
+from .decode import ANTENNA_RANGE, EnergyMLAsk, EnergyRegions, NoncoherentML, PilotPAM
+from .montecarlo import SimScenario, histogram, min_antennas, simulate
 from .rates import Constellation, chernoff_ser_bound, error_exponent, tail_exponents
 
 _CHANNEL_DEFAULTS = {"kind": "rayleigh", "K_dB": None, "m": None, "gamma_dB": 10.0}
@@ -377,7 +377,7 @@ def _antenna_counts(cfg: dict) -> list:
     """sim.n as a nonempty list of antenna counts."""
     with _field("sim.n"):
         counts = [
-            check_number(_json_int(n), "n", *COUNT_RANGE, whole=True) for n in cfg["sim"]["n"]
+            check_number(_json_int(n), "n", *ANTENNA_RANGE, whole=True) for n in cfg["sim"]["n"]
         ]
         if not counts:
             raise ValueError(f"must list at least one antenna count, got {cfg['sim']['n']!r}")

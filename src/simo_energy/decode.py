@@ -46,6 +46,12 @@ from scipy.stats import chi2
 from .channel import check_number
 from .rates import Constellation
 
+# Most antenna samples that the simulator draws in one logical block of its
+# random stream.  One coherence block's draws must fit in one logical block,
+# so no receiver takes more antennas than this.
+_BLOCK_DRAWS = 1 << 18
+ANTENNA_RANGE = (1, _BLOCK_DRAWS)  # antenna counts, as the (lo, hi) of check_number
+
 
 class _NoncoherentReceiver:
     """Fresh channel every slot, no pilots, a decision among power levels from
@@ -129,7 +135,7 @@ class EnergyMLAsk(_LikelihoodReceiver):
 
     def __post_init__(self):
         super().__post_init__()
-        check_number(self.n, "n", 1, math.inf, whole=True)
+        check_number(self.n, "n", *ANTENNA_RANGE, whole=True)
 
     def _likelihood_index(self, n, norm2, re_sum):
         return energy_ml_index(norm2 / n, n, self.levels, self.mu, self.sigma_h2, self.sigma2)

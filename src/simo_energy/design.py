@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence
 from .channel import ChannelSpec, InputError, check_number, energy_variance, increasing_root
 from .decode import gray_map
 from .rates import (
+    _MAX_L,
     Constellation,
     QuadraticRateOracle,
     RateOracle,
@@ -48,11 +49,7 @@ _MAX_TOTAL_POWER = 1e150
 # eps, with a warning, from 3e10-1e11 (quadratic tails) and 3e11 (exact tails)
 # at -20, 10 and 50 dB alike.  Up to 1e14, L = 16 never warned and no cap was hit.
 _MAX_TOTAL_SNR = 1e9
-# Largest L.  The simulator keeps an L x L int64 bit-error table and builds an
-# L x L confusion matrix per block, 8 MB each at L = 2^10; the paper's
-# constellations stop at L = 64.
-_MAX_L = 1 << 10
-_L_RANGE = (2, _MAX_L)  # constellation sizes, as the (lo, hi) of check_number
+_L_RANGE = (2, _MAX_L)  # sizes of designs and baselines, as the (lo, hi) of check_number
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ so the merged error counts do not depend on how blocks are distributed over
 shards, and any rerun with the same seed reproduces the counts bit for bit.
 A block holds 2^14 symbols, in whole coherence blocks; a sampler that draws
 every antenna holds at most 2^18 antenna draws (so 2^18 / n symbols from
-n = 16 up).  `min_antennas` checks its stop rule after each block.
+n = 16 up).  One coherence block's draws must fit in one block, so n and
+T times the draws per symbol are at most 2^18.  `min_antennas` checks its
+stop rule after each block.
 
 Each block passes through three layers, each written once:
 
@@ -85,6 +87,8 @@ from .channel import (
     u_second_moment,
 )
 from .decode import (
+    _BLOCK_DRAWS,
+    ANTENNA_RANGE,
     EnergyMLAsk,
     EnergyRegions,
     NoncoherentML,
@@ -94,7 +98,6 @@ from .decode import (
 )
 from .rates import Constellation
 
-_BLOCK_DRAWS = 1 << 18  # most antenna draws per logical rng block
 _BLOCK_SYMBOLS = 1 << 14  # most symbols per logical rng block
 _WILSON_Z = 1.959963984540054  # 95% two-sided
 _MIN_BIT_ERRORS = 100  # bit errors that end a min_antennas candidate early
@@ -157,10 +160,11 @@ class SimScenario:
     def __post_init__(self):
         if not (self.true_sigma2 >= 0):
             raise ValueError("true noise power must be nonnegative")
-        check_number(self.n, "n", *COUNT_RANGE, whole=True)
+        check_number(self.n, "n", *ANTENNA_RANGE, whole=True)
         check_number(self.symbols, "symbols", 1000, _MAX_SYMBOLS, whole=True)
         if self.symbols < self.decoder.coherence_slots:
             raise InputError("symbols", "symbol budget is below one coherence block")
+        _check_block_draws(self.true_channel, self.decoder, self.n, "coherence_slots")
         check_number(self.shards, "shards", *COUNT_RANGE, whole=True)
         check_number(self.seed, "seed", *SEED_RANGE, whole=True)
         if isinstance(self.decoder, EnergyMLAsk) and self.decoder.n != self.n:
@@ -220,6 +224,7 @@ def _symbols_per_block(draws: int, coherence: int) -> int:
     At most _BLOCK_SYMBOLS symbols, so an early stop acts within that many, and
     at most _BLOCK_DRAWS antenna draws, the memory bound of the per-antenna
     samplers.  `draws` per symbol is n for those and 1 for the others (`_sampler`).
+    A scenario keeps one coherence block within _BLOCK_DRAWS (`_check_block_draws`).
     """
     per = min(_BLOCK_SYMBOLS, _BLOCK_DRAWS // draws)
     return max(coherence, (per // coherence) * coherence)
@@ -384,6 +389,15 @@ def _sampler(channel, decoder, n: int):
     if decoder.needs_sum:
         return _antenna_stats, n
     return _nakagami_stats, 1
+
+
+def _check_block_draws(channel, decoder, n: int, name: str) -> None:
+    """Refuse, on `name`, a coherence block whose antenna draws (T slots of
+    `_sampler`'s draws per symbol at n antennas) do not fit in one logical block."""
+    draws = decoder.coherence_slots * _sampler(channel, decoder, n)[1]
+    if draws > _BLOCK_DRAWS:
+        raise InputError(name, f"{name} must keep one coherence block within "
+                               f"{_BLOCK_DRAWS} antenna draws, got {draws} draws")
 
 
 def _run_noncoherent_block(scenario: SimScenario, sampler, rng, count: int):
@@ -552,7 +566,8 @@ def min_antennas(
     DEBUG level on the `simo_energy` logger.
     """
     target_ber = check_number(target_ber, "target_ber", *TARGET_BER_RANGE)
-    n_max = check_number(n_max, "n_max", *COUNT_RANGE, whole=True)
+    n_max = check_number(n_max, "n_max", *ANTENNA_RANGE, whole=True)
+    _check_block_draws(scenario_template.true_channel, scenario_template.decoder, n_max, "n_max")
     spent = []  # symbols simulated per candidate
 
     def log_ratio(n: int) -> float:
@@ -647,7 +662,7 @@ def histogram(
     seed: int = 0,
 ) -> StatHistogram:
     """Sampled statistic histograms for every level of a region-decoded constellation."""
-    check_number(n, "n", *COUNT_RANGE, whole=True)
+    check_number(n, "n", *ANTENNA_RANGE, whole=True)
     check_number(bins, "bins", *BINS_RANGE, whole=True)
     check_number(trials, "trials", *TRIALS_RANGE, whole=True)
     check_number(seed, "seed", *SEED_RANGE, whole=True)

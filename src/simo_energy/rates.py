@@ -28,6 +28,11 @@ from .channel import (
     u_second_moment,
 )
 
+# Largest L.  The simulator keeps an L x L int64 bit-error table and builds an
+# L x L confusion matrix per block, 8 MB each at L = 2^10; the paper's
+# constellations stop at L = 64.
+_MAX_L = 1 << 10
+
 
 class RateOracle:
     """Left/right deviation exponents of the energy statistic for one power level.
@@ -162,8 +167,7 @@ class Constellation:
     def __post_init__(self):
         levels = tuple(check_number(p, "levels", 0, math.inf, "[)") for p in self.levels)
         object.__setattr__(self, "levels", levels)
-        if len(levels) < 1:
-            raise ValueError("constellation needs at least one level")
+        check_number(len(levels), "L", 1, _MAX_L, whole=True)
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("power levels must be strictly increasing")
         sigma2 = check_number(self.sigma2_design, "sigma2_design", 0, math.inf, "()")

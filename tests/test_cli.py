@@ -379,6 +379,26 @@ class TestConfigHandling:
             (["design", "--design.method", "moments", "--design.budget", "1e9"], "design.budget"),
             (["design", "--design.method", "robust", "--design.a_dB", "1", "--design.budget",
               "1e9"], "design.budget"),
+            # One coherence block's antenna draws must fit in one logical block of
+            # 2^18: n = 1e308 overflowed to infinite statistics, and the others filled
+            # memory.
+            (["simulate", "--design.method", "mindist", "--sim.symbols", "2000", "--sim.n",
+              "1e308"], "sim.n"),
+            (["simulate", "--design.method", "mindist", "--channel.kind", "nakagami",
+              "--channel.m", "2", "--sim.scheme", "noncoherent_ml", "--sim.n", "1e9",
+              "--sim.symbols", "2000"], "sim.n"),
+            (["simulate", "--design.method", "mindist", "--channel.kind", "nakagami",
+              "--channel.m", "2", "--sim.scheme", "pilot_pam", "--design.L", "2", "--sim.T", "2",
+              "--sim.T_l", "1", "--sim.n", "1e9", "--sim.symbols", "2000"], "sim.n"),
+            (["simulate", "--design.method", "mindist", "--sim.scheme", "pilot_pam", "--design.L",
+              "2", "--sim.T", "1e9", "--sim.T_l", "1", "--sim.symbols", "1e9"], "sim.T"),
+            (["min-antennas", "--design.method", "mindist", "--sim.n_max", "1e9"], "sim.n_max"),
+            # An artifact above the L cap of designs used to build L x L tables.
+            (["simulate", "--artifact", {"levels": [2.0 * k / 2999 for k in range(3000)],
+                                         "sigma2_design": 0.1,
+                                         "boundaries": [(2.0 * k - 1.0) / 2999 + 0.1
+                                                        for k in range(1, 3000)]},
+              "--sim.symbols", "2000", "--sim.n", "[16]"], "artifact"),
         ],
     )
     def test_bad_value_names_its_field(self, args, field, tmp_path, capsys):
@@ -391,6 +411,10 @@ class TestConfigHandling:
                 args[i] = str(path)
         assert run(args) == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    def test_a_field_the_command_does_not_read_is_not_checked(self, capsys):
+        # design reads no sim field, so a value there that simulate would refuse passes.
+        assert run(["design", "--sim.seed", "abc"]) == 0
 
     @pytest.mark.parametrize(
         "command,config",

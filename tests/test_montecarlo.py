@@ -14,6 +14,7 @@ from scipy.stats import kstest, ks_2samp, ncx2, norm
 
 from simo_energy import decode, montecarlo
 from simo_energy.channel import (
+    InputError,
     NakagamiReal,
     Rician,
     check_number,
@@ -223,6 +224,47 @@ class TestSimulate:
         got = simulate(energy_scenario(design_l4.constellation, n=np.int32(25), seed=1))
         want = simulate(energy_scenario(design_l4.constellation, n=25, seed=1))
         assert replace(got, elapsed_s=0.0) == replace(want, elapsed_s=0.0)
+
+    def test_caps_the_antenna_count_at_one_logical_block(self, design_l4):
+        # n = 1e308 used to overflow the Gamma draw to infinite statistics.
+        con = design_l4.constellation
+        energy_scenario(con, n=montecarlo._BLOCK_DRAWS)
+        for refuse in (
+            lambda: energy_scenario(con, n=montecarlo._BLOCK_DRAWS + 1),
+            lambda: histogram(con, rayleigh(), SIGMA2_10DB, n=montecarlo._BLOCK_DRAWS + 1,
+                              trials=1000, bins=10),
+            lambda: EnergyMLAsk(con.levels, 0.0, 1.0, SIGMA2_10DB, n=montecarlo._BLOCK_DRAWS + 1),
+        ):
+            with pytest.raises(InputError, match="^n must be") as info:
+                refuse()
+            assert info.value.field == "n"
+
+    def test_caps_the_antenna_draws_of_one_coherence_block(self):
+        # Nakagami pilot PAM draws every antenna, so T * n draws make one coherence
+        # block; a block larger than one logical block used to be allocated whole.
+        amps = pam_constellation(2).amplitudes
+        nakagami = NakagamiReal(2.0)
+        decoder = PilotPAM(amps, nakagami.mu, nakagami.sigma_h2, 0.1, 4, 1)
+        template = SimScenario(nakagami, 0.1, decoder, n=1 << 16, symbols=2000, seed=0)
+        with pytest.raises(InputError, match="^coherence_slots must keep") as info:
+            replace(template, n=(1 << 16) + 1)
+        assert info.value.field == "coherence_slots"
+        # min_antennas refuses an n_max whose block would not fit before any candidate.
+        with pytest.raises(InputError, match="^n_max must keep") as info:
+            min_antennas(replace(template, n=1), 1e-3, (1 << 16) + 1)
+        assert info.value.field == "n_max"
+        with pytest.raises(InputError, match="^n_max must be") as info:
+            min_antennas(replace(template, n=1), 1e-3, montecarlo._BLOCK_DRAWS + 1)
+        # Sufficient-statistic samplers draw a few values per symbol: T alone is capped.
+        rayleigh_pilot = PilotPAM(amps, 0.0, 1.0, 0.1, montecarlo._BLOCK_DRAWS + 1, 1)
+        with pytest.raises(InputError, match="^coherence_slots must keep"):
+            SimScenario(rayleigh(), 0.1, rayleigh_pilot, n=1, symbols=1 << 19, seed=0)
+
+    def test_symbol_budget_below_a_coherence_block_names_symbols(self):
+        decoder = PilotPAM(pam_constellation(2).amplitudes, 0.0, 1.0, 0.1, 5000, 1)
+        with pytest.raises(InputError, match="^symbol budget is below") as info:
+            SimScenario(rayleigh(), 0.1, decoder, n=4, symbols=2000, seed=0)
+        assert info.value.field == "symbols"
 
     def test_noncoherent_ml_rayleigh_matches_energy_with_ml_thresholds(self):
         from simo_energy.decode import ml_threshold_boundaries

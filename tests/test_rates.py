@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from simo_energy import rates
 from simo_energy.channel import (
+    InputError,
     NakagamiReal,
     Rician,
     rayleigh,
@@ -265,6 +267,13 @@ class TestConstellationType:
         # let it through, and a level-only constellation has no region check.
         with pytest.raises(ValueError, match="^(levels|sigma2_design) must be a number"):
             Constellation(levels, sigma2)
+
+    def test_caps_the_number_of_levels(self):
+        # A 3000-level artifact used to build the simulator's 3000 x 3000 tables.
+        Constellation(tuple(range(rates._MAX_L)), 0.1)
+        with pytest.raises(InputError, match="^L must be") as info:
+            Constellation(tuple(range(rates._MAX_L + 1)), 0.1)
+        assert info.value.field == "L"
 
     def test_rejects_wrong_boundary_count(self):
         with pytest.raises(ValueError):
