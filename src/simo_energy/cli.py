@@ -252,7 +252,7 @@ def _design_from(cfg: dict):
     channel, sigma2 = _channel_from(cfg["channel"], "channel")
     method = d["method"]
     with _field():
-        dcfg = DesignConfig(_json_int(d["L"]), d["budget"], d["eps"])
+        dcfg = DesignConfig(L=_json_int(d["L"]), power_budget=d["budget"], eps=d["eps"])
     if method in ("exact", "moments", "robust"):
         box = _box_from(cfg) if method == "robust" else None
         with _field():
