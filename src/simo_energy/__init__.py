@@ -40,7 +40,6 @@ from .decode import (
     EnergyRegions,
     NoncoherentML,
     PilotPAM,
-    gray_map,
     ml_threshold_boundaries,
 )
 from .montecarlo import (

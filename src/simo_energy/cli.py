@@ -397,6 +397,8 @@ def cmd_evaluate(cfg: dict, out_path: Optional[str]) -> int:
     if cfg["artifact"] is None:
         raise ConfigError("artifact: evaluate requires a constellation artifact")
     constellation = _artifact_constellation(cfg)
+    with _field("artifact"):
+        EnergyRegions(constellation)  # the bounds are those of its energy regions
     channel, sigma2 = _channel_from(cfg["channel"], "channel")
     i_e = error_exponent(constellation, channel, sigma2)
     columns = ["n", "chernoff_bound", "error_exponent"]
@@ -420,7 +422,8 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
     assumed_channel, assumed_sigma2 = _sim_channel(cfg, "assumed")
     scheme = sim["scheme"]
     if scheme == "energy":
-        decoder = EnergyRegions(constellation)
+        with _field("sim.scheme"):
+            decoder = EnergyRegions(constellation)
     elif scheme == "noncoherent_ml":
         decoder = NoncoherentML(
             levels=constellation.levels,
@@ -512,8 +515,8 @@ def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
 def cmd_histogram(cfg: dict, out_path: Optional[str]) -> int:
     sim = cfg["sim"]
     constellation = _constellation_for_run(cfg)
-    if constellation.boundaries is None:
-        raise ConfigError("histogram needs a region-decoded constellation")
+    with _field("design.method" if cfg["artifact"] is None else "artifact"):
+        EnergyRegions(constellation)
     channel, sigma2 = _sim_channel(cfg, "true")
     n = _antenna_counts(cfg)[0]
     with _field():

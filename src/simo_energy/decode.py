@@ -43,8 +43,8 @@ import numpy as np
 from scipy.special import ive
 from scipy.stats import chi2
 
-from .channel import check_number
-from .rates import Constellation
+from .channel import InputError, check_number
+from .rates import Constellation, check_levels
 
 # Most antenna samples that the simulator draws in one logical block of its
 # random stream.  One coherence block's draws must fit in one logical block,
@@ -73,7 +73,9 @@ class _LikelihoodReceiver(_NoncoherentReceiver):
     compares every level's likelihood."""
 
     def __post_init__(self):
-        _check_levels_and_noise(self.levels, self.sigma2)
+        levels, sigma2 = check_levels(self.levels, self.sigma2)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "sigma2", sigma2)
         _check_channel_variance(self.sigma_h2, zero_mean_likelihood=self.mu == 0)
 
     def decide(self, n: int, norm2, re_sum) -> np.ndarray:
@@ -85,14 +87,16 @@ class _LikelihoodReceiver(_NoncoherentReceiver):
 
 @dataclass(frozen=True)
 class EnergyRegions(_NoncoherentReceiver):
-    """Interval decoder over the energy statistic."""
+    """Interval decoder over the energy statistic; the one refusal of a
+    constellation without decoding regions."""
 
     constellation: Constellation
     scheme = "energy"
 
     def __post_init__(self):
         if self.constellation.boundaries is None:
-            raise ValueError("energy-region decoding needs boundaries")
+            message = "constellation has no decoding regions for energy-region decoding"
+            raise InputError("constellation", message)
 
     @property
     def levels(self) -> tuple:
@@ -159,12 +163,11 @@ class PilotPAM:
     scheme = "pilot_pam"
 
     def __post_init__(self):
-        if len(self.amplitudes) < 2:
-            raise ValueError("need at least two amplitudes")
-        if any(b <= a for a, b in zip(self.amplitudes, self.amplitudes[1:])):
-            raise ValueError("amplitudes must be strictly increasing")
-        if not (self.sigma2 > 0):
-            raise ValueError("assumed noise power must be positive")
+        amplitudes, sigma2 = check_levels(
+            self.amplitudes, self.sigma2, name="amplitudes", signed=True
+        )
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "sigma2", sigma2)
         _check_channel_variance(self.sigma_h2, zero_mean_likelihood=False)
         check_number(self.coherence_slots, "coherence_slots", 1, math.inf, whole=True)
         # At least one slot of each coherence block carries data.
@@ -188,15 +191,6 @@ class PilotPAM:
     def decide(self, z) -> np.ndarray:
         """Amplitude index of each projection z = Re(h_hat^H y) / ||h_hat||^2."""
         return nearest_amplitude_index(self.amplitudes, z)
-
-
-def _check_levels_and_noise(levels, sigma2):
-    if len(levels) < 1:
-        raise ValueError("need at least one level")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
-    if not (sigma2 > 0):
-        raise ValueError("assumed noise power must be positive")
 
 
 def _check_channel_variance(sigma_h2, zero_mean_likelihood: bool):
@@ -382,14 +376,8 @@ def nearest_amplitude_index(amplitudes: np.ndarray, z) -> np.ndarray:
 
 
 def gray_code(index: int) -> int:
+    """Binary reflected Gray code of `index`, the bit label of symbol `index`."""
     return index ^ (index >> 1)
-
-
-def gray_map(index: int, bits: int) -> str:
-    """Binary reflected Gray code of `index` as a zero-padded bit string."""
-    if not (0 <= index < (1 << bits)):
-        raise ValueError(f"index {index} out of range for {bits} bits")
-    return format(gray_code(index), f"0{bits}b")
 
 
 def ml_threshold_boundaries(

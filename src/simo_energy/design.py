@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .channel import ChannelSpec, InputError, check_number, energy_variance, increasing_root
-from .decode import gray_map
 from .rates import (
     _MAX_L,
     Constellation,
@@ -91,11 +90,6 @@ class UncertaintyBox:
             raise ValueError("need 0 <= alpha1_min <= alpha1_max")
         if not (0.0 < self.sigma_min <= self.sigma_max):
             raise ValueError("need 0 < sigma_min <= sigma_max")
-
-    @classmethod
-    def degenerate(cls, alpha1_value: float, sigma2: float) -> "UncertaintyBox":
-        s = math.sqrt(sigma2)
-        return cls(alpha1_value, alpha1_value, s, s)
 
 
 class _BoxRateOracle(QuadraticRateOracle):
@@ -349,10 +343,9 @@ def ask_constellation(L: int, sigma2_design: float = 1.0) -> Constellation:
 
 @dataclass(frozen=True)
 class PamConstellation:
-    """Symmetric real amplitudes with unit mean power and Gray labels in order."""
+    """Symmetric real amplitudes with unit mean power, in increasing order."""
 
     amplitudes: tuple
-    labels: tuple
 
     @property
     def L(self) -> int:
@@ -365,10 +358,7 @@ def pam_constellation(L: int) -> PamConstellation:
     if L & (L - 1):
         raise InputError("L", f"L must be a power of two, got {L!r}")
     delta = math.sqrt(3.0 / (L * L - 1.0))
-    amplitudes = tuple((2.0 * k - 1.0 - L) * delta for k in range(1, L + 1))
-    bits = (L - 1).bit_length()
-    labels = tuple(gray_map(k, bits) for k in range(L))
-    return PamConstellation(amplitudes, labels)
+    return PamConstellation(tuple((2.0 * k - 1.0 - L) * delta for k in range(1, L + 1)))
 
 
 def equalized_regions(

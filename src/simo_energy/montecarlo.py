@@ -666,8 +666,7 @@ def histogram(
     check_number(bins, "bins", *BINS_RANGE, whole=True)
     check_number(trials, "trials", *TRIALS_RANGE, whole=True)
     check_number(seed, "seed", *SEED_RANGE, whole=True)
-    if constellation.boundaries is None:
-        raise ValueError("constellation has no decoding regions")
+    decoder = EnergyRegions(constellation)
     levels = constellation.levels
     r_pts = [p + sigma2 for p in levels]
     spread = math.sqrt(u_second_moment(channel, sigma2, levels[-1]) / n)
@@ -676,7 +675,7 @@ def histogram(
 
     region_edges = (0.0,) + constellation.boundaries + (math.inf,)
     # The decoder only selects the ||y||^2 sampler of `channel`; it decides nothing.
-    sampler, _ = _sampler(channel, EnergyRegions(constellation), n)
+    sampler, _ = _sampler(channel, decoder, n)
     counts, means, variances, outside = [], [], [], []
     for k, p in enumerate(levels):
         rng = _block_generator(seed, k)

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .channel import (
     ChannelSpec,
+    InputError,
     check_number,
     energy_variance,
     increasing_root,
@@ -32,6 +33,23 @@ from .channel import (
 # L x L confusion matrix per block, 8 MB each at L = 2^10; the paper's
 # constellations stop at L = 64.
 _MAX_L = 1 << 10
+
+
+def check_levels(values, sigma2, *, name="levels", noise="sigma2", signed=False) -> tuple:
+    """(values, sigma2) once checked: the one rule for the ordered transmit
+    levels of a constellation or a receiver.
+
+    Power levels are numbers in [0, inf), at least one; `signed` amplitudes
+    are finite numbers, at least two.  Either way there are at most _MAX_L,
+    they strictly increase, and the assumed noise power lies in (0, inf).  A
+    refusal raises InputError naming `name`, "L" or `noise`.
+    """
+    lo, ends, fewest = (-math.inf, "()", 2) if signed else (0, "[)", 1)
+    values = tuple(check_number(v, name, lo, math.inf, ends) for v in values)
+    check_number(len(values), "L", fewest, _MAX_L, whole=True)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise InputError(name, f"{name} must be strictly increasing")
+    return values, check_number(sigma2, noise, 0, math.inf, "()")
 
 
 class RateOracle:
@@ -165,12 +183,8 @@ class Constellation:
     boundaries: Optional[tuple] = None
 
     def __post_init__(self):
-        levels = tuple(check_number(p, "levels", 0, math.inf, "[)") for p in self.levels)
+        levels, sigma2 = check_levels(self.levels, self.sigma2_design, noise="sigma2_design")
         object.__setattr__(self, "levels", levels)
-        check_number(len(levels), "L", 1, _MAX_L, whole=True)
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError("power levels must be strictly increasing")
-        sigma2 = check_number(self.sigma2_design, "sigma2_design", 0, math.inf, "()")
         object.__setattr__(self, "sigma2_design", sigma2)
         if self.boundaries is not None:
             bounds = tuple(

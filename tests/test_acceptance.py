@@ -48,6 +48,7 @@ from simo_energy.rates import (
     chernoff_ser_bound,
     error_exponent,
 )
+from helpers import degenerate_box
 
 
 def verdict(number: int, label: str) -> None:
@@ -135,7 +136,7 @@ def test_criterion_04_reduction_chain():
     cfg = DesignConfig(L=4)
 
     moments = design_moments(a1, sigma2, cfg)
-    robust = design_robust(UncertaintyBox.degenerate(a1, sigma2), cfg)
+    robust = design_robust(degenerate_box(a1, sigma2), cfg)
     for a, b in zip(robust.constellation.levels, moments.constellation.levels):
         assert a == pytest.approx(b, abs=1e-8)
 

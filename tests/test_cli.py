@@ -416,6 +416,37 @@ class TestConfigHandling:
         # design reads no sim field, so a value there that simulate would refuse passes.
         assert run(["design", "--sim.seed", "abc"]) == 0
 
+    # The field each command names for a constellation without decoding regions,
+    # by where the constellation came from; None where the command succeeds.
+    REGION_FREE_FIELDS = {
+        "design": {"design.method": None, "artifact": None},
+        "evaluate": {"design.method": "artifact", "artifact": "artifact"},
+        "simulate": {"design.method": "sim.scheme", "artifact": "sim.scheme"},
+        "sweep-n": {"design.method": "sim.scheme", "artifact": "sim.scheme"},
+        "min-antennas": {"design.method": "sim.scheme", "artifact": "sim.scheme"},
+        "histogram": {"design.method": "design.method", "artifact": "artifact"},
+    }
+
+    @pytest.mark.parametrize("source", ["design.method", "artifact"])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_a_constellation_without_regions_names_its_field(
+        self, command, source, tmp_path, capsys
+    ):
+        # An ASK design has levels only; energy-region decoding and its bounds
+        # used to end in a traceback on simulate, sweep-n, min-antennas and evaluate.
+        if source == "artifact":
+            art = tmp_path / "ask.json"
+            assert run(["design", "--design.method", "ask", "--out", str(art)]) == 0
+            capsys.readouterr()
+            args = ["--artifact", str(art)]
+        else:
+            args = ["--design.method", "ask"]
+        code = run([command, *args, "--sim.symbols", "2000", "--out", str(tmp_path / "out")])
+        field = self.REGION_FREE_FIELDS[command][source]
+        assert code == (0 if field is None else 1)
+        if field is not None:
+            assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
     @pytest.mark.parametrize(
         "command,config",
         [

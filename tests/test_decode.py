@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-from simo_energy.channel import Rician, rayleigh, sample_channel, sigma_from_snr
+from simo_energy.channel import InputError, Rician, rayleigh, sample_channel, sigma_from_snr
 from simo_energy.decode import (
     EnergyMLAsk,
     EnergyRegions,
@@ -17,7 +17,7 @@ from simo_energy.decode import (
     PilotPAM,
     energy_ml_index,
     energy_ml_logpdf,
-    gray_map,
+    gray_code,
     ml_threshold_boundaries,
     nearest_amplitude_index,
     noncoherent_ml_index,
@@ -322,6 +322,57 @@ class TestAssumedChannelVariance:
         ASSUMED["pilot_pam"](0.0, 0.0)
 
 
+# Each holder of an ordered set of levels, built from (levels, assumed noise),
+# and the names of its level and noise parameters.
+LEVEL_HOLDERS = {
+    "noncoherent_ml_mu0": (lambda v, s2: NoncoherentML(v, 0.0, 1.0, s2), "levels", "sigma2"),
+    "noncoherent_ml_mu05": (lambda v, s2: NoncoherentML(v, 0.5, 0.5, s2), "levels", "sigma2"),
+    "ask_energy_ml": (lambda v, s2: EnergyMLAsk(v, 0.5, 0.5, s2, 4), "levels", "sigma2"),
+    "pilot_pam": (lambda v, s2: PilotPAM(v, 0.0, 1.0, s2, 2, 1), "amplitudes", "sigma2"),
+    "constellation": (lambda v, s2: Constellation(v, s2), "levels", "sigma2_design"),
+}
+# (levels, noise, which parameter the refusal names); PilotPAM takes negative amplitudes.
+BAD_LEVELS = {
+    "negative": ((-1.0, 1.0), 0.1, "levels"),
+    "nan": ((0.0, math.nan, 2.0), 0.1, "levels"),
+    "infinite": ((0.0, 1.0, math.inf), 0.1, "levels"),
+    "too_many": (tuple(range(1025)), 0.1, "L"),
+    "decreasing": ((1.0, 0.5), 0.1, "levels"),
+    "infinite_noise": ((0.0, 1.0), math.inf, "noise"),
+}
+
+
+class TestLevelRule:
+    """Every constellation and receiver checks its levels by one rule, and
+    names the parameter it refuses."""
+
+    @pytest.mark.parametrize("case", list(BAD_LEVELS))
+    @pytest.mark.parametrize("holder", list(LEVEL_HOLDERS))
+    def test_refusal_names_its_parameter(self, holder, case):
+        build, levels_name, noise_name = LEVEL_HOLDERS[holder]
+        levels, sigma2, field = BAD_LEVELS[case]
+        if holder == "pilot_pam" and case == "negative":
+            assert build(levels, sigma2).amplitudes == levels
+            return
+        field = {"levels": levels_name, "noise": noise_name}.get(field, field)
+        with pytest.raises(InputError, match=f"^{field} ") as info:
+            build(levels, sigma2)
+        assert info.value.field == field
+
+    def test_pilot_pam_needs_two_amplitudes(self):
+        with pytest.raises(InputError, match="^L ") as info:
+            PilotPAM((1.0,), 0.0, 1.0, 0.1, 2, 1)
+        assert info.value.field == "L"
+
+    @pytest.mark.parametrize("holder", list(LEVEL_HOLDERS))
+    def test_keeps_the_checked_values(self, holder):
+        # NumPy and integer inputs are kept as the Python floats that were checked.
+        build, levels_name, noise_name = LEVEL_HOLDERS[holder]
+        built = build(np.array([0, 1, 3]), np.float32(0.25))
+        assert getattr(built, levels_name) == (0.0, 1.0, 3.0)
+        assert type(getattr(built, noise_name)) is float
+
+
 def pilot_decoder(channel, sigma2):
     """Pilot PAM with one unit-power pilot and the channel's prior statistics."""
     amps = pam_constellation(2).amplitudes
@@ -426,17 +477,16 @@ class TestCoherentPamDecode:
 
 class TestGrayCode:
     def test_known_values(self):
-        assert gray_map(0, 3) == "000"
-        assert gray_map(1, 3) == "001"
-        assert gray_map(5, 3) == "111"
+        assert gray_code(0) == 0b000
+        assert gray_code(1) == 0b001
+        assert gray_code(5) == 0b111
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            gray_map(8, 3)
-        with pytest.raises(ValueError):
-            gray_map(-1, 3)
+    def test_each_width_maps_onto_itself(self):
+        # The labels of L = 2^k symbols are the k-bit words, each once.
+        for bits in range(1, 11):
+            assert sorted(gray_code(i) for i in range(1 << bits)) == list(range(1 << bits))
 
     def test_adjacent_codes_differ_in_one_bit(self):
-        codes = [gray_map(i, 3) for i in range(8)]
+        codes = [gray_code(i) for i in range(8)]
         for a, b in zip(codes, codes[1:]):
-            assert sum(x != y for x, y in zip(a, b)) == 1
+            assert bin(a ^ b).count("1") == 1

@@ -27,7 +27,9 @@ from simo_energy.design import (
     min_distance_constellation,
     pam_constellation,
 )
+from simo_energy.decode import gray_code
 from simo_energy.rates import QuadraticRateOracle, error_exponent
+from helpers import degenerate_box
 
 
 SIGMA2_10DB = sigma_from_snr(10.0)
@@ -279,7 +281,7 @@ class TestDesignRobust:
     def test_degenerate_box_reduces_to_moments(self):
         sigma2 = 0.1
         cfg = DesignConfig(L=4)
-        box = UncertaintyBox.degenerate(1.0, sigma2)
+        box = degenerate_box(1.0, sigma2)
         robust = design_robust(box, cfg)
         moments = design_moments(1.0, sigma2, cfg)
         assert robust.feasible
@@ -461,9 +463,13 @@ class TestBaselines:
             pam_constellation(6)
 
     def test_pam_gray_labels_adjacent(self):
+        # Amplitudes increase, so adjacent amplitudes carry the labels of
+        # adjacent indices, which differ in one bit.
         pam = pam_constellation(8)
-        for a, b in zip(pam.labels, pam.labels[1:]):
-            assert sum(x != y for x, y in zip(a, b)) == 1
+        assert all(b > a for a, b in zip(pam.amplitudes, pam.amplitudes[1:]))
+        labels = [gray_code(k) for k in range(pam.L)]
+        for a, b in zip(labels, labels[1:]):
+            assert bin(a ^ b).count("1") == 1
 
     def test_equalized_regions_residuals(self):
         from simo_energy.rates import RateOracle
@@ -515,7 +521,7 @@ class TestConfigValidation:
         # L is a power of two, so L * budget is the bound exactly.
         sigma2 = sigma_from_snr(50.0)
         cfg = DesignConfig(L=L, power_budget=design._MAX_TOTAL_SNR * sigma2 / L)
-        box = UncertaintyBox.degenerate(alpha1(channel), sigma2)
+        box = degenerate_box(alpha1(channel), sigma2)
         with caplog.at_level(logging.WARNING, logger="simo_energy"):
             outcomes = [
                 design_exact(channel, sigma2, cfg),
@@ -536,7 +542,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="times the noise power"):
             design_moments(1.0, sigma2, cfg)
         with pytest.raises(ValueError, match="times the noise power"):
-            design_robust(UncertaintyBox.degenerate(1.0, sigma2), cfg)
+            design_robust(degenerate_box(1.0, sigma2), cfg)
 
     @pytest.mark.parametrize("L", [4.0, True, design._MAX_L + 1])
     @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from simo_energy.design import (
     design_moments,
     design_robust,
 )
+from helpers import degenerate_box
 
 SNR_DB = st.floats(min_value=-20.0, max_value=50.0)
 K_DB = st.one_of(
@@ -186,7 +187,7 @@ def test_robust_design_invariants(channel, snr_db, L, alpha_frac, sigma_frac):
 @given(channel=RICIAN, snr_db=SNR_DB, L=st.integers(2, 64))
 def test_zero_box_robust_equals_moments(channel, snr_db, L):
     a1 = alpha1(channel)
-    box = UncertaintyBox.degenerate(a1, sigma_from_snr(snr_db))
+    box = degenerate_box(a1, sigma_from_snr(snr_db))
     cfg = DesignConfig(L=L)
     robust = design_robust(box, cfg)
     moments = design_moments(a1, box.sigma_max**2, cfg)
