@@ -87,8 +87,8 @@ class _LikelihoodReceiver(_NoncoherentReceiver):
 
 @dataclass(frozen=True)
 class EnergyRegions(_NoncoherentReceiver):
-    """Interval decoder over the energy statistic; the one refusal of a
-    constellation without decoding regions."""
+    """Interval decoder over the energy statistic, the one receiver that needs
+    decoding regions: it refuses a constellation without them."""
 
     constellation: Constellation
     scheme = "energy"
