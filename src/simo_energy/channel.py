@@ -15,9 +15,10 @@ closed forms as methods: `alpha1`, `sample`, `theta_max`, `log_mgf` and
 `saddle_point`.  Under Rician fading |h*sqrt(p) + v|^2 is a scaled
 noncentral chi-square, and a Nakagami amplitude makes |h|^2 Gamma
 distributed.  In either case Lambda'(theta) = v reduces to a quadratic, so
-the rate layer built on top is family-agnostic.  The module-level
-`alpha1`, `sample_channel` and `log_mgf_energy` check their inputs and
-delegate to the family's method.
+the rate layer built on top is family-agnostic.  The module-level `alpha1`
+and `sample_channel` delegate to the family's method; `log_mgf_energy` and
+`u_second_moment` check their inputs first, by `check_number`, the
+library's one input rule, whose one refusal is `InputError`.
 """
 
 from __future__ import annotations
@@ -34,27 +35,57 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 
 
-class DivergentMgfError(ValueError):
+class InputError(ValueError):
+    """A refused input; `field` is the name of the parameter, which starts the message."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def check_number(value, name: str, lo, hi, ends: str = "[]", *, whole: bool = False):
+    """A numeric input as an int (`whole`) or a float, once it is checked.
+
+    It must be a Python or NumPy integer (`whole`) or real, never a bool, and
+    lie between lo and hi, each end closed or open as the bracket in `ends`
+    says.  NaN lies in no range, and an infinity only in one closed at it.
+    Anything else raises InputError(name, "<name> must be ..., got <value!r>").
+    The rate layer, which checks on every evaluation, tests the same ranges
+    by chained comparisons and calls this only to raise; those comparisons
+    take a bool as the number 0 or 1.
+    """
+    if whole:
+        kind, cast, types = "a whole number", int, numbers.Integral
+    else:
+        kind, cast, types = "a number", float, numbers.Real
+    if isinstance(value, types) and not isinstance(value, bool):
+        x = cast(value)
+        if (lo <= x if ends[0] == "[" else lo < x) and (x <= hi if ends[1] == "]" else x < hi):
+            return x
+    bounds = f"{ends[0]}{lo}, {hi}{ends[1]}"
+    raise InputError(name, f"{name} must be {kind} in {bounds}, got {value!r}")
+
+
+class DivergentMgfError(InputError):
     """Raised when the energy MGF is evaluated at or beyond its domain boundary."""
 
     def __init__(self, theta: float, theta_max: float):
-        super().__init__(
-            f"energy MGF diverges at theta={theta!r} (domain boundary {theta_max!r})"
-        )
+        message = f"theta must lie below the MGF's domain boundary {theta_max!r}, got {theta!r}"
+        super().__init__("theta", message)
         self.theta = theta
         self.theta_max = theta_max
 
 
 def sigma_from_snr(gamma_db: float) -> float:
     """Noise power for a per-antenna SNR in dB (unit channel second moment); positive and finite."""
+    gamma_db = check_number(gamma_db, "gamma_db", -math.inf, math.inf, "()")
     try:
         sigma2 = 10.0 ** (-gamma_db / 10.0)
     except OverflowError:
         sigma2 = math.inf
     if not (0.0 < sigma2 < math.inf):
-        raise ValueError(
-            f"SNR {gamma_db!r} dB gives noise power {sigma2!r}, not positive and finite"
-        )
+        message = f"gamma_db {gamma_db!r} dB gives noise power {sigma2!r}, not in (0, inf)"
+        raise InputError("gamma_db", message)
     return sigma2
 
 
@@ -75,8 +106,9 @@ class Rician:
     K_db: float
 
     def __post_init__(self):
-        if not (math.isinf(self.K_db) or abs(self.K_db) <= _MAX_ABS_K_DB):
-            raise ValueError(f"K must be -inf, +inf or lie in [-3000, 3000] dB, got {self.K_db!r}")
+        k_db = check_number(self.K_db, "K_db", -math.inf, math.inf)
+        if not (math.isinf(k_db) or abs(k_db) <= _MAX_ABS_K_DB):
+            raise InputError("K_db", f"K_db must be infinite or in [-3000, 3000] dB, got {k_db!r}")
 
     # Derived once per spec: the rate layer reads them in every evaluation.
     @cached_property
@@ -151,14 +183,14 @@ class NakagamiReal:
     """Nonnegative real amplitude with a Nakagami(m, 1) law (E|h|^2 = 1), zero imaginary part.
 
     |h|^2 is Gamma(m, 1/m).  With A = sigma2 + p/m, the energy MGF is finite
-    for theta < 1/A.
+    for theta < 1/A.  The shape m is finite and at least the smallest normal
+    float, so that alpha1 = 1/m is finite.
     """
 
     m: float
 
     def __post_init__(self):
-        if not (0 < self.m < math.inf):
-            raise ValueError(f"Nakagami shape m must be positive and finite, got {self.m!r}")
+        check_number(self.m, "m", sys.float_info.min, math.inf, "[)")
 
     @cached_property
     def mu(self) -> float:
@@ -244,8 +276,9 @@ def energy_variance(alpha1_value: float, sigma2: float, p: float) -> float:
 
 def u_second_moment(channel: ChannelSpec, sigma2: float, p: float) -> float:
     """Variance E[U^2] of the per-antenna energy fluctuation at power level p."""
-    if p < 0:
-        raise ValueError("power level must be nonnegative")
+    if not (0.0 <= sigma2 < math.inf and 0.0 <= p < math.inf):
+        check_number(sigma2, "sigma2", 0, math.inf, "[)")
+        check_number(p, "p", 0, math.inf, "[)")
     return energy_variance(channel.alpha1, sigma2, p)
 
 
@@ -267,10 +300,10 @@ def log_mgf_energy(
     A = sigma2 + p/m and r = p + sigma2.  Raises
     DivergentMgfError at or beyond the domain boundary.
     """
-    if p < 0:
-        raise ValueError("power level must be nonnegative")
-    if theta == 0.0:
-        return 0.0
+    if not (0.0 <= sigma2 < math.inf and 0.0 <= p < math.inf and -math.inf < theta < math.inf):
+        check_number(sigma2, "sigma2", 0, math.inf, "[)")
+        check_number(p, "p", 0, math.inf, "[)")
+        check_number(theta, "theta", -math.inf, math.inf, "()")
     return channel.log_mgf(sigma2, p, theta)
 
 
@@ -290,8 +323,12 @@ def increasing_root(
     turns nonnegative (a NaN counts as negative), and brentq then solves to
     4 ulp relative.  An infinite cap that the bracket overflows before f
     turns nonnegative also gives None.  Hitting brentq's iteration cap
-    raises RuntimeError, so a returned root is always a converged one.
+    raises RuntimeError, so a returned root is always a converged one.  A
+    NaN lo or a NaN or nonpositive width, which never widen it, is refused.
     """
+    if math.isnan(lo) or not width > 0.0:
+        check_number(lo, "lo", -math.inf, math.inf)
+        check_number(width, "width", 0, math.inf, "(]")
     a, hi = lo, min(lo + width, cap)
     while not (f(hi) >= 0.0):
         a, width = hi, 2.0 * width
@@ -299,34 +336,6 @@ def increasing_root(
         if a >= cap or math.isinf(hi):
             return None
     return brentq(f, a, hi, xtol=_ROOT_XTOL, rtol=4.0 * sys.float_info.epsilon, maxiter=200)
-
-
-class InputError(ValueError):
-    """A refused input; `field` is the name of the parameter, which starts the message."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
-def check_number(value, name: str, lo, hi, ends: str = "[]", *, whole: bool = False):
-    """A numeric input as an int (`whole`) or a float, once it is checked.
-
-    It must be a Python or NumPy integer (`whole`) or real, never a bool, and
-    lie between lo and hi, each end closed or open as the bracket in `ends`
-    says.  NaN lies in no range, and an infinity only in one closed at it.
-    Anything else raises InputError(name, "<name> must be ..., got <value!r>").
-    """
-    if whole:
-        kind, cast, types = "a whole number", int, numbers.Integral
-    else:
-        kind, cast, types = "a number", float, numbers.Real
-    if isinstance(value, types) and not isinstance(value, bool):
-        x = cast(value)
-        if (lo <= x if ends[0] == "[" else lo < x) and (x <= hi if ends[1] == "]" else x < hi):
-            return x
-    bounds = f"{ends[0]}{lo}, {hi}{ends[1]}"
-    raise InputError(name, f"{name} must be {kind} in {bounds}, got {value!r}")
 
 
 def nakagami_m_from_K(K_db: float) -> float:
@@ -337,8 +346,7 @@ def nakagami_m_from_K(K_db: float) -> float:
     matching m nears the smallest normal float, and above +3000 dB the
     largest, so K must lie in between.
     """
-    if not (-_MAX_ABS_K_DB <= K_db <= _MAX_ABS_K_DB):
-        raise ValueError(f"K must lie in [-3000, 3000] dB, got {K_db!r}")
+    K_db = check_number(K_db, "K_db", -_MAX_ABS_K_DB, _MAX_ABS_K_DB)
     # log sqrt(K/(K+1)) without the cancellation of K/(K+1) near 1.
     log_target = -0.5 * math.log1p(10.0 ** (-K_db / 10.0))
 

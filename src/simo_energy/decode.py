@@ -53,6 +53,12 @@ _BLOCK_DRAWS = 1 << 18
 ANTENNA_RANGE = (1, _BLOCK_DRAWS)  # antenna counts, as the (lo, hi) of check_number
 
 
+def _keep(receiver, **checked) -> None:
+    """Store the checked values of a frozen receiver in place of its inputs."""
+    for name, value in checked.items():
+        object.__setattr__(receiver, name, value)
+
+
 class _NoncoherentReceiver:
     """Fresh channel every slot, no pilots, a decision among power levels from
     (||y||^2, Re sum_i y_i) over n antennas; `needs_sum` says if it reads the sum."""
@@ -70,13 +76,14 @@ class _LikelihoodReceiver(_NoncoherentReceiver):
     """ML decision under assumed (mu, sigma_h2, sigma2).  With mu = 0 the
     likelihood reads ||y||^2 alone and the ML regions are intervals of
     ||y||^2 / n at the closed-form crossings; otherwise `_likelihood_index`
-    compares every level's likelihood."""
+    compares every level's likelihood.  mu is finite and sigma_h2 finite, and
+    positive at mu = 0, where every level would otherwise be equally likely."""
 
     def __post_init__(self):
         levels, sigma2 = check_levels(self.levels, self.sigma2)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "sigma2", sigma2)
-        _check_channel_variance(self.sigma_h2, zero_mean_likelihood=self.mu == 0)
+        mu = check_number(self.mu, "mu", -math.inf, math.inf, "()")
+        sigma_h2 = check_number(self.sigma_h2, "sigma_h2", 0, math.inf, "()" if mu == 0 else "[)")
+        _keep(self, levels=levels, mu=mu, sigma_h2=sigma_h2, sigma2=sigma2)
 
     def decide(self, n: int, norm2, re_sum) -> np.ndarray:
         if self.mu == 0.0:
@@ -166,9 +173,9 @@ class PilotPAM:
         amplitudes, sigma2 = check_levels(
             self.amplitudes, self.sigma2, name="amplitudes", signed=True
         )
-        object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "sigma2", sigma2)
-        _check_channel_variance(self.sigma_h2, zero_mean_likelihood=False)
+        mu = check_number(self.mu, "mu", -math.inf, math.inf, "()")
+        sigma_h2 = check_number(self.sigma_h2, "sigma_h2", 0, math.inf, "[)")
+        _keep(self, amplitudes=amplitudes, mu=mu, sigma_h2=sigma_h2, sigma2=sigma2)
         check_number(self.coherence_slots, "coherence_slots", 1, math.inf, whole=True)
         # At least one slot of each coherence block carries data.
         check_number(self.pilot_slots, "pilot_slots", 0, self.coherence_slots, "[)", whole=True)
@@ -191,19 +198,6 @@ class PilotPAM:
     def decide(self, z) -> np.ndarray:
         """Amplitude index of each projection z = Re(h_hat^H y) / ||h_hat||^2."""
         return nearest_amplitude_index(self.amplitudes, z)
-
-
-def _check_channel_variance(sigma_h2, zero_mean_likelihood: bool):
-    """sigma_h2 must be nonnegative, and positive for a zero-mean likelihood,
-    under which every level would otherwise be equally likely."""
-    if not (sigma_h2 >= 0):
-        raise ValueError(
-            f"sigma_h2: assumed channel variance must be nonnegative, got {sigma_h2!r}"
-        )
-    if zero_mean_likelihood and sigma_h2 == 0:
-        raise ValueError(
-            "sigma_h2: must be positive when mu = 0, or every level has the same likelihood"
-        )
 
 
 def region_index(boundaries, stat) -> np.ndarray:
@@ -392,10 +386,7 @@ def ml_threshold_boundaries(
     is accepted: the regions' receiver points p + sigma2 are the mean
     statistic at that variance alone.
     """
-    if sigma_h2 != 1.0:
-        raise ValueError(
-            f"sigma_h2: receiver points p + sigma2 need sigma_h2 = 1, got {sigma_h2!r}"
-        )
+    check_number(sigma_h2, "sigma_h2", 1, 1)
     return Constellation(levels, sigma2, _ml_crossings(levels, sigma_h2, sigma2))
 
 

@@ -33,6 +33,7 @@ from .rates import (
     Constellation,
     QuadraticRateOracle,
     RateOracle,
+    check_levels,
     equalize_boundary,
 )
 
@@ -49,6 +50,7 @@ _MAX_TOTAL_POWER = 1e150
 # at -20, 10 and 50 dB alike.  Up to 1e14, L = 16 never warned and no cap was hit.
 _MAX_TOTAL_SNR = 1e9
 _L_RANGE = (2, _MAX_L)  # sizes of designs and baselines, as the (lo, hi) of check_number
+_MAX_SIGMA = math.sqrt(sys.float_info.max)  # largest noise amplitude whose square is finite
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,8 @@ class DesignConfig:
 
 @dataclass(frozen=True)
 class UncertaintyBox:
-    """Rectangular uncertainty on (alpha1, sigma): sigma bounds are noise amplitudes."""
+    """Rectangular uncertainty on (alpha1, sigma): sigma bounds are noise amplitudes.
+    Each range is ordered, alpha1 in [0, inf) and sigma in (0, _MAX_SIGMA]."""
 
     alpha1_min: float
     alpha1_max: float
@@ -86,10 +89,10 @@ class UncertaintyBox:
     sigma_max: float
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha1_min <= self.alpha1_max):
-            raise ValueError("need 0 <= alpha1_min <= alpha1_max")
-        if not (0.0 < self.sigma_min <= self.sigma_max):
-            raise ValueError("need 0 < sigma_min <= sigma_max")
+        a_lo = check_number(self.alpha1_min, "alpha1_min", 0, math.inf, "[)")
+        check_number(self.alpha1_max, "alpha1_max", a_lo, math.inf, "[)")
+        s_lo = check_number(self.sigma_min, "sigma_min", 0, _MAX_SIGMA, "(]")
+        check_number(self.sigma_max, "sigma_max", s_lo, _MAX_SIGMA)
 
 
 class _BoxRateOracle(QuadraticRateOracle):
@@ -127,7 +130,7 @@ class _BoxRateOracle(QuadraticRateOracle):
     def inverse_rate(self, side: str, t: float) -> float:
         """Right-tail inverse sqrt(2t*s); the construction needs no other."""
         if side != "right":
-            raise ValueError("the box oracle inverts only the right tail")
+            raise InputError("side", f"side must be 'right' for the box oracle, got {side!r}")
         return super().inverse_rate(side, t)
 
 
@@ -244,9 +247,11 @@ def _design(
 ) -> DesignOutcome:
     """The construction under one tail model, at the largest exponent that fits the budget.
 
-    Region boundaries sit at p + sigma2 + d_R for every model.  A total
-    power L * budget above _MAX_TOTAL_SNR * sigma2 is refused.
+    Region boundaries sit at p + sigma2 + d_R for every model.  A noise
+    power outside (0, inf), and a total power L * budget above
+    _MAX_TOTAL_SNR * sigma2, are refused.
     """
+    sigma2 = check_number(sigma2, "sigma2", 0, math.inf, "()")
     total = cfg.L * cfg.power_budget
     if not (total <= _MAX_TOTAL_SNR * sigma2):
         raise InputError(
@@ -303,8 +308,7 @@ def design_moments(
     consecutive levels satisfy q - p = sqrt(2t)(sqrt(s(q)) + sqrt(s(p))) and
     the region boundary after level p sits at p + sigma2 + sqrt(2t*s(p)).
     """
-    if not (alpha1_value >= 0):
-        raise ValueError("alpha1 must be nonnegative")
+    alpha1_value = check_number(alpha1_value, "alpha1_value", 0, math.inf, "[)")
     return _design(sigma2, cfg, lambda p: QuadraticRateOracle(alpha1_value, sigma2, p))
 
 
@@ -365,7 +369,7 @@ def equalized_regions(
     levels: Sequence[float], channel: ChannelSpec, sigma2: float
 ) -> Constellation:
     """Best interval decoding regions for fixed levels: equal exponents per boundary."""
-    levels = tuple(float(p) for p in levels)
+    levels, sigma2 = check_levels(levels, sigma2)
     oracles = [RateOracle(channel, sigma2, p) for p in levels]
     boundaries = []
     for k in range(len(levels) - 1):

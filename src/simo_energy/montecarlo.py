@@ -158,8 +158,7 @@ class SimScenario:
     shards: int = 1
 
     def __post_init__(self):
-        if not (self.true_sigma2 >= 0):
-            raise ValueError("true noise power must be nonnegative")
+        check_number(self.true_sigma2, "true_sigma2", 0, math.inf, "[)")
         check_number(self.n, "n", *ANTENNA_RANGE, whole=True)
         check_number(self.symbols, "symbols", 1000, _MAX_SYMBOLS, whole=True)
         if self.symbols < self.decoder.coherence_slots:
@@ -168,7 +167,7 @@ class SimScenario:
         check_number(self.shards, "shards", *COUNT_RANGE, whole=True)
         check_number(self.seed, "seed", *SEED_RANGE, whole=True)
         if isinstance(self.decoder, EnergyMLAsk) and self.decoder.n != self.n:
-            raise ValueError("decoder antenna count disagrees with scenario")
+            raise InputError("n", f"n must equal the decoder's {self.decoder.n}, got {self.n!r}")
 
     @property
     def scheme(self) -> str:

@@ -16,18 +16,11 @@ error exponent of a constellation with interval decoding regions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .channel import (
-    ChannelSpec,
-    InputError,
-    check_number,
-    energy_variance,
-    increasing_root,
-    log_mgf_energy,
-    u_second_moment,
-)
+from .channel import ChannelSpec, InputError, check_number, energy_variance, increasing_root
 
 # Largest L.  The simulator keeps an L x L int64 bit-error table and builds an
 # L x L confusion matrix per block, 8 MB each at L = 2^10; the paper's
@@ -56,19 +49,19 @@ class RateOracle:
     """Left/right deviation exponents of the energy statistic for one power level.
 
     Immutable after construction; all evaluations are pure, so one oracle can
-    be shared freely across threads.
+    be shared freely across threads.  The noise power and the power level
+    are checked once, here.
     """
 
     def __init__(self, channel: ChannelSpec, sigma2: float, p: float):
-        if not (sigma2 > 0):
-            raise ValueError("noise power must be positive")
-        if p < 0:
-            raise ValueError("power level must be nonnegative")
+        if not (0.0 < sigma2 < math.inf and 0.0 <= p < math.inf):
+            check_number(sigma2, "sigma2", 0, math.inf, "()")
+            check_number(p, "p", 0, math.inf, "[)")
         self.channel = channel
         self.sigma2 = sigma2
         self.p = p
         self.r = p + sigma2
-        self.u2 = u_second_moment(channel, sigma2, p)
+        self.u2 = energy_variance(channel.alpha1, sigma2, p)
 
     @property
     def theta_max(self) -> float:
@@ -76,25 +69,26 @@ class RateOracle:
         return self.channel.theta_max(self.sigma2, self.p)
 
     def log_mgf(self, theta: float) -> float:
-        return log_mgf_energy(self.channel, self.sigma2, self.p, theta)
+        """The channel's log-MGF at this level, for theta inside its domain."""
+        return self.channel.log_mgf(self.sigma2, self.p, theta)
 
     def rate_right(self, d: float) -> float:
         """sup over theta >= 0 of theta*d - log_mgf(theta): exponent of P(mean U > d)."""
-        if d < 0:
-            raise ValueError("deviation must be nonnegative")
-        if d == 0.0:
-            return 0.0
+        if not 0.0 < d < math.inf:
+            if d == 0.0:
+                return 0.0
+            check_number(d, "d", 0, math.inf, "[)")
         theta = self.channel.saddle_point(self.sigma2, self.p, d)
         return max(theta * d - self.log_mgf(theta), 0.0)
 
     def rate_left(self, d: float) -> float:
         """Exponent of P(mean U < -d); infinite once d reaches the statistic floor r(p)."""
-        if d < 0:
-            raise ValueError("deviation must be nonnegative")
-        if d == 0.0:
-            return 0.0
-        if d >= self.r:
-            return math.inf
+        if not 0.0 < d < self.r:
+            if d == 0.0:
+                return 0.0
+            if d >= self.r:
+                return math.inf
+            check_number(d, "d", 0, math.inf)
         theta = self.channel.saddle_point(self.sigma2, self.p, -d)
         return max(-theta * d - self.log_mgf(theta), 0.0)
 
@@ -105,18 +99,19 @@ class RateOracle:
         is unique.  The left exponent is infinite only at the statistic floor
         r(p), so a target it does not reach below r(p)*(1 - 1e-15) is refused.
         """
-        if not (t > 0):
-            raise ValueError("target exponent must be positive")
+        if not 0.0 < t < math.inf:
+            check_number(t, "t", 0, math.inf, "()")
         if side == "right":
             width = math.sqrt(2.0 * t * self.u2) if self.u2 > 0 else 1.0
-            d = increasing_root(lambda d: self.rate_right(d) - t, 0.0, width)
+            # 2*t*u2 can underflow to 0; the bracket then grows from the smallest normal float.
+            d = increasing_root(lambda d: self.rate_right(d) - t, 0.0, width or sys.float_info.min)
         elif side == "left":
             cap = self.r * (1.0 - 1e-15)
             d = increasing_root(lambda d: self.rate_left(d) - t, 0.0, cap, cap)
         else:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+            raise InputError("side", f"side must be 'left' or 'right', got {side!r}")
         if d is None:
-            raise ValueError(f"the {side} tail exponent never reaches {t!r}")
+            raise InputError("t", f"t must be reached by the {side} tail exponent, got {t!r}")
         return d
 
 
@@ -124,8 +119,10 @@ class QuadraticRateOracle:
     """Small-deviation stand-in for RateOracle: both tails are d^2 / (2 E[U^2])."""
 
     def __init__(self, alpha1_value: float, sigma2: float, p: float):
-        if p < 0:
-            raise ValueError("power level must be nonnegative")
+        if not (0.0 <= alpha1_value < math.inf and 0.0 < sigma2 < math.inf and 0.0 <= p < math.inf):
+            check_number(alpha1_value, "alpha1_value", 0, math.inf, "[)")
+            check_number(sigma2, "sigma2", 0, math.inf, "()")
+            check_number(p, "p", 0, math.inf, "[)")
         self.p = p
         self.sigma2 = sigma2
         self.u2 = energy_variance(alpha1_value, sigma2, p)
@@ -137,17 +134,20 @@ class QuadraticRateOracle:
         return approx_rate(self.u2, d)
 
     def inverse_rate(self, side: str, t: float) -> float:
-        if not (t > 0):
-            raise ValueError("target exponent must be positive")
+        if not 0.0 < t < math.inf:
+            check_number(t, "t", 0, math.inf, "()")
         return math.sqrt(2.0 * t * self.u2)
 
 
 def approx_rate(s_p: float, d: float) -> float:
-    """Quadratic approximation d^2 / (2 s_p) with s_p = E[U^2]."""
-    if not (s_p > 0):
-        raise ValueError("energy variance must be positive")
-    if d < 0:
-        raise ValueError("deviation must be nonnegative")
+    """Quadratic approximation d^2 / (2 s_p) with s_p = E[U^2].
+
+    An s_p that overflowed to inf, as a heavy fading law's variance can at
+    a high power level, gives exponent 0.
+    """
+    if not (0.0 < s_p <= math.inf and 0.0 <= d < math.inf):
+        check_number(s_p, "s_p", 0, math.inf, "(]")
+        check_number(d, "d", 0, math.inf, "[)")
     return d * d / (2.0 * s_p)
 
 
@@ -158,8 +158,8 @@ def equalize_boundary(oracle_k, oracle_next, gap: float) -> float:
     oracle_next.rate_left(gap - d_R), by `increasing_root` on their
     difference: it increases from -rate_left(gap) < 0 to rate_right(gap) >= 0.
     """
-    if not (gap > 0):
-        raise ValueError("gap must be positive")
+    if not 0.0 < gap < math.inf:
+        check_number(gap, "gap", 0, math.inf, "()")
 
     def diff(d: float) -> float:
         return oracle_k.rate_right(d) - oracle_next.rate_left(gap - d)
@@ -192,16 +192,14 @@ class Constellation:
             )
             object.__setattr__(self, "boundaries", bounds)
             if len(bounds) != len(levels) - 1:
-                raise ValueError("need exactly L-1 region boundaries")
-            if any(b <= a for a, b in zip(bounds, bounds[1:])):
-                raise ValueError("boundaries must be strictly increasing")
+                raise InputError("boundaries", f"boundaries must number L - 1, got {len(bounds)}")
+            # Each receiver point inside its region also puts the boundaries in order.
             r = self.receiver_points()
             cs = (0.0,) + bounds + (math.inf,)
             for k in range(len(levels)):
                 if not (cs[k] < r[k] < cs[k + 1]):
-                    raise ValueError(
-                        f"receiver point {r[k]!r} of level {k} is outside its region"
-                    )
+                    message = f"boundaries must enclose receiver point {r[k]!r} of level {k}"
+                    raise InputError("boundaries", message)
 
     @property
     def L(self) -> int:
@@ -221,7 +219,7 @@ class Constellation:
         different from the design-time one shifts the receiver points.
         """
         if self.boundaries is None:
-            raise ValueError("constellation has no decoding regions")
+            raise InputError("boundaries", "boundaries are None: the constellation has no regions")
         s2 = self.sigma2_design if sigma2 is None else sigma2
         out = []
         for k, p in enumerate(self.levels):
@@ -262,8 +260,7 @@ def chernoff_ser_bound(
     outer sides contribute zero and a mean statistic outside its region the
     trivial factor 1.
     """
-    if n < 1:
-        raise ValueError("antenna count must be at least 1")
+    n = check_number(n, "n", 1, math.inf, whole=True)
     if constellation.L == 1:
         return 0.0
     total = 0.0

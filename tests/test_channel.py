@@ -26,6 +26,8 @@ from simo_energy.channel import (
     sigma_from_snr,
     u_second_moment,
 )
+from simo_energy.rates import RateOracle
+from helpers import time_cap
 
 
 def test_sigma_from_snr_decades():
@@ -62,8 +64,9 @@ def test_check_number_refusal_names_its_parameter(value, whole):
 class TestRician:
     @pytest.mark.parametrize("k_db", [math.nan, 3000.5, -3000.5, 1e308, -1e308])
     def test_rejects_nan_and_finite_k_beyond_3000_db(self, k_db):
-        with pytest.raises(ValueError, match="K must"):
+        with pytest.raises(InputError, match="^K_db must") as info:
             Rician(k_db)
+        assert info.value.field == "K_db"
 
     @pytest.mark.parametrize(
         "k_db", [-math.inf, -3000.0, 0.0, 1541.0, 1541.3, 2000.0, 3000.0, math.inf]
@@ -319,8 +322,9 @@ class TestNakagamiFromK:
 
     @pytest.mark.parametrize("k_db", [-3001.0, 3001.0, math.inf, math.nan])
     def test_rejects_out_of_range(self, k_db):
-        with pytest.raises(ValueError, match="K must lie in"):
+        with pytest.raises(InputError, match=r"^K_db must be a number in \[-3000.0, 3000.0\]") as info:
             nakagami_m_from_K(k_db)
+        assert info.value.field == "K_db"
 
 
 # Increasing functions g with sign(g(z)) = sign(z) in floating point, so
@@ -379,6 +383,23 @@ class TestIncreasingRoot:
     def test_root_at_the_first_probe(self):
         assert increasing_root(lambda x: x - 2.0, 0.0, 2.0) == 2.0
 
+    def test_always_ends(self):
+        # Each of these used to spin forever: a NaN or zero width and a NaN lo
+        # never widen the bracket, and the rate inverse's width 2*t*u2
+        # underflowed to 0.
+        cases = [(lambda x: x - 1.0, 0.0, math.nan, "width"),
+                 (lambda x: x - 1.0, 0.0, 0.0, "width"),
+                 (lambda x: -1.0, math.nan, 1.0, "lo")]
+        with time_cap(10):
+            for f, lo, width, field in cases:
+                with pytest.raises(InputError, match=f"^{field} must be") as info:
+                    increasing_root(f, lo, width)
+                assert info.value.field == field
+            d = RateOracle(rayleigh(), 1e-10, 0.0).inverse_rate("right", 1e-310)
+        # The root is about sqrt(2*t*u2) = 1.4e-165; the rate layer's
+        # cancellation at tiny deviations puts it higher (ROADMAP item 8).
+        assert 0.0 < d < 1e-20
+
     def test_iteration_cap_raises(self):
         # A step at zero: no interpolation helps, and from a bracket of width 1
         # bisection needs about 1000 halvings to come within the absolute floor.
@@ -389,5 +410,6 @@ class TestIncreasingRoot:
 class TestNakagamiReal:
     @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_a_shape_that_is_not_positive_and_finite(self, m):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(InputError, match="^m must be a number") as info:
             NakagamiReal(m)
+        assert info.value.field == "m"

@@ -5,8 +5,7 @@ import json
 import logging
 import math
 import os
-import signal
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from simo_energy import cli
 from simo_energy.cli import load_constellation_artifact, main
+from helpers import time_cap
 
 
 def run(args):
@@ -187,7 +187,7 @@ class TestConfigHandling:
                  "--sim.scheme", "pilot_pam", "--sim.T", "4", "--sim.T_l", "1"],
                 "design.L",
             ),
-            (["design", "--channel.kind", "nakagami", "--channel.m", "0"], "channel"),
+            (["design", "--channel.kind", "nakagami", "--channel.m", "0"], "channel.m"),
             (["histogram", "--design.method", "mindist", "--sim.bins", "0"], "sim.bins"),
             (["histogram", "--design.method", "mindist", "--sim.trials", "-5"], "sim.trials"),
             (["histogram", "--design.method", "mindist", "--seed", "-1"], "sim.seed"),
@@ -228,8 +228,7 @@ class TestConfigHandling:
             (["design", "--config", {"channel.kind": "rician"}], "channel.kind"),
             (["simulate", "--design.method", "mindist", "--config", {"sim": {"true": {"Kdb": 3}}}],
              "sim.true.Kdb"),
-            # Every channel has unit power, so omega is no field; channel errors
-            # are named by their block.
+            # Every channel has unit power, so omega is no field.
             (["design", "--channel.kind", "nakagami", "--channel.m", "2", "--channel.omega", "2",
               "--design.method", "moments"], "channel.omega"),
             (["design", "--channel.kind", "nakagami", "--channel.m", "2", "--channel.omega", "1"],
@@ -240,9 +239,22 @@ class TestConfigHandling:
              "channel.omega"),
             (["histogram", "--design.method", "mindist", "--channel.kind", "nakagami",
               "--channel.m", "2", "--sim.true.omega", "2"], "sim.true.omega"),
-            (["design", "--channel.kind", "nakagami", "--channel.m", "inf"], "channel"),
+            (["design", "--channel.kind", "nakagami", "--channel.m", "inf"], "channel.m"),
             (["simulate", "--design.method", "mindist", "--channel.kind", "nakagami",
-              "--channel.m", "inf"], "channel"),
+              "--channel.m", "inf"], "channel.m"),
+            # A shape below the smallest normal float made alpha1 = 1/m infinite:
+            # robust designs hung, moments ones ended in a traceback, and exact
+            # ones answered infeasible.
+            (["design", "--design.method", "robust", "--channel.kind", "nakagami",
+              "--channel.m", "5e-324", "--design.a_dB", "1"], "channel.m"),
+            (["design", "--design.method", "moments", "--channel.kind", "nakagami",
+              "--channel.m", "5e-324"], "channel.m"),
+            (["design", "--design.method", "exact", "--channel.kind", "nakagami",
+              "--channel.m", "5e-324"], "channel.m"),
+            (["simulate", "--design.method", "mindist", "--sim.true.kind", "nakagami",
+              "--sim.true.m", "0"], "sim.true.m"),
+            (["simulate", "--design.method", "mindist", "--sim.scheme", "noncoherent_ml",
+              "--sim.assumed.kind", "nakagami", "--sim.assumed.m", "-1"], "sim.assumed.m"),
             (["simulate", "--design.method", "mindist", "--sim.scheme", "noncoherent_ml",
               "--sim.assumed.kind", "nakagami"], "sim.assumed.m"),
             (["simulate", "--design.method", "mindist", "--sim.true.kind", "rician"],
@@ -255,7 +267,7 @@ class TestConfigHandling:
             # JSON true and false are not numbers: they used to be read as 1.0 and 0.0.
             (["design", "--channel.gamma_dB", "true"], "channel.gamma_dB"),
             (["design", "--channel.kind", "rician", "--channel.K_dB", "false"], "channel.K_dB"),
-            (["design", "--channel.kind", "nakagami", "--channel.m", "true"], "channel"),
+            (["design", "--channel.kind", "nakagami", "--channel.m", "true"], "channel.m"),
             (["design", "--design.budget", "true"], "design.budget"),
             (["design", "--design.eps", "true"], "design.eps"),
             (["design", "--design.method", "robust", "--design.a_dB", "true"], "design.a_dB"),
@@ -409,7 +421,9 @@ class TestConfigHandling:
                 path = tmp_path / f"arg{i}.json"
                 path.write_text(json.dumps(arg))
                 args[i] = str(path)
-        assert run(args) == 1
+        with time_cap(CASE_SECONDS):
+            code = run(args)
+        assert code == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
     def test_a_field_the_command_does_not_read_is_not_checked(self, capsys):
@@ -717,26 +731,6 @@ EDGE_VALUES = [
     "1e20", "abc", "[]", "{}", "[1, 2]", "true", "null",
 ]
 CASE_SECONDS = 10
-
-
-class Overtime(Exception):
-    pass
-
-
-@contextmanager
-def time_cap(seconds):
-    """Raise Overtime in the block once it has run for `seconds` of wall time."""
-
-    def expire(signum, frame):
-        raise Overtime(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")

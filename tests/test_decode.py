@@ -245,8 +245,9 @@ class TestMlThresholdBoundaries:
     @pytest.mark.parametrize("sigma_h2", [0.5, 0.9, 1.1, 2.0])
     def test_rejects_variance_other_than_one(self, sigma_h2):
         # Receiver points p + sigma2 are the mean statistic only at sigma_h2 = 1.
-        with pytest.raises(ValueError, match="^sigma_h2: "):
+        with pytest.raises(InputError, match=r"^sigma_h2 must be a number in \[1, 1\]") as info:
             ml_threshold_boundaries((0.0, 0.4, 1.6), sigma_h2, 0.3)
+        assert info.value.field == "sigma_h2"
 
 
 class TestZeroMeanLikelihoodIntervals:

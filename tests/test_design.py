@@ -8,6 +8,7 @@ import pytest
 
 from simo_energy import design
 from simo_energy.channel import (
+    InputError,
     NakagamiReal,
     Rician,
     alpha1,
@@ -225,8 +226,9 @@ class TestDesignMoments:
 
     @pytest.mark.parametrize("a1", [-0.1, math.nan])
     def test_rejects_an_alpha1_that_is_not_nonnegative(self, a1):
-        with pytest.raises(ValueError, match="alpha1 must be nonnegative"):
+        with pytest.raises(InputError, match="^alpha1_value must be a number") as info:
             design_moments(a1, 0.1, DesignConfig(L=4))
+        assert info.value.field == "alpha1_value"
 
     def test_smaller_alpha1_packs_tighter(self):
         cfg = DesignConfig(L=4)

@@ -122,8 +122,9 @@ class TestInverseRate:
     def test_left_refuses_an_unreachable_exponent(self, exp_oracle):
         # The left exponent at the largest bracketed deviation r*(1 - 1e-15)
         # is about 33.5: a larger target has no root short of the floor.
-        with pytest.raises(ValueError, match="left"):
+        with pytest.raises(InputError, match="^t must be reached by the left") as info:
             exp_oracle.inverse_rate("left", 100.0)
+        assert info.value.field == "t"
 
     def test_rejects_nonpositive_target(self, exp_oracle):
         with pytest.raises(ValueError):
