@@ -322,7 +322,8 @@ class TestNakagamiFromK:
 
     @pytest.mark.parametrize("k_db", [-3001.0, 3001.0, math.inf, math.nan])
     def test_rejects_out_of_range(self, k_db):
-        with pytest.raises(InputError, match=r"^K_db must be a number in \[-3000.0, 3000.0\]") as info:
+        match = r"^K_db must be a number in \[-3000.0, 3000.0\]"
+        with pytest.raises(InputError, match=match) as info:
             nakagami_m_from_K(k_db)
         assert info.value.field == "K_db"
 
