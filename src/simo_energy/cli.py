@@ -83,6 +83,8 @@ _SHORTHANDS = {"seed": "sim.seed", "shards": "sim.shards", "format": "output.for
 # The config field of each library parameter that an InputError can name.
 _PARAM_FIELDS = {
     "L": "design.L", "power_budget": "design.budget", "eps": "design.eps",
+    # Only a Nakagami shape takes a design's alpha1 = 1/m past its bound.
+    "alpha1": "channel.m",
     "coherence_slots": "sim.T", "pilot_slots": "sim.T_l", "pilot_power": "sim.pilot_power",
     **{name: f"sim.{name}" for name in
        ("n", "symbols", "seed", "shards", "target_ber", "n_max", "trials", "bins")},

@@ -14,7 +14,8 @@ as tightly as the tail model allows: every interior region edge sits
 exactly at exponent t, which makes the mean transmit power a nondecreasing
 function of t.  An outer search (`_maximize_exponent`) then finds the
 largest t whose construction fits the power budget, as one bracketed root
-of log(power / budget) in log t, keeping the construction of that probe.
+of log(power / budget) in log t, bracketed from t = 1 over every positive
+float, keeping the construction of that probe.
 One private function (`_design`) serves all three, and the outcome reports the
 levels, the region edges and the exponents on both sides of each edge.
 """
@@ -38,7 +39,12 @@ from .rates import (
 )
 
 _log = logging.getLogger("simo_energy")
-_MAX_DOUBLINGS = 70  # `_maximize_exponent` searches t in eps * 2^(+-70)
+# Largest fourth-moment coefficient alpha1, 1/m for a Nakagami shape m.  Over
+# L 2/4/16/64 x -20/10/50 dB no design warns up to 1e6.  Two-level designs
+# at 50 dB end short of the budget at 3e6 and from 1e8 on, as their tails
+# saturate at t = 1/(2 alpha1); at 1e30 the moments design ends 99.6 % short,
+# and from 1e35 on region edges round onto the receiver points.
+_MAX_ALPHA1 = 1e6
 # Largest L * budget: levels up to 4 times it are squared, times fourth moments, in
 # the tail exponents, and must stay far from float overflow (about 1.3e154).
 _MAX_TOTAL_POWER = 1e150
@@ -49,18 +55,24 @@ _MAX_TOTAL_POWER = 1e150
 # eps, with a warning, from 3e10-1e11 (quadratic tails) and 3e11 (exact tails)
 # at -20, 10 and 50 dB alike.  Up to 1e14, L = 16 never warned and no cap was hit.
 _MAX_TOTAL_SNR = 1e9
+# Smallest 2 * budget / ((L - 1) * sigma2), the step of equispaced levels at the
+# budget relative to the noise power.  The levels are resolved in p + sigma2,
+# whose float spacing is 2.2e-16 * sigma2: far below this, region edges round
+# onto the receiver points, and exact Rician designs failed in the rate layer
+# at steps up to 3.5e-14.  From 5e-14 on no design raised over L 2-1024, five
+# laws and both tail models.  -130 dB at L = 4 is a step of 6.7e-14.
+_MIN_LEVEL_STEP = 5e-14
 _L_RANGE = (2, _MAX_L)  # sizes of designs and baselines, as the (lo, hi) of check_number
 _MAX_SIGMA = math.sqrt(sys.float_info.max)  # largest noise amplitude whose square is finite
 
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Size, power budget and tolerance of the design's exponent search.
+    """Size, power budget and power tolerance of a design.
 
-    `eps` is the first exponent probed, the centre of the searched range
-    eps * 2^(+-70), and the power shortfall relative to the budget above
-    which the result is logged as a warning.  It lies in [2^-52, 1): a finer
-    tolerance cannot be met, and from a smaller centre the range misses t*.
+    `eps` is the power shortfall, relative to the budget, above which the
+    result is logged as a warning.  It lies in [2^-52, 1): a finer tolerance
+    cannot be met.
     """
 
     L: int
@@ -152,15 +164,20 @@ class DesignOutcome:
 def _maximize_exponent(build: Callable[[float], Optional[tuple]], cfg: DesignConfig):
     """Largest probed t whose construction `build(t)` fits the budget, by one increasing_root call.
 
-    The root of log(power / budget) is sought in u = log t over t in
-    eps * 2^(+-_MAX_DOUBLINGS), with t = eps as the first bracket probe; a
-    construction that returns None has infinite power.  Near saturation the
-    computed power wobbles by about 1e-12 relative within a few ulp of t, so
-    the result is the largest probed t that fits, not the root.  Returns
-    ((t_star, power, *build(t_star)), probes), or (None, 1) when the lower
-    end of the range is over budget.  A t that still fits at the upper end,
-    and a power short of the budget by more than cfg.eps relative, are
-    logged as warnings on the `simo_energy` logger.
+    The root of log(power / budget) is sought in u = log t over every
+    positive float t; a construction that returns None has infinite power.
+    The first probe is t = 1.  If it fits, the bracket grows upward, and it
+    cannot run off the top: the right deviation at exponent t is at least
+    sigma2 * min(t, sqrt(2t)), so every construction gives up below
+    t = (4 * _MAX_TOTAL_SNR)^2.  Otherwise the bracket grows downward, as
+    the root of -log(power / budget) at u = -v, down to the smallest normal
+    float, and a construction still over budget there makes the design
+    infeasible.  Near saturation the computed power wobbles by about 1e-12
+    relative within a few ulp of t, so the result is the largest probed t
+    that fits, not the root.  Returns ((t_star, power, *build(t_star)),
+    probes), or (None, probes) when no probe fits.  A power short of the
+    budget by more than cfg.eps relative is logged as a warning on the
+    `simo_energy` logger.
     """
     budget = cfg.power_budget
     fit, probes = None, 0
@@ -177,18 +194,13 @@ def _maximize_exponent(build: Callable[[float], Optional[tuple]], cfg: DesignCon
         # leaves the ratio, and so the whole search, bit-identical.
         return math.log(power / budget)
 
-    span = _MAX_DOUBLINGS * math.log(2.0)
-    lo = math.log(cfg.eps) - span
-    excess(lo)
+    if excess(0.0) <= 0.0:
+        increasing_root(excess, 0.0, 1.0, math.log(sys.float_info.max))
+    else:
+        increasing_root(lambda v: -excess(-v), 0.0, 1.0, -math.log(sys.float_info.min))
     if fit is None:
         return None, probes
-    if increasing_root(excess, lo, span, lo + 2.0 * span) is None:
-        # Exponent grows without bound over the range (degenerate channels).
-        _log.warning(
-            "design exponent still fits the budget at the top of its range, eps * 2^%d; "
-            "returning the capped t=%r", _MAX_DOUBLINGS, fit[0],
-        )
-    elif budget - fit[1] > cfg.eps * budget:
+    if budget - fit[1] > cfg.eps * budget:
         _log.warning(
             "design power %r at t=%r falls short of the budget %r by more than eps=%r",
             fit[1], fit[0], budget, cfg.eps,
@@ -243,21 +255,30 @@ def exact_power_at(channel: ChannelSpec, sigma2: float, cfg: DesignConfig, t: fl
 
 
 def _design(
-    sigma2: float, cfg: DesignConfig, factory: Callable[[float], object]
+    sigma2: float, alpha1_value: float, cfg: DesignConfig, factory: Callable[[float], object]
 ) -> DesignOutcome:
     """The construction under one tail model, at the largest exponent that fits the budget.
 
     Region boundaries sit at p + sigma2 + d_R for every model.  A noise
-    power outside (0, inf), and a total power L * budget above
-    _MAX_TOTAL_SNR * sigma2, are refused.
+    power outside (0, inf), a fourth-moment coefficient alpha1 of the tail
+    model above _MAX_ALPHA1, a total power L * budget above
+    _MAX_TOTAL_SNR * sigma2, and a level step 2 * budget / (L - 1) below
+    _MIN_LEVEL_STEP * sigma2 are refused.
     """
     sigma2 = check_number(sigma2, "sigma2", 0, math.inf, "()")
+    check_number(alpha1_value, "alpha1", 0, _MAX_ALPHA1)
     total = cfg.L * cfg.power_budget
     if not (total <= _MAX_TOTAL_SNR * sigma2):
         raise InputError(
             "power_budget",
             f"L * power budget must be at most {_MAX_TOTAL_SNR:g} times the noise power "
             f"{sigma2!r}, got {total!r}",
+        )
+    if not (2.0 * cfg.power_budget >= _MIN_LEVEL_STEP * (cfg.L - 1) * sigma2):
+        raise InputError(
+            "power_budget",
+            f"power_budget must be at least {_MIN_LEVEL_STEP / 2:g} * (L - 1) times the noise "
+            f"power {sigma2!r}, got {cfg.power_budget!r}",
         )
     fit, iters = _maximize_exponent(lambda t: _exact_levels_at(t, cfg, factory), cfg)
     if fit is None:
@@ -295,7 +316,8 @@ def design_exact(
     `oracle_factory` replaces the exact oracle of `channel`, for example by
     one that records its calls.
     """
-    return _design(sigma2, cfg, oracle_factory or (lambda p: RateOracle(channel, sigma2, p)))
+    factory = oracle_factory or (lambda p: RateOracle(channel, sigma2, p))
+    return _design(sigma2, channel.alpha1, cfg, factory)
 
 
 def design_moments(
@@ -309,7 +331,9 @@ def design_moments(
     the region boundary after level p sits at p + sigma2 + sqrt(2t*s(p)).
     """
     alpha1_value = check_number(alpha1_value, "alpha1_value", 0, math.inf, "[)")
-    return _design(sigma2, cfg, lambda p: QuadraticRateOracle(alpha1_value, sigma2, p))
+    return _design(
+        sigma2, alpha1_value, cfg, lambda p: QuadraticRateOracle(alpha1_value, sigma2, p)
+    )
 
 
 def design_robust(box: UncertaintyBox, cfg: DesignConfig) -> DesignOutcome:
@@ -322,7 +346,7 @@ def design_robust(box: UncertaintyBox, cfg: DesignConfig) -> DesignOutcome:
     power budget, which a wide enough noise range forces) is reported
     through the outcome flag, not an exception.
     """
-    return _design(box.sigma_max**2, cfg, lambda p: _BoxRateOracle(box, p))
+    return _design(box.sigma_max**2, box.alpha1_max, cfg, lambda p: _BoxRateOracle(box, p))
 
 
 def min_distance_constellation(L: int, sigma2: float) -> Constellation:

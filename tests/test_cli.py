@@ -77,7 +77,8 @@ class TestDesignCommand:
         assert code == 2
         record = json.loads(out.read_text())
         assert record["feasible"] is False
-        assert record["iterations"] == 1
+        # t = 1, then the downward bracket to the smallest normal float.
+        assert record["iterations"] == 12
 
     @pytest.mark.parametrize("k_db", ["2000", "3000"])
     def test_a_huge_k_factor_designs(self, k_db, capsys):
@@ -87,8 +88,8 @@ class TestDesignCommand:
         assert json.loads(capsys.readouterr().out)["feasible"] is True
 
     def test_low_snr_moments_design_is_feasible(self, capsys):
-        # t* ~ 2.2e-7 lies below the default design.eps; the command used to
-        # report this design infeasible and exit 2.
+        # t* ~ 2.2e-7 lies far below the first exponent probed; the command
+        # used to report this design infeasible and exit 2.
         code = run(
             [
                 "design",
@@ -104,6 +105,17 @@ class TestDesignCommand:
         assert record["feasible"] is True
         assert record["t_star"] == pytest.approx(2.19197e-7, rel=1e-6)
         assert captured.err == ""
+
+    @pytest.mark.parametrize("method", ["exact", "moments"])
+    @pytest.mark.parametrize(
+        "args", [["--channel.gamma_dB", "-130"], ["--design.budget", "1e-14"]], ids=["-130dB", "1e-14"]
+    )
+    def test_a_tiny_total_snr_designs(self, method, args, capsys):
+        # t* ~ 5.6e-28 lay below the old search range, eps * 2^-70 = 8.5e-28:
+        # both exited 2 with "feasible": false.
+        code = run(["design", "--design.method", method, "--design.L", "4", *args])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True
 
     def test_artifact_round_trip(self, tmp_path):
         out = tmp_path / "artifact.json"
@@ -251,6 +263,18 @@ class TestConfigHandling:
               "--channel.m", "5e-324"], "channel.m"),
             (["design", "--design.method", "exact", "--channel.kind", "nakagami",
               "--channel.m", "5e-324"], "channel.m"),
+            # Shapes past the design's alpha1 bound or NakagamiReal's m bound: these
+            # answered infeasible, ended in brentq's RuntimeError or, under simulate,
+            # gave a row from an overflowed Gamma(n*m) shape.
+            *[(["design", "--design.method", method, "--channel.kind", "nakagami",
+                "--channel.m", m], "channel.m")
+              for method in ("exact", "moments") for m in ("1e-300", "1e-50", "1e13", "1e20", "1e308")],
+            (["design", "--design.method", "robust", "--channel.kind", "nakagami",
+              "--channel.m", "1e-300", "--design.a_dB", "1"], "channel.m"),
+            (["simulate", "--design.method", "mindist", "--channel.kind", "nakagami",
+              "--channel.m", "1e308", "--sim.symbols", "2000"], "channel.m"),
+            # Levels too close together for the noise power to resolve.
+            (["design", "--channel.gamma_dB", "-200"], "design.budget"),
             (["simulate", "--design.method", "mindist", "--sim.true.kind", "nakagami",
               "--sim.true.m", "0"], "sim.true.m"),
             (["simulate", "--design.method", "mindist", "--sim.scheme", "noncoherent_ml",

@@ -303,10 +303,10 @@ class TestDesignRobust:
         out = design_robust(box, cfg)
         assert not out.feasible
         assert out.constellation is None
-        # The search probes the lower end of its range, eps * 2^-70, once; a
-        # construction over budget there gives the verdict, and the outcome
-        # counts that one probe.
-        assert out.iterations == 1
+        # The search probes t = 1, then brackets downward over log t = -1, -2,
+        # -4, ..., -512 and the smallest normal float; a construction over
+        # budget there gives the verdict, and the outcome counts the 12 probes.
+        assert out.iterations == 12
 
     @pytest.mark.parametrize("L", [2, 4, 16])
     @pytest.mark.parametrize("margin", [0.9, 0.99, 1.01, 1.1])
@@ -353,8 +353,8 @@ class TestDesignRobust:
 
 class TestExponentSearch:
     # At -20 dB and L = 16 the optimal exponent (about 2.19197e-7, from a run
-    # with eps = 1e-12) lies far below the starting probe cfg.eps = 1e-6; the
-    # search must bracket downward instead of reporting infeasible.
+    # with eps = 1e-12) lies far below the first probe, t = 1; the search
+    # must bracket downward instead of reporting infeasible.
     T_STAR_MINUS20_L16 = 2.19197e-7
 
     @pytest.mark.parametrize("method", ["moments", "exact"])
@@ -398,23 +398,29 @@ class TestExponentSearch:
             design_robust(UncertaintyBox(0.9, 1.0, 0.3, 0.4), DesignConfig(L=4))
         assert caplog.records == []
 
-    def test_doubling_cap_warns(self, caplog, monkeypatch):
-        # A range of eps * 2^(+-2) ends far below t* ~ 0.16: the capped value
-        # is returned, and the logger says so.
-        monkeypatch.setattr(design, "_MAX_DOUBLINGS", 2)
-        with caplog.at_level(logging.WARNING, logger="simo_energy"):
-            out = design_moments(1.0, SIGMA2_10DB, DesignConfig(L=4))
-        assert out.t_star == pytest.approx(4e-6)
-        assert len(caplog.records) == 1
-        assert "top of its range" in caplog.records[0].getMessage()
+    @pytest.mark.parametrize("method", ["exact", "moments"])
+    @pytest.mark.parametrize("snr_db,budget", [(-130.0, 1.0), (10.0, 1e-14)])
+    def test_a_tiny_total_snr_designs(self, method, snr_db, budget):
+        # t* ~ 5.6e-28 lay below the old search range, eps * 2^-70 = 8.5e-28,
+        # and both designs answered infeasible.
+        sigma2 = sigma_from_snr(snr_db)
+        cfg = DesignConfig(L=4, power_budget=budget)
+        if method == "moments":
+            out = design_moments(alpha1(rayleigh()), sigma2, cfg)
+        else:
+            out = design_exact(rayleigh(), sigma2, cfg)
+        assert out.feasible
+        assert 0.0 < out.t_star < 1e-27
+        assert budget * (1.0 - cfg.eps) <= out.mean_power <= budget * (1.0 + 1e-12)
 
     def test_power_shortfall_warns(self, caplog):
-        # At the float resolution the largest probed t that fits stops 7.8e-16
-        # short of the budget: more than eps, so the logger says so rather
+        # At 50 dB the two-level design is near saturation, where the power is
+        # ill-conditioned in t: the largest probed t that fits stops 3.4e-13
+        # short of the budget, more than eps, so the logger says so rather
         # than pass it off as converged.
-        cfg = DesignConfig(L=4, eps=2.0**-52)
+        cfg = DesignConfig(L=2, eps=2.0**-52)
         with caplog.at_level(logging.WARNING, logger="simo_energy"):
-            out = design_exact(rayleigh(), SIGMA2_10DB, cfg)
+            out = design_exact(rayleigh(), sigma_from_snr(50.0), cfg)
         assert 1.0 - out.mean_power > cfg.eps
         assert len(caplog.records) == 1
         assert "falls short of the budget" in caplog.records[0].getMessage()
@@ -545,6 +551,22 @@ class TestConfigValidation:
             design_moments(1.0, sigma2, cfg)
         with pytest.raises(ValueError, match="times the noise power"):
             design_robust(degenerate_box(1.0, sigma2), cfg)
+
+    @pytest.mark.parametrize("L", [2, 4, 64])
+    def test_the_alpha1_and_level_step_bounds_still_design(self, L):
+        # At alpha1 = 1e6 and at a level step 2 * budget / (L - 1) of exactly
+        # 5e-14 times the noise power, every method designs to the budget.
+        sigma2 = 0.1
+        budget = design._MIN_LEVEL_STEP * (L - 1) * sigma2 / 2.0
+        for cfg, a1 in ((DesignConfig(L=L), design._MAX_ALPHA1),
+                        (DesignConfig(L=L, power_budget=budget), 1.0)):
+            for out in (
+                design_exact(NakagamiReal(1.0 / a1), sigma2, cfg),
+                design_moments(a1, sigma2, cfg),
+                design_robust(degenerate_box(a1, sigma2), cfg),
+            ):
+                assert out.feasible
+                assert out.mean_power == pytest.approx(cfg.power_budget, rel=cfg.eps)
 
     @pytest.mark.parametrize("L", [4.0, True, design._MAX_L + 1])
     @pytest.mark.parametrize(

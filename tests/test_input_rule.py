@@ -32,6 +32,7 @@ from simo_energy.design import (
     UncertaintyBox,
     design_exact,
     design_moments,
+    design_robust,
     equalized_regions,
     min_distance_constellation,
 )
@@ -60,7 +61,7 @@ MINDIST = min_distance_constellation(4, 0.1)
 RULES = {
     "sigma_from_snr": (sigma_from_snr, "gamma_db", ALL, (4000.0, -4000.0)),
     "Rician": (Rician, "K_db", ("nan", "bool"), (3000.5,)),
-    "NakagamiReal": (NakagamiReal, "m", ALL, (0.0, 5e-324)),
+    "NakagamiReal": (NakagamiReal, "m", ALL, (0.0, 5e-324, 1e13, 1e308)),
     "nakagami_m_from_K": (nakagami_m_from_K, "K_db", ALL, (3001.0,)),
     "u_second_moment.sigma2": (lambda v: u_second_moment(rayleigh(), v, 1.0), "sigma2",
                                UNBOUNDED, (-1.0,)),
@@ -117,6 +118,16 @@ RULES = {
                             ALL, (0.0,)),
     "design_moments.alpha1_value": (lambda v: design_moments(v, 0.1, DesignConfig(L=4)),
                                     "alpha1_value", ALL, (-0.1,)),
+    # alpha1 above 1e6, from a Nakagami shape, a moments value or a box edge.
+    "design_exact.alpha1": (lambda v: design_exact(NakagamiReal(v), 0.1, DesignConfig(L=4)),
+                            "alpha1", (), (1e-300, 9.9e-7)),
+    "design_moments.alpha1": (lambda v: design_moments(v, 0.1, DesignConfig(L=4)), "alpha1",
+                              (), (1.01e6, 1e300)),
+    "design_robust.alpha1": (lambda v: design_robust(UncertaintyBox(0.5, v, 0.1, 0.2),
+                                                     DesignConfig(L=4)), "alpha1", (), (1e300,)),
+    # A noise power whose level step 2 * budget / (L - 1) is under 5e-14 of it.
+    "design_exact.power_budget": (lambda v: design_exact(rayleigh(), v, DesignConfig(L=4)),
+                                  "power_budget", (), (1e20, 1.4e13)),
     "equalized_regions.levels": (lambda v: equalized_regions((0.0, v), rayleigh(), 0.1),
                                  "levels", ALL, (-1.0,)),
     "equalized_regions.sigma2": (lambda v: equalized_regions((0.0, 1.0), rayleigh(), v),

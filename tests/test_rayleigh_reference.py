@@ -86,8 +86,9 @@ def test_rician_at_minus_infinite_k_is_the_rayleigh_design():
             strict=True, reason="ROADMAP item 8: the rate layer's cancellation at low SNR")),
         pytest.param(64, -100, marks=pytest.mark.xfail(
             strict=True, reason="ROADMAP item 8: the rate layer's cancellation at low SNR")),
+        # Levels and boundaries agree to 2e-16, but t* is 1.1e-3 off.
         pytest.param(4, -130, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 11: t* lies below the outer search's floor")),
+            strict=True, reason="ROADMAP item 8: the rate layer's cancellation at low SNR")),
     ],
 )
 def test_low_snr_designs_match_the_closed_form(L, snr_db):
