@@ -11,14 +11,15 @@ per-antenna energy fluctuation
 so this module provides its moments, its log moment generating function
 Lambda(theta) = log E[exp(theta*U)] and the saddle point theta*(v) solving
 Lambda'(theta) = v.  Each fading family is a frozen dataclass that owns its
-closed forms as methods: `alpha1`, `sample`, `theta_max`, `log_mgf` and
-`saddle_point`.  Under Rician fading |h*sqrt(p) + v|^2 is a scaled
-noncentral chi-square, and a Nakagami amplitude makes |h|^2 Gamma
-distributed.  In either case Lambda'(theta) = v reduces to a quadratic, so
-the rate layer built on top is family-agnostic.  The module-level `alpha1`
-and `sample_channel` delegate to the family's method; `log_mgf_energy` and
-`u_second_moment` check their inputs first, by `check_number`, the
-library's one input rule, whose one refusal is `InputError`.
+closed forms as methods: `alpha1`, `sample`, `theta_max`, `log_mgf`, its
+curvature Lambda''(theta) `log_mgf_curvature`, and `saddle_point`.  Under
+Rician fading |h*sqrt(p) + v|^2 is a scaled noncentral chi-square, and a
+Nakagami amplitude makes |h|^2 Gamma distributed.  In either case
+Lambda'(theta) = v reduces to a quadratic, so the rate layer built on top is
+family-agnostic.  The module-level `alpha1` and `sample_channel` delegate to
+the family's method; `log_mgf_energy` and `u_second_moment` check their
+inputs first, by `check_number`, the library's one input rule, whose one
+refusal is `InputError`.
 """
 
 from __future__ import annotations
@@ -155,6 +156,12 @@ class Rician:
         lam = self.mu**2 * p
         return -theta * (p + sigma2) + theta * lam / q - math.log(q)
 
+    def log_mgf_curvature(self, sigma2: float, p: float, theta: float) -> float:
+        # Lambda'' = 2*lam*s/q^3 + s^2/q^2 with q = 1 - theta*s, inside the domain q > 0.
+        s2 = self.sigma_h2 * p + sigma2
+        q = 1.0 - theta * s2
+        return (2.0 * self.mu**2 * p / q + s2) * s2 / (q * q)
+
     def saddle_point(self, sigma2: float, p: float, v: float) -> float:
         # With q = 1 - theta*s and x = 1/q the equation is
         # lam*x^2 + s*x - (r + v) = 0.  q is the reciprocal of its positive
@@ -239,6 +246,13 @@ class NakagamiReal:
             - theta * (p + sigma2)
         )
 
+    def log_mgf_curvature(self, sigma2: float, p: float, theta: float) -> float:
+        # Lambda'' = m*a^2/u^2 - (m - 1)*sigma2^2/v^2 with u = 1 - theta*a and
+        # v = 1 - theta*sigma2, inside the domain u > 0.
+        m = self.m
+        a = sigma2 + p / m
+        return m * (a / (1.0 - theta * a)) ** 2 - (m - 1.0) * (sigma2 / (1.0 - theta * sigma2)) ** 2
+
     def saddle_point(self, sigma2: float, p: float, v: float) -> float:
         # Clearing denominators gives R*A*sigma2*theta^2 - b*theta + v = 0
         # with R = r + v and b = R*(A + sigma2) - A*sigma2.  The quadratic
@@ -255,7 +269,8 @@ class NakagamiReal:
 
 
 # A fading law: its statistics (mu, sigma_h2, alpha1) and its methods
-# sample(count, rng), theta_max(sigma2, p), log_mgf(sigma2, p, theta) and
+# sample(count, rng), theta_max(sigma2, p), log_mgf(sigma2, p, theta), its
+# second derivative log_mgf_curvature(sigma2, p, theta) and
 # saddle_point(sigma2, p, v), the theta with d/dtheta log_mgf = v for
 # v > -(p + sigma2): the derivative increases from -(p + sigma2) to +inf
 # over the MGF domain, so the root is unique, and v > 0 gives theta in

@@ -30,13 +30,17 @@ EnergyMLAsk then decide with one interval search (region_index) and need no
 Re sum_i y_i.  For mu != 0 they evaluate the likelihood of every level:
 noncoherent_ml_index takes the argmin of noncoherent_nll and energy_ml_index
 the argmax of energy_ml_logpdf.  At mu = 0 those two functions are the
-reference the interval route is tested against.
+reference the interval route is tested against.  A receiver's `thresholds`
+are the interval boundaries it decides by (the regions of EnergyRegions, or
+these crossings, computed once per receiver), or None; `decide` and
+`montecarlo.min_antennas` both read them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +65,10 @@ def _keep(receiver, **checked) -> None:
 
 class _NoncoherentReceiver:
     """Fresh channel every slot, no pilots, a decision among power levels from
-    (||y||^2, Re sum_i y_i) over n antennas; `needs_sum` says if it reads the sum."""
+    (||y||^2, Re sum_i y_i) over n antennas; `needs_sum` says if it reads the sum.
+    `thresholds` are the L - 1 boundaries of the intervals of ||y||^2 / n that
+    it decides by, as region_index reads them, or None when it decides
+    otherwise."""
 
     coherence_slots = 1
     pilot_slots = 0
@@ -85,10 +92,15 @@ class _LikelihoodReceiver(_NoncoherentReceiver):
         sigma_h2 = check_number(self.sigma_h2, "sigma_h2", 0, math.inf, "()" if mu == 0 else "[)")
         _keep(self, levels=levels, mu=mu, sigma_h2=sigma_h2, sigma2=sigma2)
 
-    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
+    @cached_property
+    def thresholds(self):
         if self.mu == 0.0:
-            crossings = _ml_crossings(self.levels, self.sigma_h2, self.sigma2)
-            return region_index(crossings, norm2 / n)
+            return _ml_crossings(self.levels, self.sigma_h2, self.sigma2)
+        return None
+
+    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
+        if self.thresholds is not None:
+            return region_index(self.thresholds, norm2 / n)
         return self._likelihood_index(n, norm2, re_sum)
 
 
@@ -109,8 +121,12 @@ class EnergyRegions(_NoncoherentReceiver):
     def levels(self) -> tuple:
         return self.constellation.levels
 
+    @property
+    def thresholds(self) -> tuple:
+        return self.constellation.boundaries
+
     def decide(self, n: int, norm2, re_sum) -> np.ndarray:
-        return region_index(self.constellation.boundaries, norm2 / n)
+        return region_index(self.thresholds, norm2 / n)
 
 
 @dataclass(frozen=True)
@@ -168,6 +184,7 @@ class PilotPAM:
     pilot_slots: int
     pilot_power: float = 1.0
     scheme = "pilot_pam"
+    thresholds = None  # it decides on the projection, not on ||y||^2 / n
 
     def __post_init__(self):
         amplitudes, sigma2 = check_levels(

@@ -16,7 +16,8 @@ function of t.  An outer search (`_maximize_exponent`) then finds the
 largest t whose construction fits the power budget, as one bracketed root
 of log(power / budget) in log t, bracketed from t = 1 over every positive
 float, keeping the construction of that probe.
-One private function (`_design`) serves all three, and the outcome reports the
+One private function (`_design`) serves all three, in units of the noise
+power (a design depends on budget / sigma2 alone), and the outcome reports the
 levels, the region edges and the exponents on both sides of each edge.
 """
 
@@ -25,7 +26,8 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .channel import ChannelSpec, InputError, check_number, energy_variance, increasing_root
@@ -86,7 +88,7 @@ class DesignConfig:
         if self.L * self.power_budget > _MAX_TOTAL_POWER:
             raise InputError(
                 "power_budget",
-                f"L * power budget must be at most {_MAX_TOTAL_POWER:g}, got {self.power_budget!r}",
+                f"power_budget must be at most {_MAX_TOTAL_POWER:g} / L, got {self.power_budget!r}",
             )
 
 
@@ -175,9 +177,7 @@ def _maximize_exponent(build: Callable[[float], Optional[tuple]], cfg: DesignCon
     infeasible.  Near saturation the computed power wobbles by about 1e-12
     relative within a few ulp of t, so the result is the largest probed t
     that fits, not the root.  Returns ((t_star, power, *build(t_star)),
-    probes), or (None, probes) when no probe fits.  A power short of the
-    budget by more than cfg.eps relative is logged as a warning on the
-    `simo_energy` logger.
+    probes), or (None, probes) when no probe fits.
     """
     budget = cfg.power_budget
     fit, probes = None, 0
@@ -198,13 +198,6 @@ def _maximize_exponent(build: Callable[[float], Optional[tuple]], cfg: DesignCon
         increasing_root(excess, 0.0, 1.0, math.log(sys.float_info.max))
     else:
         increasing_root(lambda v: -excess(-v), 0.0, 1.0, -math.log(sys.float_info.min))
-    if fit is None:
-        return None, probes
-    if budget - fit[1] > cfg.eps * budget:
-        _log.warning(
-            "design power %r at t=%r falls short of the budget %r by more than eps=%r",
-            fit[1], fit[0], budget, cfg.eps,
-        )
     return fit, probes
 
 
@@ -254,39 +247,69 @@ def exact_power_at(channel: ChannelSpec, sigma2: float, cfg: DesignConfig, t: fl
     return math.inf if built is None else sum(built[0]) / cfg.L
 
 
+def _noise_unit(sigma2: float) -> float:
+    """The power of 4 within a factor 2 of sigma2: dividing a power by it, or
+    an amplitude by its square root, is exact."""
+    exponent = math.frexp(sigma2)[1]
+    return math.ldexp(1.0, exponent - (exponent & 1))
+
+
 def _design(
-    sigma2: float, alpha1_value: float, cfg: DesignConfig, factory: Callable[[float], object]
+    sigma2: float,
+    alpha1_value: float,
+    cfg: DesignConfig,
+    factory_in: Callable[[float], Callable[[float], object]],
+    unit: Optional[float] = None,
 ) -> DesignOutcome:
     """The construction under one tail model, at the largest exponent that fits the budget.
 
-    Region boundaries sit at p + sigma2 + d_R for every model.  A noise
-    power outside (0, inf), a fourth-moment coefficient alpha1 of the tail
-    model above _MAX_ALPHA1, a total power L * budget above
-    _MAX_TOTAL_SNR * sigma2, and a level step 2 * budget / (L - 1) below
-    _MIN_LEVEL_STEP * sigma2 are refused.
+    A design depends on budget / sigma2 alone, so it runs in units of the
+    power of 4 nearest sigma2 (`_noise_unit`): `factory_in(unit)` gives the
+    tail model of a level p for the noise power sigma2 / unit, and the
+    levels, boundaries and power are scaled back at the end.  Scaling by a
+    power of 4 is exact, so the outcome is bit-identical to an unscaled run
+    wherever that run neither overflows nor underflows.  A given `unit`
+    replaces the power of 4.  Region boundaries sit at p + sigma2 + d_R for
+    every model.  A noise power outside (0, inf), a fourth-moment
+    coefficient alpha1 of the tail model above _MAX_ALPHA1, a total power
+    L * budget above _MAX_TOTAL_SNR * sigma2, and a level step
+    2 * budget / (L - 1) below _MIN_LEVEL_STEP * sigma2 are refused.  A
+    power short of the budget by more than cfg.eps relative is logged as a
+    warning on the `simo_energy` logger.
     """
     sigma2 = check_number(sigma2, "sigma2", 0, math.inf, "()")
     check_number(alpha1_value, "alpha1", 0, _MAX_ALPHA1)
-    total = cfg.L * cfg.power_budget
+    budget = cfg.power_budget
+    total = cfg.L * budget
     if not (total <= _MAX_TOTAL_SNR * sigma2):
         raise InputError(
             "power_budget",
-            f"L * power budget must be at most {_MAX_TOTAL_SNR:g} times the noise power "
-            f"{sigma2!r}, got {total!r}",
+            f"power_budget must be at most {_MAX_TOTAL_SNR:g} / L times the noise power "
+            f"{sigma2!r}, got {budget!r}",
         )
-    if not (2.0 * cfg.power_budget >= _MIN_LEVEL_STEP * (cfg.L - 1) * sigma2):
+    if not (2.0 * budget >= _MIN_LEVEL_STEP * (cfg.L - 1) * sigma2):
         raise InputError(
             "power_budget",
             f"power_budget must be at least {_MIN_LEVEL_STEP / 2:g} * (L - 1) times the noise "
-            f"power {sigma2!r}, got {cfg.power_budget!r}",
+            f"power {sigma2!r}, got {budget!r}",
         )
-    fit, iters = _maximize_exponent(lambda t: _exact_levels_at(t, cfg, factory), cfg)
+    unit = _noise_unit(sigma2) if unit is None else unit
+    noise = sigma2 / unit
+    factory = factory_in(unit)
+    unit_cfg = replace(cfg, power_budget=budget / unit)
+    fit, iters = _maximize_exponent(lambda t: _exact_levels_at(t, unit_cfg, factory), unit_cfg)
     if fit is None:
         return DesignOutcome(
             False, None, t_star=0.0, mean_power=math.inf, boundary_exponents=(), iterations=iters
         )
     t_star, power, levels, d_rights, oracles = fit
-    boundaries = tuple(p + sigma2 + d_r for p, d_r in zip(levels, d_rights))
+    power *= unit
+    if budget - power > cfg.eps * budget:
+        _log.warning(
+            "design power %r at t=%r falls short of the budget %r by more than eps=%r",
+            power, t_star, budget, cfg.eps,
+        )
+    boundaries = tuple((p + noise + d_r) * unit for p, d_r in zip(levels, d_rights))
     # The construction built the oracle of every level but the last.
     oracles.append(factory(levels[-1]))
     exponents = tuple(
@@ -295,7 +318,7 @@ def _design(
     )
     return DesignOutcome(
         feasible=True,
-        constellation=Constellation(tuple(levels), sigma2, boundaries),
+        constellation=Constellation(tuple(p * unit for p in levels), sigma2, boundaries),
         t_star=t_star,
         mean_power=power,
         boundary_exponents=exponents,
@@ -314,10 +337,14 @@ def design_exact(
     Every interior region edge of the result sits at the same tail exponent
     t_star, and the mean power meets the budget to within cfg.eps.  A given
     `oracle_factory` replaces the exact oracle of `channel`, for example by
-    one that records its calls.
+    one that records its calls; its oracles work at the noise power sigma2,
+    so that design runs unscaled.
     """
-    factory = oracle_factory or (lambda p: RateOracle(channel, sigma2, p))
-    return _design(sigma2, channel.alpha1, cfg, factory)
+    if oracle_factory is not None:
+        return _design(sigma2, channel.alpha1, cfg, lambda unit: oracle_factory, unit=1.0)
+    return _design(
+        sigma2, channel.alpha1, cfg, lambda unit: partial(RateOracle, channel, sigma2 / unit)
+    )
 
 
 def design_moments(
@@ -332,7 +359,8 @@ def design_moments(
     """
     alpha1_value = check_number(alpha1_value, "alpha1_value", 0, math.inf, "[)")
     return _design(
-        sigma2, alpha1_value, cfg, lambda p: QuadraticRateOracle(alpha1_value, sigma2, p)
+        sigma2, alpha1_value, cfg,
+        lambda unit: partial(QuadraticRateOracle, alpha1_value, sigma2 / unit),
     )
 
 
@@ -346,7 +374,13 @@ def design_robust(box: UncertaintyBox, cfg: DesignConfig) -> DesignOutcome:
     power budget, which a wide enough noise range forces) is reported
     through the outcome flag, not an exception.
     """
-    return _design(box.sigma_max**2, box.alpha1_max, cfg, lambda p: _BoxRateOracle(box, p))
+
+    def factory_in(unit: float):
+        root = math.sqrt(unit)
+        scaled = replace(box, sigma_min=box.sigma_min / root, sigma_max=box.sigma_max / root)
+        return partial(_BoxRateOracle, scaled)
+
+    return _design(box.sigma_max**2, box.alpha1_max, cfg, factory_in)
 
 
 def min_distance_constellation(L: int, sigma2: float) -> Constellation:

@@ -8,7 +8,10 @@ A block holds 2^14 symbols, in whole coherence blocks; a sampler that draws
 every antenna holds at most 2^18 antenna draws (so 2^18 / n symbols from
 n = 16 up).  One coherence block's draws must fit in one block, so n and
 T times the draws per symbol are at most 2^18.  `min_antennas` checks its
-stop rule after each block.
+stop rule after each block.  For a receiver that decides by intervals of
+||y||^2 / n its first candidate is the count whose verdict the saddle-point
+BER of `rates.interval_decision_probabilities` predicts; the other receivers'
+searches start at n = 1.
 
 Each block passes through three layers, each written once:
 
@@ -71,8 +74,10 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -96,7 +101,7 @@ from .decode import (
     gray_code,
     pam_projection,
 )
-from .rates import Constellation
+from .rates import Constellation, interval_decision_probabilities
 
 _BLOCK_SYMBOLS = 1 << 14  # most symbols per logical rng block
 _WILSON_Z = 1.959963984540054  # 95% two-sided
@@ -558,9 +563,15 @@ def min_antennas(
     template's symbol budget runs out, and qualifies when its Wilson upper BER
     bound is below the target.  The error rate falls like exp(-n*t*), so
     log(upper / target) is close to linear in n, and `_aimed_search` aims its
-    candidates at its root.  The answer n qualifies and n - 1 does not (or
-    n = 1): under the usual monotone-BER assumption, the count a bisection
-    finds.  Returns None when even n_max fails.  Each candidate (n, symbols,
+    candidates at its root.  Where the search starts depends on the receiver.
+    One that decides by intervals of ||y||^2 / n (its `thresholds`: energy
+    regions, and noncoherent or ASK-ML at assumed mu = 0) on a noisy template
+    starts at the smallest n whose verdict the saddle-point BER predicts to
+    qualify (`_aim`), and walks from there.  Every other receiver (pilot PAM,
+    noncoherent ML at mu != 0) starts at n = 1.  The verdict rule is the same
+    for both, so the answer n qualifies and n - 1 does not (or n = 1): under
+    the usual monotone-BER assumption, the count a bisection finds.  Returns
+    None when even n_max fails.  Each candidate (n, symbols,
     bit errors, upper bound, verdict) and the search's totals are logged at
     DEBUG level on the `simo_energy` logger.
     """
@@ -579,43 +590,73 @@ def min_antennas(
         )
         return math.log(upper / target_ber)
 
-    n_star = _aimed_search(log_ratio, n_max)
+    n_star = _aimed_search(log_ratio, n_max, _aim(scenario_template, target_ber, n_max))
     _log.debug(
         "min_antennas: %d candidates, %d symbols, n* = %s", len(spent), sum(spent), n_star
     )
     return n_star
 
 
-def _aimed_search(f, n_max: int) -> Optional[int]:
+def _aim(template: SimScenario, target_ber: float, n_max: int) -> Optional[int]:
+    """First candidate of a search whose receiver decides by intervals of ||y||^2 / n.
+
+    The Gray BER at n is read off `rates.interval_decision_probabilities`
+    with `_bit_error_table`.  The predicted verdict is the Wilson upper bound
+    at the symbol count where the candidate is expected to stop: enough
+    symbols for _MIN_BIT_ERRORS bit errors, rounded up to whole blocks and
+    capped at the template's budget.  Returns the smallest n in [1, n_max]
+    whose predicted verdict qualifies, found by the search that `min_antennas`
+    runs from n = 1, n_max when none does, and None for a receiver without
+    `thresholds` or a noiseless template.
+    """
+    decoder = template.decoder
+    if decoder.thresholds is None or template.true_sigma2 == 0.0:
+        return None
+    probabilities = interval_decision_probabilities(
+        decoder.levels, decoder.thresholds, template.true_channel, template.true_sigma2
+    )
+    bits = template.bits_per_symbol
+    weights = (_bit_error_table(template.L) / (template.L * bits)).ravel().tolist()
+    sampler_draws = _sampler(template.true_channel, decoder, 1)[1]
+    per_block = _symbols_per_block(sampler_draws, decoder.coherence_slots)
+    total = template.symbols
+
+    def log_ratio(n: int) -> float:
+        ber = max(sum(map(operator.mul, chain.from_iterable(probabilities(n)), weights)), 0.0)
+        needed = _MIN_BIT_ERRORS / (ber * bits) if ber > 0.0 else math.inf
+        symbols = total
+        if needed < total:
+            symbols = min(total, per_block * math.ceil(needed / per_block))
+        return math.log(wilson_interval(ber * symbols * bits, symbols * bits)[1] / target_ber)
+
+    n = _aimed_search(log_ratio, n_max)
+    return n_max if n is None else n
+
+
+def _aimed_search(f, n_max: int, start: Optional[int] = None) -> Optional[int]:
     """Smallest n in [1, n_max] with f(n) < 0, for f nonincreasing, evaluated
     once per candidate.
 
-    Bracket phase: from n = 1, each step aims a secant through the last two
+    Bracket phase from an aimed `start`: walk from it toward the answer, down
+    while candidates qualify and up while they fail, in steps of 1, 1, 2, 4,
+    ... antennas (clamped to [1, n_max]), until a candidate crosses over.
+    Without a start, from n = 1: each step aims a secant through the last two
     candidates at the root, rounded up, and at most 4 times the last
     candidate and n_max; from n = 1, or when f did not fall, it takes the
     full 4 times.  Steps that grow n by less than half must add at least 1,
     1, 2, 4, ... antennas (`gap`, rounded up, doubles with each), so a
     hopeless search ends in O(log n_max) candidates, while a secant that
     lands one short of the root may still take the next count.  Once a
-    candidate qualifies, each step is regula falsi between the largest
-    failing lo and the smallest qualifying hi, rounded up and kept within
-    [lo + 1, hi - 1], until a step fails to halve the bracket; bisection
-    takes over from then on.  Returns hi once hi = lo + 1 (or hi = 1), and
-    None when n_max fails.
+    candidate qualifies and one below it fails (or it is n = 1), each step
+    is regula falsi between the largest failing lo and the smallest
+    qualifying hi, rounded up and kept within [lo + 1, hi - 1], until a step
+    fails to halve the bracket; bisection takes over from then on.  Returns
+    hi once hi = lo + 1 (or hi = 1), and None when n_max fails.
     """
-    n, prev, gap = 1, None, 0.5
-    while (f_n := f(n)) >= 0.0:
-        if n >= n_max:
-            return NOT_REACHED
-        guess = math.inf
-        if prev is not None and f_n < prev[1]:
-            guess = n + f_n * (n - prev[0]) / (prev[1] - f_n)
-        prev = (n, f_n)
-        step = min(math.ceil(min(max(guess, n + gap), 4 * n)), n_max)
-        if step < 1.5 * n:
-            gap *= 2
-        n = step
-    (lo, f_lo), hi, f_hi = prev or (0, 0.0), n, f_n
+    bracket = _secant_bracket(f, n_max) if start is None else _walk_bracket(f, n_max, start)
+    if bracket is None:
+        return NOT_REACHED
+    (lo, f_lo), (hi, f_hi) = bracket
     interpolate = True
     while hi - lo > 1:
         width = hi - lo
@@ -629,6 +670,44 @@ def _aimed_search(f, n_max: int) -> Optional[int]:
             lo, f_lo = n, f_n
         interpolate = interpolate and 2 * (hi - lo) <= width
     return hi
+
+
+def _secant_bracket(f, n_max: int):
+    """((lo, f(lo)), (hi, f(hi))) from n = 1 by secant steps, lo = 0 when n = 1
+    qualifies; None when n_max fails."""
+    n, prev, gap = 1, None, 0.5
+    while (f_n := f(n)) >= 0.0:
+        if n >= n_max:
+            return None
+        guess = math.inf
+        if prev is not None and f_n < prev[1]:
+            guess = n + f_n * (n - prev[0]) / (prev[1] - f_n)
+        prev = (n, f_n)
+        step = min(math.ceil(min(max(guess, n + gap), 4 * n)), n_max)
+        if step < 1.5 * n:
+            gap *= 2
+        n = step
+    return prev or (0, 0.0), (n, f_n)
+
+
+def _walk_bracket(f, n_max: int, start: int):
+    """((lo, f(lo)), (hi, f(hi))) by walking from `start`, lo = 0 when n = 1
+    qualifies; None when n_max fails."""
+    last = (start, f(start))
+    down = last[1] < 0.0
+    step, steps = 1, 0
+    while True:
+        if down and last[0] == 1:
+            return (0, 0.0), last
+        if not down and last[0] >= n_max:
+            return None
+        n = max(last[0] - step, 1) if down else min(last[0] + step, n_max)
+        f_n = f(n)
+        if (f_n < 0.0) != down:
+            return ((n, f_n), last) if down else (last, (n, f_n))
+        last, steps = (n, f_n), steps + 1
+        if steps >= 2:
+            step *= 2
 
 
 def _with_antennas(template: SimScenario, n: int) -> SimScenario:

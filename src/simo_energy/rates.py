@@ -10,7 +10,11 @@ each exponent is one saddle-point evaluation and one log-MGF evaluation,
 whatever the family.  This module computes those exponents, their
 inverses (by the bracketed root finder `channel.increasing_root`), the
 small-deviation quadratic approximation, and the resulting union bound /
-error exponent of a constellation with interval decoding regions.
+error exponent of a constellation with interval decoding regions.  The same
+saddle point, with the log-MGF curvature of each law, gives the
+Lugannani-Rice probability of every interval decision
+(`interval_decision_probabilities`), whose SER is exact to about 0.07/n
+relative where the union bound is only an exponent.
 """
 
 from __future__ import annotations
@@ -275,3 +279,83 @@ def error_exponent(
 ) -> float:
     """Worst finite tail exponent over all levels; the SER decays like exp(-n*I_e)."""
     return min(min(pair) for pair in tail_exponents(constellation, channel, sigma2))
+
+
+_SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Below this |w| the correction 1/u - 1/w loses its digits (both terms grow
+# like 1/w, their difference stays finite), and its limit at w = 0 stands in;
+# the two differ by O(w / sqrt(n)) relative there.
+_SMALL_W = 1e-3
+
+
+def interval_decision_probabilities(levels, boundaries, channel: ChannelSpec, sigma2: float):
+    """Saddle-point probabilities of interval decisions, as a function of the antenna count.
+
+    Region j is the interval (c_{j-1}, c_j] of the statistic ||y||^2 / n, with
+    c_{-1} = 0 and c_{L-1} = +inf, as `decode.region_index` decides.  For a
+    level p and a boundary c at deviation v = c - r(p), the tail
+    P(||y||^2 / n > c) is the Lugannani-Rice formula (Lugannani & Rice,
+    Adv. Appl. Prob. 12, 1980; Daniels, Ann. Math. Stat. 25, 1954)
+
+        Q(w) + phi(w) * (1/u - 1/w),
+        w = sgn(theta) sqrt(2 n I(v)),  u = theta sqrt(n Lambda''(theta)),
+
+    at the saddle point theta of v, with I(v) = theta*v - Lambda(theta); the
+    CDF is the same formula at (-w, -u).  theta, I and Lambda'' are computed
+    once per (level, boundary), so w and u are closed forms in n.  At the
+    removable singularity w = u = 0 the correction tends to
+    -kappa3 / (6 kappa2^(3/2) sqrt(n)), with kappa2 = Lambda''(0) and the
+    third cumulant kappa3 = Lambda'''(0) (a central difference of Lambda''),
+    which stands in for |w| < _SMALL_W.  Each off-diagonal probability is a
+    difference of tails on its own side of the level, so a small one keeps
+    its relative accuracy; the relative error falls like 1/n.
+
+    Returns probabilities(n), whose [k][j] entry is P(decide j | level k sent).
+    """
+    levels, sigma2 = check_levels(levels, sigma2)
+    bounds = tuple(check_number(c, "boundaries", 0, math.inf, "()") for c in boundaries)
+    if len(bounds) != len(levels) - 1 or any(b <= a for a, b in zip(bounds, bounds[1:])):
+        raise InputError("boundaries", "boundaries must be L - 1 strictly increasing numbers")
+    tails = []  # per level, per boundary: (w, u, limit of the correction) at n = 1
+    for k, p in enumerate(levels):
+        curvature = channel.log_mgf_curvature
+        h = 1e-3 * channel.theta_max(sigma2, p)
+        kappa3 = (curvature(sigma2, p, h) - curvature(sigma2, p, -h)) / (2.0 * h)
+        limit = -kappa3 / (6.0 * curvature(sigma2, p, 0.0) ** 1.5)
+        row = []
+        for j, c in enumerate(bounds):
+            v = c - (p + sigma2)
+            theta = channel.saddle_point(sigma2, p, v)
+            rate = max(theta * v - channel.log_mgf(sigma2, p, theta), 0.0)
+            w = math.copysign(math.sqrt(2.0 * rate), theta)
+            u = theta * math.sqrt(curvature(sigma2, p, theta))
+            # Below level k the CDF P(stat <= c_j), the same formula at (-w, -u).
+            row.append((-w, -u, -limit) if j < k else (w, u, limit))
+        tails.append(row)
+
+    def probabilities(n: int) -> list:
+        if type(n) is not int or n < 1:
+            n = check_number(n, "n", 1, math.inf, whole=True)
+        root_n = math.sqrt(n)
+        erfc, exp = math.erfc, math.exp
+        rows = []
+        for k, row in enumerate(tails):
+            # t[j + 1] is the tail at c_j; t[0] = P(stat <= 0) and t[L] = P(stat > inf) are 0.
+            t = [0.0]
+            for w, u, limit in row:
+                w *= root_n
+                if -_SMALL_W < w < _SMALL_W:
+                    corr = limit / root_n
+                else:
+                    corr = 1.0 / (u * root_n) - 1.0 / w
+                tail = 0.5 * erfc(w * _SQRT_HALF) + exp(-0.5 * w * w) * _INV_SQRT_2PI * corr
+                t.append(0.0 if tail < 0.0 else 1.0 if tail > 1.0 else tail)
+            t.append(0.0)
+            out = [t[j + 1] - t[j] for j in range(k)]
+            out.append(1.0 - t[k] - t[k + 1])
+            out.extend(t[j] - t[j + 1] for j in range(k + 1, len(t) - 1))
+            rows.append(out)
+        return rows
+
+    return probabilities

@@ -117,6 +117,24 @@ class TestDesignCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["feasible"] is True
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--channel.kind", "nakagami", "--channel.m", "1", "--channel.gamma_dB", "-1020",
+             "--design.budget", "1e100"],
+            ["--channel.kind", "rician", "--channel.K_dB", "0", "--channel.gamma_dB", "-1560",
+             "--design.budget", "1e146"],
+        ],
+        ids=["nakagami-1e102", "rician-1e156"],
+    )
+    def test_a_huge_noise_power_designs(self, args, capsys):
+        # Designs run in units of the noise power: the Nakagami saddle point
+        # squared R * (A + sigma2) past float range, and the Rician inverse
+        # rate reached an infinite deviation, both ending in a traceback.
+        code = run(["design", "--design.L", "2", *args])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True
+
     def test_artifact_round_trip(self, tmp_path):
         out = tmp_path / "artifact.json"
         run(

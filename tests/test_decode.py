@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
+from simo_energy import decode
 from simo_energy.channel import InputError, Rician, rayleigh, sample_channel, sigma_from_snr
 from simo_energy.decode import (
     EnergyMLAsk,
@@ -289,6 +290,23 @@ class TestZeroMeanLikelihoodIntervals:
             EnergyMLAsk(levels, 0.0, sigma_h2, sigma2, n).decide(n, norm2, None),
             energy_ml_index(norm2 / n, n, levels, 0.0, sigma_h2, sigma2),
         )
+
+
+    def test_thresholds_are_the_intervals_decided_by(self):
+        # The crossings at mu = 0, computed once per receiver; the energy
+        # regions' boundaries; None for the rules that decide otherwise.
+        levels, sigma2 = (0.0, 1.0, 2.5), 0.1
+        crossings = decode._ml_crossings(levels, 0.5, sigma2)
+        for receiver in (
+            NoncoherentML(levels, 0.0, 0.5, sigma2), EnergyMLAsk(levels, 0.0, 0.5, sigma2, 4)
+        ):
+            assert receiver.thresholds == crossings
+            assert receiver.thresholds is receiver.thresholds
+        con = Constellation(levels, sigma2, (0.6, 2.0))
+        assert EnergyRegions(con).thresholds == con.boundaries
+        assert NoncoherentML(levels, 0.5, 0.5, sigma2).thresholds is None
+        assert EnergyMLAsk(levels, 0.5, 0.5, sigma2, 4).thresholds is None
+        assert PilotPAM((-1.0, 1.0), 0.0, 1.0, sigma2, 2, 1).thresholds is None
 
 
 LEVELS_3 = (0.0, 1.0, 2.0)

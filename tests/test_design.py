@@ -413,6 +413,34 @@ class TestExponentSearch:
         assert 0.0 < out.t_star < 1e-27
         assert budget * (1.0 - cfg.eps) <= out.mean_power <= budget * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize(
+        "channel", [Rician(0.0), NakagamiReal(1.0)], ids=["rician0dB", "nakagami1"]
+    )
+    @pytest.mark.parametrize("method", ["exact", "moments"])
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_scaling_noise_and_budget_together_scales_the_design(self, channel, method, L):
+        # A design depends on budget / sigma2 alone.  At sigma2 = 1e101 the
+        # exact Nakagami saddle point used to square R * (A + sigma2) past
+        # float range and the design raised; the designs now run in units of
+        # the noise power.  L * budget stays within 1e150 at every scale.
+        sigma2, budget = 0.1, 0.5 / L
+
+        def run(c):
+            cfg = DesignConfig(L=L, power_budget=c * budget)
+            if method == "exact":
+                return design_exact(channel, c * sigma2, cfg)
+            return design_moments(channel.alpha1, c * sigma2, cfg)
+
+        base = run(1.0)
+        for c in (1e-100, 1e100, 1e150):
+            out = run(c)
+            assert out.feasible
+            assert out.t_star == pytest.approx(base.t_star, rel=1e-12)
+            con, ref = out.constellation, base.constellation
+            assert con.levels == pytest.approx(tuple(c * p for p in ref.levels), rel=1e-12, abs=0.0)
+            assert con.boundaries == pytest.approx(tuple(c * b for b in ref.boundaries), rel=1e-12)
+            assert out.mean_power == pytest.approx(c * base.mean_power, rel=1e-12)
+
     def test_power_shortfall_warns(self, caplog):
         # At 50 dB the two-level design is near saturation, where the power is
         # ill-conditioned in t: the largest probed t that fits stops 3.4e-13

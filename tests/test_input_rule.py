@@ -128,6 +128,11 @@ RULES = {
     # A noise power whose level step 2 * budget / (L - 1) is under 5e-14 of it.
     "design_exact.power_budget": (lambda v: design_exact(rayleigh(), v, DesignConfig(L=4)),
                                   "power_budget", (), (1e20, 1.4e13)),
+    # L * budget above 1e150, and above 1e9 times the noise power.
+    "DesignConfig.power_budget": (lambda v: DesignConfig(L=4, power_budget=v), "power_budget",
+                                  (), (2.6e149, 1e300)),
+    "design_exact.total_snr": (lambda v: design_exact(rayleigh(), v, DesignConfig(L=4)),
+                               "power_budget", (), (1e-10, 1e-300)),
     "equalized_regions.levels": (lambda v: equalized_regions((0.0, v), rayleigh(), 0.1),
                                  "levels", ALL, (-1.0,)),
     "equalized_regions.sigma2": (lambda v: equalized_regions((0.0, 1.0), rayleigh(), v),

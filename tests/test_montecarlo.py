@@ -45,7 +45,7 @@ from simo_energy.montecarlo import (
     simulate,
     wilson_interval,
 )
-from simo_energy.rates import Constellation, chernoff_ser_bound
+from simo_energy.rates import Constellation, chernoff_ser_bound, interval_decision_probabilities
 
 
 SIGMA2_10DB = sigma_from_snr(10.0)
@@ -391,13 +391,14 @@ class TestMinAntennas:
 
     @pytest.mark.parametrize(
         "n_max,gamma_db,candidates",
-        [(1, 10.0, [1]), (400, -20.0, [1, 4, 16, 64, 256, 400])],
+        [(1, 10.0, [1]), (400, -20.0, [400])],
     )
     def test_hopeless_candidate_costs_one_capped_block(
         self, n_max, gamma_db, candidates, design_l4, monkeypatch
     ):
         # At -20 dB every candidate up to n = 400 sees its 100 bit errors in
         # its first block, so each one draws a single block of 2^14 symbols.
+        # The aim lands beyond n_max, so n_max is the only candidate.
         blocks, counts = [], []
         make_rng, run_block = montecarlo._block_generator, montecarlo._run_noncoherent_block
 
@@ -420,17 +421,51 @@ class TestMinAntennas:
         assert [count for _, count in counts] == [montecarlo._BLOCK_SYMBOLS] * len(counts)
 
     @pytest.mark.parametrize(
-        "seed,n_star,candidates", [(1, 30, [1, 4, 16, 29, 30]), (101, 31, [1, 4, 16, 29, 30, 31])]
+        "seed,n_star,candidates", [(1, 30, [30, 29]), (101, 31, [30, 31])]
     )
     def test_reached_search_is_pinned(self, seed, n_star, candidates, design_l4, monkeypatch):
-        # The benchmark's energy template.  At seed 1 a secant from n = 4 and
-        # 16 lands one short of n* = 30, and the next one on it; doubling and
-        # bisection probed 1, 2, 4, 8, 16, 32, 24, 28, 30, 29.  At seed 101
-        # the secant falls short at 29 and again at 30, a step of one antenna
-        # that still lets the next one be n* = 31.
+        # The benchmark's energy template.  The saddle-point verdict aims the
+        # first candidate at n = 30, and one step of one antenna shows the
+        # answer: at seed 1 n = 30 qualifies and 29 fails, at seed 101 30
+        # fails and 31 qualifies.  Doubling and bisection probed 1, 2, 4, 8,
+        # 16, 32, 24, 28, 30, 29 at seed 1.
         probes = _spy_candidates(monkeypatch)
         scen = energy_scenario(design_l4.constellation, n=1, symbols=100_000, seed=seed)
         assert min_antennas(scen, 1e-3, 2048) == n_star
+        assert [n for n, *_ in probes] == candidates
+
+    @pytest.mark.parametrize(
+        "name,n_star,candidates",
+        [
+            ("pilot-pam-L2-T2", 4, [1, 4, 3]),
+            ("pilot-pam-L4-T2-1e-4", 14, [1, 4, 10, 13, 14]),
+            ("rician0dB-noncoherent-ml", 23, [1, 4, 16, 23, 22]),
+        ],
+    )
+    def test_receivers_without_intervals_search_from_one(
+        self, name, n_star, candidates, monkeypatch
+    ):
+        # Pilot PAM decides on a projection and noncoherent ML with mu != 0
+        # on (||y||^2, Re sum y), so neither is aimed: the secant search from
+        # n = 1 probes what it probed before the aim existed.
+        ric = Rician(0.0)
+        levels = design_exact(ric, SIGMA2_10DB, DesignConfig(L=4)).constellation.levels
+        channel, decoder, target = {
+            "pilot-pam-L2-T2": (
+                rayleigh(), PilotPAM(pam_constellation(2).amplitudes, 0.0, 1.0, SIGMA2_10DB, 2, 1),
+                1e-3,
+            ),
+            "pilot-pam-L4-T2-1e-4": (
+                rayleigh(), PilotPAM(pam_constellation(4).amplitudes, 0.0, 1.0, SIGMA2_10DB, 2, 1),
+                1e-4,
+            ),
+            "rician0dB-noncoherent-ml": (
+                ric, NoncoherentML(levels, ric.mu, ric.sigma_h2, SIGMA2_10DB), 1e-3
+            ),
+        }[name]
+        probes = _spy_candidates(monkeypatch)
+        template = SimScenario(channel, SIGMA2_10DB, decoder, 1, 100_000, 1)
+        assert min_antennas(template, target, 2048) == n_star
         assert [n for n, *_ in probes] == candidates
 
     @pytest.mark.parametrize("bad", [2.5, 5.0, True, "5"])
@@ -592,6 +627,46 @@ class TestMinAntennasContract:
                 assert n_star == (k if k <= n_max else None), (n_max, k, probed)
                 assert len(set(probed)) == len(probed), (n_max, k, probed)
                 assert len(probed) <= 2 * math.ceil(math.log2(n_max)) + 2, (n_max, k, probed)
+
+
+@pytest.mark.parametrize("m", [0.6, 2.0])
+def test_saddle_point_ser_within_the_monte_carlo_interval(m):
+    # Nakagami has no closed-form SER: the saddle-point value must lie in the
+    # simulation's 95 % Wilson interval wherever it sees at least 100 errors.
+    channel = NakagamiReal(m)
+    con = design_exact(channel, SIGMA2_10DB, DesignConfig(L=4)).constellation
+    probs = interval_decision_probabilities(con.levels, con.boundaries, channel, SIGMA2_10DB)
+    checked = 0
+    for n in (4, 16, 32):
+        rows = probs(n)
+        ser = sum(p for k, row in enumerate(rows) for j, p in enumerate(row) if j != k) / 4
+        report = simulate(energy_scenario(con, n=n, symbols=200_000, seed=7, channel=channel))
+        if report.symbol_errors >= 100:
+            checked += 1
+            assert report.ser_ci[0] <= ser <= report.ser_ci[1], (n, ser, report.ser_ci)
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("curve", list(SEARCH_CURVES))
+def test_the_walk_keeps_the_contract_from_any_start(curve):
+    # The aimed first candidate may land anywhere in [1, n_max]: from every
+    # start the walk and its refinement still answer k, probe no n twice and
+    # take at most the 2*ceil(log2(n_max)) + 2 candidates of doubling and bisection.
+    for n_max in (1, 2, 3, 5, 64, 400, 2048):
+        ks = range(1, n_max + 2) if n_max <= 64 else [*range(1, n_max, 37), n_max, n_max + 1]
+        for k in [n_max + 1] if curve in HOPELESS_CURVES else ks:
+            starts = {1, n_max, max(k - 1, 1), min(k, n_max), min(k + 1, n_max), (1 + n_max) // 2}
+            for start in sorted(starts):
+                probed = []
+
+                def f(n):
+                    probed.append(n)
+                    return math.log(SEARCH_CURVES[curve](n, k, n_max) / SEARCH_TARGET)
+
+                n_star = montecarlo._aimed_search(f, n_max, start)
+                assert n_star == (k if k <= n_max else None), (n_max, k, start, probed)
+                assert len(set(probed)) == len(probed), (n_max, k, start, probed)
+                assert len(probed) <= 2 * math.ceil(math.log2(n_max)) + 2, (n_max, k, start, probed)
 
 
 LEVELS = (0.0, 0.6, 1.6, 3.0)

@@ -8,7 +8,9 @@ stationary point of theta*v - Lambda(theta) with mpmath.findroot on a
 numerically differentiated 50-digit Lambda, and takes the supremum there.
 The energy-ML density is checked against the Bessel form of the noncentral
 chi-square density, with mpmath.besseli, and the Nakagami mean amplitude and
-channel variance against the Gamma-function ratio.
+channel variance against the Gamma-function ratio.  The log-MGF curvature is
+checked against mpmath.diff of the 50-digit log-MGF, and the saddle-point
+SER of Rician designs against quadrature of that Bessel-form density.
 """
 
 import math
@@ -22,7 +24,8 @@ from simo_energy.channel import (
     rayleigh,
 )
 from simo_energy.decode import energy_ml_logpdf
-from simo_energy.rates import RateOracle
+from simo_energy.design import DesignConfig, design_exact
+from simo_energy.rates import RateOracle, interval_decision_probabilities
 
 mpmath = pytest.importorskip("mpmath")
 mpf = mpmath.mpf
@@ -230,3 +233,62 @@ def test_nakagami_mean_and_variance_against_gamma_ratio(m):
     channel = NakagamiReal(m)
     assert _rel_err(channel.mu, mu) <= 1e-11
     assert _rel_err(channel.sigma_h2, 1 - mu**2) <= 1e-11
+
+
+@pytest.mark.parametrize("name", sorted(CHANNELS))
+@pytest.mark.parametrize("sigma2", SIGMA2S)
+@pytest.mark.parametrize("p", POWERS)
+def test_log_mgf_curvature_against_mpmath_diff(name, sigma2, p):
+    channel = CHANNELS[name]
+    t_max = channel.theta_max(sigma2, p)
+    for f in (-20.0, -0.05, 0.0, 0.5, 0.99):
+        theta = f * t_max
+        ref = mpmath.diff(lambda t: _log_mgf_mp(channel, sigma2, p, t), mpf(theta), 2)
+        got = channel.log_mgf_curvature(sigma2, p, theta)
+        assert _rel_err(got, ref) <= REL_TOL, (f, got, ref)
+
+
+def _rician_tail_mp(channel, sigma2, p, n, c, upper):
+    """P(||y||^2 / n > c) (`upper`) or P(||y||^2 / n <= c) under Rician fading,
+    by quadrature of the noncentral chi-square density: 2n * stat / s is
+    chi-square with 2n degrees of freedom and noncentrality 2n * mu^2 * p / s,
+    with s = sigma_h2 * p + sigma2."""
+    s = mpf(channel.sigma_h2) * p + sigma2
+    df, nc = 2 * n, 2 * n * mpf(channel.mu) ** 2 * p / s
+    x = 2 * n * mpf(c) / s
+    mean, sd = df + nc, mpmath.sqrt(2 * df + 4 * nc)
+
+    def density(w):
+        if w <= 0:
+            return mpf(0)
+        if nc == 0:  # the level p = 0: central chi-square
+            k = mpf(df) / 2
+            log_pdf = (k - 1) * mpmath.log(w) - w / 2 - k * mpmath.log(2) - mpmath.loggamma(k)
+            return mpmath.exp(log_pdf)
+        return mpmath.exp(_ncx2_logpdf_mp(w, df, nc))
+
+    if upper:
+        points = [x] + [mean + k * sd for k in (1, 4, 16, 64) if mean + k * sd > x] + [mpmath.inf]
+    else:
+        points = [mpf(0)] + [mean - k * sd for k in (64, 16, 4, 1) if 0 < mean - k * sd < x] + [x]
+    return mpmath.quad(density, points)
+
+
+# The exact Rician L = 4 design at 10 dB, K = 0 and 10 dB, at n = 16 and 100.
+@pytest.mark.parametrize("K_db", [0.0, 10.0])
+@pytest.mark.parametrize("n,tol", [(16, 1e-2), (100, 1e-3)])
+def test_saddle_point_ser_against_the_noncentral_chi_square(K_db, n, tol):
+    channel = Rician(K_db)
+    sigma2 = 0.1
+    con = design_exact(channel, sigma2, DesignConfig(L=4)).constellation
+    probs = interval_decision_probabilities(con.levels, con.boundaries, channel, sigma2)(n)
+    got = sum(probs[k][j] for k in range(4) for j in range(4) if j != k) / 4
+    edges = (0.0,) + con.boundaries + (math.inf,)
+    ref = mpf(0)
+    for k, p in enumerate(con.levels):
+        if k > 0:
+            ref += _rician_tail_mp(channel, sigma2, p, n, edges[k], upper=False)
+        if k < 3:
+            ref += _rician_tail_mp(channel, sigma2, p, n, edges[k + 1], upper=True)
+    ref /= 4
+    assert _rel_err(got, ref) <= tol, (got, ref)

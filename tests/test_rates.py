@@ -3,12 +3,15 @@
 The p = 0 exponential case has closed forms that serve as the independent
 oracle: with sigma2 = 1 the fluctuation is Exp(1) - 1, giving
 I_R(d) = d - ln(1+d) and I_L(d) = -d - ln(1-d) for d < 1 (infinite beyond).
+Under Rayleigh fading n * ||y||^2 / n / (p + sigma2) is Gamma(n), which is the
+exact reference for the saddle-point decision probabilities.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaincc
 
 from simo_energy import rates
 from simo_energy.channel import (
@@ -362,3 +365,117 @@ def test_chernoff_dominates_monte_carlo():
     bound = chernoff_ser_bound(out.constellation, rayleigh(), sigma2, n)
     se = math.sqrt(max(rep.ser * (1 - rep.ser), 1e-12) / rep.symbols)
     assert rep.ser <= bound + 3 * se
+
+
+def _ser(probabilities, n):
+    """Symbol error rate from the decision probabilities, off the diagonal."""
+    rows = probabilities(n)
+    return sum(p for k, row in enumerate(rows) for j, p in enumerate(row) if j != k) / len(rows)
+
+
+def _rayleigh_ser(levels, boundaries, sigma2, n):
+    """Exact SER of interval decoding under Rayleigh fading: n * stat / (p + sigma2)
+    is Gamma(n) distributed."""
+    edges = (0.0,) + tuple(boundaries) + (math.inf,)
+    total = 0.0
+    for k, p in enumerate(levels):
+        s = p + sigma2
+        total += gammainc(n, n * edges[k] / s)
+        if k < len(levels) - 1:
+            total += gammaincc(n, n * edges[k + 1] / s)
+    return total / len(levels)
+
+
+class TestIntervalDecisionProbabilities:
+    """Lugannani-Rice probabilities of interval decisions against exact references."""
+
+    def test_rayleigh_ser_against_the_gamma_cdf(self):
+        # Exact designs over the paper's SNR range; the relative error falls
+        # like 0.066 / n (4.1e-3 at n = 16, 5.9e-4 at n = 100 when set).
+        # SERs below 1e-290 underflow in the reference and must do so here.
+        for L in (2, 4, 8, 16):
+            for snr_db in range(-20, 55, 5):
+                sigma2 = sigma_from_snr(snr_db)
+                con = design_exact(rayleigh(), sigma2, DesignConfig(L=L)).constellation
+                probs = rates.interval_decision_probabilities(
+                    con.levels, con.boundaries, rayleigh(), sigma2
+                )
+                for n in (16, 32, 64, 100, 400):
+                    got, ref = _ser(probs, n), _rayleigh_ser(con.levels, con.boundaries, sigma2, n)
+                    if ref < 1e-290:
+                        assert got < 1e-280, (L, snr_db, n, got)
+                        continue
+                    tol = 1e-3 if n >= 100 else 1e-2
+                    assert got == pytest.approx(ref, rel=tol), (L, snr_db, n)
+
+    @pytest.mark.parametrize(
+        "channel", [rayleigh(), Rician(0.0), NakagamiReal(0.6), NakagamiReal(2.0)]
+    )
+    def test_each_row_is_a_distribution(self, channel):
+        con = design_exact(channel, 0.1, DesignConfig(L=4)).constellation
+        probs = rates.interval_decision_probabilities(con.levels, con.boundaries, channel, 0.1)
+        for n in (1, 2, 16, 400, 4096):
+            for row in probs(n):
+                assert all(0.0 <= p <= 1.0 for p in row)
+                assert sum(row) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mismatched_noise_and_the_removable_singularity(self):
+        # A boundary on the receiver point (w = u = 0) and boundaries below
+        # their own receiver points, as a larger true noise puts them: the
+        # probabilities still follow the exact Gamma CDF, and the limit that
+        # stands in below |w| = 1e-3 joins the full formula continuously.
+        levels, sigma2 = (0.0, 1.0, 3.0), 0.5
+        for boundaries in ((0.5, 2.0), (1.3, 1.6)):
+            probs = rates.interval_decision_probabilities(levels, boundaries, rayleigh(), sigma2)
+            for n in (16, 100):
+                ref = _rayleigh_ser(levels, boundaries, sigma2, n)
+                assert _ser(probs, n) == pytest.approx(ref, rel=1e-2)
+        r = 1.0 + sigma2
+        for n in (16, 400):
+            cdf, ref = [], []
+            for w in (0.0, 0.999e-3, 1.001e-3):
+                c = r * (1.0 + w / math.sqrt(n))  # |w| just below, at and above 1e-3
+                probs = rates.interval_decision_probabilities((1.0, 5.0), (c,), rayleigh(), sigma2)
+                cdf.append(probs(n)[0][0])
+                ref.append(gammainc(n, n * c / r))
+                assert cdf[-1] == pytest.approx(ref[-1], rel=1e-4)
+            # The step at |w| = 1e-3 (2.1e-6 at n = 16) is below the formula's own error.
+            assert abs((cdf[2] - cdf[1]) - (ref[2] - ref[1])) < 1e-5
+
+    def test_refusals(self):
+        with pytest.raises(InputError, match="^boundaries "):
+            rates.interval_decision_probabilities((0.0, 1.0), (), rayleigh(), 0.1)
+        with pytest.raises(InputError, match="^boundaries "):
+            rates.interval_decision_probabilities((0.0, 1.0, 2.0), (1.5, 0.6), rayleigh(), 0.1)
+        with pytest.raises(InputError, match="^sigma2 "):
+            rates.interval_decision_probabilities((0.0, 1.0), (0.6,), rayleigh(), 0.0)
+        probs = rates.interval_decision_probabilities((0.0, 1.0), (0.6,), rayleigh(), 0.1)
+        for bad in (0, 2.5, True):
+            with pytest.raises(InputError, match="^n "):
+                probs(bad)
+
+    def test_ser_exponent_approaches_t_star(self):
+        # The paper's asymptotic claim: -log(SER)/n tends to the design's t*,
+        # and the gap shrinks like (log n)/n.  SER ~ C exp(-n t*) / sqrt(n),
+        # so n * gap = log(n) / 2 - log C: its slope in log n tends to 1/2.
+        sigma2 = sigma_from_snr(-5.0)
+        out = design_exact(rayleigh(), sigma2, DesignConfig(L=4))
+        con = out.constellation
+        probs = rates.interval_decision_probabilities(
+            con.levels, con.boundaries, rayleigh(), sigma2
+        )
+        ns = (1_000, 10_000, 100_000)
+        gaps = []
+        for n in ns:
+            ser = _ser(probs, n)
+            exact = _rayleigh_ser(con.levels, con.boundaries, sigma2, n)
+            assert ser == pytest.approx(exact, rel=1e-6)
+            gaps.append(-math.log(ser) / n - out.t_star)
+        assert 0.0 < gaps[2] < gaps[1] < gaps[0]
+        assert gaps[2] < 0.02 * out.t_star
+        slopes = [
+            (n2 * g2 - n1 * g1) / math.log(n2 / n1)
+            for (n1, g1), (n2, g2) in zip(zip(ns, gaps), zip(ns[1:], gaps[1:]))
+        ]
+        assert slopes[0] < slopes[1]
+        assert slopes[1] == pytest.approx(0.5, abs=0.02)
