@@ -13,8 +13,8 @@ small-deviation quadratic approximation, and the resulting union bound /
 error exponent of a constellation with interval decoding regions.  The same
 saddle point, with the log-MGF curvature of each law, gives the
 Lugannani-Rice probability of every interval decision
-(`interval_decision_probabilities`), whose SER is exact to about 0.07/n
-relative where the union bound is only an exponent.
+(`interval_decision_probabilities`): where the union bound gets only the
+exponent right, its SER is within about 0.07/n of the exact Rayleigh one.
 """
 
 from __future__ import annotations
@@ -317,9 +317,9 @@ def interval_decision_probabilities(levels, boundaries, channel: ChannelSpec, si
     bounds = tuple(check_number(c, "boundaries", 0, math.inf, "()") for c in boundaries)
     if len(bounds) != len(levels) - 1 or any(b <= a for a, b in zip(bounds, bounds[1:])):
         raise InputError("boundaries", "boundaries must be L - 1 strictly increasing numbers")
+    curvature = channel.log_mgf_curvature
     tails = []  # per level, per boundary: (w, u, limit of the correction) at n = 1
     for k, p in enumerate(levels):
-        curvature = channel.log_mgf_curvature
         h = 1e-3 * channel.theta_max(sigma2, p)
         kappa3 = (curvature(sigma2, p, h) - curvature(sigma2, p, -h)) / (2.0 * h)
         limit = -kappa3 / (6.0 * curvature(sigma2, p, 0.0) ** 1.5)

@@ -454,6 +454,17 @@ class TestIntervalDecisionProbabilities:
             with pytest.raises(InputError, match="^n "):
                 probs(bad)
 
+    @pytest.mark.parametrize("channel", [rayleigh(), Rician(0.0), NakagamiReal(2.0)])
+    def test_the_chernoff_bound_dominates_at_400_antennas(self, channel):
+        for L in (2, 4, 16):
+            for snr_db in (-20.0, 10.0, 50.0):
+                sigma2 = sigma_from_snr(snr_db)
+                con = design_exact(channel, sigma2, DesignConfig(L=L)).constellation
+                probs = rates.interval_decision_probabilities(
+                    con.levels, con.boundaries, channel, sigma2
+                )
+                assert _ser(probs, 400) <= chernoff_ser_bound(con, channel, sigma2, 400)
+
     def test_ser_exponent_approaches_t_star(self):
         # The paper's asymptotic claim: -log(SER)/n tends to the design's t*,
         # and the gap shrinks like (log n)/n.  SER ~ C exp(-n t*) / sqrt(n),
