@@ -2,7 +2,10 @@
 
 The cells are Rayleigh energy and noncoherent-ML receivers at large n, plus
 the two samplers the Rayleigh cells do not run at n = 16: Nakagami energy
-regions and Rayleigh pilot PAM (T = 2, T_l = 1).  A Rician K = 0 dB pilot-PAM
+regions and Rayleigh pilot PAM (T = 2, T_l = 1).  The Nakagami energy cells
+run at m = 2, where the sampler draws `_gaussian_sums` given the channel
+energy, and at the benchmark's m = nakagami_m_from_K(0) ~ 0.2945 (n = 16
+and 100), where it adds one Gamma to it.  A Rician K = 0 dB pilot-PAM
 cell (T = 4, T_l = 1) runs the projection sampler's other branch: a
 nonzero-mean estimate and three data slots that share one cross term.  One
 more Rayleigh energy cell decodes 64 minimum-distance levels at n = 400,
@@ -28,7 +31,13 @@ import statistics
 import time
 
 from simo_energy import montecarlo
-from simo_energy.channel import NakagamiReal, Rician, rayleigh, sigma_from_snr
+from simo_energy.channel import (
+    NakagamiReal,
+    Rician,
+    nakagami_m_from_K,
+    rayleigh,
+    sigma_from_snr,
+)
 from simo_energy.decode import EnergyRegions, NoncoherentML, PilotPAM
 from simo_energy.design import (
     DesignConfig,
@@ -52,6 +61,7 @@ def cells():
     amps = pam_constellation(4).amplitudes
     pilot = PilotPAM(amps, 0.0, 1.0, sigma2, 2, 1)
     rician = Rician(0.0)
+    nakagami_k0 = NakagamiReal(nakagami_m_from_K(0.0))
     rician_pilot = PilotPAM(amps, rician.mu, rician.sigma_h2, sigma2, 4, 1)
     pilot_l2 = PilotPAM(pam_constellation(2).amplitudes, 0.0, 1.0, sigma2, 2, 1)
     for name, decoder in (("min_antennas.energy", energy), ("min_antennas.pilot_pam", pilot_l2)):
@@ -63,6 +73,8 @@ def cells():
         ("energy.n1000", rayleigh(), energy, 1000, 100_000),
         ("energy_L64.n400", rayleigh(), energy_64, 400, DRAWS // 400),
         ("nakagami_energy.n16", NakagamiReal(2.0), energy, 16, DRAWS // 16),
+        ("nakagami_k0dB_energy.n16", nakagami_k0, energy, 16, DRAWS // 16),
+        ("nakagami_k0dB_energy.n100", nakagami_k0, energy, 100, DRAWS // 100),
         ("pilot_pam.n16", rayleigh(), pilot, 16, DRAWS // 16),
         ("pilot_pam_rician0dB_T4.n16", rician, rician_pilot, 16, DRAWS // 16),
     ):

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +57,8 @@ ANTENNA_RANGE = (1, _BLOCK_DRAWS)  # antenna counts, as the (lo, hi) of check_nu
 
 
 def _keep(receiver, **checked) -> None:
-    """Store the checked values of a frozen receiver in place of its inputs."""
+    """Store the checked values of a frozen receiver in place of its inputs,
+    and what it derives from them."""
     for name, value in checked.items():
         object.__setattr__(receiver, name, value)
 
@@ -84,19 +84,16 @@ class _LikelihoodReceiver(_NoncoherentReceiver):
     likelihood reads ||y||^2 alone and the ML regions are intervals of
     ||y||^2 / n at the closed-form crossings; otherwise `_likelihood_index`
     compares every level's likelihood.  mu is finite and sigma_h2 finite, and
-    positive at mu = 0, where every level would otherwise be equally likely."""
+    positive at mu = 0, where every level would otherwise be equally likely.
+    The crossings are computed once, at construction, so levels whose
+    assumed variances they cannot tell apart are refused there."""
 
     def __post_init__(self):
         levels, sigma2 = check_levels(self.levels, self.sigma2)
         mu = check_number(self.mu, "mu", -math.inf, math.inf, "()")
         sigma_h2 = check_number(self.sigma_h2, "sigma_h2", 0, math.inf, "()" if mu == 0 else "[)")
-        _keep(self, levels=levels, mu=mu, sigma_h2=sigma_h2, sigma2=sigma2)
-
-    @cached_property
-    def thresholds(self):
-        if self.mu == 0.0:
-            return _ml_crossings(self.levels, self.sigma_h2, self.sigma2)
-        return None
+        thresholds = _ml_crossings(levels, sigma_h2, sigma2) if mu == 0.0 else None
+        _keep(self, levels=levels, mu=mu, sigma_h2=sigma_h2, sigma2=sigma2, thresholds=thresholds)
 
     def decide(self, n: int, norm2, re_sum) -> np.ndarray:
         if self.thresholds is not None:
@@ -404,6 +401,7 @@ def ml_threshold_boundaries(
     statistic at that variance alone.
     """
     check_number(sigma_h2, "sigma_h2", 1, 1)
+    levels, sigma2 = check_levels(levels, sigma2)
     return Constellation(levels, sigma2, _ml_crossings(levels, sigma_h2, sigma2))
 
 
@@ -411,7 +409,20 @@ def _ml_crossings(levels, sigma_h2: float, sigma2: float) -> tuple:
     """Where adjacent levels' zero-mean likelihoods cross, on the ||y||^2 / n axis.
 
     The variances s2_k = sigma_h2 * p_k + sigma2 increase with k, so the
-    crossings increase too and every level owns one interval.
+    crossings increase too and every level owns one interval.  Strictly
+    increasing levels may still round to equal variances (levels 0 and
+    1e-300 at sigma2 = 0.1), or to variances with equal reciprocals; such
+    levels have no crossing, and InputError names `levels`.
     """
     s2 = [sigma_h2 * float(p) + sigma2 for p in levels]
-    return tuple(math.log(b / a) / (1.0 / a - 1.0 / b) for a, b in zip(s2, s2[1:]))
+    crossings = []
+    for p, q, a, b in zip(levels, levels[1:], s2, s2[1:]):
+        gap = 1.0 / a - 1.0 / b
+        if not gap > 0.0:
+            raise InputError(
+                "levels", f"levels must give strictly increasing assumed variances "
+                          f"sigma_h2 * p + sigma2 with distinct reciprocals, got {a!r} "
+                          f"and {b!r} at levels {p!r} and {q!r}"
+            )
+        crossings.append(math.log(b / a) / gap)
+    return tuple(crossings)

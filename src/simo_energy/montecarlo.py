@@ -29,7 +29,9 @@ Each block passes through three layers, each written once:
   K = +inf included)    else `_gaussian_sums`       Gaussian, plus a Gamma
                                                     remainder for ||y||^2
   Nakagami              G = sum_i |h_i|^2 as one    every antenna sample
-                        Gamma draw, then
+                        Gamma draw; then for m <= 1
+                        one Gamma draw (none at
+                        m = 1), for m > 1
                         `_gaussian_sums` given G
   ====================  ==========================  ============================
 
@@ -289,10 +291,24 @@ def _nakagami_stats(channel: NakagamiReal, sigma2, p, n, rng, with_sum):
     # Given the channel energy G = sum_i |h_i|^2 ~ Gamma(n*m, 1/m), ||y||^2
     # depends on h only through ||h||^2 (rotational invariance of the noise),
     # so it is ||x||^2 of x_i ~ CN(sqrt(pG/n), sigma2), and exactly pG without noise.
-    gain = rng.gamma(n * channel.m, 1.0 / channel.m, size=len(p))
+    m = channel.m
+    gain = rng.gamma(n * m, 1.0 / m, size=len(p))
     if sigma2 == 0.0:
         return p * gain, None
-    return _gaussian_sums(np.sqrt(p * gain / n), sigma2, n, rng, len(p))[0], None
+    if m > 1.0:
+        return _gaussian_sums(np.sqrt(p * gain / n), sigma2, n, rng, len(p))[0], None
+    # Per antenna E e^{theta|y|^2} = (1 - theta*A)^(-m) (1 - theta*sigma2)^(m - 1)
+    # with A = sigma2 + p/m (`NakagamiReal.log_mgf`).  For m <= 1 both powers
+    # are negative: the MGF of A*Gamma(m) + sigma2*Gamma(1 - m), independent.
+    # Over n antennas ||y||^2 is A*Gamma(n*m) + sigma2*Gamma(n*(1 - m)), and
+    # m*G is a Gamma(n*m) draw, so A*m*G = p*G + sigma2*m*G: no draw beyond G
+    # at m = 1 and one Gamma below.  Written in G, it stays finite where p/m
+    # overflows.  For m > 1 the noise factor has a positive power, and no
+    # such split exists.
+    norm2 = p * gain + sigma2 * (m * gain)
+    if m < 1.0:
+        norm2 += sigma2 * rng.standard_gamma(n * (1.0 - m), size=len(p))
+    return norm2, None
 
 
 def _antenna_pilot(channel, sigma2, dec: PilotPAM, n, nb, rng):

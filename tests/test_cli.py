@@ -401,6 +401,17 @@ class TestConfigHandling:
             (["simulate", "--artifact", {"levels": [0.0, 1.0, 2.0], "sigma2_design": math.inf,
                                          "boundaries": None},
               "--sim.scheme", "noncoherent_ml", "--sim.symbols", "2000"], "artifact"),
+            # Levels whose assumed variances sigma_h2 * p + sigma2 tie have no
+            # zero-mean likelihood crossing: it divided by zero.
+            (["simulate", "--artifact", {"levels": [0.0, 1e-300], "sigma2_design": 0.1,
+                                         "boundaries": None},
+              "--sim.scheme", "noncoherent_ml", "--sim.symbols", "2000"], "artifact"),
+            (["min-antennas", "--artifact", {"levels": [0.0, 1e-300], "sigma2_design": 0.1,
+                                             "boundaries": None},
+              "--sim.scheme", "ask_energy_ml", "--sim.symbols", "2000"], "artifact"),
+            (["sweep-n", "--artifact", {"levels": [0.0, 1e-300], "sigma2_design": 0.1,
+                                        "boundaries": None},
+              "--sim.scheme", "noncoherent_ml", "--sim.symbols", "2000"], "artifact"),
             # JSON true and false are not numbers in an artifact either: levels
             # (0.0, true) used to be evaluated as (0.0, 1.0).
             (["evaluate", "--artifact", {"levels": [0.0, True], "sigma2_design": 0.1,

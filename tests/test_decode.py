@@ -250,6 +250,28 @@ class TestMlThresholdBoundaries:
             ml_threshold_boundaries((0.0, 0.4, 1.6), sigma_h2, 0.3)
         assert info.value.field == "sigma_h2"
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda levels: ml_threshold_boundaries(levels, 1.0, 0.1),
+            lambda levels: NoncoherentML(levels, 0.0, 1.0, 0.1),
+            lambda levels: EnergyMLAsk(levels, 0.0, 1.0, 0.1, 4),
+        ],
+        ids=["ml_threshold_boundaries", "noncoherent_ml", "ask_energy_ml"],
+    )
+    @pytest.mark.parametrize("levels", [(0.0, 1e-300), (0.0, 0.02, math.nextafter(0.02, 1.0))])
+    def test_refuses_levels_whose_variances_tie(self, make, levels):
+        # Strictly increasing levels whose variances sigma_h2 * p + sigma2
+        # round to one float have no crossing: it divided by zero.
+        with pytest.raises(InputError, match="^levels must give strictly increasing") as info:
+            make(levels)
+        assert info.value.field == "levels"
+
+    def test_nonzero_mean_separates_tied_variances_by_their_means(self):
+        # Only the zero-mean crossings need distinct variances.
+        assert NoncoherentML((0.0, 1e-300), 0.5, 1.0, 0.1).thresholds is None
+        assert EnergyMLAsk((0.0, 1e-300), 0.5, 1.0, 0.1, 4).thresholds is None
+
 
 class TestZeroMeanLikelihoodIntervals:
     """With mu = 0 both ML decoders decide by intervals of ||y||^2 / n; the

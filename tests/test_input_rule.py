@@ -150,6 +150,13 @@ RULES = {
                           ALL, (-0.5,)),
     "ml_threshold_boundaries": (lambda v: ml_threshold_boundaries(LEVELS, v, 0.1), "sigma_h2",
                                 ALL, (0.5,)),
+    # Levels whose zero-mean variances sigma_h2 * p + sigma2 round to one float.
+    "ml_threshold_boundaries.levels": (
+        lambda v: ml_threshold_boundaries((0.0, v), 1.0, 0.1), "levels", (), (1e-300,)),
+    "NoncoherentML.levels": (lambda v: NoncoherentML((0.0, v), 0.0, 1.0, 0.1), "levels",
+                             (), (1e-300,)),
+    "EnergyMLAsk.levels": (lambda v: EnergyMLAsk((0.0, v), 0.0, 1.0, 0.1, 4), "levels",
+                           (), (1e-300,)),
     "SimScenario.true_sigma2": (
         lambda v: SimScenario(rayleigh(), v, EnergyRegions(MINDIST), n=4, symbols=2000, seed=0),
         "true_sigma2", ALL, (-0.1,)),

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from simo_energy.channel import (
     NakagamiReal,
     Rician,
     check_number,
+    nakagami_m_from_K,
     rayleigh,
     sigma_from_snr,
     u_second_moment,
@@ -1005,7 +1007,10 @@ class TestZeroMeanMLSkipsTheLikelihoods:
             min_antennas(scen, 0.2, 64)
 
 
-NAKAGAMI_MS = [0.6, 1.8, 5.0]
+# Below 1 (the benchmark's shape, matching Rician K = 0 dB, and 0.6) the
+# sampler adds one Gamma to the channel energy, at 1 nothing, and above 1 it
+# draws `_gaussian_sums` given the channel energy.
+NAKAGAMI_MS = [nakagami_m_from_K(0.0), 0.6, 1.0, 1.8, 5.0]
 
 
 class TestNakagamiEnergySampler:
@@ -1037,17 +1042,51 @@ class TestNakagamiEnergySampler:
         assert abs(stat.mean() - (p + SIGMA2_0DB)) < 5 * math.sqrt(u2 / (n * trials))
         assert stat.var(ddof=1) == pytest.approx(u2 / n, rel=0.1)
 
+    @pytest.mark.parametrize("m", [0.6, 1.0, 1.8])
     @pytest.mark.parametrize("n", [1, 16, 400])
-    def test_noiseless_energy_is_exactly_p_times_channel_energy(self, n):
-        channel = NakagamiReal(1.8)
+    def test_noiseless_energy_is_exactly_p_times_channel_energy(self, n, m):
+        channel = NakagamiReal(m)
         p = np.array([0.0, 0.6, 1.6, 3.0] * 50)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             norm2, _ = montecarlo._nakagami_stats(
                 channel, 0.0, p, n, montecarlo._block_generator(3, 0), False
             )
-        gain = montecarlo._block_generator(3, 0).gamma(n * 1.8, 1.0 / 1.8, size=len(p))
+        gain = montecarlo._block_generator(3, 0).gamma(n * m, 1.0 / m, size=len(p))
         assert np.array_equal(norm2, p * gain)
+
+    @pytest.mark.parametrize("m", [sys.float_info.min, 1e-300])
+    @pytest.mark.parametrize("sigma2", [0.1, 1e100])
+    @pytest.mark.parametrize("n", [1, 16, 400])
+    def test_extreme_shapes_stay_finite(self, m, sigma2, n):
+        # p / m overflows at these shapes; the energy is written in the
+        # channel energy G, which stays finite.
+        p = np.array([0.0, 1.0, 1e50, 3e100] * 250)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norm2, _ = montecarlo._nakagami_stats(
+                NakagamiReal(m), sigma2, p, n, montecarlo._block_generator(5, 0), False
+            )
+        assert np.all(np.isfinite(norm2))
+        assert np.all(norm2 >= 0.0)
+
+    @pytest.mark.parametrize("m", [nakagami_m_from_K(0.0), 0.6, 1.0])
+    def test_shapes_up_to_one_draw_no_gaussian_sums(self, m, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_gaussian_sums", _refuse_gaussian_sums)
+        scen = SimScenario(
+            NakagamiReal(m), SIGMA2_0DB, EnergyRegions(TestStreamIsPinned.REGIONS), n=8,
+            symbols=2000, seed=1,
+        )
+        assert simulate(scen).symbols == 2000
+
+    def test_shapes_above_one_still_draw_gaussian_sums(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_gaussian_sums", _refuse_gaussian_sums)
+        scen = SimScenario(
+            NakagamiReal(2.0), SIGMA2_0DB, EnergyRegions(TestStreamIsPinned.REGIONS), n=8,
+            symbols=2000, seed=1,
+        )
+        with pytest.raises(_GaussianSumsCalled):
+            simulate(scen)
 
 
 PILOT_CELLS = {
@@ -1266,6 +1305,9 @@ class TestStreamIsPinned:
         # Sufficient-statistic samplers take 2^14-symbol blocks at every n:
         # three blocks at n = 100, where the draw cap would make sixteen.
         "rayleigh-energy-n100": (660, 660, (10013, 9966, 9899, 10122), (95, 162, 214, 189)),
+        # Recorded when Nakagami shapes m <= 1 drew ||y||^2 as the channel
+        # energy plus one Gamma, in place of one Gaussian and one Gamma.
+        "nakagami-m0.5-energy": (1274, 1403, (743, 748, 784, 725), (151, 400, 456, 267)),
     }
 
     def scenario(self, name):
@@ -1288,6 +1330,7 @@ class TestStreamIsPinned:
             "rayleigh-ask-energy-ml": (rayleigh(), EnergyMLAsk(self.LEVELS, 0.0, 1.0, 1.0, 8)),
             "rayleigh-noncoherent-ml": (rayleigh(), NoncoherentML(self.LEVELS, 0.0, 1.0, 1.0)),
             "nakagami-energy": (nak, EnergyRegions(self.REGIONS)),
+            "nakagami-m0.5-energy": (NakagamiReal(0.5), EnergyRegions(self.REGIONS)),
             "nakagami-noncoherent-ml": (nak, NoncoherentML(self.LEVELS, nak.mu, nak.sigma_h2, 1.0)),
         }[name]
         return SimScenario(channel, 1.0, decoder, 8, 3000, 5)
