@@ -426,23 +426,18 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
         with _field("sim.scheme"):
             decoder = EnergyRegions(constellation)
     elif scheme in ("noncoherent_ml", "ask_energy_ml"):
+        assumed = dict(
+            levels=constellation.levels,
+            mu=assumed_channel.mu,
+            sigma_h2=assumed_channel.sigma_h2,
+            sigma2=assumed_sigma2,
+        )
         # The zero-mean receivers refuse levels whose assumed variances tie.
         with _field("artifact" if cfg["artifact"] is not None else "sim.scheme"):
             if scheme == "noncoherent_ml":
-                decoder = NoncoherentML(
-                    levels=constellation.levels,
-                    mu=assumed_channel.mu,
-                    sigma_h2=assumed_channel.sigma_h2,
-                    sigma2=assumed_sigma2,
-                )
+                decoder = NoncoherentML(**assumed)
             else:
-                decoder = EnergyMLAsk(
-                    levels=constellation.levels,
-                    mu=assumed_channel.mu,
-                    sigma_h2=assumed_channel.sigma_h2,
-                    sigma2=assumed_sigma2,
-                    n=n,
-                )
+                decoder = EnergyMLAsk(**assumed, n=n)
     elif scheme == "pilot_pam":
         with _field():
             decoder = PilotPAM(

@@ -298,8 +298,8 @@ def _nakagami_stats(channel: NakagamiReal, sigma2, p, n, rng, with_sum):
     if m > 1.0:
         return _gaussian_sums(np.sqrt(p * gain / n), sigma2, n, rng, len(p))[0], None
     # Per antenna E e^{theta|y|^2} = (1 - theta*A)^(-m) (1 - theta*sigma2)^(m - 1)
-    # with A = sigma2 + p/m (`NakagamiReal.log_mgf`).  For m <= 1 both powers
-    # are negative: the MGF of A*Gamma(m) + sigma2*Gamma(1 - m), independent.
+    # with A = sigma2 + p/m (`NakagamiReal.log_mgf`).  For m <= 1 neither power
+    # is positive: the MGF of A*Gamma(m) + sigma2*Gamma(1 - m), independent.
     # Over n antennas ||y||^2 is A*Gamma(n*m) + sigma2*Gamma(n*(1 - m)), and
     # m*G is a Gamma(n*m) draw, so A*m*G = p*G + sigma2*m*G: no draw beyond G
     # at m = 1 and one Gamma below.  Written in G, it stays finite where p/m
