@@ -109,7 +109,7 @@ def search_count(scenario):
 
     def counting(scen, stop_bit_errors=None):
         result = accumulate(scen, stop_bit_errors)
-        seen.append(result[0])
+        seen.append(result.symbols)
         return result
 
     montecarlo._accumulate = counting

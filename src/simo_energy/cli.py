@@ -96,23 +96,18 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _field(name: Optional[str] = None):
-    """Report a refusal raised inside the block as a config error.
-
-    With a `name`, a ValueError, TypeError or OverflowError (a library check,
-    or arithmetic on a value of the wrong type or size) is reported on it.
-    Without one, only an InputError is, on its parameter's config field; any
-    other exception propagates.
+def _field(name: str):
+    """Report a ValueError, TypeError or OverflowError raised inside the block
+    (a library check, or arithmetic on a value of the wrong type or size) as a
+    config error on the field `name`.  `main` reports an InputError raised
+    outside every such block on its parameter's field (`_PARAM_FIELDS`).
     """
     try:
         yield
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
-        field = name or isinstance(exc, InputError) and _PARAM_FIELDS.get(exc.field)
-        if not field:
-            raise
-        raise ConfigError(f"{field}: {exc}") from None
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _json_int(value):
@@ -252,17 +247,15 @@ def _design_from(cfg: dict):
     d = cfg["design"]
     channel, sigma2 = _channel_from(cfg["channel"], "channel")
     method = d["method"]
-    with _field():
-        dcfg = DesignConfig(L=_json_int(d["L"]), power_budget=d["budget"], eps=d["eps"])
+    dcfg = DesignConfig(L=_json_int(d["L"]), power_budget=d["budget"], eps=d["eps"])
     if method in ("exact", "moments", "robust"):
         box = _box_from(cfg) if method == "robust" else None
-        with _field():
-            if method == "exact":
-                out = design_exact(channel, sigma2, dcfg)
-            elif method == "moments":
-                out = design_moments(alpha1(channel), sigma2, dcfg)
-            else:
-                out = design_robust(box, dcfg)
+        if method == "exact":
+            out = design_exact(channel, sigma2, dcfg)
+        elif method == "moments":
+            out = design_moments(alpha1(channel), sigma2, dcfg)
+        else:
+            out = design_robust(box, dcfg)
         return out, out.constellation
     if method == "mindist":
         return None, min_distance_constellation(dcfg.L, sigma2)
@@ -439,28 +432,26 @@ def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenar
             else:
                 decoder = EnergyMLAsk(**assumed, n=n)
     elif scheme == "pilot_pam":
-        with _field():
-            decoder = PilotPAM(
-                amplitudes=pam_constellation(_json_int(cfg["design"]["L"])).amplitudes,
-                mu=assumed_channel.mu,
-                sigma_h2=assumed_channel.sigma_h2,
-                sigma2=assumed_sigma2,
-                coherence_slots=_json_int(sim["T"]),
-                pilot_slots=_json_int(sim["T_l"]),
-                pilot_power=sim["pilot_power"],
-            )
+        decoder = PilotPAM(
+            amplitudes=pam_constellation(_json_int(cfg["design"]["L"])).amplitudes,
+            mu=assumed_channel.mu,
+            sigma_h2=assumed_channel.sigma_h2,
+            sigma2=assumed_sigma2,
+            coherence_slots=_json_int(sim["T"]),
+            pilot_slots=_json_int(sim["T_l"]),
+            pilot_power=sim["pilot_power"],
+        )
     else:
         raise ConfigError(f"sim.scheme: unknown scheme {scheme!r}")
-    with _field():
-        return SimScenario(
-            true_channel=true_channel,
-            true_sigma2=true_sigma2,
-            decoder=decoder,
-            n=n,
-            symbols=_json_int(sim["symbols"]),
-            seed=_json_int(sim["seed"]),
-            shards=_json_int(sim["shards"]),
-        )
+    return SimScenario(
+        true_channel=true_channel,
+        true_sigma2=true_sigma2,
+        decoder=decoder,
+        n=n,
+        symbols=_json_int(sim["symbols"]),
+        seed=_json_int(sim["seed"]),
+        shards=_json_int(sim["shards"]),
+    )
 
 
 _SWEEP_COLUMNS = ["n", "ser", "ber", "ser_lo", "ser_hi", "ber_lo", "ber_hi", "symbols", "seed"]
@@ -498,8 +489,7 @@ def cmd_sweep_n(cfg: dict, out_path: Optional[str], max_rows: Optional[int] = No
 def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
     sim = cfg["sim"]
     template = _scenario_from(cfg, _constellation_for_run(cfg), 1)
-    with _field():
-        n_star = min_antennas(template, sim["target_ber"], _json_int(sim["n_max"]))
+    n_star = min_antennas(template, sim["target_ber"], _json_int(sim["n_max"]))
     rows = [
         [
             template.scheme,
@@ -518,11 +508,10 @@ def cmd_histogram(cfg: dict, out_path: Optional[str]) -> int:
         EnergyRegions(constellation)
     channel, sigma2 = _sim_channel(cfg, "true")
     n = _antenna_counts(cfg)[0]
-    with _field():
-        result = histogram(
-            constellation, channel, sigma2, n=n, trials=_json_int(sim["trials"]),
-            bins=_json_int(sim["bins"]), seed=_json_int(sim["seed"]),
-        )
+    result = histogram(
+        constellation, channel, sigma2, n=n, trials=_json_int(sim["trials"]),
+        bins=_json_int(sim["bins"]), seed=_json_int(sim["seed"]),
+    )
     columns = ["kind", "symbol", "left", "right", "count"]
     rows = []
     edges = result.bin_edges
@@ -591,6 +580,11 @@ def main(argv=None) -> int:
         return _COMMANDS[command](cfg, paths.get("out", cfg["output"]["path"]))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except InputError as exc:
+        if exc.field not in _PARAM_FIELDS:
+            raise
+        print(f"config error: {_PARAM_FIELDS[exc.field]}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -18,14 +18,17 @@ np.searchsorted(boundaries, stat, side="left").
 
 The decoder objects are the one way a receiver is applied:
 EnergyRegions, NoncoherentML and EnergyMLAsk decide a level from
-(||y||^2, Re sum_i y_i) with `decide`; PilotPAM estimates the channel from
+(||y||^2, Re sum_i y_i) with the one `decide` of their base class, an
+interval search over their `thresholds` when they have them and their own
+likelihood rule otherwise; PilotPAM estimates the channel from
 the pilot average (`estimate`) and decides an amplitude from the projection
 Re(h_hat^H y) / ||h_hat||^2 alone (`decide`), so a simulator that draws the
 projection directly needs no channel estimate.
 
 When the assumed mean mu is 0, both likelihoods depend on ||y||^2 alone and
 their ML regions are intervals of ||y||^2 / n whose boundaries are the
-closed-form crossings of adjacent levels' likelihoods; NoncoherentML and
+closed-form crossings of adjacent levels' likelihoods, finite at every
+accepted assumed noise power, subnormal ones included; NoncoherentML and
 EnergyMLAsk then decide with one interval search (region_index) and need no
 Re sum_i y_i.  For mu != 0 they evaluate the likelihood of every level:
 noncoherent_ml_index takes the argmin of noncoherent_nll and energy_ml_index
@@ -67,8 +70,8 @@ class _NoncoherentReceiver:
     """Fresh channel every slot, no pilots, a decision among power levels from
     (||y||^2, Re sum_i y_i) over n antennas; `needs_sum` says if it reads the sum.
     `thresholds` are the L - 1 boundaries of the intervals of ||y||^2 / n that
-    it decides by, as region_index reads them, or None when it decides
-    otherwise."""
+    it decides by, as region_index reads them, or None when it decides by
+    its `_likelihood_index` instead."""
 
     coherence_slots = 1
     pilot_slots = 0
@@ -77,6 +80,11 @@ class _NoncoherentReceiver:
     @property
     def L(self) -> int:
         return len(self.levels)
+
+    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
+        if self.thresholds is not None:
+            return region_index(self.thresholds, norm2 / n)
+        return self._likelihood_index(n, norm2, re_sum)
 
 
 class _LikelihoodReceiver(_NoncoherentReceiver):
@@ -94,11 +102,6 @@ class _LikelihoodReceiver(_NoncoherentReceiver):
         sigma_h2 = check_number(self.sigma_h2, "sigma_h2", 0, math.inf, "()" if mu == 0 else "[)")
         thresholds = _ml_crossings(levels, sigma_h2, sigma2) if mu == 0.0 else None
         _keep(self, levels=levels, mu=mu, sigma_h2=sigma_h2, sigma2=sigma2, thresholds=thresholds)
-
-    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
-        if self.thresholds is not None:
-            return region_index(self.thresholds, norm2 / n)
-        return self._likelihood_index(n, norm2, re_sum)
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,6 @@ class EnergyRegions(_NoncoherentReceiver):
     @property
     def thresholds(self) -> tuple:
         return self.constellation.boundaries
-
-    def decide(self, n: int, norm2, re_sum) -> np.ndarray:
-        return region_index(self.thresholds, norm2 / n)
 
 
 @dataclass(frozen=True)
@@ -409,12 +409,20 @@ def _ml_crossings(levels, sigma_h2: float, sigma2: float) -> tuple:
     """Where adjacent levels' zero-mean likelihoods cross, on the ||y||^2 / n axis.
 
     The variances s2_k = sigma_h2 * p_k + sigma2 increase with k, so the
-    crossings increase too and every level owns one interval.  Strictly
+    crossings increase too and every level owns one interval.  Adjacent
+    variances a < b cross at log(b/a) / (1/a - 1/b).  Where b/a overflows,
+    log(b/a) is taken as log b - log a, and where 1/a overflows (a is
+    subnormal) the crossing is written a * log(b/a) * b/(b - a), so no
+    crossing is infinite or NaN at an accepted noise power.  Strictly
     increasing levels may still round to equal variances (levels 0 and
     1e-300 at sigma2 = 0.1), or to variances with equal reciprocals; such
-    levels have no crossing, and InputError names `levels`.
+    levels have no crossing, and InputError names `levels`, as it does when
+    the largest variance overflows.
     """
     s2 = [sigma_h2 * float(p) + sigma2 for p in levels]
+    if not s2[-1] < math.inf:
+        raise InputError("levels", f"levels must give finite assumed variances sigma_h2 * p "
+                                   f"+ sigma2, got {s2[-1]!r} at level {levels[-1]!r}")
     crossings = []
     for p, q, a, b in zip(levels, levels[1:], s2, s2[1:]):
         gap = 1.0 / a - 1.0 / b
@@ -424,5 +432,10 @@ def _ml_crossings(levels, sigma_h2: float, sigma2: float) -> tuple:
                           f"sigma_h2 * p + sigma2 with distinct reciprocals, got {a!r} "
                           f"and {b!r} at levels {p!r} and {q!r}"
             )
-        crossings.append(math.log(b / a) / gap)
+        ratio = b / a
+        log_ratio = math.log(ratio) if ratio < math.inf else math.log(b) - math.log(a)
+        if gap < math.inf:
+            crossings.append(log_ratio / gap)
+        else:
+            crossings.append(a * (log_ratio * (b / (b - a))))
     return tuple(crossings)

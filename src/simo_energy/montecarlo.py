@@ -65,8 +65,9 @@ Each block passes through three layers, each written once:
   for pilot PAM takes the projection).
 - counts: `_block_counts` turns a block's (sent, decoded) index pairs into
   one L x L confusion matrix, and from it symbol errors, Gray-coded bit
-  errors and per-level counts; `_accumulate` sums them over blocks and
-  forms the Wilson intervals.
+  errors and per-level counts; `_accumulate` sums them over blocks, forms
+  the Wilson intervals and returns the run's `SimReport`, which `simulate`
+  and each `min_antennas` candidate read by name.
   Pilot-PAM slots of one coherence block share the channel, so with more
   than one data slot per block the intervals are widened by the design
   effect of the per-block error counts.
@@ -479,14 +480,14 @@ def _block_counts(idx, decoded, bit_errors: np.ndarray, data_slots: int) -> _Cou
     )
 
 
-def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
+def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None) -> SimReport:
     """Run the scenario block by block; optionally stop early on enough bit errors.
 
     The early stop is evaluated at block granularity in block-index order, so
-    it is as deterministic as the full run.  Returns the symbol, symbol-error
-    and bit-error counts, the per-level sent and error counts, and the SER
-    and BER intervals.
+    it is as deterministic as the full run.  Returns the report of the
+    symbols run, timed from the call.
     """
+    start = time.perf_counter()
     run_block = (
         _run_pilot_pam_block if isinstance(scenario.decoder, PilotPAM) else _run_noncoherent_block
     )
@@ -515,9 +516,22 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None):
     symbols = int(counts.tx.sum())
     blocks = symbols // data_slots
     bits = symbols * scenario.bits_per_symbol
-    ser_ci = _clustered_interval(counts.sym_err, symbols, counts.sym_err_sq, blocks)
-    ber_ci = _clustered_interval(counts.bit_err, bits, counts.bit_err_sq, blocks)
-    return symbols, counts.sym_err, counts.bit_err, counts.tx, counts.err, ser_ci, ber_ci
+    return SimReport(
+        scheme=scenario.scheme,
+        symbols=symbols,
+        symbol_errors=counts.sym_err,
+        bits=bits,
+        bit_errors=counts.bit_err,
+        ser=counts.sym_err / symbols,
+        ber=counts.bit_err / bits,
+        ser_ci=_clustered_interval(counts.sym_err, symbols, counts.sym_err_sq, blocks),
+        ber_ci=_clustered_interval(counts.bit_err, bits, counts.bit_err_sq, blocks),
+        seed=scenario.seed,
+        shards=scenario.shards,
+        tx_counts=tuple(int(c) for c in counts.tx),
+        err_counts=tuple(int(c) for c in counts.err),
+        elapsed_s=time.perf_counter() - start,
+    )
 
 
 def _clustered_interval(errors: int, trials: int, errors_sq: int, blocks: int):
@@ -544,25 +558,7 @@ def _clustered_interval(errors: int, trials: int, errors_sq: int, blocks: int):
 
 def simulate(scenario: SimScenario) -> SimReport:
     """Estimate SER/BER for the scenario with full-budget deterministic sampling."""
-    start = time.perf_counter()
-    symbols, sym_err, bit_err, tx, err, ser_ci, ber_ci = _accumulate(scenario)
-    bits = symbols * scenario.bits_per_symbol
-    return SimReport(
-        scheme=scenario.scheme,
-        symbols=symbols,
-        symbol_errors=sym_err,
-        bits=bits,
-        bit_errors=bit_err,
-        ser=sym_err / symbols,
-        ber=bit_err / bits,
-        ser_ci=ser_ci,
-        ber_ci=ber_ci,
-        seed=scenario.seed,
-        shards=scenario.shards,
-        tx_counts=tuple(int(c) for c in tx),
-        err_counts=tuple(int(c) for c in err),
-        elapsed_s=time.perf_counter() - start,
-    )
+    return _accumulate(scenario)
 
 
 NOT_REACHED = None
@@ -597,12 +593,13 @@ def min_antennas(
     spent = []  # symbols simulated per candidate
 
     def log_ratio(n: int) -> float:
-        scen = _with_antennas(scenario_template, n)
-        symbols, _, bit_err, *_, (_, upper) = _accumulate(scen, stop_bit_errors=_MIN_BIT_ERRORS)
-        spent.append(symbols)
+        report = _accumulate(_with_antennas(scenario_template, n), _MIN_BIT_ERRORS)
+        spent.append(report.symbols)
+        upper = report.ber_ci[1]
         _log.debug(
             "min_antennas candidate n=%d: %d symbols, %d bit errors, BER upper %.6g, %s",
-            n, symbols, bit_err, upper, "qualifies" if upper < target_ber else "fails",
+            n, report.symbols, report.bit_errors, upper,
+            "qualifies" if upper < target_ber else "fails",
         )
         return math.log(upper / target_ber)
 
@@ -767,7 +764,9 @@ def histogram(
     hi = max(r_pts[-1] + 6.0 * spread, constellation.boundaries[-1] * 1.05)
     edges = np.linspace(0.0, hi, bins + 1)
 
-    region_edges = (0.0,) + constellation.boundaries + (math.inf,)
+    # Level 0's region reaches down to -inf, as region_index decides it, so a
+    # noiseless statistic of exactly 0 lies inside it.
+    region_edges = (-math.inf,) + constellation.boundaries + (math.inf,)
     # The decoder only selects the ||y||^2 sampler of `channel`; it decides nothing.
     sampler, _ = _sampler(channel, decoder, n)
     counts, means, variances, outside = [], [], [], []

@@ -134,8 +134,7 @@ class QuadraticRateOracle:
     def rate_right(self, d: float) -> float:
         return approx_rate(self.u2, d)
 
-    def rate_left(self, d: float) -> float:
-        return approx_rate(self.u2, d)
+    rate_left = rate_right
 
     def inverse_rate(self, side: str, t: float) -> float:
         if not 0.0 < t < math.inf:

@@ -678,6 +678,26 @@ class TestSimulationCommands:
         assert len(payload["rows"]) == 1
         assert 0 <= payload["rows"][0]["ser"] <= 1
 
+    @pytest.mark.parametrize("levels", [[0.0, 1e10], [0.0, 1.0]])
+    @pytest.mark.parametrize("scheme", ["noncoherent_ml", "ask_energy_ml"])
+    @pytest.mark.parametrize("gamma_db", ["3000", "3200"])
+    def test_zero_mean_ml_decides_at_extreme_noise(self, levels, scheme, gamma_db, tmp_path):
+        # At sigma2 1e-300 and 1e-320 every symbol is told apart.  The
+        # crossing read inf or nan, which decided one level for every symbol.
+        artifact = tmp_path / "levels.json"
+        artifact.write_text(
+            json.dumps({"levels": levels, "sigma2_design": 0.1, "boundaries": None})
+        )
+        out = tmp_path / "sim.csv"
+        assert run(
+            [
+                "simulate", "--artifact", str(artifact), "--sim.scheme", scheme,
+                "--channel.gamma_dB", gamma_db, "--sim.symbols", "20000", "--out", str(out),
+            ]
+        ) == 0
+        _, rows = data_rows(out)
+        assert rows[0].startswith("100,0.0,0.0,")
+
     def test_min_antennas_not_reached_is_data(self, tmp_path):
         out = tmp_path / "minant.csv"
         code = run(

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -265,6 +266,49 @@ class TestMlThresholdBoundaries:
         # round to one float have no crossing: it divided by zero.
         with pytest.raises(InputError, match="^levels must give strictly increasing") as info:
             make(levels)
+        assert info.value.field == "levels"
+
+    @pytest.mark.parametrize(
+        "levels, sigma2",
+        [
+            ((0.0, 1e10), 1e-300),  # b/a overflows: the crossing read inf
+            ((0.0, 1.0), 1e-320),  # 1/a overflows: it read nan
+            ((0.0, 1e-307), 1e-309),  # 1/a overflows, b/a does not
+            ((0.0, 1e-10, 1.0, 1e300), 1e-310),
+            ((0.0, 1.0, 1e300), 5e-324),
+            ((0.0, 1.0), 1e-300),  # both finite: today's formula
+            ((0.0, 0.5, 2.0), 0.1),
+        ],
+    )
+    def test_crossings_match_mpmath_at_extreme_assumed_noise(self, levels, sigma2):
+        # a * b * log(b/a) / (b - a) at 50 digits, from the float variances.
+        with mpmath.workdps(50):
+            s2 = [mpmath.mpf(p) + mpmath.mpf(sigma2) for p in levels]
+            expected = [a * b * mpmath.log(b / a) / (b - a) for a, b in zip(s2, s2[1:])]
+        for got in (
+            NoncoherentML(levels, 0.0, 1.0, sigma2).thresholds,
+            EnergyMLAsk(levels, 0.0, 1.0, sigma2, 4).thresholds,
+            ml_threshold_boundaries(levels, 1.0, sigma2).boundaries,
+        ):
+            assert len(got) == len(expected)
+            for c, ref in zip(got, expected):
+                ref = float(ref)
+                tol = 1e-15 * ref if ref >= np.finfo(float).tiny else 4.9e-324
+                assert abs(c - ref) <= tol, (c, ref)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda levels: ml_threshold_boundaries(levels, 1.0, 1e308),
+            lambda levels: NoncoherentML(levels, 0.0, 1.0, 1e308),
+            lambda levels: EnergyMLAsk(levels, 0.0, 1.0, 1e308, 4),
+        ],
+        ids=["ml_threshold_boundaries", "noncoherent_ml", "ask_energy_ml"],
+    )
+    def test_refuses_levels_whose_variances_overflow(self, make):
+        # sigma_h2 * p + sigma2 overflows: the crossing read inf.
+        with pytest.raises(InputError, match="^levels must give finite assumed") as info:
+            make((0.0, 1.7e308))
         assert info.value.field == "levels"
 
     def test_nonzero_mean_separates_tied_variances_by_their_means(self):

@@ -5,6 +5,7 @@ import math
 import sys
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -507,7 +508,7 @@ def _spy_candidates(monkeypatch):
 
     def spy(scenario, stop_bit_errors=None):
         result = accumulate(scenario, stop_bit_errors)
-        probes.append((scenario.n, result[0], result[2], result[-1][1]))
+        probes.append((scenario.n, result.symbols, result.bit_errors, result.ber_ci[1]))
         return result
 
     monkeypatch.setattr(montecarlo, "_accumulate", spy)
@@ -520,7 +521,7 @@ def bisection_min_antennas(template, target_ber, n_max):
 
     def qualifies(n):
         scen = montecarlo._with_antennas(template, n)
-        _, upper = montecarlo._accumulate(scen, stop_bit_errors=montecarlo._MIN_BIT_ERRORS)[-1]
+        _, upper = montecarlo._accumulate(scen, stop_bit_errors=montecarlo._MIN_BIT_ERRORS).ber_ci
         return upper < target_ber
 
     n, lo, hi = 1, 0, None
@@ -616,7 +617,7 @@ class TestMinAntennasContract:
         def fake(scenario, stop_bit_errors=None):
             probed.append(scenario.n)
             upper = upper_of(scenario.n, case["k"], case["n_max"])
-            return 1000, 0, 0, None, None, None, (0.0, upper)
+            return SimpleNamespace(symbols=1000, bit_errors=0, ber_ci=(0.0, upper))
 
         monkeypatch.setattr(montecarlo, "_accumulate", fake)
         template = energy_scenario(design_l4.constellation, n=1)
@@ -818,6 +819,18 @@ class TestHistogram:
         h_mind = histogram(mind, rayleigh(), sigma2, n=n, trials=trials, bins=40, seed=9)
         assert max(h_mind.outside_fraction) > 0.0
         assert sum(h_mind.outside_fraction) > sum(h_exact.outside_fraction)
+
+    @pytest.mark.parametrize(
+        "channel",
+        [rayleigh(), Rician(0.0), NakagamiReal(0.6)],
+        ids=["rayleigh", "rician0dB", "nakagami0.6"],
+    )
+    def test_noiseless_zero_level_lies_in_its_own_region(self, channel):
+        # Without noise level 0 gives a statistic of exactly 0, which
+        # region_index decides as level 0; it was counted outside.
+        con = min_distance_constellation(4, 0.1)
+        result = histogram(con, channel, 0.0, n=16, trials=1000, bins=20, seed=1)
+        assert result.outside_fraction[0] == 0.0
 
     def test_rejects_few_bins(self, design_l4):
         with pytest.raises(ValueError):
