@@ -93,6 +93,7 @@ EDGE_LEVELS = {
     "unit": (0.0, 1.0),
     "huge": (0.0, 1.7e308),
     "tied": (0.0, 1e-300),
+    "subnormal": (0.0, 1e-320),
 }
 
 STREAM_CHANNELS = {

@@ -168,12 +168,12 @@ def _merge_config(path: Optional[str], settings) -> dict:
         try:
             with open(path) as fh:
                 loaded = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+        except OSError as exc:
+            raise ConfigError(f"config: {path}: {exc.strerror}") from None
+        except ValueError as exc:  # not JSON, or not text
+            raise ConfigError(f"config: {path}: {exc}") from None
         if not isinstance(loaded, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
+            raise ConfigError(f"config: {path}: top level must be a JSON object")
         settings = [*(((key,), v) for key, v in loaded.items()), *settings]
     for field, value in settings:
         _set(cfg, field, value)
@@ -223,7 +223,8 @@ def _box_from(cfg: dict) -> UncertaintyBox:
         """(field, value) of a half-width, read from `key` or, when unset, a_dB."""
         key = key if d[key] is not None else "a_dB"
         if d[key] is None:
-            raise ConfigError("design.a_dB (or a_K_dB / a_gamma_dB) is required for robust")
+            raise ConfigError("design.a_dB: required for method 'robust' unless both "
+                              "a_K_dB and a_gamma_dB are set")
         with _field(f"design.{key}"):
             return f"design.{key}", check_number(d[key], key, -math.inf, math.inf)
 
@@ -347,7 +348,7 @@ def load_constellation_artifact(path: str) -> Constellation:
     with open(path) as fh:
         record = json.load(fh)
     if not record.get("feasible", True):
-        raise ConfigError(f"artifact {path} records an infeasible design")
+        raise ConfigError(f"artifact: {path} records an infeasible design")
     boundaries = record.get("boundaries")
     return Constellation(
         tuple(record["levels"]),
@@ -383,7 +384,7 @@ def _constellation_for_run(cfg: dict) -> Constellation:
         return _artifact_constellation(cfg)
     outcome, constellation = _design_from(cfg)
     if outcome is not None and not outcome.feasible:
-        raise ConfigError("configured design is infeasible")
+        raise ConfigError("design.method: the configured design is infeasible")
     return constellation
 
 

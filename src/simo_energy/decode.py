@@ -7,11 +7,11 @@ mismatch studies are run.  All tie-breaks go to the smaller index so that
 decoding is deterministic.
 
 Each decision rule is written once, vectorised over symbols: region_index,
-noncoherent_ml_index, energy_ml_index, pam_projection followed by
-nearest_amplitude_index, and ml_threshold_boundaries for the zero-mean ML
-regions.  region_index is the one interval search of every threshold
-receiver: the energy regions, the zero-mean ML crossings and the PAM
-midpoints of nearest_amplitude_index all go through it.  It is a branch-free
+the likelihoods noncoherent_nll and energy_ml_logpdf, pam_projection
+followed by nearest_amplitude_index, and ml_threshold_boundaries for the
+zero-mean ML regions.  region_index is the one interval search of every
+threshold receiver: the energy regions, the zero-mean ML crossings and the
+PAM midpoints of nearest_amplitude_index all go through it.  It is a branch-free
 binary search, k = ceil(log2 L) vectorised gather-and-compare passes over
 the boundaries padded with +inf, and decides exactly as
 np.searchsorted(boundaries, stat, side="left").
@@ -26,17 +26,17 @@ Re(h_hat^H y) / ||h_hat||^2 alone (`decide`), so a simulator that draws the
 projection directly needs no channel estimate.
 
 When the assumed mean mu is 0, both likelihoods depend on ||y||^2 alone and
-their ML regions are intervals of ||y||^2 / n whose boundaries are the
-closed-form crossings of adjacent levels' likelihoods, finite at every
-accepted assumed noise power, subnormal ones included; NoncoherentML and
-EnergyMLAsk then decide with one interval search (region_index) and need no
-Re sum_i y_i.  For mu != 0 they evaluate the likelihood of every level:
-noncoherent_ml_index takes the argmin of noncoherent_nll and energy_ml_index
-the argmax of energy_ml_logpdf.  At mu = 0 those two functions are the
-reference the interval route is tested against.  A receiver's `thresholds`
-are the interval boundaries it decides by (the regions of EnergyRegions, or
-these crossings, computed once per receiver), or None; `decide` and
-`montecarlo.min_antennas` both read them.
+their ML regions are intervals of ||y||^2 / n whose boundaries are where
+adjacent levels' likelihoods cross: a*b*log(b/a)/(b - a) for adjacent
+assumed variances a < b, finite at every accepted assumed noise power,
+subnormal ones included.  NoncoherentML and EnergyMLAsk then decide with one
+interval search (region_index) and need no Re sum_i y_i.  For mu != 0 they
+evaluate the likelihood of every level: NoncoherentML takes the argmin of
+noncoherent_nll and EnergyMLAsk the argmax of energy_ml_logpdf.  At mu = 0
+those two functions are the reference the interval route is tested against.
+A receiver's `thresholds` are the interval boundaries it decides by (the
+regions of EnergyRegions, or these crossings, computed once per receiver),
+or None; `decide` and `montecarlo.min_antennas` both read them.
 """
 
 from __future__ import annotations
@@ -141,9 +141,8 @@ class NoncoherentML(_LikelihoodReceiver):
         return self.mu != 0.0
 
     def _likelihood_index(self, n, norm2, re_sum):
-        return noncoherent_ml_index(
-            self.levels, self.mu, self.sigma_h2, self.sigma2, n, norm2, re_sum
-        )
+        nll = noncoherent_nll(self.levels, self.mu, self.sigma_h2, self.sigma2, n, norm2, re_sum)
+        return np.argmin(nll, axis=1)
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,8 @@ class EnergyMLAsk(_LikelihoodReceiver):
         check_number(self.n, "n", *ANTENNA_RANGE, whole=True)
 
     def _likelihood_index(self, n, norm2, re_sum):
-        return energy_ml_index(norm2 / n, n, self.levels, self.mu, self.sigma_h2, self.sigma2)
+        logpdf = energy_ml_logpdf(norm2 / n, n, self.levels, self.mu, self.sigma_h2, self.sigma2)
+        return np.argmax(logpdf, axis=1)
 
 
 @dataclass(frozen=True)
@@ -261,11 +261,6 @@ def noncoherent_nll(
     return dist2 / s2 + n * np.log(s2)
 
 
-def noncoherent_ml_index(levels, mu, sigma_h2, sigma2, n, norm2, re_sum) -> np.ndarray:
-    """Noncoherent ML level index per draw: the argmin of noncoherent_nll."""
-    return np.argmin(noncoherent_nll(levels, mu, sigma_h2, sigma2, n, norm2, re_sum), axis=1)
-
-
 _LOG_TINY = math.log(np.finfo(float).tiny)  # below this ive is subnormal or zero
 
 # Debye's polynomials u_k(p) = p^k * P_k(p^2) for k = 1..4, as coefficients
@@ -360,11 +355,6 @@ def energy_ml_logpdf(
     return out
 
 
-def energy_ml_index(stat, n, levels, mu, sigma_h2, sigma2) -> np.ndarray:
-    """Energy-ML level index per draw: the argmax of energy_ml_logpdf."""
-    return np.argmax(energy_ml_logpdf(stat, n, levels, mu, sigma_h2, sigma2), axis=1)
-
-
 def pam_projection(h_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Decision variables Re(h_hat^H y) / ||h_hat||^2, 0 where the estimate is null.
 
@@ -394,9 +384,9 @@ def ml_threshold_boundaries(
     """Decoding regions whose boundaries are the zero-mean likelihood crossings.
 
     For mu = 0 the noncoherent likelihood depends on the statistic alone, and
-    adjacent levels' log-likelihoods cross at
-    b = log(s2_{k+1}/s2_k) / (1/s2_k - 1/s2_{k+1}); interval decoding with
-    these boundaries reproduces the ML decisions exactly.  Only sigma_h2 = 1
+    adjacent levels' log-likelihoods cross at a*b*log(b/a)/(b - a) for their
+    variances a < b (`_ml_crossings`); interval decoding with these
+    boundaries reproduces the ML decisions exactly.  Only sigma_h2 = 1
     is accepted: the regions' receiver points p + sigma2 are the mean
     statistic at that variance alone.
     """
@@ -410,14 +400,14 @@ def _ml_crossings(levels, sigma_h2: float, sigma2: float) -> tuple:
 
     The variances s2_k = sigma_h2 * p_k + sigma2 increase with k, so the
     crossings increase too and every level owns one interval.  Adjacent
-    variances a < b cross at log(b/a) / (1/a - 1/b).  Where b/a overflows,
-    log(b/a) is taken as log b - log a, and where 1/a overflows (a is
-    subnormal) the crossing is written a * log(b/a) * b/(b - a), so no
-    crossing is infinite or NaN at an accepted noise power.  Strictly
-    increasing levels may still round to equal variances (levels 0 and
-    1e-300 at sigma2 = 0.1), or to variances with equal reciprocals; such
-    levels have no crossing, and InputError names `levels`, as it does when
-    the largest variance overflows.
+    variances a < b cross at a*b*log(b/a)/(b - a), written b*(log1p(r)/r)
+    with r = (b - a)/a, which cancels nowhere however close a and b are;
+    where r overflows (a tiny against b), a*((log b - log a)*(b/(b - a))).
+    Both are finite at every accepted noise power, subnormal ones included.
+    Strictly increasing levels may still round to equal variances (levels 0
+    and 1e-300 at sigma2 = 0.1); such levels have no crossing, and
+    InputError names `levels`, as it does when the largest variance
+    overflows.
     """
     s2 = [sigma_h2 * float(p) + sigma2 for p in levels]
     if not s2[-1] < math.inf:
@@ -425,17 +415,14 @@ def _ml_crossings(levels, sigma_h2: float, sigma2: float) -> tuple:
                                    f"+ sigma2, got {s2[-1]!r} at level {levels[-1]!r}")
     crossings = []
     for p, q, a, b in zip(levels, levels[1:], s2, s2[1:]):
-        gap = 1.0 / a - 1.0 / b
-        if not gap > 0.0:
+        if not a < b:
             raise InputError(
                 "levels", f"levels must give strictly increasing assumed variances "
-                          f"sigma_h2 * p + sigma2 with distinct reciprocals, got {a!r} "
-                          f"and {b!r} at levels {p!r} and {q!r}"
+                          f"sigma_h2 * p + sigma2, got {a!r} and {b!r} at levels {p!r} and {q!r}"
             )
-        ratio = b / a
-        log_ratio = math.log(ratio) if ratio < math.inf else math.log(b) - math.log(a)
-        if gap < math.inf:
-            crossings.append(log_ratio / gap)
+        r = (b - a) / a
+        if r < math.inf:
+            crossings.append(b * (math.log1p(r) / r))
         else:
-            crossings.append(a * (log_ratio * (b / (b - a))))
+            crossings.append(a * ((math.log(b) - math.log(a)) * (b / (b - a))))
     return tuple(crossings)

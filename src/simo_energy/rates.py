@@ -215,36 +215,26 @@ class Constellation:
     def mean_power(self) -> float:
         return sum(self.levels) / self.L
 
-    def deviations(self, sigma2: Optional[float] = None):
-        """Per-level (d_left, d_right) distances from r(p_k) to the region edges.
-
-        The outermost sides are infinite.  Evaluating under a noise power
-        different from the design-time one shifts the receiver points.
-        """
-        if self.boundaries is None:
-            raise InputError("boundaries", "boundaries are None: the constellation has no regions")
-        s2 = self.sigma2_design if sigma2 is None else sigma2
-        out = []
-        for k, p in enumerate(self.levels):
-            r = p + s2
-            d_l = r - self.boundaries[k - 1] if k > 0 else math.inf
-            d_r = self.boundaries[k] - r if k < self.L - 1 else math.inf
-            out.append((d_l, d_r))
-        return out
-
 
 def tail_exponents(
     constellation: Constellation, channel: ChannelSpec, sigma2: float
 ) -> list:
     """Per-level (I_left, I_right) at the region edges under noise power sigma2.
 
-    The unbounded outer sides get an infinite exponent.  A deviation that
-    comes out negative (the mean statistic falls outside its region,
-    possible only under mismatch) gets exponent 0.
+    Each level's deviations run from its mean statistic r(p) = p + sigma2 to
+    its region's edges, so a sigma2 other than the design-time one shifts
+    them.  The unbounded outer sides get an infinite exponent.  A deviation
+    that comes out negative (the mean statistic falls outside its region,
+    possible only under mismatch) gets exponent 0.  A constellation without
+    regions is refused with InputError naming `boundaries`.
     """
+    if constellation.boundaries is None:
+        raise InputError("boundaries", "boundaries are None: the constellation has no regions")
+    edges = (-math.inf, *constellation.boundaries, math.inf)
     out = []
-    for (d_l, d_r), p in zip(constellation.deviations(sigma2), constellation.levels):
+    for k, p in enumerate(constellation.levels):
         oracle = RateOracle(channel, sigma2, p)
+        d_l, d_r = oracle.r - edges[k], edges[k + 1] - oracle.r
         i_l = oracle.rate_left(max(d_l, 0.0)) if math.isfinite(d_l) else math.inf
         i_r = oracle.rate_right(max(d_r, 0.0)) if math.isfinite(d_r) else math.inf
         out.append((i_l, i_r))

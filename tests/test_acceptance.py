@@ -27,7 +27,6 @@ from simo_energy.decode import (
     NoncoherentML,
     PilotPAM,
     ml_threshold_boundaries,
-    noncoherent_ml_index,
 )
 from simo_energy.design import (
     DesignConfig,
@@ -48,7 +47,7 @@ from simo_energy.rates import (
     chernoff_ser_bound,
     error_exponent,
 )
-from helpers import degenerate_box
+from helpers import degenerate_box, noncoherent_ml_index
 
 
 def verdict(number: int, label: str) -> None:

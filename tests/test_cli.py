@@ -159,6 +159,23 @@ class TestConfigHandling:
         assert run(["design", "--config", str(bad)]) == 1
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, "directory", b"\xff\xfe", b'{"channel": {', b"[1, 2]"],
+        ids=["missing", "directory", "not-utf8", "not-json", "array"],
+    )
+    def test_unreadable_config_names_the_field(self, content, tmp_path, capsys):
+        # A directory and non-UTF-8 bytes used to end in a traceback.
+        path = tmp_path / "cfg.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        assert run(["design", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config: {path}: ")
+        assert "Traceback" not in err
+
     def test_unknown_field_exits_1(self, capsys):
         assert run(["design", "--channel.bogus", "1"]) == 1
         assert "bogus" in capsys.readouterr().err
@@ -428,6 +445,11 @@ class TestConfigHandling:
               "1e999999"], "design.budget"),
             (["design", "--design.L", "2", "--design.budget", "1e999999"], "design.budget"),
             (["design", "--design.L", "2", "--design.eps", "1e999"], "design.eps"),
+            # A robust design needs its half-widths.
+            (["design", "--design.method", "robust"], "design.a_dB"),
+            # Only a feasible design can be simulated.
+            (["simulate", "--design.L", "2", "--design.method", "robust", "--design.a_K_dB", "0",
+              "--design.a_gamma_dB", "10", "--channel.gamma_dB", "0"], "design.method"),
             # A relative tolerance lies in [2^-52, 1), and levels up to
             # L * budget must square without overflow.
             (["design", "--design.L", "2", "--design.eps", "1e300"], "design.eps"),
@@ -591,7 +613,16 @@ class TestConfigHandling:
         assert err.startswith("config error: artifact: ")
         assert "nope.json" in err
 
-    @pytest.mark.parametrize("content", ["{not json", '{"foo": 1}', "[1, 2]", '{"levels": 3}'])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{not json",
+            '{"foo": 1}',
+            "[1, 2]",
+            '{"levels": 3}',
+            '{"feasible": false, "levels": [0, 1], "sigma2_design": 0.1}',
+        ],
+    )
     def test_malformed_artifact_names_the_field(self, content, tmp_path, capsys):
         artifact = tmp_path / "bad.json"
         artifact.write_text(content)
@@ -678,10 +709,22 @@ class TestSimulationCommands:
         assert len(payload["rows"]) == 1
         assert 0 <= payload["rows"][0]["ser"] <= 1
 
-    @pytest.mark.parametrize("levels", [[0.0, 1e10], [0.0, 1.0]])
+    @pytest.mark.parametrize(
+        "levels, gamma_db, max_ser",
+        [
+            ([0.0, 1e10], "3000", 0.0),
+            ([0.0, 1e10], "3200", 0.0),
+            ([0.0, 1.0], "3000", 0.0),
+            ([0.0, 1.0], "3200", 0.0),
+            # Subnormal variances 1e-320 and 2e-320, whose crossing was refused;
+            # the ML SER at n = 100 is 2.8e-4.
+            ([0.0, 1e-320], "3200", 1e-3),
+        ],
+    )
     @pytest.mark.parametrize("scheme", ["noncoherent_ml", "ask_energy_ml"])
-    @pytest.mark.parametrize("gamma_db", ["3000", "3200"])
-    def test_zero_mean_ml_decides_at_extreme_noise(self, levels, scheme, gamma_db, tmp_path):
+    def test_zero_mean_ml_decides_at_extreme_noise(
+        self, levels, gamma_db, max_ser, scheme, tmp_path
+    ):
         # At sigma2 1e-300 and 1e-320 every symbol is told apart.  The
         # crossing read inf or nan, which decided one level for every symbol.
         artifact = tmp_path / "levels.json"
@@ -696,7 +739,8 @@ class TestSimulationCommands:
             ]
         ) == 0
         _, rows = data_rows(out)
-        assert rows[0].startswith("100,0.0,0.0,")
+        n, ser, ber = rows[0].split(",")[:3]
+        assert n == "100" and float(ser) <= max_ser and float(ber) <= max_ser
 
     def test_min_antennas_not_reached_is_data(self, tmp_path):
         out = tmp_path / "minant.csv"

@@ -17,18 +17,17 @@ from simo_energy.decode import (
     EnergyRegions,
     NoncoherentML,
     PilotPAM,
-    energy_ml_index,
     energy_ml_logpdf,
     gray_code,
     ml_threshold_boundaries,
     nearest_amplitude_index,
-    noncoherent_ml_index,
     pam_projection,
     region_index,
 )
 from simo_energy.design import ask_constellation, pam_constellation
 from simo_energy.montecarlo import _gaussian_sums
 from simo_energy.rates import Constellation
+from helpers import energy_ml_index, noncoherent_ml_index
 
 
 def sums(y):
@@ -276,8 +275,13 @@ class TestMlThresholdBoundaries:
             ((0.0, 1e-307), 1e-309),  # 1/a overflows, b/a does not
             ((0.0, 1e-10, 1.0, 1e300), 1e-310),
             ((0.0, 1.0, 1e300), 5e-324),
-            ((0.0, 1.0), 1e-300),  # both finite: today's formula
+            ((0.0, 1.0), 1e-300),
             ((0.0, 0.5, 2.0), 0.1),
+            # Adjacent variances nearly tie: log(b/a) and 1/a - 1/b cancelled,
+            # off by 2.1e-11 and 8.4e-9 relative.
+            (ask_constellation(64).levels, 1e3),
+            (ask_constellation(64).levels, 1e5),
+            ((0.0, 1e-320), 1e-320),  # subnormal variances: both reciprocals overflowed
         ],
     )
     def test_crossings_match_mpmath_at_extreme_assumed_noise(self, levels, sigma2):

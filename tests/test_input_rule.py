@@ -44,6 +44,7 @@ from simo_energy.rates import (
     approx_rate,
     chernoff_ser_bound,
     equalize_boundary,
+    tail_exponents,
 )
 from helpers import time_cap
 
@@ -104,8 +105,8 @@ RULES = {
                                ALL, (1.5,)),
     "Constellation.boundaries": (lambda v: Constellation(LEVELS, 0.1, v), "boundaries",
                                  (), ((0.5,), (1.5, 0.6))),
-    "Constellation.deviations": (lambda v: Constellation((0.0, 1.0), v).deviations(),
-                                 "boundaries", (), (0.1,)),
+    "tail_exponents": (lambda v: tail_exponents(Constellation((0.0, 1.0), v), rayleigh(), 0.1),
+                       "boundaries", (), (0.1,)),
     "UncertaintyBox.alpha1_min": (lambda v: UncertaintyBox(v, 1.0, 0.1, 0.2), "alpha1_min",
                                   ALL, (-0.1,)),
     "UncertaintyBox.alpha1_max": (lambda v: UncertaintyBox(0.5, v, 0.1, 0.2), "alpha1_max",

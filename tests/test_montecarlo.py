@@ -30,10 +30,8 @@ from simo_energy.decode import (
     EnergyRegions,
     NoncoherentML,
     PilotPAM,
-    energy_ml_index,
     gray_code,
     ml_threshold_boundaries,
-    noncoherent_ml_index,
 )
 from simo_energy.design import (
     DesignConfig,
@@ -49,6 +47,7 @@ from simo_energy.montecarlo import (
     wilson_interval,
 )
 from simo_energy.rates import Constellation, chernoff_ser_bound, interval_decision_probabilities
+from helpers import energy_ml_index, noncoherent_ml_index
 
 
 SIGMA2_10DB = sigma_from_snr(10.0)

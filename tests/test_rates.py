@@ -288,12 +288,13 @@ class TestConstellationType:
         with pytest.raises(ValueError):
             Constellation((0.0, 1.0), 0.1, (1.5,))
 
-    def test_deviations_outer_sides_infinite(self):
+    def test_tail_exponents_outer_sides_infinite(self):
         con = Constellation((0.0, 1.0), 0.1, (0.5,))
-        (d_l1, d_r1), (d_l2, d_r2) = con.deviations()
-        assert d_l1 == math.inf and d_r2 == math.inf
-        assert d_r1 == pytest.approx(0.4)
-        assert d_l2 == pytest.approx(0.6)
+        (i_l1, i_r1), (i_l2, i_r2) = rates.tail_exponents(con, rayleigh(), 0.1)
+        assert i_l1 == math.inf and i_r2 == math.inf
+        # The inner sides sit at deviations 0.4 right of r(0) and 0.6 left of r(1).
+        assert i_r1 == pytest.approx(RateOracle(rayleigh(), 0.1, 0.0).rate_right(0.4))
+        assert i_l2 == pytest.approx(RateOracle(rayleigh(), 0.1, 1.0).rate_left(0.6))
 
 
 class TestChernoffBound:
