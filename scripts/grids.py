@@ -283,8 +283,8 @@ def digest(value) -> str:
 
 
 def row(result) -> tuple:
-    """Every field of a SimReport or StatHistogram but the run time."""
-    return tuple(value for name, value in vars(result).items() if name != "elapsed_s")
+    """Every field of a SimReport or StatHistogram."""
+    return tuple(vars(result).values())
 
 
 def receivers(channel, con, sigma2, n):

@@ -388,11 +388,22 @@ def ml_threshold_boundaries(
     variances a < b (`_ml_crossings`); interval decoding with these
     boundaries reproduces the ML decisions exactly.  Only sigma_h2 = 1
     is accepted: the regions' receiver points p + sigma2 are the mean
-    statistic at that variance alone.
+    statistic at that variance alone.  Each region must enclose its
+    receiver point, so adjacent variances with no float strictly between
+    them for their crossing (1.0 and 1.0000000000000002, levels 0 and
+    2.2e-16 at sigma2 = 1) are refused on `levels`, though NoncoherentML
+    decides correctly at the rounded crossing.
     """
     check_number(sigma_h2, "sigma_h2", 1, 1)
     levels, sigma2 = check_levels(levels, sigma2)
-    return Constellation(levels, sigma2, _ml_crossings(levels, sigma_h2, sigma2))
+    crossings = _ml_crossings(levels, sigma_h2, sigma2)
+    for p, q, c in zip(levels, levels[1:], crossings):
+        if not p + sigma2 < c < q + sigma2:
+            raise InputError(
+                "levels", f"levels must leave a float strictly between adjacent assumed "
+                          f"variances for their crossing, got {c!r} at levels {p!r} and {q!r}"
+            )
+    return Constellation(levels, sigma2, crossings)
 
 
 def _ml_crossings(levels, sigma_h2: float, sigma2: float) -> tuple:

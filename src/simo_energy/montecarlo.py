@@ -63,14 +63,16 @@ Each block passes through three layers, each written once:
   reference.
 - decoder: the decoder object's own rule from `decode` (`decide`, which
   for pilot PAM takes the projection).
-- counts: `_block_counts` turns a block's (sent, decoded) index pairs into
-  one L x L confusion matrix, and from it symbol errors, Gray-coded bit
-  errors and per-level counts; `_accumulate` sums them over blocks, forms
-  the Wilson intervals and returns the run's `SimReport`, which `simulate`
-  and each `min_antennas` candidate read by name.
+- counts: `_accumulate` adds each block's (sent, decoded) index pairs into
+  one L x L confusion matrix per run, and reads the symbol errors, Gray-coded
+  bit errors and per-level counts off it: the bit errors after every block
+  for the early stop, the rest once at the end.  It forms the Wilson
+  intervals and returns the run's `SimReport`, which `simulate` and each
+  `min_antennas` candidate read by name.
   Pilot-PAM slots of one coherence block share the channel, so with more
   than one data slot per block the intervals are widened by the design
-  effect of the per-block error counts.
+  effect of the per-block error counts, whose squares `_squared_errors`
+  sums for those blocks only.
 """
 
 from __future__ import annotations
@@ -78,10 +80,9 @@ from __future__ import annotations
 import logging
 import math
 import operator
-import time
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -103,6 +104,7 @@ from .decode import (
     PilotPAM,
     gray_code,
     pam_projection,
+    region_index,
 )
 from .rates import Constellation, interval_decision_probabilities
 
@@ -213,7 +215,6 @@ class SimReport:
     shards: int
     tx_counts: tuple
     err_counts: tuple
-    elapsed_s: float
 
 
 def _block_generator(seed: int, index: int) -> np.random.Generator:
@@ -443,51 +444,28 @@ def _run_pilot_pam_block(scenario: SimScenario, sampler, rng, count: int):
     return idx.ravel(), dec.decide(z).ravel()
 
 
-class _Counts(NamedTuple):
-    """Error counts of some blocks; adding two gives the counts of both."""
-
-    sym_err: int
-    bit_err: int
-    tx: np.ndarray  # symbols sent per level
-    err: np.ndarray  # symbol errors per level
-    sym_err_sq: int  # sum of squared per-coherence-block symbol errors
-    bit_err_sq: int  # the same for bit errors
-
-    def __add__(self, other):
-        return _Counts(*(a + b for a, b in zip(self, other)))
-
-
-def _block_counts(idx, decoded, bit_errors: np.ndarray, data_slots: int) -> _Counts:
-    """Counts of one block's (sent, decoded) level indices.
-
-    `bit_errors` is `_bit_error_table(L)`.  Every count but the squares is
-    read off the block's L x L confusion matrix.  The squares are summed over
-    coherence blocks of `data_slots` consecutive symbols, and left 0 with one
-    data slot per block.
-    """
-    L = len(bit_errors)
-    confusion = np.bincount(idx * L + decoded, minlength=L * L).reshape(L, L)
-    tx = confusion.sum(axis=1)
-    err = tx - np.diag(confusion)
-    sym_err_sq = bit_err_sq = 0
-    if data_slots > 1:
-        per_block = (decoded != idx).reshape(-1, data_slots).sum(axis=1)
-        sym_err_sq = int((per_block**2).sum())
-        per_block = bit_errors[idx, decoded].reshape(-1, data_slots).sum(axis=1)
-        bit_err_sq = int((per_block**2).sum())
-    return _Counts(
-        int(err.sum()), int((confusion * bit_errors).sum()), tx, err, sym_err_sq, bit_err_sq
-    )
+def _squared_errors(sent, decoded, bit_errors: np.ndarray, data_slots: int) -> np.ndarray:
+    """Sums of the squared symbol and Gray bit errors of each coherence block
+    of `data_slots` consecutive symbols, as an int64 pair; `bit_errors` is
+    `_bit_error_table(L)`.  (0, 0) with one data slot per block, where
+    `_clustered_interval` reads none."""
+    if data_slots == 1:
+        return np.zeros(2, dtype=np.int64)
+    per_symbol = np.stack([sent != decoded, bit_errors[sent, decoded]])
+    return (per_symbol.reshape(2, -1, data_slots).sum(axis=2) ** 2).sum(axis=1)
 
 
 def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None) -> SimReport:
-    """Run the scenario block by block; optionally stop early on enough bit errors.
+    """Run the scenario block by block into one L x L confusion matrix;
+    optionally stop early on enough bit errors.
 
-    The early stop is evaluated at block granularity in block-index order, so
-    it is as deterministic as the full run.  Returns the report of the
-    symbols run, timed from the call.
+    Entry [i, j] counts the symbols of level i decided as level j.  The early
+    stop reads the Gray bit errors off the matrix after each block, in
+    block-index order, so it is as deterministic as the full run, and every
+    count of the report is read off it once at the end.  Only blocks with
+    more than one data slot (pilot PAM, T - T_l > 1) also sum the squared
+    per-coherence-block errors that `_clustered_interval` reads.
     """
-    start = time.perf_counter()
     run_block = (
         _run_pilot_pam_block if isinstance(scenario.decoder, PilotPAM) else _run_noncoherent_block
     )
@@ -501,36 +479,38 @@ def _accumulate(scenario: SimScenario, stop_bit_errors: Optional[int] = None) ->
     per_block = _symbols_per_block(draws, coherence)
     total = (scenario.symbols // coherence) * coherence
 
-    counts = _Counts(0, 0, np.zeros(L, dtype=np.int64), np.zeros(L, dtype=np.int64), 0, 0)
-    consumed = 0
-    block_index = 0
+    confusion = np.zeros((L, L), dtype=np.int64)
+    squares = np.zeros(2, dtype=np.int64)
+    consumed = block_index = 0
     while consumed < total:
         count = min(per_block, total - consumed)
         rng = _block_generator(scenario.seed, block_index)
-        idx, decoded = run_block(scenario, sampler, rng, count)
-        counts += _block_counts(idx, decoded, bit_errors, data_slots)
+        sent, decoded = run_block(scenario, sampler, rng, count)
+        confusion += np.bincount(sent * L + decoded, minlength=L * L).reshape(L, L)
+        squares += _squared_errors(sent, decoded, bit_errors, data_slots)
         consumed += count
         block_index += 1
-        if stop_bit_errors is not None and counts.bit_err >= stop_bit_errors:
+        if stop_bit_errors is not None and np.vdot(confusion, bit_errors) >= stop_bit_errors:
             break
-    symbols = int(counts.tx.sum())
+    tx = confusion.sum(axis=1)
+    err = tx - np.diag(confusion)
+    symbols, sym_err, bit_err = int(tx.sum()), int(err.sum()), int(np.vdot(confusion, bit_errors))
     blocks = symbols // data_slots
     bits = symbols * scenario.bits_per_symbol
     return SimReport(
         scheme=scenario.scheme,
         symbols=symbols,
-        symbol_errors=counts.sym_err,
+        symbol_errors=sym_err,
         bits=bits,
-        bit_errors=counts.bit_err,
-        ser=counts.sym_err / symbols,
-        ber=counts.bit_err / bits,
-        ser_ci=_clustered_interval(counts.sym_err, symbols, counts.sym_err_sq, blocks),
-        ber_ci=_clustered_interval(counts.bit_err, bits, counts.bit_err_sq, blocks),
+        bit_errors=bit_err,
+        ser=sym_err / symbols,
+        ber=bit_err / bits,
+        ser_ci=_clustered_interval(sym_err, symbols, int(squares[0]), blocks),
+        ber_ci=_clustered_interval(bit_err, bits, int(squares[1]), blocks),
         seed=scenario.seed,
         shards=scenario.shards,
-        tx_counts=tuple(int(c) for c in counts.tx),
-        err_counts=tuple(int(c) for c in counts.err),
-        elapsed_s=time.perf_counter() - start,
+        tx_counts=tuple(int(c) for c in tx),
+        err_counts=tuple(int(c) for c in err),
     )
 
 
@@ -764,9 +744,6 @@ def histogram(
     hi = max(r_pts[-1] + 6.0 * spread, constellation.boundaries[-1] * 1.05)
     edges = np.linspace(0.0, hi, bins + 1)
 
-    # Level 0's region reaches down to -inf, as region_index decides it, so a
-    # noiseless statistic of exactly 0 lies inside it.
-    region_edges = (-math.inf,) + constellation.boundaries + (math.inf,)
     # The decoder only selects the ||y||^2 sampler of `channel`; it decides nothing.
     sampler, _ = _sampler(channel, decoder, n)
     counts, means, variances, outside = [], [], [], []
@@ -778,8 +755,7 @@ def histogram(
         counts.append(tuple(int(x) for x in c))
         means.append(float(stat.mean()))
         variances.append(float(stat.var(ddof=1)))
-        inside = (stat > region_edges[k]) & (stat <= region_edges[k + 1])
-        outside.append(float(1.0 - inside.mean()))
+        outside.append(float(1.0 - np.mean(region_index(constellation.boundaries, stat) == k)))
     return StatHistogram(
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(counts),

@@ -267,6 +267,20 @@ class TestMlThresholdBoundaries:
             make(levels)
         assert info.value.field == "levels"
 
+    def test_refuses_levels_whose_crossing_has_no_float_between_the_variances(self):
+        # Variances 1.0 and 1.0000000000000002 cross in between, where no float
+        # lies: the crossing rounds to 1.0, which was refused as `boundaries`.
+        levels = (0.0, 2.220446049250313e-16)
+        with pytest.raises(InputError, match="^levels must leave a float strictly") as info:
+            ml_threshold_boundaries(levels, 1.0, 1.0)
+        assert info.value.field == "levels"
+        # The receiver decides by the rounded crossing, which still splits the
+        # two variances correctly.
+        receiver = NoncoherentML(levels, 0.0, 1.0, 1.0)
+        assert receiver.thresholds == (1.0,)
+        stat = np.array([0.5, 1.0, math.nextafter(1.0, 2.0), 2.0])
+        np.testing.assert_array_equal(receiver.decide(1, stat, None), [0, 0, 1, 1])
+
     @pytest.mark.parametrize(
         "levels, sigma2",
         [

@@ -154,6 +154,10 @@ RULES = {
     # Levels whose zero-mean variances sigma_h2 * p + sigma2 round to one float.
     "ml_threshold_boundaries.levels": (
         lambda v: ml_threshold_boundaries((0.0, v), 1.0, 0.1), "levels", (), (1e-300,)),
+    # Adjacent variances 1.0 and 1.0000000000000002: no float lies between them
+    # for their crossing.
+    "ml_threshold_boundaries.crossing": (
+        lambda v: ml_threshold_boundaries((0.0, v), 1.0, 1.0), "levels", (), (2.220446049250313e-16,)),
     "NoncoherentML.levels": (lambda v: NoncoherentML((0.0, v), 0.0, 1.0, 0.1), "levels",
                              (), (1e-300,)),
     "EnergyMLAsk.levels": (lambda v: EnergyMLAsk((0.0, v), 0.0, 1.0, 0.1, 4), "levels",
