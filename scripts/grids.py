@@ -22,8 +22,11 @@ and Nakagami m = nakagami_m_from_K(0), 0.6, 1, 2 and 5, at n 1/4/16/100 and
 0/10 dB, with energy regions, noncoherent ML and ASK-ML at an assumed mu = 0
 and at mu != 0 (Rician 0 dB assumed), and pilot PAM (T 2, T_l 1).
 Noiseless histograms run at n 4 and 16.  CLI rows: `cli.main` in process,
-as (exit code, stdout hash, stderr) or the exception it raised.  These are
-`sweep-n` over n [1, 4, 16, 100] per channel, SNR and scheme, plus the
+as (exit code, result hash, stderr, warnings) or the exception it raised, and
+under `.header` the hash of its config echo: the `#` lines of a CSV output,
+the `config` and `config_sha256` of a JSON record.  The result is the rest of
+stdout, so a change of the config's layout moves only `.header` keys.  These
+are `sweep-n` over n [1, 4, 16, 100] per channel, SNR and scheme, plus the
 commands of `CLI_CASES`.
 
 Both grids run on whichever `simo_energy` is importable, so two checkouts
@@ -136,6 +139,17 @@ CLI_CASES = {
     "simulate.pilot_pam.T4": ["simulate", "--design.method", "mindist", "--sim.scheme",
                               "pilot_pam", "--sim.T", "4", "--sim.T_l", "1",
                               "--sim.symbols", "20000"],
+    # Pilot PAM reads design.L alone, not the design of design.method.
+    **{
+        f"simulate.pilot_pam.-140dB.{method}": [
+            "simulate", "--sim.scheme", "pilot_pam", "--sim.T", "2", "--sim.T_l", "1",
+            "--design.L", "4", "--design.method", method, "--channel.gamma_dB", "-140",
+            "--sim.symbols", "2000",
+        ]
+        for method in ("exact", "robust")
+    },
+    "refuse.pilot_pam.L3": ["simulate", "--design.method", "mindist", "--design.L", "3",
+                            "--sim.scheme", "pilot_pam", "--sim.T", "4", "--sim.T_l", "1"],
     "refuse.unknown_command": ["no-such-command"],
     "refuse.K_nan": ["design", "--channel.kind", "rician", "--channel.K_dB", "nan"],
     "refuse.gamma4000": ["design", "--channel.gamma_dB", "4000"],
@@ -160,6 +174,7 @@ CLI_CASES = {
                           "0.7"],
     "refuse.n_max": ["min-antennas", "--design.method", "mindist", "--sim.n_max", "1e9"],
     "refuse.trials": ["histogram", "--design.method", "mindist", "--sim.trials", "0"],
+    "refuse.trials1": ["histogram", "--design.method", "mindist", "--sim.trials", "1"],
     "refuse.m_robust": ["design", "--design.method", "robust", "--channel.kind", "nakagami",
                         "--channel.m", "5e-324", "--design.a_dB", "1"],
     "refuse.m_moments": ["design", "--design.method", "moments", "--channel.kind", "nakagami",
@@ -324,9 +339,22 @@ def library_streams(rows: dict) -> None:
                 histogram(con, channel, 0.0, n, TRIALS, BINS, seed=STREAM_SEED))))
 
 
-def run_cli(args) -> dict:
-    """`cli.main(args)` in process: exit code, stdout hash, stderr and the
-    messages of any warnings, or what it raised."""
+def split_echo(text: str):
+    """(config echo, result) of a CLI output: a CSV's `#` lines apart from its
+    other lines, or a JSON record's config and config_sha256 apart from the rest."""
+    try:
+        record = json.loads(text)
+    except ValueError:
+        lines = text.splitlines(keepends=True)
+        return ([line for line in lines if line.startswith("#")],
+                [line for line in lines if not line.startswith("#")])
+    return {key: record.pop(key, None) for key in ("config", "config_sha256")}, record
+
+
+def run_cli(rows: dict, key: str, args) -> None:
+    """`cli.main(args)` in process, as rows[key]: exit code, result hash, stderr
+    and the messages of any warnings, or what it raised; rows[key + ".header"]
+    is the hash of its config echo."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -334,13 +362,16 @@ def run_cli(args) -> dict:
         try:
             code = cli.main(args)
         except Exception as exc:
-            return {"raised": refusal(exc)}
-    return {
+            rows[key] = {"raised": refusal(exc)}
+            return
+    echo, result = split_echo(out.getvalue())
+    rows[key] = {
         "code": code,
-        "stdout_sha256": digest(out.getvalue()),
+        "stdout_sha256": digest(result),
         "stderr": err.getvalue(),
         "warnings": sorted({str(w.message) for w in caught}),
     }
+    rows[f"{key}.header"] = digest(echo)
 
 
 def channel_args(law: str) -> list:
@@ -371,9 +402,9 @@ def cli_streams(rows: dict) -> None:
                                 str(STREAM_SYMBOLS), "--seed", str(STREAM_SEED)]
                         if scheme == "pilot_pam":
                             args += ["--sim.T", "2", "--sim.T_l", "1"]
-                        rows[f"cli.sweep-n.{law}.{snr}dB.{scheme}"] = run_cli(args)
+                        run_cli(rows, f"cli.sweep-n.{law}.{snr}dB.{scheme}", args)
             for key, args in CLI_CASES.items():
-                rows[f"cli.{key}"] = run_cli(args)
+                run_cli(rows, f"cli.{key}", args)
         finally:
             os.chdir(home)
 

@@ -45,7 +45,6 @@ _CHANNEL_DEFAULTS = {"kind": "rayleigh", "K_dB": None, "m": None, "gamma_dB": 10
 _DESIGN_DEFAULTS = {
     "method": "exact",
     "L": 4,
-    "eps": 1e-6,
     "budget": 1.0,
     "a_dB": None,
     "a_K_dB": None,
@@ -82,7 +81,7 @@ _FIELDS = {
 _SHORTHANDS = {"seed": "sim.seed", "shards": "sim.shards", "format": "output.format"}
 # The config field of each library parameter that an InputError can name.
 _PARAM_FIELDS = {
-    "L": "design.L", "power_budget": "design.budget", "eps": "design.eps",
+    "L": "design.L", "power_budget": "design.budget",
     # Only a Nakagami shape takes a design's alpha1 = 1/m past its bound.
     "alpha1": "channel.m",
     "coherence_slots": "sim.T", "pilot_slots": "sim.T_l", "pilot_power": "sim.pilot_power",
@@ -248,7 +247,7 @@ def _design_from(cfg: dict):
     d = cfg["design"]
     channel, sigma2 = _channel_from(cfg["channel"], "channel")
     method = d["method"]
-    dcfg = DesignConfig(L=_json_int(d["L"]), power_budget=d["budget"], eps=d["eps"])
+    dcfg = DesignConfig(L=_json_int(d["L"]), power_budget=d["budget"])
     if method in ("exact", "moments", "robust"):
         box = _box_from(cfg) if method == "robust" else None
         if method == "exact":
@@ -388,6 +387,12 @@ def _constellation_for_run(cfg: dict) -> Constellation:
     return constellation
 
 
+def _scheme_constellation(cfg: dict) -> Optional[Constellation]:
+    """The constellation that sim.scheme decodes; None for pilot PAM, whose
+    amplitudes come from design.L alone."""
+    return None if cfg["sim"]["scheme"] == "pilot_pam" else _constellation_for_run(cfg)
+
+
 def cmd_evaluate(cfg: dict, out_path: Optional[str]) -> int:
     if cfg["artifact"] is None:
         raise ConfigError("artifact: evaluate requires a constellation artifact")
@@ -411,7 +416,7 @@ def cmd_evaluate(cfg: dict, out_path: Optional[str]) -> int:
     return 0
 
 
-def _scenario_from(cfg: dict, constellation: Constellation, n: int) -> SimScenario:
+def _scenario_from(cfg: dict, constellation: Optional[Constellation], n: int) -> SimScenario:
     sim = cfg["sim"]
     true_channel, true_sigma2 = _sim_channel(cfg, "true")
     assumed_channel, assumed_sigma2 = _sim_channel(cfg, "assumed")
@@ -478,7 +483,7 @@ def cmd_simulate(cfg: dict, out_path: Optional[str]) -> int:
 
 
 def cmd_sweep_n(cfg: dict, out_path: Optional[str], max_rows: Optional[int] = None) -> int:
-    constellation = _constellation_for_run(cfg)
+    constellation = _scheme_constellation(cfg)
     rows = []
     for n in _antenna_counts(cfg)[:max_rows]:
         report = simulate(_scenario_from(cfg, constellation, n))
@@ -489,7 +494,7 @@ def cmd_sweep_n(cfg: dict, out_path: Optional[str], max_rows: Optional[int] = No
 
 def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
     sim = cfg["sim"]
-    template = _scenario_from(cfg, _constellation_for_run(cfg), 1)
+    template = _scenario_from(cfg, _scheme_constellation(cfg), 1)
     n_star = min_antennas(template, sim["target_ber"], _json_int(sim["n_max"]))
     rows = [
         [

@@ -54,7 +54,7 @@ _MAX_TOTAL_POWER = 1e150
 # invariant to scaling budget and sigma2 together, and so is where its outer
 # search loses precision: once two-level tails saturate, the power is
 # ill-conditioned in t, and two-level designs end short of the budget by over
-# eps, with a warning, from 3e10-1e11 (quadratic tails) and 3e11 (exact tails)
+# 1e-6, with a warning, from 3e10-1e11 (quadratic tails) and 3e11 (exact tails)
 # at -20, 10 and 50 dB alike.  Up to 1e14, L = 16 never warned and no cap was hit.
 _MAX_TOTAL_SNR = 1e9
 # Smallest 2 * budget / ((L - 1) * sigma2), the step of equispaced levels at the
@@ -64,27 +64,23 @@ _MAX_TOTAL_SNR = 1e9
 # at steps up to 3.5e-14.  From 5e-14 on no design raised over L 2-1024, five
 # laws and both tail models.  -130 dB at L = 4 is a step of 6.7e-14.
 _MIN_LEVEL_STEP = 5e-14
+# Power shortfall, relative to the budget, above which a design warns.  It
+# steers nothing: the search brackets t* over every positive float.
+_SHORTFALL = 1e-6
 _L_RANGE = (2, _MAX_L)  # sizes of designs and baselines, as the (lo, hi) of check_number
 _MAX_SIGMA = math.sqrt(sys.float_info.max)  # largest noise amplitude whose square is finite
 
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Size, power budget and power tolerance of a design.
-
-    `eps` is the power shortfall, relative to the budget, above which the
-    result is logged as a warning.  It lies in [2^-52, 1): a finer tolerance
-    cannot be met.
-    """
+    """Size and power budget of a design."""
 
     L: int
     power_budget: float = 1.0
-    eps: float = 1e-6
 
     def __post_init__(self):
         check_number(self.L, "L", *_L_RANGE, whole=True)
         check_number(self.power_budget, "power_budget", 0, math.inf, "()")
-        check_number(self.eps, "eps", sys.float_info.epsilon, 1, "[)")
         if self.L * self.power_budget > _MAX_TOTAL_POWER:
             raise InputError(
                 "power_budget",
@@ -159,9 +155,6 @@ class DesignOutcome:
     boundary_exponents: tuple
     iterations: int
 
-    def __bool__(self) -> bool:
-        return self.feasible
-
 
 def _maximize_exponent(build: Callable[[float], Optional[tuple]], cfg: DesignConfig):
     """Largest probed t whose construction `build(t)` fits the budget, by one increasing_root call.
@@ -206,20 +199,14 @@ def _exact_levels_at(
     cfg: DesignConfig,
     oracle_factory: Callable[[float], object],
 ):
-    """Inner construction at exponent t. Returns (levels, d_rights, oracles) or None.
-
-    oracles[k] is the oracle of levels[k], for every level but the last.
-    """
+    """Inner construction at exponent t. Returns (levels, d_rights) or None."""
     # Loose, so that the power is finite just above t*: the search needs its slope.
     total_cap = 4.0 * cfg.L * cfg.power_budget
     levels = [0.0]
     d_rights = []
-    oracles = []
     running = 0.0
     for k in range(cfg.L - 1):
-        oracle = oracle_factory(levels[-1])
-        oracles.append(oracle)
-        d_r = oracle.inverse_rate("right", t)
+        d_r = oracle_factory(levels[-1]).inverse_rate("right", t)
         anchor = levels[-1] + d_r
         remaining = cfg.L - 1 - k
         cap = (total_cap - running) / remaining
@@ -237,7 +224,7 @@ def _exact_levels_at(
         levels.append(q)
         d_rights.append(d_r)
         running += q
-    return levels, d_rights, oracles
+    return levels, d_rights
 
 
 def exact_power_at(channel: ChannelSpec, sigma2: float, cfg: DesignConfig, t: float) -> float:
@@ -274,8 +261,8 @@ def _design(
     coefficient alpha1 of the tail model above _MAX_ALPHA1, a total power
     L * budget above _MAX_TOTAL_SNR * sigma2, and a level step
     2 * budget / (L - 1) below _MIN_LEVEL_STEP * sigma2 are refused.  A
-    power short of the budget by more than cfg.eps relative is logged as a
-    warning on the `simo_energy` logger.
+    power short of the budget by more than _SHORTFALL relative is logged as
+    a warning on the `simo_energy` logger.
     """
     sigma2 = check_number(sigma2, "sigma2", 0, math.inf, "()")
     check_number(alpha1_value, "alpha1", 0, _MAX_ALPHA1)
@@ -302,16 +289,15 @@ def _design(
         return DesignOutcome(
             False, None, t_star=0.0, mean_power=math.inf, boundary_exponents=(), iterations=iters
         )
-    t_star, power, levels, d_rights, oracles = fit
+    t_star, power, levels, d_rights = fit
     power *= unit
-    if budget - power > cfg.eps * budget:
+    if budget - power > _SHORTFALL * budget:
         _log.warning(
-            "design power %r at t=%r falls short of the budget %r by more than eps=%r",
-            power, t_star, budget, cfg.eps,
+            "design power %r at t=%r falls short of the budget %r by more than %r relative",
+            power, t_star, budget, _SHORTFALL,
         )
     boundaries = tuple((p + noise + d_r) * unit for p, d_r in zip(levels, d_rights))
-    # The construction built the oracle of every level but the last.
-    oracles.append(factory(levels[-1]))
+    oracles = [factory(p) for p in levels]
     exponents = tuple(
         (lower.rate_right(d_r), upper.rate_left(q - p - d_r))
         for p, q, d_r, lower, upper in zip(levels, levels[1:], d_rights, oracles, oracles[1:])
@@ -335,7 +321,8 @@ def design_exact(
     """Exponent-optimal constellation for a fully known channel distribution.
 
     Every interior region edge of the result sits at the same tail exponent
-    t_star, and the mean power meets the budget to within cfg.eps.  A given
+    t_star, and the mean power is at most the budget; a shortfall of more
+    than 1e-6 relative is logged as a warning.  A given
     `oracle_factory` replaces the exact oracle of `channel`, for example by
     one that records its calls; its oracles work at the noise power sigma2,
     so that design runs unscaled.

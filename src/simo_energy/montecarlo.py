@@ -126,7 +126,7 @@ _MAX_BINS = 1 << 20
 COUNT_RANGE = (1, math.inf)
 SEED_RANGE = (0, 2**64 - 1)
 TARGET_BER_RANGE = (0, 0.5, "()")
-TRIALS_RANGE = (1, _MAX_TRIALS)
+TRIALS_RANGE = (2, _MAX_TRIALS)  # two, for the sample variance
 BINS_RANGE = (10, _MAX_BINS)
 
 _log = logging.getLogger("simo_energy")

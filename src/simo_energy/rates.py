@@ -212,9 +212,6 @@ class Constellation:
         """Mean statistic r(p_k) = p_k + sigma2 for each level."""
         return tuple(p + self.sigma2_design for p in self.levels)
 
-    def mean_power(self) -> float:
-        return sum(self.levels) / self.L
-
 
 def tail_exponents(
     constellation: Constellation, channel: ChannelSpec, sigma2: float

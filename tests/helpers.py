@@ -10,6 +10,11 @@ from simo_energy.decode import energy_ml_logpdf, noncoherent_nll
 from simo_energy.design import UncertaintyBox
 
 
+def mean_power(constellation) -> float:
+    """Mean transmit power of a constellation's levels."""
+    return sum(constellation.levels) / constellation.L
+
+
 def degenerate_box(alpha1_value: float, sigma2: float) -> UncertaintyBox:
     """The zero-width box at (alpha1_value, sigma2): robust design on it is the moments design."""
     s = math.sqrt(sigma2)

@@ -108,7 +108,7 @@ def test_criterion_02_rate_function_shape_suite():
 def test_criterion_03_design_self_consistency():
     sigma2 = sigma_from_snr(10.0)
     start = time.perf_counter()
-    out = design_exact(rayleigh(), sigma2, DesignConfig(L=4, eps=1e-6))
+    out = design_exact(rayleigh(), sigma2, DesignConfig(L=4))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     for right, left in out.boundary_exponents:

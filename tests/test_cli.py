@@ -237,6 +237,8 @@ class TestConfigHandling:
             (["design", "--channel.kind", "nakagami", "--channel.m", "0"], "channel.m"),
             (["histogram", "--design.method", "mindist", "--sim.bins", "0"], "sim.bins"),
             (["histogram", "--design.method", "mindist", "--sim.trials", "-5"], "sim.trials"),
+            # One trial has no sample variance: it used to print two RuntimeWarnings.
+            (["histogram", "--design.method", "mindist", "--sim.trials", "1"], "sim.trials"),
             (["histogram", "--design.method", "mindist", "--seed", "-1"], "sim.seed"),
             # Sizes whose arrays would not fit in memory: numpy used to raise
             # "Maximum allowed size exceeded" or "... dimension exceeded".
@@ -328,6 +330,7 @@ class TestConfigHandling:
             (["design", "--channel.kind", "rician", "--channel.K_dB", "false"], "channel.K_dB"),
             (["design", "--channel.kind", "nakagami", "--channel.m", "true"], "channel.m"),
             (["design", "--design.budget", "true"], "design.budget"),
+            # design.eps is no field: it steered nothing.
             (["design", "--design.eps", "true"], "design.eps"),
             (["design", "--design.method", "robust", "--design.a_dB", "true"], "design.a_dB"),
             (["design", "--design.method", "robust", "--channel.kind", "rician", "--channel.K_dB",
@@ -440,20 +443,21 @@ class TestConfigHandling:
              "output.path"),
             (["design", "--design.method", "mindist", "--config", {"output": {"path": ""}}],
              "output.path"),
-            # The design search needs a finite budget and tolerance.
+            # The design search needs a finite budget.
             (["design", "--design.method", "robust", "--design.a_dB", "1", "--design.budget",
               "1e999999"], "design.budget"),
             (["design", "--design.L", "2", "--design.budget", "1e999999"], "design.budget"),
+            # design.eps is no field, whatever its value.
             (["design", "--design.L", "2", "--design.eps", "1e999"], "design.eps"),
             # A robust design needs its half-widths.
             (["design", "--design.method", "robust"], "design.a_dB"),
             # Only a feasible design can be simulated.
             (["simulate", "--design.L", "2", "--design.method", "robust", "--design.a_K_dB", "0",
               "--design.a_gamma_dB", "10", "--channel.gamma_dB", "0"], "design.method"),
-            # A relative tolerance lies in [2^-52, 1), and levels up to
-            # L * budget must square without overflow.
+            # design.eps is no field, whatever its value.
             (["design", "--design.L", "2", "--design.eps", "1e300"], "design.eps"),
             (["design", "--design.L", "2", "--design.eps", "1e-320"], "design.eps"),
+            # Levels up to L * budget must square without overflow.
             (["design", "--design.method", "robust", "--design.a_dB", "1", "--design.budget",
               "1e300"], "design.budget"),
             # Above a total SNR L * budget / sigma2 of 1e9 the design search
@@ -501,9 +505,21 @@ class TestConfigHandling:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
-    def test_a_field_the_command_does_not_read_is_not_checked(self, capsys):
-        # design reads no sim field, so a value there that simulate would refuse passes.
-        assert run(["design", "--sim.seed", "abc"]) == 0
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # design reads no sim field, so a value there that simulate would refuse passes.
+            ["design", "--sim.seed", "abc"],
+            # Pilot PAM reads design.L alone, so a design it would not use is not
+            # run: these exited 1 on design.budget (-140 dB) and design.a_dB.
+            *[["simulate", "--sim.scheme", "pilot_pam", "--sim.T", "2", "--sim.T_l", "1",
+               "--design.L", "4", *method, "--channel.gamma_dB", "-140", "--sim.symbols", "2000"]
+              for method in ([], ["--design.method", "robust"])],
+        ],
+        ids=["design-sim.seed", "pilot_pam-exact", "pilot_pam-robust"],
+    )
+    def test_a_field_the_command_does_not_read_is_not_checked(self, args, capsys):
+        assert run(args) == 0
 
     # The field each command names for a constellation without decoding regions,
     # by where the constellation came from; None where the command succeeds.

@@ -30,7 +30,7 @@ from simo_energy.design import (
 )
 from simo_energy.decode import gray_code
 from simo_energy.rates import QuadraticRateOracle, error_exponent
-from helpers import degenerate_box
+from helpers import degenerate_box, mean_power
 
 
 SIGMA2_10DB = sigma_from_snr(10.0)
@@ -140,7 +140,7 @@ def test_region_edges_sit_at_t_star(method, channel, L, snr_db):
 )
 @pytest.mark.parametrize("method", ["exact", "moments"])
 def test_mean_power_meets_the_budget(method, channel, L, snr_db):
-    """The power is within eps below the budget and never 1e-12 above it.
+    """The power is within 1e-6 below the budget and never 1e-12 above it.
 
     Near saturation the computed power wobbles by about 1e-12 around the
     budget within a few ulp of t*, so the search must return a probed t that
@@ -149,7 +149,7 @@ def test_mean_power_meets_the_budget(method, channel, L, snr_db):
     """
     cfg = DesignConfig(L=L)
     out = exact_or_moments(method, channel, sigma_from_snr(snr_db), cfg)
-    assert 1.0 - cfg.eps <= out.mean_power <= 1.0 + 1e-12
+    assert 1.0 - 1e-6 <= out.mean_power <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("snr_db", [-20.0, 0.0, 10.0, 30.0, 50.0])
@@ -411,7 +411,7 @@ class TestExponentSearch:
             out = design_exact(rayleigh(), sigma2, cfg)
         assert out.feasible
         assert 0.0 < out.t_star < 1e-27
-        assert budget * (1.0 - cfg.eps) <= out.mean_power <= budget * (1.0 + 1e-12)
+        assert budget * (1.0 - 1e-6) <= out.mean_power <= budget * (1.0 + 1e-12)
 
     @pytest.mark.parametrize(
         "channel", [Rician(0.0), NakagamiReal(1.0)], ids=["rician0dB", "nakagami1"]
@@ -441,15 +441,16 @@ class TestExponentSearch:
             assert con.boundaries == pytest.approx(tuple(c * b for b in ref.boundaries), rel=1e-12)
             assert out.mean_power == pytest.approx(c * base.mean_power, rel=1e-12)
 
-    def test_power_shortfall_warns(self, caplog):
+    def test_power_shortfall_warns(self, caplog, monkeypatch):
         # At 50 dB the two-level design is near saturation, where the power is
         # ill-conditioned in t: the largest probed t that fits stops 3.4e-13
-        # short of the budget, more than eps, so the logger says so rather
-        # than pass it off as converged.
-        cfg = DesignConfig(L=2, eps=2.0**-52)
+        # short of the budget, more than a 2^-52 tolerance, so the logger says
+        # so rather than pass it off as converged.
+        monkeypatch.setattr(design, "_SHORTFALL", 2.0**-52)
+        cfg = DesignConfig(L=2)
         with caplog.at_level(logging.WARNING, logger="simo_energy"):
             out = design_exact(rayleigh(), sigma_from_snr(50.0), cfg)
-        assert 1.0 - out.mean_power > cfg.eps
+        assert 1.0 - out.mean_power > design._SHORTFALL
         assert len(caplog.records) == 1
         assert "falls short of the budget" in caplog.records[0].getMessage()
 
@@ -463,7 +464,7 @@ class TestBaselines:
     def test_min_distance_unit_mean_power(self):
         for L in (2, 3, 4, 8, 17):
             con = min_distance_constellation(L, 0.2)
-            assert con.mean_power() == pytest.approx(1.0, abs=1e-12)
+            assert mean_power(con) == pytest.approx(1.0, abs=1e-12)
 
     def test_min_distance_two_levels(self):
         con = min_distance_constellation(2, 0.3)
@@ -477,7 +478,7 @@ class TestBaselines:
 
     def test_ask_unit_mean_power(self):
         for L in (2, 3, 4, 8, 16):
-            assert ask_constellation(L).mean_power() == pytest.approx(1.0, abs=1e-12)
+            assert mean_power(ask_constellation(L)) == pytest.approx(1.0, abs=1e-12)
 
     def test_pam_amplitudes(self):
         pam = pam_constellation(4)
@@ -530,24 +531,17 @@ class TestConfigValidation:
             DesignConfig(L=2, power_budget=0.0)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_a_budget_or_tolerance_that_is_not_positive_and_finite(self, value):
-        # An infinite budget or tolerance would send the search to overflow,
-        # a false infeasible verdict or an unbracketed rate inverse.
+    def test_rejects_a_budget_that_is_not_positive_and_finite(self, value):
+        # An infinite budget would send the search to overflow, a false
+        # infeasible verdict or an unbracketed rate inverse.
         with pytest.raises(ValueError, match="^power_budget must be"):
             DesignConfig(L=2, power_budget=value)
-        with pytest.raises(ValueError, match="^eps must be"):
-            DesignConfig(L=2, eps=value)
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [("eps", 1.0), ("eps", 1e300), ("eps", 1e-30), ("eps", 1e-320),
-         ("power_budget", 1e300), ("power_budget", 5.1e149)],
-    )
-    def test_rejects_a_tolerance_or_budget_out_of_range(self, field, value):
-        # eps = 1e300 and 1e-320 and budget = 1e300 ended in tracebacks, and
-        # eps = 1e-30 in the doubling cap's wrong exponent.
+    @pytest.mark.parametrize("value", [1e300, 5.1e149])
+    def test_rejects_a_budget_out_of_range(self, value):
+        # budget = 1e300 ended in a traceback.
         with pytest.raises(ValueError):
-            DesignConfig(L=2, **{field: value})
+            DesignConfig(L=2, power_budget=value)
 
     @pytest.mark.parametrize("channel", [rayleigh(), Rician(0.0), NakagamiReal(0.6)])
     @pytest.mark.parametrize("L", [2, 16])
@@ -567,7 +561,7 @@ class TestConfigValidation:
         assert caplog.records == []
         for out in outcomes:
             assert out.feasible
-            assert out.mean_power == pytest.approx(cfg.power_budget, rel=cfg.eps)
+            assert out.mean_power == pytest.approx(cfg.power_budget, rel=1e-6)
 
     @pytest.mark.parametrize("snr_db", [-20.0, 10.0, 50.0])
     def test_rejects_a_total_snr_above_the_bound(self, snr_db):
@@ -594,7 +588,7 @@ class TestConfigValidation:
                 design_robust(degenerate_box(a1, sigma2), cfg),
             ):
                 assert out.feasible
-                assert out.mean_power == pytest.approx(cfg.power_budget, rel=cfg.eps)
+                assert out.mean_power == pytest.approx(cfg.power_budget, rel=1e-6)
 
     @pytest.mark.parametrize("L", [4.0, True, design._MAX_L + 1])
     @pytest.mark.parametrize(
@@ -619,12 +613,6 @@ class TestConfigValidation:
         assert ask_constellation(np.int64(4)) == ask_constellation(4)
         assert pam_constellation(np.int64(4)) == pam_constellation(4)
         assert min_distance_constellation(design._MAX_L, 0.1).L == design._MAX_L
-
-    @pytest.mark.parametrize("eps", [2.0**-52, 0.999])
-    def test_tolerance_at_either_end_still_designs(self, eps):
-        out = design_exact(rayleigh(), SIGMA2_10DB, DesignConfig(L=4, eps=eps))
-        reference = design_exact(rayleigh(), SIGMA2_10DB, DesignConfig(L=4))
-        assert out.t_star == pytest.approx(reference.t_star, rel=1e-6)
 
     def test_rejects_bad_box(self):
         with pytest.raises(ValueError):

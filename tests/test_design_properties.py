@@ -29,7 +29,7 @@ from simo_energy.design import (
     design_moments,
     design_robust,
 )
-from helpers import degenerate_box
+from helpers import degenerate_box, mean_power
 
 SNR_DB = st.floats(min_value=-20.0, max_value=50.0)
 K_DB = st.one_of(
@@ -88,8 +88,8 @@ def check_design(out, cfg, sigma2_min=None):
         assert right >= t * (1.0 - EXPONENT_RTOL)
         assert left >= t * (1.0 - EXPONENT_RTOL)
     budget = cfg.power_budget
-    assert out.mean_power == pytest.approx(con.mean_power(), rel=1e-12)
-    assert budget * (1.0 - cfg.eps) <= out.mean_power <= budget * (1.0 + 1e-12)
+    assert out.mean_power == pytest.approx(mean_power(con), rel=1e-12)
+    assert budget * (1.0 - 1e-6) <= out.mean_power <= budget * (1.0 + 1e-12)
 
 
 def check_guaranteed_exponents(out, box, points=101):

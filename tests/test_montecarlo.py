@@ -854,7 +854,8 @@ class TestHistogram:
         got = histogram(*args, np.int64(10), 100, bins=20, seed=3)
         assert got == histogram(*args, 10, 100, bins=20, seed=3)
 
-    @pytest.mark.parametrize("trials,seed", [(0, 0), (-5, 0), (100, -1), (100, 2**64)])
+    # One trial has no sample variance.
+    @pytest.mark.parametrize("trials,seed", [(0, 0), (1, 0), (-5, 0), (100, -1), (100, 2**64)])
     def test_rejects_bad_trials_and_seed(self, design_l4, trials, seed):
         with pytest.raises(ValueError):
             histogram(design_l4.constellation, rayleigh(), 0.1, 10, trials, bins=20, seed=seed)
