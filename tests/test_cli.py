@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -832,6 +833,15 @@ class TestSimulationCommands:
         assert len(hist_rows) == 4 * 30
         total = sum(int(r.split(",")[4]) for r in hist_rows)
         assert total <= 4 * 2000
+
+    def test_histogram_takes_two_trials_without_warnings(self, tmp_path):
+        # Two trials are the fewest that sim.trials takes: each level then has
+        # a sample variance, where one trial printed two RuntimeWarnings.
+        args = ["histogram", "--design.method", "mindist", "--sim.trials", "2",
+                "--sim.n", "[4]", "--out", str(tmp_path / "hist.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 0
 
     def test_mismatch_override(self, tmp_path):
         # Designing for gamma=10 but running on gamma=7 must degrade SER.

@@ -1,5 +1,6 @@
 """Constellation design: optimizing algorithms, reductions, and baselines."""
 
+import dataclasses
 import logging
 import math
 
@@ -542,6 +543,13 @@ class TestConfigValidation:
         # budget = 1e300 ended in a traceback.
         with pytest.raises(ValueError):
             DesignConfig(L=2, power_budget=value)
+
+    def test_takes_no_tolerance(self):
+        # The exponent search brackets t* over every positive float, so a
+        # tolerance would steer nothing: the config holds L and the budget.
+        assert [f.name for f in dataclasses.fields(DesignConfig)] == ["L", "power_budget"]
+        with pytest.raises(TypeError, match="eps"):
+            DesignConfig(L=2, eps=1e-6)
 
     @pytest.mark.parametrize("channel", [rayleigh(), Rician(0.0), NakagamiReal(0.6)])
     @pytest.mark.parametrize("L", [2, 16])

@@ -860,6 +860,14 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram(design_l4.constellation, rayleigh(), 0.1, 10, trials, bins=20, seed=seed)
 
+    def test_two_trials_give_a_finite_variance(self, design_l4):
+        # Two trials are the fewest with a sample variance; one gave NaN and
+        # two RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = histogram(design_l4.constellation, rayleigh(), 0.1, 10, 2, bins=20, seed=3)
+        assert all(math.isfinite(v) and v >= 0.0 for v in got.variances)
+
     @pytest.mark.parametrize(
         "trials,bins,field",
         [
