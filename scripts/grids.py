@@ -9,7 +9,8 @@ Usage:
 -20/0/10/30/50 dB x power budgets 1e-6/1e-3/1/1e3, the same at noise and budget
 scaled together by 1e-100 and 1e100 (L 2/4, 10 dB), and 48 robust boxes.  Each
 key holds the verdict, t*, mean power, levels, boundaries, boundary exponents
-(all as float hex), `iterations` and any warning, or the refusal.  Under
+(all as float hex), `iterations` and any warning (a `warnings.warn` message
+or a WARNING record of the `simo_energy` logger), or the refusal.  Under
 `crossings.*` it also holds the zero-mean ML crossings (`NoncoherentML`
 thresholds) of min-distance and ASK levels, and of a few edge levels, at
 assumed noise powers from 5e-324 to 1e300.
@@ -42,6 +43,7 @@ import fnmatch
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import platform
@@ -187,6 +189,13 @@ CLI_CASES = {
                                  "ask_energy_ml", "--sim.symbols", "2000"],
     "refuse.huge": ["simulate", "--artifact", "huge.json", "--sim.scheme", "noncoherent_ml",
                     "--channel.gamma_dB", "-3080", "--sim.symbols", "2000"],
+    # The refusals of the one resolver of a run's constellation.
+    "refuse.evaluate.no_artifact": ["evaluate", "--design.method", "mindist"],
+    "refuse.artifact.missing": ["simulate", "--design.method", "mindist", "--artifact",
+                                "missing.json"],
+    "refuse.artifact.array": ["simulate", "--design.method", "mindist", "--artifact",
+                              "array.json"],
+    "refuse.artifact.infeasible": ["histogram", "--artifact", "infeasible.json"],
     **{
         f"crossing.{name}.{scheme}.{gamma}dB": [
             "simulate", "--artifact", f"{name}.json", "--sim.scheme", scheme,
@@ -215,9 +224,24 @@ def guarded(run):
         return refusal(exc)
 
 
+@contextlib.contextmanager
+def logged_warnings():
+    """The messages of the WARNING records that the `simo_energy` logger gets
+    inside the block, as a list filled in as they arrive."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    log = logging.getLogger("simo_energy")
+    log.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        log.removeHandler(handler)
+
+
 def design_record(run) -> dict:
     """The outcome of `run()` with every float as hex, or its refusal."""
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, logged_warnings() as logged:
         warnings.simplefilter("always")
         try:
             out = run()
@@ -226,7 +250,7 @@ def design_record(run) -> dict:
     record = {
         "feasible": out.feasible,
         "iterations": out.iterations,
-        "warnings": sorted(str(w.message) for w in caught),
+        "warnings": sorted([*(str(w.message) for w in caught), *logged]),
     }
     if out.feasible:
         con = out.constellation
@@ -392,7 +416,10 @@ def cli_streams(rows: dict) -> None:
             for name, levels in EDGE_LEVELS.items():
                 with open(f"{name}.json", "w") as fh:
                     json.dump({"levels": levels, "sigma2_design": 0.1, "boundaries": None}, fh)
+            with open("array.json", "w") as fh:
+                json.dump([0.0, 1.0], fh)
             cli.main(["design", "--design.method", "mindist", "--out", "mindist.json"])
+            cli.main([*CLI_CASES["design.robust.infeasible"], "--out", "infeasible.json"])
             for law in STREAM_CHANNELS:
                 for snr in STREAM_SNRS:
                     for scheme in CLI_SCHEMES:

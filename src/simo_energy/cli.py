@@ -66,7 +66,7 @@ _SIM_DEFAULTS = {
     "trials": 10000,
     "bins": 60,
 }
-_OUTPUT_DEFAULTS = {"path": None, "format": "csv"}
+_OUTPUT_DEFAULTS = {"format": "csv"}
 
 # The fields each block takes, by the block's path; () is the top level.
 _FIELDS = {
@@ -142,7 +142,7 @@ def _set(cfg: dict, path: tuple, value) -> None:
         return
     if field not in _FIELDS.get(tuple(block), ()):
         raise ConfigError(f"{'.'.join(path)}: unknown config field")
-    if path in (("artifact",), ("output", "path")) and not isinstance(value, (str, type(None))):
+    if path == ("artifact",) and not isinstance(value, (str, type(None))):
         raise ConfigError(f"{'.'.join(path)}: must be a path or null, got {value!r}")
     if path == ("sim", "n") and isinstance(value, (int, float)):
         value = [value]
@@ -264,6 +264,33 @@ def _design_from(cfg: dict):
     raise ConfigError(f"design.method: unknown method {method!r}")
 
 
+def _constellation_from(cfg: dict) -> Constellation:
+    """The constellation a run decodes: the design artifact's when `artifact`
+    is set, the configured design's otherwise; either must be feasible."""
+    path = cfg["artifact"]
+    if path is None:
+        outcome, constellation = _design_from(cfg)
+        if outcome is not None and not outcome.feasible:
+            raise ConfigError("design.method: the configured design is infeasible")
+        return constellation
+    with _field("artifact"):
+        try:
+            with open(path) as fh:
+                record = json.load(fh)
+            if not record.get("feasible", True):
+                raise ConfigError(f"artifact: {path} records an infeasible design")
+            boundaries = record.get("boundaries")
+            return Constellation(
+                tuple(record["levels"]),
+                record["sigma2_design"],
+                tuple(boundaries) if boundaries else None,
+            )
+        except OSError as exc:
+            raise ConfigError(f"artifact: cannot read {path}: {exc.strerror}") from None
+        except (AttributeError, KeyError, TypeError):
+            raise ConfigError(f"artifact: {path} is not a design artifact") from None
+
+
 def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(
         json.dumps(cfg, sort_keys=True, default=str).encode()
@@ -305,7 +332,7 @@ def _write_rows(cfg: dict, columns, rows, out_path: Optional[str]) -> None:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    """Write text to stdout, or to out_path (--out or output.path) when one is given."""
+    """Write text to stdout, or to out_path (--out) when one is given."""
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -313,58 +340,32 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"output.path: cannot write {out_path!r}: {exc.strerror}") from None
+        raise ConfigError(f"out: cannot write {out_path!r}: {exc.strerror}") from None
 
 
 def cmd_design(cfg: dict, out_path: Optional[str]) -> int:
     outcome, constellation = _design_from(cfg)
+    feasible = outcome is None or outcome.feasible
     record = {
         "config": cfg,
         "config_sha256": _config_hash(cfg),
         "method": cfg["design"]["method"],
+        "feasible": feasible,
     }
-    if outcome is not None and not outcome.feasible:
-        record["feasible"] = False
-        record["iterations"] = outcome.iterations
-        _emit(json.dumps(record, indent=2, default=str) + "\n", out_path)
-        return 2
-    record["feasible"] = True
-    record["levels"] = list(constellation.levels)
-    record["sigma2_design"] = constellation.sigma2_design
-    record["boundaries"] = (
-        list(constellation.boundaries) if constellation.boundaries else None
-    )
+    if feasible:
+        record["levels"] = list(constellation.levels)
+        record["sigma2_design"] = constellation.sigma2_design
+        record["boundaries"] = (
+            list(constellation.boundaries) if constellation.boundaries else None
+        )
+        if outcome is not None:
+            record["t_star"] = outcome.t_star
+            record["mean_power"] = outcome.mean_power
+            record["boundary_exponents"] = [list(pair) for pair in outcome.boundary_exponents]
     if outcome is not None:
-        record["t_star"] = outcome.t_star
-        record["mean_power"] = outcome.mean_power
-        record["boundary_exponents"] = [list(pair) for pair in outcome.boundary_exponents]
         record["iterations"] = outcome.iterations
     _emit(json.dumps(record, indent=2, default=str) + "\n", out_path)
-    return 0
-
-
-def load_constellation_artifact(path: str) -> Constellation:
-    with open(path) as fh:
-        record = json.load(fh)
-    if not record.get("feasible", True):
-        raise ConfigError(f"artifact: {path} records an infeasible design")
-    boundaries = record.get("boundaries")
-    return Constellation(
-        tuple(record["levels"]),
-        record["sigma2_design"],
-        tuple(boundaries) if boundaries else None,
-    )
-
-
-def _artifact_constellation(cfg: dict) -> Constellation:
-    path = cfg["artifact"]
-    with _field("artifact"):
-        try:
-            return load_constellation_artifact(path)
-        except OSError as exc:
-            raise ConfigError(f"artifact: cannot read {path}: {exc.strerror}") from None
-        except (AttributeError, KeyError, TypeError):
-            raise ConfigError(f"artifact: {path} is not a design artifact") from None
+    return 0 if feasible else 2
 
 
 def _antenna_counts(cfg: dict) -> list:
@@ -378,25 +379,10 @@ def _antenna_counts(cfg: dict) -> list:
     return counts
 
 
-def _constellation_for_run(cfg: dict) -> Constellation:
-    if cfg["artifact"] is not None:
-        return _artifact_constellation(cfg)
-    outcome, constellation = _design_from(cfg)
-    if outcome is not None and not outcome.feasible:
-        raise ConfigError("design.method: the configured design is infeasible")
-    return constellation
-
-
-def _scheme_constellation(cfg: dict) -> Optional[Constellation]:
-    """The constellation that sim.scheme decodes; None for pilot PAM, whose
-    amplitudes come from design.L alone."""
-    return None if cfg["sim"]["scheme"] == "pilot_pam" else _constellation_for_run(cfg)
-
-
 def cmd_evaluate(cfg: dict, out_path: Optional[str]) -> int:
     if cfg["artifact"] is None:
         raise ConfigError("artifact: evaluate requires a constellation artifact")
-    constellation = _artifact_constellation(cfg)
+    constellation = _constellation_from(cfg)
     with _field("artifact"):
         EnergyRegions(constellation)  # the bounds are those of its energy regions
     channel, sigma2 = _channel_from(cfg["channel"], "channel")
@@ -420,29 +406,22 @@ def _scenario_from(cfg: dict, constellation: Optional[Constellation], n: int) ->
     sim = cfg["sim"]
     true_channel, true_sigma2 = _sim_channel(cfg, "true")
     assumed_channel, assumed_sigma2 = _sim_channel(cfg, "assumed")
+    assumed = dict(mu=assumed_channel.mu, sigma_h2=assumed_channel.sigma_h2, sigma2=assumed_sigma2)
     scheme = sim["scheme"]
     if scheme == "energy":
         with _field("sim.scheme"):
             decoder = EnergyRegions(constellation)
     elif scheme in ("noncoherent_ml", "ask_energy_ml"):
-        assumed = dict(
-            levels=constellation.levels,
-            mu=assumed_channel.mu,
-            sigma_h2=assumed_channel.sigma_h2,
-            sigma2=assumed_sigma2,
-        )
         # The zero-mean receivers refuse levels whose assumed variances tie.
         with _field("artifact" if cfg["artifact"] is not None else "sim.scheme"):
             if scheme == "noncoherent_ml":
-                decoder = NoncoherentML(**assumed)
+                decoder = NoncoherentML(constellation.levels, **assumed)
             else:
-                decoder = EnergyMLAsk(**assumed, n=n)
+                decoder = EnergyMLAsk(constellation.levels, **assumed, n=n)
     elif scheme == "pilot_pam":
         decoder = PilotPAM(
             amplitudes=pam_constellation(_json_int(cfg["design"]["L"])).amplitudes,
-            mu=assumed_channel.mu,
-            sigma_h2=assumed_channel.sigma_h2,
-            sigma2=assumed_sigma2,
+            **assumed,
             coherence_slots=_json_int(sim["T"]),
             pilot_slots=_json_int(sim["T_l"]),
             pilot_power=sim["pilot_power"],
@@ -483,7 +462,8 @@ def cmd_simulate(cfg: dict, out_path: Optional[str]) -> int:
 
 
 def cmd_sweep_n(cfg: dict, out_path: Optional[str], max_rows: Optional[int] = None) -> int:
-    constellation = _scheme_constellation(cfg)
+    # Pilot PAM's amplitudes come from design.L alone, so it reads no constellation.
+    constellation = None if cfg["sim"]["scheme"] == "pilot_pam" else _constellation_from(cfg)
     rows = []
     for n in _antenna_counts(cfg)[:max_rows]:
         report = simulate(_scenario_from(cfg, constellation, n))
@@ -494,7 +474,8 @@ def cmd_sweep_n(cfg: dict, out_path: Optional[str], max_rows: Optional[int] = No
 
 def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
     sim = cfg["sim"]
-    template = _scenario_from(cfg, _scheme_constellation(cfg), 1)
+    constellation = None if sim["scheme"] == "pilot_pam" else _constellation_from(cfg)
+    template = _scenario_from(cfg, constellation, 1)
     n_star = min_antennas(template, sim["target_ber"], _json_int(sim["n_max"]))
     rows = [
         [
@@ -509,7 +490,7 @@ def cmd_min_antennas(cfg: dict, out_path: Optional[str]) -> int:
 
 def cmd_histogram(cfg: dict, out_path: Optional[str]) -> int:
     sim = cfg["sim"]
-    constellation = _constellation_for_run(cfg)
+    constellation = _constellation_from(cfg)
     with _field("design.method" if cfg["artifact"] is None else "artifact"):
         EnergyRegions(constellation)
     channel, sigma2 = _sim_channel(cfg, "true")
@@ -583,7 +564,7 @@ def main(argv=None) -> int:
         fmt = cfg["output"]["format"]
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output.format: must be 'csv' or 'json', got {fmt!r}")
-        return _COMMANDS[command](cfg, paths.get("out", cfg["output"]["path"]))
+        return _COMMANDS[command](cfg, paths.get("out"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -87,6 +87,7 @@ class _NoncoherentReceiver:
         return self._likelihood_index(n, norm2, re_sum)
 
 
+@dataclass(frozen=True)
 class _LikelihoodReceiver(_NoncoherentReceiver):
     """ML decision under assumed (mu, sigma_h2, sigma2).  With mu = 0 the
     likelihood reads ||y||^2 alone and the ML regions are intervals of
@@ -95,6 +96,11 @@ class _LikelihoodReceiver(_NoncoherentReceiver):
     positive at mu = 0, where every level would otherwise be equally likely.
     The crossings are computed once, at construction, so levels whose
     assumed variances they cannot tell apart are refused there."""
+
+    levels: tuple
+    mu: float
+    sigma_h2: float
+    sigma2: float
 
     def __post_init__(self):
         levels, sigma2 = check_levels(self.levels, self.sigma2)
@@ -130,10 +136,6 @@ class EnergyRegions(_NoncoherentReceiver):
 class NoncoherentML(_LikelihoodReceiver):
     """Gaussian-likelihood decoder using assumed (mu, sigma_h2, sigma2)."""
 
-    levels: tuple
-    mu: float
-    sigma_h2: float
-    sigma2: float
     scheme = "noncoherent_ml"
 
     @property
@@ -149,10 +151,6 @@ class NoncoherentML(_LikelihoodReceiver):
 class EnergyMLAsk(_LikelihoodReceiver):
     """Exact likelihood of the energy statistic itself, for a fixed antenna count."""
 
-    levels: tuple
-    mu: float
-    sigma_h2: float
-    sigma2: float
     n: int
     scheme = "ask_energy_ml"
 

@@ -401,6 +401,14 @@ class TestIncreasingRoot:
         # cancellation at tiny deviations puts it higher (ROADMAP item 8).
         assert 0.0 < d < 1e-20
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the rate layer's cancellation "
+                       "at tiny deviations")
+    def test_inverse_of_a_subnormal_rate_is_the_quadratic_tail_root(self):
+        # At t = 1e-310 the tail is quadratic, I(d) = d^2 / (2 * E[U^2]), so the
+        # root is sqrt(2 * t) * 1e-10; today it stops at 6.5e-27.
+        d = RateOracle(rayleigh(), 1e-10, 0.0).inverse_rate("right", 1e-310)
+        assert math.isclose(d, math.sqrt(2e-310) * 1e-10, rel_tol=1e-6)
+
     def test_iteration_cap_raises(self):
         # A step at zero: no interpolation helps, and from a bracket of width 1
         # bisection needs about 1000 halvings to come within the absolute floor.

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simo_energy import cli
-from simo_energy.cli import load_constellation_artifact, main
+from simo_energy.channel import InputError
+from simo_energy.cli import main
 from helpers import time_cap
 
 
@@ -136,6 +137,15 @@ class TestDesignCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["feasible"] is True
 
+    @pytest.mark.xfail(strict=True, raises=InputError, reason="ROADMAP item 8: the rate "
+                       "layer's cancellation at low total SNR")
+    def test_nakagami_at_its_shape_cap_and_minus_100_dB_ends_without_a_traceback(self):
+        # The design's boundaries miss their receiver points, and the InputError
+        # on `boundaries` names no config field.
+        code = run(["design", "--channel.kind", "nakagami", "--channel.m", "1e12",
+                    "--channel.gamma_dB", "-100"])
+        assert code in (0, 1, 2)
+
     def test_artifact_round_trip(self, tmp_path):
         out = tmp_path / "artifact.json"
         run(
@@ -148,7 +158,7 @@ class TestDesignCommand:
             ]
         )
         record = json.loads(out.read_text())
-        con = load_constellation_artifact(str(out))
+        con = cli._constellation_from({"artifact": str(out)})
         assert list(con.levels) == record["levels"]
         assert list(con.boundaries) == record["boundaries"]
 
@@ -180,6 +190,20 @@ class TestConfigHandling:
     def test_unknown_field_exits_1(self, capsys):
         assert run(["design", "--channel.bogus", "1"]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_output_path_is_no_field(self, source, tmp_path, capsys):
+        # --out is the one way to name the output file.
+        target = tmp_path / "out.json"
+        if source == "flag":
+            args = ["--output.path", str(target)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"output": {"path": str(target)}}))
+            args = ["--config", str(cfg)]
+        assert run(["design", "--design.method", "mindist", *args]) == 1
+        assert capsys.readouterr() == ("", "config error: output.path: unknown config field\n")
+        assert not target.exists()
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -405,6 +429,7 @@ class TestConfigHandling:
               "--design.L", "2", "--sim.T", "2.5"], "sim.T"),
             # Paths from a config file must be strings.
             (["evaluate", "--config", {"artifact": 1}], "artifact"),
+            # output.path is no field, whatever its value: --out names the output file.
             (["simulate", "--design.method", "mindist", "--config", {"output": {"path": 1}}],
              "output.path"),
             # An empty or unwritable path names its field too.
@@ -439,9 +464,8 @@ class TestConfigHandling:
                                          "boundaries": [0.6]}], "artifact"),
             (["evaluate", "--artifact", {"levels": [0.0, 1.0], "sigma2_design": True,
                                          "boundaries": [1.5]}], "artifact"),
-            (["design", "--design.method", "mindist", "--out", ""], "output.path"),
-            (["design", "--design.method", "mindist", "--out", "/nonexistent/dir/x.json"],
-             "output.path"),
+            (["design", "--design.method", "mindist", "--out", ""], "out"),
+            (["design", "--design.method", "mindist", "--out", "/nonexistent/dir/x.json"], "out"),
             (["design", "--design.method", "mindist", "--config", {"output": {"path": ""}}],
              "output.path"),
             # The design search needs a finite budget.
@@ -558,7 +582,6 @@ class TestConfigHandling:
         [
             ("evaluate", {"artifact": 1}),
             ("simulate", {"artifact": False}),
-            ("simulate", {"output": {"path": 1}}),
         ],
     )
     def test_non_string_path_opens_nothing(self, command, config, tmp_path, capsys):
@@ -903,7 +926,7 @@ def test_every_field_survives_every_edge_value(edge_dir, command, field, value):
     argv += [f"--{field}", value]
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    os.chdir(edge_dir)  # an output.path such as "abc" is written here
+    os.chdir(edge_dir)  # where the relative artifact path art.json is read
     try:
         with time_cap(CASE_SECONDS), redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
